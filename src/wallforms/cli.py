@@ -11,8 +11,9 @@ Problem files are JSON documents:
     }
 
 Elements are strings in the field's literal grammar (plain integers are
-also accepted).  Exit codes: 0 success, 2 parse error, 3 precondition
-violation, 4 internal invariant failure.
+also accepted; floats, booleans and nulls are parse errors).  Exit codes:
+0 success, 2 parse error, 3 precondition violation, 4 internal invariant
+failure.
 """
 
 from __future__ import annotations
@@ -57,21 +58,24 @@ class ProblemFile:
 
 
 def _parse_matrix(field, rows, dim) -> Matrix:
-    if len(rows) != dim or any(len(r) != dim for r in rows):
+    if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"matrix is not {dim}x{dim}")
-    return Matrix(field, [[field.parse(v) for v in row] for row in rows])
+    return Matrix(field, [_parse_vector(field, row, dim) for row in rows])
 
 
 def _parse_vector(field, row, dim):
-    if len(row) != dim:
-        raise ParseError(f"vector is not of length {dim}")
+    if not isinstance(row, list) or len(row) != dim:
+        raise ParseError(f"vector is not a list of length {dim}")
     return tuple(field.parse(v) for v in row)
 
 
 def load_problem(doc: dict) -> ProblemFile:
     try:
         field = parse_field(doc["field"])
-        dim = int(doc["dim"])
+        dim = doc["dim"]
+        if isinstance(dim, (bool, float)):
+            raise ParseError(f"dim must be an integer, got {dim!r}")
+        dim = int(dim)
         qmat = _parse_matrix(field, doc["q_upper"], dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad problem file: {exc}") from exc
@@ -79,10 +83,11 @@ def load_problem(doc: dict) -> ProblemFile:
     tau = None
     if "tau" in doc:
         tau = Isometry(space, _parse_matrix(field, doc["tau"], dim))
-    words = []
-    for word in doc.get("reflection_words", []):
-        vectors = tuple(_parse_vector(field, v, dim) for v in word)
-        words.append(ReflectionWord(space, vectors))
+    words = doc.get("reflection_words", [])
+    if not isinstance(words, list) or not all(isinstance(w, list) for w in words):
+        raise ParseError("reflection_words must be a list of vector lists")
+    words = [ReflectionWord(space, tuple(_parse_vector(field, v, dim) for v in word))
+             for word in words]
     return ProblemFile(space, tau, words)
 
 
@@ -233,8 +238,6 @@ def main(argv=None) -> int:
         if needs_theorem:
             p.add_argument("--theorem", required=True,
                            help="theorem id: tauid, defint, char, v', res, g, clif, totimes")
-        p.add_argument("--json", action="store_true", default=True,
-                       help="JSON output (always on)")
 
     args = parser.parse_args(argv)
     try:

@@ -160,6 +160,13 @@ def _poly_from_str(s: str, var: str) -> int:
     return out
 
 
+def _check_literal(s, field) -> None:
+    """Element literals are strings or plain integers.  Anything else (a
+    float, a boolean, None) is rejected, not coerced."""
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise ParseError(f"bad element literal {s!r} for {field}")
+
+
 def _is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
@@ -352,6 +359,7 @@ class PrimeField(Field):
         raise NotASquare(f"{a} is not a square in {self}")
 
     def parse(self, s) -> FieldElement:
+        _check_literal(s, self)
         try:
             return self.from_int(int(s))
         except (TypeError, ValueError):
@@ -457,6 +465,7 @@ class Galois2Field(Field):
         return FieldElement(self, self._pow_raw(a.payload, 1 << (self.k - 1)))
 
     def parse(self, s) -> FieldElement:
+        _check_literal(s, self)
         if isinstance(s, int):
             return self.from_int(s)
         s = s.strip().replace("x", self.var)
@@ -552,6 +561,7 @@ class RationalFunctionField(Field):
         return FieldElement(self, (poly_sqrt(num), poly_sqrt(den)))
 
     def parse(self, s) -> FieldElement:
+        _check_literal(s, self)
         if isinstance(s, int):
             return self.from_int(s)
         s = s.strip().replace(" ", "")
@@ -595,6 +605,8 @@ class RationalFunctionField(Field):
 
 def parse_field(s: str) -> Field:
     """Parse a field literal: ``gf(7)``, ``gf(4;x^2+x+1)``, ``gf2(t)``."""
+    if not isinstance(s, str):
+        raise ParseError(f"field literal must be a string, got {s!r}")
     text = s.strip().lower().replace(" ", "")
     if text == "gf2(t)":
         return RationalFunctionField()

@@ -7,8 +7,17 @@ Two enumeration methods:
   pairings preserved between columns), so the result set equals the set of
   all matrices passing validation;
 * generator closure -- breadth-first closure of the subgroup generated by
-  all reflections and all Eichler transformations, with matrix products
-  batched through numpy (payload codes, exact modular or table arithmetic).
+  all reflections and all Eichler transformations.
+
+The closure path works on payload arrays end to end.  One batched
+arithmetic per field (:class:`_BatchArith`) is tabulated from the field's
+own payload ``mul``/``div``; it builds every generator matrix as one batch
+from the payload matrices of Q and B, and checks that batch once against
+the isometry condition.  Elements are deduplicated on fixed-width byte
+keys (the n*n payloads, row by row) with ``np.unique``/``searchsorted``,
+and byte order is the canonical order of an enumeration.  The unipotent,
+involution and identity filters are each one batched product or
+comparison over the whole enumeration.
 
 Verification runners re-check the library's structural claims over every
 applicable element of an enumerated group and report counterexamples.
@@ -16,22 +25,25 @@ applicable element of an enumerated group and report counterexamples.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     CharacteristicNot2,
+    InvariantViolation,
     PreconditionError,
     TooLarge,
     UnknownTheorem,
+    UnsupportedField,
     WallformsError,
 )
 from .fields import FieldElement, Galois2Field, PrimeField
 from .linalg import Matrix
 from .quadspace import QuadraticSpace, Subspace
-from .isometry import Isometry, eichler, reflection
+from .isometry import Isometry
 from .wallform import wall_form
 from .decompose import complement_W, decompose, interchange_normal_basis
 from .clifford import (
@@ -95,50 +107,106 @@ def _payload_matrix_to_isometry(space: QuadraticSpace, rows) -> Isometry:
 
 
 # ---------------------------------------------------------------------------
-# numpy kernels
+# batched payload arithmetic and element keys
 # ---------------------------------------------------------------------------
 
-class _NumpyKernel:
-    """Batched exact matrix products over a prime field or GF(2^k)."""
+BATCH_ROWS = 1 << 16  # matrices per batched product; bounds the temporaries
+SMALL_PRODUCT = 1 << 12  # products below which one gather beats a loop over k
+
+
+class _BatchArith:
+    """Exact batched arithmetic on payload arrays over one finite field.
+
+    Products and inverses are the field's own payload ``mul`` and ``div``,
+    tabulated once over all payloads 0 .. |F|-1.  Where the product table
+    and the field's ``add`` are those of the integers mod |F| (prime fields
+    and GF(2), checked here), batched products use numpy's integer matmul
+    mod |F|; otherwise they are table lookups summed by XOR, which ``add``
+    must then be.  Arguments and results are integer arrays of payloads.
+    Build it through :func:`_batch_arith`, which keeps one per field."""
 
     def __init__(self, field):
-        if isinstance(field, PrimeField):
-            self.p = field.p
-            self.table = None
-            self.dtype = np.int64
-        elif isinstance(field, Galois2Field):
-            self.p = None
-            size = field.size
-            self.table = np.zeros((size, size), dtype=np.int64)
-            for a in range(size):
-                for b in range(size):
-                    self.table[a, b] = field.mul(a, b)
-            self.dtype = np.int64
-        else:
-            raise TooLarge(f"cannot enumerate over {field.literal()}")
+        codes = _field_codes(field)
+        self.order = q = len(codes)
+        self._mul = np.array([[field.mul(a, b) for b in codes] for a in codes], dtype=np.uint8)
+        self.inv = np.array([0] + [field.div(1, a) for a in codes[1:]], dtype=np.uint8)
+        sums = np.array([[field.add(a, b) for b in codes] for a in codes])
+        pay = np.arange(q)
+        self.modular = (np.array_equal(self._mul, np.multiply.outer(pay, pay) % q)
+                        and np.array_equal(sums, np.add.outer(pay, pay) % q))
+        if not self.modular and not np.array_equal(sums, np.bitwise_xor.outer(pay, pay)):
+            raise UnsupportedField(f"no batched arithmetic for {field.literal()}")
+        self._mul.flags.writeable = self.inv.flags.writeable = False  # shared per field
 
-    def mul(self, batch: np.ndarray, g: np.ndarray) -> np.ndarray:
-        if self.p is not None:
-            return (batch @ g) % self.p
-        prods = self.table[batch[:, :, :, None], g[None, None, :, :]]
-        return np.bitwise_xor.reduce(prods, axis=2)
+    def mul(self, a, b):
+        """Elementwise product (broadcast)."""
+        return self._mul[a, b]
 
-    def mul_pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.mul(a[None, :, :], b)[0]
+    def add(self, a, b):
+        if self.modular:
+            return np.add(a, b, dtype=np.intp) % self.order
+        return a ^ b
 
-    def sub_identity(self, batch: np.ndarray) -> np.ndarray:
-        n = batch.shape[1]
-        eye = np.eye(n, dtype=batch.dtype)
-        if self.p is not None:
-            return (batch - eye) % self.p
-        return batch ^ eye
+    def sub(self, a, b):
+        if self.modular:
+            return np.subtract(a, b, dtype=np.intp) % self.order
+        return a ^ b
 
-    def square_is_zero(self, batch: np.ndarray) -> np.ndarray:
-        out = np.empty(batch.shape[0], dtype=bool)
-        for i in range(batch.shape[0]):
-            sq = self.mul(batch[i:i + 1], batch[i])[0]
-            out[i] = not sq.any()
-        return out
+    def matmul(self, a, b):
+        """Batched matrix product a @ b with numpy broadcasting over the
+        leading axes; a is (..., n, k) and b is (..., k, m).  Without
+        modular arithmetic, a few matrices take one lookup of all n*k*m
+        products, and larger batches go one k at a time, which keeps the
+        temporaries at n*m per matrix."""
+        if self.modular:
+            return np.matmul(a, b, dtype=np.intp) % self.order
+        if a.size * b.shape[-1] <= SMALL_PRODUCT:
+            return np.bitwise_xor.reduce(self._mul[a[..., :, :, None], b[..., None, :, :]], axis=-2)
+        acc = self._mul[a[..., :, 0, None], b[..., None, 0, :]]
+        for k in range(1, a.shape[-1]):
+            acc ^= self._mul[a[..., :, k, None], b[..., None, k, :]]
+        return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_arith(field) -> _BatchArith:
+    return _BatchArith(field)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n, dtype=np.int64)  # the payload dtype of an enumeration
+    eye.flags.writeable = False
+    return eye
+
+
+def _payloads(mat: Matrix) -> np.ndarray:
+    return np.array([[e.payload for e in row] for row in mat.rows], dtype=np.uint8)
+
+
+def _keys(mats) -> np.ndarray:
+    """One fixed-width key per (n, n) matrix: its n*n payloads as bytes,
+    row by row.  Every payload is below 256, so the key is injective, and
+    keys sort exactly as the int64 payload arrays' ``tobytes`` do."""
+    flat = np.ascontiguousarray(mats, dtype=np.uint8).reshape(len(mats), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
+
+
+def _matrices(keys, n: int) -> np.ndarray:
+    """The uint8 matrices behind `keys` (a view)."""
+    return keys.view(np.uint8).reshape(-1, n, n)
+
+
+def _all_vectors(size: int, n: int) -> np.ndarray:
+    """Every payload vector, in base-|F| code order (first coordinate slowest)."""
+    codes = np.arange(size ** n)[:, None]
+    return (codes // size ** np.arange(n - 1, -1, -1) % size).astype(np.uint8)
+
+
+def _member(sorted_keys, keys) -> np.ndarray:
+    """Which of `keys` occur in the nonempty sorted key array."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +217,7 @@ class _NumpyKernel:
 class GroupEnumeration:
     space: QuadraticSpace
     method: str
-    payloads: np.ndarray                       # (N, n, n), sorted canonically
-    keys: frozenset = dc_field(repr=False, default=frozenset())
+    payloads: np.ndarray                       # (N, n, n) int64, sorted canonically
 
     @property
     def order(self) -> int:
@@ -166,45 +233,33 @@ class GroupEnumeration:
         for i in range(self.order):
             yield self.isometry(i)
 
-    def contains_payload(self, rows) -> bool:
-        arr = np.asarray(rows, dtype=self.payloads.dtype)
-        return arr.tobytes() in self.keys
+    @functools.cached_property
+    def _sorted_keys(self) -> np.ndarray:
+        return np.sort(_keys(self.payloads))
 
-    def _kernel(self) -> _NumpyKernel:
-        return _NumpyKernel(self.space.field)
+    def contains_payload(self, rows) -> bool:
+        return bool(self.order) and bool(_member(self._sorted_keys, _keys([rows]))[0])
 
     def unipotent2_indices(self) -> list[int]:
-        kern = self._kernel()
-        delta = kern.sub_identity(self.payloads)
-        flags = kern.square_is_zero(delta)
-        return [i for i in range(self.order) if flags[i]]
+        arith = _batch_arith(self.space.field)
+        delta = arith.sub(self.payloads, _identity(self.space.dim))
+        return np.nonzero(~arith.matmul(delta, delta).any(axis=(1, 2)))[0].tolist()
 
     def involution_indices(self) -> list[int]:
-        kern = self._kernel()
-        n = self.payloads.shape[1]
-        eye = np.eye(n, dtype=self.payloads.dtype)
-        out = []
-        for i in range(self.order):
-            sq = kern.mul(self.payloads[i:i + 1], self.payloads[i])[0]
-            if (sq == eye).all():
-                out.append(i)
-        return out
+        square = _batch_arith(self.space.field).matmul(self.payloads, self.payloads)
+        return np.nonzero((square == _identity(self.space.dim)).all(axis=(1, 2)))[0].tolist()
 
     def identity_index(self) -> int:
-        n = self.payloads.shape[1]
-        eye = np.eye(n, dtype=self.payloads.dtype)
-        for i in range(self.order):
-            if (self.payloads[i] == eye).all():
-                return i
-        raise WallformsError("identity missing from enumeration")
+        hits = np.nonzero((self.payloads == _identity(self.space.dim)).all(axis=(1, 2)))[0]
+        if not len(hits):
+            raise WallformsError("identity missing from enumeration")
+        return int(hits[0])
 
 
-def _finish(space: QuadraticSpace, method: str, arrays) -> GroupEnumeration:
-    stack = np.stack(arrays) if len(arrays) else np.zeros((0, space.dim, space.dim), dtype=np.int64)
-    order = sorted(range(stack.shape[0]), key=lambda i: stack[i].tobytes())
-    stack = stack[order]
-    keys = frozenset(stack[i].tobytes() for i in range(stack.shape[0]))
-    return GroupEnumeration(space, method, stack, keys)
+def _finish(space: QuadraticSpace, method: str, mats) -> GroupEnumeration:
+    """Wrap enumerated matrices, sorted canonically (by payloads, row by row)."""
+    mats = np.asarray(mats, dtype=np.int64).reshape(-1, space.dim, space.dim)
+    return GroupEnumeration(space, method, mats[np.argsort(_keys(mats))])
 
 
 def _scan(space: QuadraticSpace) -> GroupEnumeration:
@@ -262,114 +317,114 @@ def scan_flat(space: QuadraticSpace) -> GroupEnumeration:
     return _finish(space, "exhaustive-matrix-scan", results)
 
 
+def _check_isometries(arith: _BatchArith, mats, qmat):
+    """Raise unless every matrix preserves q: N = M^T Q M - Q must have a
+    zero diagonal and N + N^T = 0, checked for the whole batch at once."""
+    defect = arith.sub(arith.matmul(arith.matmul(mats.transpose(0, 2, 1), qmat), mats), qmat)
+    bad = (np.diagonal(defect, axis1=1, axis2=2).any(axis=1)
+           | arith.add(defect, defect.transpose(0, 2, 1)).any(axis=(1, 2)))
+    if bad.any():
+        raise InvariantViolation(
+            f"{int(bad.sum())} of {len(mats)} generator matrices do not preserve q")
+
+
 def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
-    """Deduplicated matrices of all reflections and all Eichler
-    transformations of the space (parameters reduced by the scaling
-    identities that leave the matrices unchanged)."""
-    field = space.field
-    codes = _field_codes(field)
-    n = space.dim
-    if len(codes) ** n > 100_000:
+    """Deduplicated int64 matrices of all reflections and all Eichler
+    transformations of the space, built as one payload batch from Q and
+    B = Q + Q^T and checked once, as a batch, to preserve q.
+
+    Reflections run over anisotropic u with leading coordinate 1:
+    M = I - u (B u)^T / q(u).  Eichler transformations run over isotropic x
+    with leading coordinate 1 (at position p) and w in x-perp with w_p = 0,
+    a complement of F x there, since E(x, w + c x) = E(x, w):
+    M = I + w (B x)^T - x (B w + q(w) B x)^T."""
+    arith = _batch_arith(space.field)
+    n, size = space.dim, arith.order
+    if size ** n > 100_000:
         raise TooLarge("vector enumeration too large for generator construction")
-    one = field.one
+    qmat, gram = _payloads(space.qmat), _payloads(space.gram)
+    eye = _identity(n)
+    vecs = _all_vectors(size, n)
+    lead = np.argmax(vecs != 0, axis=1)
+    normalised = vecs[np.arange(len(vecs)), lead] == 1
+    bvec = arith.matmul(vecs, gram)                          # rows (B v)^T
+    qvec = arith.matmul(arith.matmul(vecs[:, None, :], qmat), vecs[:, :, None])[:, 0, 0]
 
-    def normalized_vectors():
-        for payloads in itertools.product(codes, repeat=n):
-            v = tuple(FieldElement(field, c) for c in payloads)
-            lead = next((c for c in v if c), None)
-            if lead is None or lead != one:
-                continue
-            yield v
+    aniso = normalised & (qvec != 0)
+    u = vecs[aniso]
+    coef = arith.mul(bvec[aniso], arith.inv[qvec[aniso]][:, None])
+    parts = [np.unique(_keys(arith.sub(eye, arith.mul(u[:, :, None], coef[:, None, :]))))]
 
-    seen = {}
-    out = []
-
-    def add(iso: Isometry):
-        arr = np.array(
-            [[e.payload for e in row] for row in iso.mat.rows], dtype=np.int64
-        )
-        key = arr.tobytes()
-        if key not in seen:
-            seen[key] = True
-            out.append(arr)
-
-    for v in normalized_vectors():
-        if space.eval_q(v):
-            add(reflection(space, v))
-
-    for x in normalized_vectors():
-        if space.eval_q(x):
-            continue
-        perp = Subspace.from_vectors(
-            space, (Matrix(field, [tuple(space.eval_b(x, space.basis_vector(j))
-                                         for j in range(n))])).kernel_basis()
-        )
-        # w ranges over a complement of F x inside x-perp; E_{x, w + cx} = E_{x, w}
-        comp = []
-        for r in perp.basis.rows:
-            cand = comp + [r]
-            m = Matrix(field, cand + [x])
-            if m.rank() == len(cand) + 1:
-                comp.append(r)
-        for coeffs in itertools.product(codes, repeat=len(comp)):
-            w = space.zero_vector()
-            for c, r in zip(coeffs, comp):
-                if c:
-                    w = tuple(a + FieldElement(field, c) * b for a, b in zip(w, r))
-            add(eichler(space, x, w))
-
-    return out
+    iso = np.flatnonzero(normalised & (qvec == 0))
+    chunk = max(1, BATCH_ROWS // len(vecs))
+    for start in range(0, len(iso), chunk):
+        xs = iso[start:start + chunk]
+        # pairs (x, w): b(x, w) = 0 and w vanishes at the leading position of x
+        pair = (arith.matmul(bvec[xs], vecs.T) == 0) & (vecs[:, lead[xs]].T == 0)
+        xi, wi = np.nonzero(pair)
+        x, bx = vecs[xs][xi], bvec[xs][xi]
+        w, bw = vecs[wi], arith.add(bvec[wi], arith.mul(qvec[wi][:, None], bx))
+        mats = arith.add(eye, arith.sub(arith.mul(w[:, :, None], bx[:, None, :]),
+                                        arith.mul(x[:, :, None], bw[:, None, :])))
+        parts.append(np.unique(_keys(mats)))
+        if sum(map(len, parts)) > CLOSURE_ELEMENT_LIMIT:
+            parts = [np.unique(np.concatenate(parts))]
+            if len(parts[0]) > CLOSURE_ELEMENT_LIMIT:
+                raise TooLarge("more generators than the closure element cap")
+    gens = _matrices(np.unique(np.concatenate(parts)), n)
+    _check_isometries(arith, gens, qmat)
+    return list(gens.astype(np.int64))
 
 
 def _closure(space: QuadraticSpace) -> GroupEnumeration:
-    gens = standard_generators(space)
-    if not gens:
-        gens = [np.eye(space.dim, dtype=np.int64)]
-    kern = _NumpyKernel(space.field)
+    """Breadth-first closure under right multiplication by generators.
+
+    Generators join one at a time, each only if the group built so far
+    misses it: then every element is multiplied by it, and each element
+    found from there on by every active generator.  Right multiplication
+    by g is a lookup: row r of a matrix becomes r g, read from a table of
+    v g over every vector v, indexed by the row's base-|F| code.  Elements
+    are kept as one sorted array of keys (:func:`_keys`); products are made
+    in batches of at most BATCH_ROWS matrices, and TooLarge is raised
+    before a batch's new elements would take the count past
+    CLOSURE_ELEMENT_LIMIT."""
     n = space.dim
-    eye = np.eye(n, dtype=np.int64)
+    arith = _batch_arith(space.field)
+    eye = _identity(n)
+    gens = np.array(standard_generators(space) or [eye], dtype=np.uint8)
+    gen_keys = _keys(gens)
+    vecs = _all_vectors(arith.order, n)
+    weights = arith.order ** np.arange(n - 1, -1, -1)
+    known = _keys([eye])
+    active = []                                # row tables (|F|^n, n)
 
-    elements: dict[bytes, np.ndarray] = {eye.tobytes(): eye}
-    active: list[np.ndarray] = []
-    frontier: list[np.ndarray] = [eye]
+    def step(sources, tables):
+        """Multiply `sources` (keys) by each generator behind `tables`;
+        keep and return the keys of the new products."""
+        nonlocal known
+        rows = max(1, BATCH_ROWS // len(tables))
+        tables = np.stack(tables)
+        found = []
+        for start in range(0, len(sources), rows):
+            codes = _matrices(sources[start:start + rows], n) @ weights
+            new = np.unique(_keys(tables[:, codes].reshape(-1, n, n)))
+            new = new[~_member(known, new)]
+            if len(known) + len(new) > CLOSURE_ELEMENT_LIMIT:
+                raise TooLarge("closure exceeded the element cap")
+            known = np.insert(known, np.searchsorted(known, new), new)
+            found.append(new)
+        return np.concatenate(found)
 
-    def expand():
-        nonlocal frontier
-        while frontier:
-            batch = np.stack(frontier)
-            frontier = []
-            for g in active:
-                prods = kern.mul(batch, g)
-                for i in range(prods.shape[0]):
-                    key = prods[i].tobytes()
-                    if key not in elements:
-                        if len(elements) > CLOSURE_ELEMENT_LIMIT:
-                            raise TooLarge("closure exceeded the element cap")
-                        elements[key] = prods[i]
-                        frontier.append(prods[i])
-
-    for g in gens[: min(4, len(gens))]:
-        active.append(g)
-        key = g.tobytes()
-        if key not in elements:
-            elements[key] = g
-            frontier.append(g)
-    expand()
     while True:
-        missing = next((g for g in gens if g.tobytes() not in elements), None)
-        if missing is None:
+        missing = np.flatnonzero(~_member(known, gen_keys))
+        if not len(missing):
             break
-        active.append(missing)
-        batch = np.stack(list(elements.values()))
-        prods = kern.mul(batch, missing)
-        for i in range(prods.shape[0]):
-            key = prods[i].tobytes()
-            if key not in elements:
-                elements[key] = prods[i]
-                frontier.append(prods[i])
-        expand()
-
-    return _finish(space, "generator-closure", list(elements.values()))
+        active.append(arith.matmul(vecs, gens[missing[0]]).astype(np.uint8))
+        frontier = step(known, active[-1:])
+        while len(frontier):
+            frontier = step(frontier, active)
+    # keys are sorted, so the payloads come out in canonical order
+    return GroupEnumeration(space, "generator-closure", _matrices(known, n).astype(np.int64))
 
 
 def enumerate_orthogonal_group(space: QuadraticSpace, method: str = "auto") -> GroupEnumeration:

@@ -246,3 +246,60 @@ def test_isotropic_reflection_word_is_precondition_error(tmp_path, capsys):
     doc["reflection_words"] = [[["1", "0", "0", "0"]]]  # q = 0
     code, out = _run(capsys, "analyze", "--space", _write(tmp_path, doc))
     assert code == 3
+
+
+GF7_DOC = {
+    "field": "gf(7)",
+    "dim": 2,
+    "q_upper": [["1", "0"], ["0", "6"]],
+    "tau": [["6", "0"], ["0", "6"]],
+    "reflection_words": [[["1", "0"]]],
+}
+
+
+def _with_entry(doc, key, value):
+    """A copy of doc with entry [0][1] of matrix `key` replaced."""
+    rows = [list(r) for r in doc[key]]
+    rows[0][1] = value
+    return dict(doc, **{key: rows})
+
+
+def _expect_parse_error(tmp_path, capsys, doc):
+    code, out = _run(capsys, "analyze", "--space", _write(tmp_path, doc))
+    assert (code, out["error"]) == (2, "parse")
+
+
+def test_non_string_field_is_parse_error(tmp_path, capsys):
+    for value in (5, None, True, ["gf(2)"]):
+        _expect_parse_error(tmp_path, capsys, dict(H4F2_DOC, field=value))
+
+
+def test_non_literal_matrix_entries_are_parse_errors(tmp_path, capsys):
+    # floats, booleans and nulls were read as 1 (or escaped as AttributeError)
+    for doc in (GF7_DOC, H4F2_DOC, dict(H4F2_DOC, field="gf(4)"), R2T_DOC):
+        for key in ("q_upper", "tau"):
+            for value in (1.5, True, False, None):
+                _expect_parse_error(tmp_path, capsys, _with_entry(doc, key, value))
+
+
+def test_non_literal_vector_entries_are_parse_errors(tmp_path, capsys):
+    for value in (1.5, True, None):
+        _expect_parse_error(tmp_path, capsys,
+                            dict(GF7_DOC, reflection_words=[[["1", value]]]))
+
+
+def test_integer_entries_still_accepted(tmp_path, capsys):
+    doc = dict(GF7_DOC, q_upper=[[1, 0], [0, 6]], tau=[[6, 0], [0, 6]])
+    code, out = _run(capsys, "analyze", "--space", _write(tmp_path, doc))
+    assert code == 0
+    assert out["space"]["q_upper"] == [["1", "0"], ["0", "6"]]
+
+
+def test_malformed_structure_is_parse_error(tmp_path, capsys):
+    for doc in (dict(GF7_DOC, dim=2.5), dict(GF7_DOC, dim=True),
+                dict(GF7_DOC, tau=5), dict(GF7_DOC, tau="66"),
+                dict(GF7_DOC, reflection_words=5),
+                dict(GF7_DOC, reflection_words=[5]),
+                dict(GF7_DOC, reflection_words=[[5]])):
+        _expect_parse_error(tmp_path, capsys, doc)
+

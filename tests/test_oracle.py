@@ -1,12 +1,21 @@
 """Group enumeration: orders, closure properties, method agreement."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 import wallforms as wf
-from wallforms.errors import TooLarge, UnknownTheorem
-from wallforms.oracle import _closure, scan_flat
+from wallforms import oracle
+from wallforms.errors import InvariantViolation, TooLarge, UnknownTheorem
+from wallforms.oracle import (
+    _batch_arith,
+    _closure,
+    _keys,
+    scan_flat,
+    standard_generators,
+)
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +39,23 @@ def test_backtracking_scan_equals_flat_scan(h4f2, group_h4f2):
     assert (flat.payloads == group_h4f2.payloads).all()
 
 
-def test_closure_equals_scan(h4f2, group_h4f2, f4):
+@pytest.fixture(scope="module")
+def f3():
+    return wf.parse_field("gf(3)")
+
+
+@pytest.fixture(scope="module")
+def h4f3(f3):
+    return wf.QuadraticSpace.hyperbolic(f3, 2)
+
+
+def test_closure_equals_scan(h4f2, group_h4f2, f4, f3, gf7_plane_sum, gf7_plane_split):
     clos = _closure(h4f2)
-    assert (clos.payloads == group_h4f2.payloads).all()
-    plane4 = wf.QuadraticSpace.hyperbolic(f4, 1)
-    assert (_closure(plane4).payloads
-            == wf.enumerate_orthogonal_group(plane4, "scan").payloads).all()
+    assert np.array_equal(clos.payloads, group_h4f2.payloads)
+    for space in (wf.QuadraticSpace.hyperbolic(f4, 1), wf.QuadraticSpace.hyperbolic(f3, 1),
+                  gf7_plane_sum, gf7_plane_split):
+        scan = wf.enumerate_orthogonal_group(space, "scan")
+        assert np.array_equal(_closure(space).payloads, scan.payloads)
 
 
 def test_gf2_hyperbolic_plane_order_two(f2):
@@ -181,9 +201,10 @@ def _split_orthogonal_order(q, n):
     return order
 
 
-def test_group_orders_match_classical_formula(h4f2, h4f4, h4f7, f2):
+def test_group_orders_match_classical_formula(h4f2, h4f3, h4f4, h4f7, f2):
     cases = [
         (h4f2, 2, 2),
+        (h4f3, 3, 2),
         (h4f4, 4, 2),
         (h4f7, 7, 2),
         (wf.QuadraticSpace.hyperbolic(f2, 3), 2, 3),
@@ -191,3 +212,94 @@ def test_group_orders_match_classical_formula(h4f2, h4f4, h4f7, f2):
     for space, q, n in cases:
         enum = wf.enumerate_orthogonal_group(space)
         assert enum.order == _split_orthogonal_order(q, n)
+
+
+def _payload_key(iso):
+    return tuple(e.payload for row in iso.mat.rows for e in row)
+
+
+def _boxed_generators(space):
+    """Reflections along every anisotropic u and Eichler transformations
+    E(x, w) for every isotropic x and every w in x-perp, through the public
+    boxed constructors (u and x with leading coordinate 1)."""
+    one = space.field.one
+    vectors = list(space.vectors())
+    normalised = [v for v in vectors if next((c for c in v if c), None) == one]
+    keys = {_payload_key(wf.reflection(space, u)) for u in normalised if space.eval_q(u)}
+    for x in normalised:
+        if not space.eval_q(x):
+            keys |= {_payload_key(wf.eichler(space, x, w))
+                     for w in vectors if not space.eval_b(x, w)}
+    return keys
+
+
+@pytest.mark.parametrize("name", ["h4f2", "h4f4", "gf7_plane_split"])
+def test_standard_generators_match_boxed_construction(name, request):
+    space = request.getfixturevalue(name)
+    gens = standard_generators(space)
+    keys = [tuple(int(x) for x in g.ravel()) for g in gens]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == _boxed_generators(space)
+
+
+def test_standard_generator_counts(h4f2, h4f4, h4f7, f2):
+    for space, count in ((h4f2, 22), (h4f4, 316),
+                         (wf.QuadraticSpace.hyperbolic(f2, 3), 344), (h4f7, 2737)):
+        assert len(standard_generators(space)) == count
+
+
+def test_generator_batch_is_checked_against_q(h4f2, f2):
+    # a polar form that does not belong to q: the generators built from it
+    # are not isometries of q, and the batch check must say so
+    other = wf.QuadraticSpace.from_int_rows(
+        f2, [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(InvariantViolation):
+        standard_generators(dataclasses.replace(h4f2, gram=other.gram))
+
+
+@pytest.mark.parametrize("name", ["h4f2", "gf7_plane_split", "h4f3"])
+def test_batched_filters_match_predicates(name, request):
+    space = request.getfixturevalue(name)
+    enum = wf.enumerate_orthogonal_group(space)
+    isos = list(enum.isometries())
+    assert enum.unipotent2_indices() == [i for i, t in enumerate(isos) if t.is_unipotent2()]
+    assert enum.involution_indices() == [i for i, t in enumerate(isos) if t.is_involution()]
+    assert [enum.identity_index()] == [i for i, t in enumerate(isos) if t.is_identity()]
+
+
+@pytest.mark.parametrize("literal, n", [("gf(16)", 4), ("gf(97)", 3)])
+def test_keys_sort_as_tobytes(literal, n):
+    size = wf.parse_field(literal).order()
+    rng = np.random.default_rng(71)
+    mats = rng.integers(0, size, size=(1500, n, n))
+    mats = np.concatenate([mats, mats[:200]])          # repeats
+    mats[-100:, -1, -1] = (mats[-100:, -1, -1] + 1) % size  # differ in the last byte only
+    expected = sorted(range(len(mats)), key=lambda i: mats[i].tobytes())
+    keys = _keys(mats)
+    assert np.argsort(keys, kind="stable").tolist() == expected
+    assert len(np.unique(keys)) == len({m.tobytes() for m in mats})
+
+
+@pytest.mark.parametrize("literal", ["gf(2)", "gf(4)", "gf(256)", "gf(7)", "gf(97)"])
+def test_batched_matmul_matches_boxed_product(literal):
+    field = wf.parse_field(literal)
+    arith = _batch_arith(field)
+    rng = np.random.default_rng(73)
+
+    def boxed(m):
+        return wf.Matrix(field, [[wf.FieldElement(field, int(x)) for x in row] for row in m])
+
+    for count in (3, 500):  # a few matrices, and a batch past SMALL_PRODUCT
+        a, b = (rng.integers(0, field.order(), size=(count, 3, 3)) for _ in range(2))
+        prods = arith.matmul(a, b)
+        for i in range(0, count, 50):
+            expected = [[e.payload for e in row] for row in (boxed(a[i]) * boxed(b[i])).rows]
+            assert prods[i].tolist() == expected
+
+
+def test_closure_raises_before_passing_the_element_cap(h4f4, monkeypatch):
+    monkeypatch.setattr(oracle, "CLOSURE_ELEMENT_LIMIT", 7200)
+    assert _closure(h4f4).order == 7200
+    monkeypatch.setattr(oracle, "CLOSURE_ELEMENT_LIMIT", 7199)
+    with pytest.raises(TooLarge):
+        _closure(h4f4)
