@@ -26,6 +26,7 @@ from .errors import (
     NotInResidual,
     NotInterchange,
     NotUnipotent2,
+    PreconditionError,
     PreimageUnsolvable,
     ZeroDiagonal,
 )
@@ -274,7 +275,7 @@ def decompose(tau: Isometry) -> Decomposition:
             blocks.append(blk)
             current = current.intersection(blk.subspace().orthogonal_complement())
     decomposition = Decomposition(tau, fixed_complement, tuple(blocks))
-    validate_decomposition(decomposition)
+    validate_decomposition(decomposition, wf)
     return decomposition
 
 
@@ -293,9 +294,14 @@ def reassemble(d: Decomposition) -> Matrix:
     return p * block_diag(field, locals_) * p.inverse()
 
 
-def validate_decomposition(d: Decomposition):
+def validate_decomposition(d: Decomposition, wf: WallForm | None = None):
+    """Raise InvariantViolation unless `d` is a valid decomposition of its
+    isometry.  `wf` is the Wall form of ``d.tau`` if already computed."""
     tau, space = d.tau, d.tau.space
-    wf = wall_form(tau)
+    if wf is None:
+        wf = wall_form(tau)
+    elif wf.tau != tau:
+        raise PreconditionError("the Wall form belongs to another isometry")
     s = wf.s
     parts = [d.fixed_complement] + [blk.subspace() for blk in d.blocks]
     if sum(p.dim for p in parts) != space.dim:

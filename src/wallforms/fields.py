@@ -13,6 +13,9 @@ Supported fields:
 Elements are immutable :class:`FieldElement` wrappers around payloads and
 support ``+ - * /``.  Fields also expose payload-level ``add/sub/mul/div``
 for hot loops.  Square-class queries (``is_square``, ``sqrt``) are exact.
+Finite fields intern their elements, one per payload, so wrapping a payload
+(:meth:`Field.wrap`) allocates nothing; their product and inverse tables
+(:func:`field_tables`) are built once and shared by every equal field.
 
 Textual literals: fields ``"gf(7)"``, ``"gf(4;x^2+x+1)"``, ``"gf2(t)"``;
 elements ``"3"``, ``"w+1"``, ``"(t^2+1)/t"``.
@@ -20,6 +23,8 @@ elements ``"3"``, ``"w+1"``, ``"(t^2+1)/t"``.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
@@ -167,6 +172,13 @@ def _check_literal(s, field) -> None:
         raise ParseError(f"bad element literal {s!r} for {field}")
 
 
+def _check_int(n, field) -> int:
+    """`n`, if it is an integer; a float is not rounded."""
+    if not isinstance(n, int):
+        raise DescriptorMismatch(f"{n!r} is not an integer, so it has no image in {field}")
+    return n
+
+
 def _is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
@@ -203,22 +215,22 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.payload, other.payload))
+        return self.field.wrap(self.field.add(self.payload, other.payload))
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.payload, other.payload))
+        return self.field.wrap(self.field.sub(self.payload, other.payload))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.payload, other.payload))
+        return self.field.wrap(self.field.mul(self.payload, other.payload))
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.payload, other.payload))
+        return self.field.wrap(self.field.div(self.payload, other.payload))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.payload))
+        return self.field.wrap(self.field.neg(self.payload))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -233,15 +245,18 @@ class FieldElement:
         return out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.payload == other.payload
+        return self.payload == other.payload and (
+            self.field is other.field or self.field == other.field)
 
     def __hash__(self):
         return hash((self.field, self.payload))
 
     def __bool__(self):
-        return self.payload != self.field.zero.payload
+        return self.payload != self.field._zero.payload
 
     def is_zero(self) -> bool:
         return not self
@@ -257,6 +272,7 @@ class Field:
     """Common interface of the three supported fields."""
 
     kind: str
+    _kernel = None  # the payload kernel of ``linalg``, built on first use
 
     # payload-level arithmetic, implemented by subclasses
     def add(self, a, b): raise NotImplementedError
@@ -273,7 +289,24 @@ class Field:
         return None
 
     def element(self, payload) -> FieldElement:
+        """The element with this payload; DescriptorMismatch unless it is a
+        canonical payload of the field."""
+        if not self.is_payload(payload):
+            raise DescriptorMismatch(f"{payload!r} is not a payload of {self}")
+        return self.wrap(payload)
+
+    def is_payload(self, payload) -> bool:
+        """Whether `payload` is a canonical payload of this field."""
+        raise NotImplementedError
+
+    def wrap(self, payload) -> FieldElement:
+        """The element with a payload already known to be canonical (no
+        check); finite fields return their interned element."""
         return FieldElement(self, payload)
+
+    def wrap_all(self, payloads) -> tuple[FieldElement, ...]:
+        """:meth:`wrap` over an iterable of canonical payloads."""
+        return tuple(map(self.wrap, payloads))
 
     def from_int(self, n: int) -> FieldElement:
         """The image of the integer n under the canonical ring map Z -> F."""
@@ -284,7 +317,7 @@ class Field:
 
     def elements(self) -> Iterator[FieldElement]:
         for p in self.payloads():
-            yield FieldElement(self, p)
+            yield self.wrap(p)
 
     def is_square(self, a: FieldElement) -> bool:
         raise NotImplementedError
@@ -313,7 +346,47 @@ class Field:
         return self.literal()
 
 
-class PrimeField(Field):
+class _FiniteField(Field):
+    """Payloads are the ints 0 .. order-1; one interned element each."""
+
+    def _intern(self, order: int):
+        self._elements = tuple(FieldElement(self, p) for p in range(order))
+        self._zero, self._one = self._elements[0], self._elements[1]
+
+    def is_payload(self, payload) -> bool:
+        return type(payload) is int and 0 <= payload < len(self._elements)
+
+    def wrap(self, payload) -> FieldElement:
+        return self._elements[payload]
+
+    def wrap_all(self, payloads) -> tuple[FieldElement, ...]:
+        return tuple(map(self._elements.__getitem__, payloads))
+
+    def payloads(self):
+        return iter(range(len(self._elements)))
+
+
+@dataclass(frozen=True)
+class FieldTables:
+    """Payload product and inverse tables of a finite field."""
+
+    mul: tuple[tuple[int, ...], ...]   # mul[a][b] = a * b
+    inv: tuple[int, ...]               # inv[a] = 1 / a; inv[0] = 0
+
+
+@functools.lru_cache(maxsize=None)
+def field_tables(field: Field) -> FieldTables:
+    """The tables of a finite field, tabulated once from its own payload
+    ``mul`` and ``div``.  Cached by field equality, so every equal field
+    (a re-parsed literal, say) shares one tabulation."""
+    codes = list(field.payloads())
+    return FieldTables(
+        tuple(tuple(field.mul(a, b) for b in codes) for a in codes),
+        (0,) + tuple(field.div(1, a) for a in codes[1:]),
+    )
+
+
+class PrimeField(_FiniteField):
     """GF(p) for an odd prime p <= 97."""
 
     kind = "prime"
@@ -324,8 +397,7 @@ class PrimeField(Field):
         if p > MAX_PRIME:
             raise CapExceeded(f"prime {p} exceeds cap {MAX_PRIME}")
         self.p = p
-        self._zero = FieldElement(self, 0)
-        self._one = FieldElement(self, 1)
+        self._intern(p)
         self._squares = frozenset((a * a) % p for a in range(p))
 
     def add(self, a, b): return (a + b) % self.p
@@ -343,10 +415,7 @@ class PrimeField(Field):
     def order(self): return self.p
 
     def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, n % self.p)
-
-    def payloads(self):
-        return iter(range(self.p))
+        return self._elements[_check_int(n, self) % self.p]
 
     def is_square(self, a: FieldElement) -> bool:
         return a.payload in self._squares
@@ -355,7 +424,7 @@ class PrimeField(Field):
         # exhaustive search; p <= 97 keeps this instant
         for c in range(self.p):
             if (c * c) % self.p == a.payload:
-                return FieldElement(self, c)
+                return self._elements[c]
         raise NotASquare(f"{a} is not a square in {self}")
 
     def parse(self, s) -> FieldElement:
@@ -378,7 +447,7 @@ class PrimeField(Field):
         return hash(("prime", self.p))
 
 
-class Galois2Field(Field):
+class Galois2Field(_FiniteField):
     """GF(2^k), k in [1, 8], arithmetic modulo an irreducible polynomial."""
 
     kind = "galois2"
@@ -394,18 +463,12 @@ class Galois2Field(Field):
         self.k = k
         self.modulus = modulus
         self.size = 1 << k
-        self._zero = FieldElement(self, 0)
-        self._one = FieldElement(self, 1)
-        # small fields get full multiplication/inverse tables
-        self._mul_table = None
-        self._inv_table = None
+        self._intern(self.size)
+        # small fields multiply by lookups in the shared tables
+        self._mul_table = self._inv_table = None
         if k <= 4:
-            self._mul_table = [
-                [self._mul_raw(a, b) for b in range(self.size)] for a in range(self.size)
-            ]
-            self._inv_table = [0] * self.size
-            for a in range(1, self.size):
-                self._inv_table[a] = self._pow_raw(a, self.size - 2)
+            tables = field_tables(self)
+            self._mul_table, self._inv_table = tables.mul, tables.inv
 
     def _mul_raw(self, a: int, b: int) -> int:
         out = 0
@@ -452,17 +515,14 @@ class Galois2Field(Field):
     def order(self): return self.size
 
     def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, n % 2)
-
-    def payloads(self):
-        return iter(range(self.size))
+        return self._elements[_check_int(n, self) % 2]
 
     def is_square(self, a: FieldElement) -> bool:
         # Frobenius x -> x^2 is bijective on a finite field of characteristic 2
         return True
 
     def sqrt(self, a: FieldElement) -> FieldElement:
-        return FieldElement(self, self._pow_raw(a.payload, 1 << (self.k - 1)))
+        return self._elements[self._pow_raw(a.payload, 1 << (self.k - 1))]
 
     def parse(self, s) -> FieldElement:
         _check_literal(s, self)
@@ -472,7 +532,7 @@ class Galois2Field(Field):
         p = _poly_from_str(s, self.var)
         if poly_deg(p) >= self.k:
             p = poly_mod(p, self.modulus)
-        return FieldElement(self, p)
+        return self._elements[p]
 
     def format(self, payload) -> str:
         return _poly_to_str(payload, self.var)
@@ -516,6 +576,15 @@ class RationalFunctionField(Field):
             raise CapExceeded(f"polynomial degree exceeds cap {MAX_POLY_DEGREE}")
         return (num, den)
 
+    def is_payload(self, payload) -> bool:
+        if not (type(payload) is tuple and len(payload) == 2
+                and all(type(x) is int and x >= 0 for x in payload) and payload[1]):
+            return False
+        try:
+            return self._normalize(*payload) == payload
+        except CapExceeded:
+            return False
+
     def fraction(self, num: int, den: int = 1) -> FieldElement:
         return FieldElement(self, self._normalize(num, den))
 
@@ -544,7 +613,7 @@ class RationalFunctionField(Field):
     def characteristic(self): return 2
 
     def from_int(self, n: int) -> FieldElement:
-        return self._one if n % 2 else self._zero
+        return self._one if _check_int(n, self) % 2 else self._zero
 
     def payloads(self):
         raise CapExceeded("gf2(t) is infinite; cannot enumerate")

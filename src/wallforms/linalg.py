@@ -1,48 +1,306 @@
 """Exact dense linear algebra over the library's fields.
 
-Matrices are immutable tuples of tuples of :class:`FieldElement`; vectors
-are plain tuples.  Everything is computed by fraction-free Gaussian
-elimination in the exact field, so ranks, kernels and solutions are exact.
+A :class:`Matrix` stores its entries as payload rows: tuples of the
+field's payloads, ints for GF(p) and GF(2^k) and ``(num, den)`` pairs for
+GF(2)(t).  Products, sums, Gauss-Jordan elimination with field division
+(``rref``), ``solve``, ``kernel_basis``, ``inverse`` and ``det`` all run on
+those payloads through one kernel per field (:func:`_kernel`):
+
+* GF(p): integer products and sums reduced mod p, inverses from a table;
+* GF(2^k): sums are XOR, products are lookups in the product table;
+* GF(2)(t): the field's own payload ``add``/``mul``/``div``.
+
+The product and inverse tables are :func:`fields.field_tables`, built once
+per field and shared by every equal field and by the oracle's batched
+arithmetic.  Every result is exact.
+
+Field elements exist only at the boundary.  The public constructor takes
+rows of :class:`FieldElement` of the matrix's field and raises
+DescriptorMismatch for any other entry; :meth:`Matrix.from_payloads` takes
+range-checked payload rows.  ``rows`` (boxed once, then cached),
+``m[i, j]``, ``row``, ``col``, ``det`` and the vectors returned by
+``solve``, ``kernel_basis``, ``mat_vec`` and ``vec_mat`` are boxed on the
+way out, and finite fields hand out interned elements, so boxing
+allocates nothing.  Vectors are plain tuples of field elements.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, SingularMatrix
-from .fields import Field, FieldElement
+from operator import mul as _imul, xor as _xor
+
+from .errors import DescriptorMismatch, DimensionMismatch, SingularMatrix
+from .fields import Field, FieldElement, field_tables
 
 Vector = tuple[FieldElement, ...]
 
+# ---------------------------------------------------------------------------
+# payload kernels, one per field
+# ---------------------------------------------------------------------------
+
+class _Kernel:
+    """Payload arithmetic a row at a time, through the field's own payload
+    operations (the kernel of GF(2)(t)).  Row operations take tuples or
+    lists of payloads and return new ones."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.zero = field.zero.payload
+        self.one = field.one.payload
+
+    # -- scalars
+    def mul(self, a, b):
+        return self.field.mul(a, b)
+
+    def neg(self, a):
+        return self.field.neg(a)
+
+    def inv(self, a):
+        return self.field.div(self.one, a)
+
+    # -- rows
+    def row_is_zero(self, row) -> bool:
+        zero = self.zero
+        return all(a == zero for a in row)
+
+    def add_rows(self, u, v):
+        return tuple(map(self.field.add, u, v))
+
+    def sub_rows(self, u, v):
+        return tuple(map(self.field.sub, u, v))
+
+    def neg_row(self, u):
+        return tuple(map(self.field.neg, u))
+
+    def scale_row(self, c, row):
+        mul = self.field.mul
+        return [mul(c, a) for a in row]
+
+    def eliminate(self, row, c, prow):
+        """row - c * prow."""
+        sub, mul = self.field.sub, self.field.mul
+        return [sub(a, mul(c, b)) for a, b in zip(row, prow)]
+
+    def dot(self, u, v):
+        add, mul, zero = self.field.add, self.field.mul, self.zero
+        acc = zero
+        for a, b in zip(u, v):
+            if a != zero and b != zero:
+                acc = add(acc, mul(a, b))
+        return acc
+
+    def matmul(self, a, b, ncols: int):
+        """Payload rows of a * b; b has `ncols` columns and at least one row."""
+        cols, dot = tuple(zip(*b)), self.dot
+        return tuple(tuple(dot(r, c) for c in cols) for r in a)
+
+
+class _PrimeKernel(_Kernel):
+    """GF(p): plain int arithmetic reduced mod p."""
+
+    def __init__(self, field: Field):
+        super().__init__(field)
+        self.p = field.p
+        self._inv = field_tables(field).inv
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        return self._inv[a]
+
+    def row_is_zero(self, row) -> bool:
+        return not any(row)
+
+    def add_rows(self, u, v):
+        p = self.p
+        return tuple([(a + b) % p for a, b in zip(u, v)])
+
+    def sub_rows(self, u, v):
+        p = self.p
+        return tuple([(a - b) % p for a, b in zip(u, v)])
+
+    def neg_row(self, u):
+        p = self.p
+        return tuple([-a % p for a in u])
+
+    def scale_row(self, c, row):
+        p = self.p
+        return [c * a % p for a in row]
+
+    def eliminate(self, row, c, prow):
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(row, prow)]
+
+    def dot(self, u, v):
+        return sum(map(_imul, u, v)) % self.p
+
+    def matmul(self, a, b, ncols: int):
+        p, cols = self.p, tuple(zip(*b))
+        return tuple(tuple([sum(map(_imul, r, c)) % p for c in cols]) for r in a)
+
+
+class _Char2Kernel(_Kernel):
+    """GF(2^k): XOR for sums, product-table lookups for products."""
+
+    def __init__(self, field: Field):
+        super().__init__(field)
+        tables = field_tables(field)
+        self._mul, self._inv = tables.mul, tables.inv
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def neg(self, a):
+        return a
+
+    def inv(self, a):
+        return self._inv[a]
+
+    def row_is_zero(self, row) -> bool:
+        return not any(row)
+
+    def add_rows(self, u, v):
+        return tuple(map(_xor, u, v))
+
+    sub_rows = add_rows
+
+    def neg_row(self, u):
+        return tuple(u)
+
+    def scale_row(self, c, row):
+        return list(map(self._mul[c].__getitem__, row))
+
+    def eliminate(self, row, c, prow):
+        if c == 1:
+            return list(map(_xor, row, prow))
+        mc = self._mul[c]
+        return [a ^ mc[b] for a, b in zip(row, prow)]
+
+    def dot(self, u, v):
+        mul, acc = self._mul, 0
+        for a, b in zip(u, v):
+            acc ^= mul[a][b]
+        return acc
+
+    def matmul(self, a, b, ncols: int):
+        """Each output row is a sum of the rows of b scaled by the entries
+        of the row of a; zero entries are skipped."""
+        mul, zero = self._mul, (0,) * ncols
+        out = []
+        for r in a:
+            acc = zero
+            for c, brow in zip(r, b):
+                if c == 1:
+                    acc = tuple(map(_xor, acc, brow))
+                elif c:
+                    mc = mul[c]
+                    acc = tuple([x ^ mc[y] for x, y in zip(acc, brow)])
+            out.append(acc)
+        return tuple(out)
+
+
+def _kernel(field: Field) -> _Kernel:
+    """The payload kernel of `field`, built on first use and kept on the
+    field object (its tables are shared by every equal field)."""
+    kernel = field._kernel
+    if kernel is None:
+        kind = {"prime": _PrimeKernel, "galois2": _Char2Kernel}.get(field.kind, _Kernel)
+        kernel = field._kernel = kind(field)
+    return kernel
+
+
+def _gauss_jordan(kernel: _Kernel, prows, ncols: int):
+    """Reduced row-echelon payload rows (as tuples) and pivot columns."""
+    rows = list(prows)
+    m = len(rows)
+    zero, one = kernel.zero, kernel.one
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        for r in range(lead, m):
+            if rows[r][col] != zero:
+                break
+        else:
+            continue
+        prow = rows[r]
+        rows[r] = rows[lead]
+        if prow[col] != one:
+            prow = kernel.scale_row(kernel.inv(prow[col]), prow)
+        rows[lead] = prow
+        for r in range(m):
+            if r != lead:
+                c = rows[r][col]
+                if c != zero:
+                    rows[r] = kernel.eliminate(rows[r], c, prow)
+        pivots.append(col)
+        lead += 1
+        if lead == m:
+            break
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def _unbox(field: Field, entries) -> tuple:
+    """The payloads of `entries`, each of which must be an element of `field`."""
+    return tuple([_unbox_one(field, e) for e in entries])
+
+
+def _unbox_one(field: Field, e) -> object:
+    if e.__class__ is FieldElement and e.field is field:
+        return e.payload
+    if not isinstance(e, FieldElement) or e.field != field:
+        raise DescriptorMismatch(f"entry {e!r} is not an element of {field.literal()}")
+    return e.payload
+
+
+# ---------------------------------------------------------------------------
+# matrices
+# ---------------------------------------------------------------------------
 
 class Matrix:
-    __slots__ = ("field", "rows", "_ncols", "_rref")
+    # _rref and _rows are caches, unset until first use
+    __slots__ = ("field", "payload_rows", "_ncols", "_rref", "_rows")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
-        width = len(rows[0]) if rows else (ncols or 0)
-        if any(len(r) != width for r in rows):
-            raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_ncols", width)
-        object.__setattr__(self, "_rref", None)
+        """Rows of elements of `field`; any other entry raises
+        DescriptorMismatch."""
+        prows = tuple(_unbox(field, r) for r in rows)
+        _init(self, field, prows, _width(prows, ncols))
+
+    @classmethod
+    def _trusted(cls, field: Field, prows, ncols: int) -> "Matrix":
+        """A matrix on payload rows that are already tuples of canonical
+        payloads of `field`, each `ncols` long (results of the kernel)."""
+        self = _new(cls)
+        _init(self, field, prows, ncols)
+        return self
 
     def __setattr__(self, name, value):
-        if name == "_rref" and getattr(self, name, None) is None:
-            object.__setattr__(self, name, value)
-            return
         raise AttributeError("Matrix is immutable")
 
     # -- construction -------------------------------------------------------
 
     @classmethod
+    def from_payloads(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
+        """A matrix on payload rows; DescriptorMismatch for any entry that
+        is not a canonical payload of `field`."""
+        prows = tuple(tuple(r) for r in rows)
+        is_payload = field.is_payload
+        for r in prows:
+            for p in r:
+                if not is_payload(p):
+                    raise DescriptorMismatch(f"{p!r} is not a payload of {field.literal()}")
+        return cls._trusted(field, prows, _width(prows, ncols))
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return _diagonal(field, (field.one.payload,) * n)
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * n for _ in range(m)])
+        return cls._trusted(field, ((field.zero.payload,) * n,) * m, n)
 
     @classmethod
     def from_ints(cls, field: Field, rows) -> "Matrix":
@@ -50,16 +308,23 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> "Matrix":
-        entries = list(entries)
-        z = field.zero
-        n = len(entries)
-        return cls(field, [[entries[i] if i == j else z for j in range(n)] for i in range(n)])
+        return _diagonal(field, _unbox(field, entries))
 
     # -- shape / access -----------------------------------------------------
 
     @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The entries as field elements, boxed on first use."""
+        try:
+            return self._rows
+        except AttributeError:
+            rows = tuple(map(self.field.wrap_all, self.payload_rows))
+            _set_rows(self, rows)
+            return rows
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.payload_rows)
 
     @property
     def ncols(self) -> int:
@@ -67,48 +332,49 @@ class Matrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+        return (len(self.payload_rows), self._ncols)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.field.wrap(self.payload_rows[i][j])
 
     def row(self, i: int) -> Vector:
-        return self.rows[i]
+        return self.field.wrap_all(self.payload_rows[i])
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        return self.field.wrap_all([r[j] for r in self.payload_rows])
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return all(not e for r in self.rows for e in r)
+        return all(map(_kernel(self.field).row_is_zero, self.payload_rows))
 
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same_field(self, other: "Matrix"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DimensionMismatch("matrices over different fields")
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
-        if self.shape != other.shape:
+        if len(self.payload_rows) != len(other.payload_rows) or self._ncols != other._ncols:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        return Matrix(self.field, [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ], ncols=self.ncols)
+        add = _kernel(self.field).add_rows
+        return Matrix._trusted(self.field, tuple(map(add, self.payload_rows, other.payload_rows)),
+                               self._ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
-        if self.shape != other.shape:
+        if len(self.payload_rows) != len(other.payload_rows) or self._ncols != other._ncols:
             raise DimensionMismatch(f"{self.shape} - {other.shape}")
-        return Matrix(self.field, [
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ], ncols=self.ncols)
+        sub = _kernel(self.field).sub_rows
+        return Matrix._trusted(self.field, tuple(map(sub, self.payload_rows, other.payload_rows)),
+                               self._ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in r] for r in self.rows], ncols=self.ncols)
+        neg = _kernel(self.field).neg_row
+        return Matrix._trusted(self.field, tuple(map(neg, self.payload_rows)), self._ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -116,19 +382,21 @@ class Matrix:
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} * {other.shape}")
-        cols = [other.col(j) for j in range(other.ncols)]
-        out = []
-        for r in self.rows:
-            out.append([_dot(r, c, self.field) for c in cols])
-        return Matrix(self.field, out, ncols=other.ncols)
+        if not other.payload_rows:
+            return Matrix.zeros(self.field, self.nrows, other.ncols)
+        prows = _kernel(self.field).matmul(self.payload_rows, other.payload_rows, other.ncols)
+        return Matrix._trusted(self.field, prows, other.ncols)
 
     def scale(self, c: FieldElement) -> "Matrix":
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows], ncols=self.ncols)
+        c = _unbox_one(self.field, c)
+        scale = _kernel(self.field).scale_row
+        return Matrix._trusted(self.field, tuple(tuple(scale(c, r)) for r in self.payload_rows),
+                               self._ncols)
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix(self.field, [() for _ in range(self._ncols)], ncols=0)
-        return Matrix(self.field, zip(*self.rows), ncols=self.nrows)
+        if not self.payload_rows:
+            return Matrix._trusted(self.field, ((),) * self._ncols, 0)
+        return Matrix._trusted(self.field, tuple(zip(*self.payload_rows)), self.nrows)
 
     def power(self, k: int) -> "Matrix":
         out = Matrix.identity(self.field, self.nrows)
@@ -143,43 +411,28 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.field == other.field and self.rows == other.rows
-                and self._ncols == other._ncols)
+        return (self.payload_rows == other.payload_rows and self._ncols == other._ncols
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field, self.rows, self._ncols))
+        return hash((self.field, self.payload_rows, self._ncols))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(e) for e in r) for r in self.rows)
+        fmt = self.field.format
+        body = "; ".join(" ".join(map(fmt, r)) for r in self.payload_rows)
         return f"Matrix[{body}]"
 
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and its pivot columns (cached)."""
-        if self._rref is not None:
+        try:
             return self._rref
-        rows = [list(r) for r in self.rows]
-        m, n = self.nrows, self.ncols
-        pivots = []
-        lead = 0
-        for col in range(n):
-            pivot = next((r for r in range(lead, m) if rows[r][col]), None)
-            if pivot is None:
-                continue
-            rows[lead], rows[pivot] = rows[pivot], rows[lead]
-            inv = self.field.one / rows[lead][col]
-            rows[lead] = [inv * a for a in rows[lead]]
-            for r in range(m):
-                if r != lead and rows[r][col]:
-                    c = rows[r][col]
-                    rows[r] = [a - c * b for a, b in zip(rows[r], rows[lead])]
-            pivots.append(col)
-            lead += 1
-            if lead == m:
-                break
-        result = (Matrix(self.field, rows, ncols=n), tuple(pivots))
-        self._rref = result
+        except AttributeError:
+            pass
+        red, pivots = _gauss_jordan(_kernel(self.field), self.payload_rows, self._ncols)
+        result = (Matrix._trusted(self.field, red, self._ncols), pivots)
+        _set_rref(self, result)
         return result
 
     def rank(self) -> int:
@@ -188,72 +441,76 @@ class Matrix:
     def row_space(self) -> "Matrix":
         """RREF basis of the row space, zero rows dropped."""
         red, pivots = self.rref()
-        return Matrix(self.field, red.rows[: len(pivots)], ncols=self.ncols)
+        return Matrix._trusted(self.field, red.payload_rows[: len(pivots)], self._ncols)
 
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the right null space {x : Ax = 0}."""
         red, pivots = self.rref()
         n = self.ncols
-        z, o = self.field.zero, self.field.one
+        kernel = _kernel(self.field)
+        neg, zero, one = kernel.neg, kernel.zero, kernel.one
         pivot_set = set(pivots)
-        free = [j for j in range(n) if j not in pivot_set]
         basis = []
-        for f in free:
-            v = [z] * n
-            v[f] = o
+        for f in range(n):
+            if f in pivot_set:
+                continue
+            v = [zero] * n
+            v[f] = one
             for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][f]
-            basis.append(tuple(v))
+                v[pc] = neg(red.payload_rows[r][f])
+            basis.append(self.field.wrap_all(v))
         return tuple(basis)
 
     def solve(self, b: Vector) -> Vector | None:
         """A particular solution of Ax = b (free variables zero), or None."""
         if len(b) != self.nrows:
             raise DimensionMismatch("rhs length mismatch")
-        aug = Matrix(self.field, [list(r) + [bv] for r, bv in zip(self.rows, b)])
-        red, pivots = aug.rref()
         n = self.ncols
+        aug = Matrix._trusted(self.field, tuple(
+            r + (x,) for r, x in zip(self.payload_rows, _unbox(self.field, b))), n + 1)
+        red, pivots = aug.rref()
         if n in pivots:
             return None
-        z = self.field.zero
-        x = [z] * n
+        x = [self.field.zero.payload] * n
         for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][n]
-        return tuple(x)
+            x[pc] = red.payload_rows[r][n]
+        return self.field.wrap_all(x)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
         ident = Matrix.identity(self.field, n)
-        aug = Matrix(self.field, [
-            list(r) + list(i) for r, i in zip(self.rows, ident.rows)
-        ])
+        aug = Matrix._trusted(self.field, tuple(
+            r + i for r, i in zip(self.payload_rows, ident.payload_rows)), 2 * n)
         red, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
+        if pivots != tuple(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in red.rows])
+        return Matrix._trusted(self.field, tuple(r[n:] for r in red.payload_rows), n)
 
     def det(self) -> FieldElement:
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
+        kernel = _kernel(self.field)
+        zero = kernel.zero
+        rows = list(self.payload_rows)
         n = self.nrows
-        det = self.field.one
+        det = kernel.one
         for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col]), None)
-            if pivot is None:
+            for r in range(col, n):
+                if rows[r][col] != zero:
+                    break
+            else:
                 return self.field.zero
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            det = det * rows[col][col]
-            inv = self.field.one / rows[col][col]
+            if r != col:
+                rows[col], rows[r] = rows[r], rows[col]
+                det = kernel.neg(det)
+            det = kernel.mul(det, rows[col][col])
+            inv = kernel.inv(rows[col][col])
             for r in range(col + 1, n):
-                if rows[r][col]:
-                    c = inv * rows[r][col]
-                    rows[r] = [a - c * b for a, b in zip(rows[r], rows[col])]
-        return det
+                if rows[r][col] != zero:
+                    rows[r] = kernel.eliminate(rows[r], kernel.mul(inv, rows[r][col]), rows[col])
+        return self.field.wrap(det)
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -263,21 +520,50 @@ class Matrix:
 
     def is_alternating(self) -> bool:
         """Antisymmetric with zero diagonal (f(v, v) = 0 for all v)."""
+        zero = self.field.zero.payload
         return self == -self.transpose() and all(
-            not self.rows[i][i] for i in range(min(self.nrows, self.ncols))
+            self.payload_rows[i][i] == zero for i in range(min(self.nrows, self.ncols))
         )
+
+
+def _width(prows, ncols) -> int:
+    width = len(prows[0]) if prows else (ncols or 0)
+    if any(len(r) != width for r in prows):
+        raise DimensionMismatch("ragged rows")
+    return width
+
+
+# Matrix.__setattr__ refuses every write; construction and the two caches
+# write the slots through their descriptors.
+_new = object.__new__
+_set_field = Matrix.field.__set__
+_set_prows = Matrix.payload_rows.__set__
+_set_ncols = Matrix._ncols.__set__
+_set_rref = Matrix._rref.__set__
+_set_rows = Matrix._rows.__set__
+
+
+def _diagonal(field: Field, entries: tuple) -> Matrix:
+    z, n = field.zero.payload, len(entries)
+    return Matrix._trusted(field, tuple(
+        tuple(entries[i] if i == j else z for j in range(n)) for i in range(n)), n)
+
+
+def _init(self: Matrix, field: Field, prows, ncols: int):
+    _set_field(self, field)
+    _set_prows(self, prows)
+    _set_ncols(self, ncols)
 
 
 # ---------------------------------------------------------------------------
 # vector helpers
 # ---------------------------------------------------------------------------
 
-def _dot(u: Vector, v: Vector, field: Field) -> FieldElement:
-    acc = field.zero
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+def _vec_mat(field: Field, v, m: Matrix) -> tuple:
+    """Payloads of v^T m for a payload vector v."""
+    if not m.payload_rows:
+        return (field.zero.payload,) * m.ncols
+    return _kernel(field).matmul((v,), m.payload_rows, m.ncols)[0]
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -311,30 +597,38 @@ def unit_vector(field: Field, n: int, i: int) -> Vector:
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     if m.ncols != len(v):
         raise DimensionMismatch("matrix/vector shape mismatch")
-    return tuple(_dot(r, v, m.field) for r in m.rows)
+    pv, dot = _unbox(m.field, v), _kernel(m.field).dot
+    return m.field.wrap_all([dot(r, pv) for r in m.payload_rows])
 
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:
     if m.nrows != len(v):
         raise DimensionMismatch("vector/matrix shape mismatch")
-    return tuple(_dot(v, m.col(j), m.field) for j in range(m.ncols))
+    return m.field.wrap_all(_vec_mat(m.field, _unbox(m.field, v), m))
 
 
 def bilinear(u: Vector, g: Matrix, v: Vector) -> FieldElement:
     """u^T g v."""
-    return _dot(vec_mat(u, g), v, g.field)
+    if g.nrows != len(u) or g.ncols != len(v):
+        raise DimensionMismatch("vector/matrix shape mismatch")
+    field = g.field
+    return field.wrap(_kernel(field).dot(_vec_mat(field, _unbox(field, u), g), _unbox(field, v)))
 
 
 def stack_rows(field: Field, blocks) -> Matrix:
+    """Rows of the given matrices and vector lists, one under the other."""
     rows = []
     width = None
     for b in blocks:
         if isinstance(b, Matrix):
+            if b.field is not field and b.field != field:
+                raise DescriptorMismatch(f"a block over {b.field} stacked over {field}")
             width = b.ncols if width is None else width
-            rows.extend(b.rows)
+            rows.extend(b.payload_rows)
         else:
-            rows.extend(b)
-    return Matrix(field, rows, ncols=width)
+            rows.extend(_unbox(field, v) for v in b)
+    rows = tuple(rows)
+    return Matrix._trusted(field, rows, _width(rows, width))
 
 
 def from_columns(field: Field, cols) -> Matrix:
@@ -343,21 +637,24 @@ def from_columns(field: Field, cols) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product."""
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append([x * y for x in ra for y in rb])
-    return Matrix(a.field, rows)
+    a._check_same_field(b)
+    scale = _kernel(a.field).scale_row
+    rows = tuple(
+        tuple(p for x in ra for p in scale(x, rb))
+        for ra in a.payload_rows for rb in b.payload_rows
+    )
+    return Matrix._trusted(a.field, rows, a.ncols * b.ncols)
 
 
 def block_diag(field: Field, blocks) -> Matrix:
     n = sum(b.nrows for b in blocks)
-    z = field.zero
-    rows = [[z] * n for _ in range(n)]
+    zero = field.zero.payload
+    rows = []
     off = 0
     for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[off + i][off + j] = b[i, j]
+        if b.field is not field and b.field != field:
+            raise DescriptorMismatch(f"a block over {b.field} in a matrix over {field}")
+        for r in b.payload_rows:
+            rows.append((zero,) * off + r + (zero,) * (n - off - len(r)))
         off += b.nrows
-    return Matrix(field, rows)
+    return Matrix._trusted(field, tuple(rows), n)

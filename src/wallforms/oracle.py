@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedField,
     WallformsError,
 )
-from .fields import FieldElement, Galois2Field, PrimeField
+from .fields import Galois2Field, PrimeField, field_tables
 from .linalg import Matrix
 from .quadspace import QuadraticSpace, Subspace
 from .isometry import Isometry
@@ -84,26 +84,24 @@ class _SpaceTables:
 
 
 def _space_tables(space: QuadraticSpace) -> _SpaceTables:
-    field = space.field
-    codes = _field_codes(field)
+    """q and b over every vector (base-|F| code order), each one batched
+    product from the payload matrices of Q and B."""
+    arith = _batch_arith(space.field)
     n = space.dim
-    if len(codes) ** n > 4096:
+    if arith.order ** n > 4096:
         raise TooLarge("vector table too large for a scan")
-    vectors = [tuple(p) for p in itertools.product(codes, repeat=n)]
-    wrapped = [tuple(FieldElement(field, c) for c in v) for v in vectors]
-    qvals = [space.eval_q(v).payload for v in wrapped]
-    bvals = [
-        [space.eval_b(u, v).payload for v in wrapped] for u in wrapped
-    ]
-    return _SpaceTables(vectors, {v: i for i, v in enumerate(vectors)}, qvals, bvals)
+    vecs = _all_vectors(arith.order, n)
+    qvals = arith.matmul(arith.matmul(vecs[:, None, :], _payloads(space.qmat)),
+                         vecs[:, :, None])[:, 0, 0]
+    bvals = arith.matmul(arith.matmul(vecs, _payloads(space.gram)), vecs.T)
+    vectors = list(map(tuple, vecs.tolist()))
+    return _SpaceTables(vectors, {v: i for i, v in enumerate(vectors)},
+                        qvals.tolist(), bvals.tolist())
 
 
 def _payload_matrix_to_isometry(space: QuadraticSpace, rows) -> Isometry:
-    field = space.field
-    mat = Matrix(field, [
-        [FieldElement(field, int(p)) for p in row] for row in rows
-    ])
-    return Isometry(space, mat)
+    """The isometry on payload rows (range-checked), validated as usual."""
+    return Isometry(space, Matrix.from_payloads(space.field, np.asarray(rows).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +115,22 @@ SMALL_PRODUCT = 1 << 12  # products below which one gather beats a loop over k
 class _BatchArith:
     """Exact batched arithmetic on payload arrays over one finite field.
 
-    Products and inverses are the field's own payload ``mul`` and ``div``,
-    tabulated once over all payloads 0 .. |F|-1.  Where the product table
-    and the field's ``add`` are those of the integers mod |F| (prime fields
-    and GF(2), checked here), batched products use numpy's integer matmul
-    mod |F|; otherwise they are table lookups summed by XOR, which ``add``
-    must then be.  Arguments and results are integer arrays of payloads.
+    Products and inverses are read from :func:`fields.field_tables`, the
+    field's own payload ``mul`` and ``div`` tabulated once over all payloads
+    0 .. |F|-1 and shared with the exact kernel of ``linalg``.  Where the
+    product table and the field's ``add`` are those of the integers mod |F|
+    (prime fields and GF(2), checked here), batched products use numpy's
+    integer matmul mod |F|; otherwise they are table lookups summed by XOR,
+    which ``add`` must then be.  Arguments and results are integer arrays of
+    payloads.
     Build it through :func:`_batch_arith`, which keeps one per field."""
 
     def __init__(self, field):
         codes = _field_codes(field)
         self.order = q = len(codes)
-        self._mul = np.array([[field.mul(a, b) for b in codes] for a in codes], dtype=np.uint8)
-        self.inv = np.array([0] + [field.div(1, a) for a in codes[1:]], dtype=np.uint8)
+        tables = field_tables(field)
+        self._mul = np.array(tables.mul, dtype=np.uint8)
+        self.inv = np.array(tables.inv, dtype=np.uint8)
         sums = np.array([[field.add(a, b) for b in codes] for a in codes])
         pay = np.arange(q)
         self.modular = (np.array_equal(self._mul, np.multiply.outer(pay, pay) % q)
@@ -181,7 +182,7 @@ def _identity(n: int) -> np.ndarray:
 
 
 def _payloads(mat: Matrix) -> np.ndarray:
-    return np.array([[e.payload for e in row] for row in mat.rows], dtype=np.uint8)
+    return np.array(mat.payload_rows, dtype=np.uint8).reshape(mat.shape)
 
 
 def _keys(mats) -> np.ndarray:
@@ -505,7 +506,7 @@ def _proper_regular_subspaces(space: QuadraticSpace) -> list[Subspace]:
         raise TooLarge("subspace enumeration too large")
     vectors = []
     for payloads in itertools.product(codes, repeat=n):
-        v = tuple(FieldElement(field, c) for c in payloads)
+        v = field.wrap_all(payloads)
         lead = next((c for c in v if c), None)
         if lead is not None and lead == field.one:
             vectors.append(v)
@@ -702,9 +703,7 @@ def _symmetric_payload_matrices(field, n):
         for (i, j), c in zip(upper, assign):
             rows[i][j] = c
             rows[j][i] = c
-        yield Matrix(field, [
-            [FieldElement(field, c) for c in row] for row in rows
-        ])
+        yield Matrix.from_payloads(field, rows)
 
 
 def _run_totimes(space, enum=None) -> VerifyReport:

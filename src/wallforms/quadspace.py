@@ -33,6 +33,7 @@ from .linalg import (
     stack_rows,
     unit_vector,
     vadd,
+    vec_mat,
     vscale,
     vsub,
     vzero,
@@ -174,11 +175,7 @@ class Subspace:
         The basis is in RREF, so the coefficient of row j is v[pivot_j]."""
         _, pivots = self.basis.rref()
         coords = tuple(v[p] for p in pivots)
-        rest = list(v)
-        for c, row in zip(coords, self.basis.rows):
-            if c:
-                rest = [a - c * b for a, b in zip(rest, row)]
-        if any(rest):
+        if vec_mat(coords, self.basis) != tuple(v):
             return None
         return coords
 
@@ -186,19 +183,13 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.space)
         # x = a . basis1 = b . basis2  <=>  (basis1^T | -basis2^T) (a; b) = 0
-        a_t = self.basis.transpose()
-        b_t = (-other.basis).transpose()
-        joint = Matrix(self.space.field, [
-            list(r1) + list(r2) for r1, r2 in zip(a_t.rows, b_t.rows)
-        ])
-        vecs = []
-        for k in joint.kernel_basis():
-            coeffs = k[: self.dim]
-            v = vzero(self.space.field, self.space.dim)
-            for c, row in zip(coeffs, self.basis.rows):
-                v = vadd(v, vscale(c, row))
-            vecs.append(v)
-        return Subspace.from_vectors(self.space, vecs)
+        field = self.space.field
+        joint = stack_rows(field, [self.basis, -other.basis]).transpose()
+        kernel = joint.kernel_basis()
+        if not kernel:
+            return Subspace.zero(self.space)
+        coeffs = Matrix(field, [k[: self.dim] for k in kernel])
+        return Subspace(self.space, (coeffs * self.basis).row_space())
 
     def subspace_sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.space, stack_rows(

@@ -67,16 +67,16 @@ class WallForm:
 def wall_form(tau: Isometry) -> WallForm:
     space = tau.space
     n_mat = tau.displacement()
-    basis = n_mat.transpose().row_space().rows
+    residual = n_mat.transpose().row_space()
+    basis = residual.rows
     preimages = []
     for u in basis:
         y = n_mat.solve(u)
         if y is None:
             raise InvariantViolation("residual vector has no preimage")
         preimages.append(y)
-    gram = Matrix(space.field, [
-        [space.eval_b(u, y) for y in preimages] for u in basis
-    ])
+    # gram[i][j] = b(basis[i], preimages[j])
+    gram = residual * space.gram * Matrix(space.field, preimages, ncols=space.dim).transpose()
     # two theorems, checked eagerly: nondegeneracy and the diagonal law
     if basis and not gram.det():
         raise InvariantViolation("residual form is degenerate")

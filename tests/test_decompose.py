@@ -1,5 +1,6 @@
 """Block extraction and the full orthogonal decomposition."""
 
+import importlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from wallforms.errors import (
     NotHyperbolicPair,
     NotInterchange,
     NotUnipotent2,
+    PreconditionError,
     ZeroDiagonal,
 )
 from wallforms.decompose import reassemble, validate_decomposition
@@ -199,3 +201,29 @@ def test_validate_rejects_tampered_decomposition(tau_int):
     bad = wf.Decomposition(tau_int, d.fixed_complement, ())
     with pytest.raises(wf.WallformsError):
         validate_decomposition(bad)
+
+
+def test_validate_accepts_the_precomputed_wall_form(tau_int, tau_r4t):
+    for tau in (tau_int, tau_r4t):
+        d = wf.decompose(tau)
+        validate_decomposition(d, wf.wall_form(tau))
+        bad = wf.Decomposition(tau, d.fixed_complement, ())
+        with pytest.raises(wf.WallformsError):
+            validate_decomposition(bad, wf.wall_form(tau))
+
+
+def test_validate_rejects_a_wall_form_of_another_isometry(tau_int, h4f2):
+    d = wf.decompose(tau_int)
+    with pytest.raises(PreconditionError):
+        validate_decomposition(d, wf.wall_form(wf.identity_isometry(h4f2)))
+
+
+def test_decompose_computes_the_wall_form_once(tau_int, tau_r4t, monkeypatch):
+    module = importlib.import_module("wallforms.decompose")
+    calls = []
+    real = module.wall_form
+    monkeypatch.setattr(module, "wall_form", lambda tau: calls.append(tau) or real(tau))
+    for tau in (tau_int, tau_r4t):
+        calls.clear()
+        wf.decompose(tau)
+        assert calls == [tau]

@@ -8,7 +8,13 @@ import pytest
 
 import wallforms as wf
 from wallforms import oracle
-from wallforms.errors import InvariantViolation, TooLarge, UnknownTheorem
+from wallforms.errors import (
+    DescriptorMismatch,
+    InvariantViolation,
+    NotAnIsometry,
+    TooLarge,
+    UnknownTheorem,
+)
 from wallforms.oracle import (
     _batch_arith,
     _closure,
@@ -303,3 +309,29 @@ def test_closure_raises_before_passing_the_element_cap(h4f4, monkeypatch):
     monkeypatch.setattr(oracle, "CLOSURE_ELEMENT_LIMIT", 7199)
     with pytest.raises(TooLarge):
         _closure(h4f4)
+
+
+@pytest.mark.parametrize("name", ["h4f2", "gf8_plane", "gf7_plane_sum", "gf7_plane_split"])
+def test_space_tables_match_boxed_forms(name, request, f8):
+    space = (wf.QuadraticSpace.hyperbolic(f8, 1) if name == "gf8_plane"
+             else request.getfixturevalue(name))
+    tables = oracle._space_tables(space)
+    vectors = list(space.vectors())
+    assert len(tables.vectors) == len(vectors) == space.field.order() ** space.dim
+    boxed = {tuple(c.payload for c in v): v for v in vectors}
+    for i, u in enumerate(tables.vectors):
+        assert tables.index[u] == i
+        assert tables.qvals[i] == space.eval_q(boxed[u]).payload
+        assert tables.bvals[i] == [space.eval_b(boxed[u], boxed[v]).payload
+                                   for v in tables.vectors]
+
+
+def test_enumeration_isometry_is_validated_payload_matrix(group_h4f2, h4f2):
+    for i in range(group_h4f2.order):
+        iso = group_h4f2.isometry(i)
+        assert iso.mat.payload_rows == group_h4f2.payload_rows(i)
+        assert iso.mat == wf.Matrix.from_ints(h4f2.field, group_h4f2.payload_rows(i))
+    with pytest.raises(NotAnIsometry):
+        oracle._payload_matrix_to_isometry(h4f2, np.ones((4, 4), dtype=np.int64))
+    with pytest.raises(DescriptorMismatch):
+        oracle._payload_matrix_to_isometry(h4f2, 2 * np.eye(4, dtype=np.int64))
