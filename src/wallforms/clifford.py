@@ -10,25 +10,39 @@ with no signs because the characteristic is 2.  An orthogonal involution
 t of the space induces an algebra involution J with J(v) = t(v) on
 vectors, extended anti-multiplicatively to products.
 
+Arithmetic runs on field payloads, as in ``linalg``: an element maps
+blades to the payloads of its nonzero coefficients, and products read a
+per-algebra structure table (the payload expansion of every blade
+product e_s e_t, filled lazily from :meth:`CliffordAlgebra.blade_mul`).
+Field elements are made only at the API boundary.  Constructors reject a
+coefficient of another field (DescriptorMismatch) and a blade or vector
+outside the algebra (DimensionMismatch).
+
 On top of the algebra this module computes the invariants of (C(q), J):
 the involution type via 1 in Alt = im(id + J), the commutative subalgebra
 generated by a residual basis, alternating-generator witnesses, the
 multiset of diagonal residual-form values (a bilinear Pfister form datum),
 an explicit isomorphism to matrices with the transpose involution over
-finite fields, conjugating elements for interchange isometries, and a
-tensor-factorization witness.
+finite fields (its final checks over all blades and all 4^n blade pairs
+run as batched products of payload arrays), conjugating elements for
+interchange isometries, and a tensor-factorization witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import xor as _xor
+
+import numpy as np
 
 from .errors import (
     AlgebraMismatch,
     AlternatingForm,
     CharacteristicNot2,
     CriterionFails,
+    DescriptorMismatch,
+    DimensionMismatch,
     InvariantViolation,
     NotInterchange,
     NotInvolution,
@@ -37,13 +51,17 @@ from .errors import (
     NotSymmetric,
     ResidualNotFixed,
     SingularMatrix,
+    UnknownConstruction,
     UnsupportedField,
     ZeroSquare,
 )
-from .fields import Field, FieldElement, Galois2Field
+from .fields import Field, FieldElement, Galois2Field, _batch_arith, field_tables
 from .linalg import (
     Matrix,
     Vector,
+    _kernel,
+    _unbox,
+    _unbox_one,
     from_columns,
     kron,
     stack_rows,
@@ -63,10 +81,18 @@ from .decompose import Decomposition, decompose, interchange_normal_basis
 
 
 class CliffordAlgebra:
-    """Structure data and multiplication table of C(q) in characteristic 2.
+    """Structure data and multiplication of C(q) in characteristic 2.
 
-    Blade-product tables are memoized lazily; entries are recomputed
-    idempotently, so shared instances are safe for concurrent readers.
+    Coefficients are field payloads (see :mod:`fields`): an element stores
+    ``{blade: payload}`` and boxes its coefficients as field elements only
+    at the API boundary (``coeffs``, ``scalar_part``, ``coeff_vector``).
+    Products read a structure table with one entry per blade pair (s, t),
+    the payload expansion of e_s e_t, filled on first use from
+    :meth:`blade_mul`, the one source of structure constants.  Over GF(2^k)
+    products are lookups in the field's product table and sums are XOR;
+    over GF(2)(t) they are the field's payload ``mul`` and ``add``.  Table
+    entries are filled idempotently (a racing fill writes the same value),
+    so shared instances are safe for concurrent readers.
     """
 
     def __init__(self, field: Field, qvals, bmat: Matrix, space: QuadraticSpace | None = None):
@@ -75,11 +101,21 @@ class CliffordAlgebra:
         self.field = field
         self.qvals = tuple(qvals)
         self.n = len(self.qvals)
+        if bmat.field != field:
+            raise DescriptorMismatch(f"polar form over {bmat.field} for an algebra over {field}")
+        if bmat.shape != (self.n, self.n):
+            raise DimensionMismatch(f"polar form of shape {bmat.shape} for {self.n} generators")
         self.bmat = bmat
         self.space = space
         self.dim = 1 << self.n
-        self._push_memo: dict[tuple[int, int], dict[int, FieldElement]] = {}
-        self._pair_memo: dict[tuple[int, int], dict[int, FieldElement]] = {}
+        self._q = _unbox(field, self.qvals)
+        self._zero, self._one = field.zero.payload, field.one.payload
+        # payload arithmetic: product-table rows over GF(2^k), field ops otherwise
+        self._tab = field_tables(field).mul if isinstance(field, Galois2Field) else None
+        self._add = _xor if self._tab is not None else field.add
+        self._mul = _kernel(field).mul
+        self._push_memo: dict[tuple[int, int], dict[int, object]] = {}
+        self._table: list[tuple | None] = [None] * (self.dim * self.dim)
 
     @classmethod
     def from_space(cls, space: QuadraticSpace) -> "CliffordAlgebra":
@@ -88,115 +124,189 @@ class CliffordAlgebra:
 
     # -- blade multiplication -------------------------------------------------
 
-    def _push(self, blade: int, i: int) -> dict[int, FieldElement]:
-        """Expansion of e_blade * e_i as a combination of blades."""
+    def _push(self, blade: int, i: int) -> dict[int, object]:
+        """Payload expansion of e_blade * e_i as a combination of blades."""
         key = (blade, i)
         cached = self._push_memo.get(key)
         if cached is not None:
             return cached
         bit = 1 << i
+        zero = self._zero
         if blade == 0 or blade.bit_length() - 1 < i:
-            out = {blade | bit: self.field.one}
+            out = {blade | bit: self._one}
         else:
             j = blade.bit_length() - 1
             rest = blade ^ (1 << j)
             if j == i:
-                out = {rest: self.qvals[i]}
+                out = {rest: self._q[i]} if self._q[i] != zero else {}
             else:
-                out: dict[int, FieldElement] = {}
-                bij = self.bmat[i, j]
-                if bij:
+                # e_rest e_j e_i = e_rest e_i e_j + b_ij e_rest
+                out = {}
+                bij = self.bmat.payload_rows[i][j]
+                if bij != zero:
                     out[rest] = bij
                 # bits of products of e_rest * e_i stay below j
+                add = self._add
                 for b2, c2 in self._push(rest, i).items():
                     target = b2 | (1 << j)
                     prev = out.get(target)
-                    val = c2 if prev is None else prev + c2
-                    if val:
+                    val = c2 if prev is None else add(prev, c2)
+                    if val != zero:
                         out[target] = val
-                    elif prev is not None:
+                    else:
                         del out[target]
         self._push_memo[key] = out
         return out
 
     def blade_mul(self, s: int, t: int) -> dict[int, FieldElement]:
-        key = (s, t)
-        cached = self._pair_memo.get(key)
-        if cached is not None:
-            return cached
-        terms = {s: self.field.one}
+        """The structure constants of e_s e_t: its nonzero coefficients by
+        blade."""
+        if not (0 <= s < self.dim and 0 <= t < self.dim):
+            raise DimensionMismatch(f"blades {s}, {t} outside an algebra of dimension {self.dim}")
+        add, mul, zero = self._add, self._mul, self._zero
+        terms = {s: self._one}
         rest = t
         while rest:
             i = (rest & -rest).bit_length() - 1
             rest ^= 1 << i
-            new: dict[int, FieldElement] = {}
+            new: dict[int, object] = {}
             for blade, c in terms.items():
                 for b2, c2 in self._push(blade, i).items():
-                    val = c * c2
+                    val = mul(c, c2)
                     prev = new.get(b2)
-                    total = val if prev is None else prev + val
-                    if total:
-                        new[b2] = total
-                    elif prev is not None:
-                        del new[b2]
-            terms = new
-        self._pair_memo[key] = terms
+                    new[b2] = val if prev is None else add(prev, val)
+            terms = {b: c for b, c in new.items() if c != zero}
+        wrap = self.field.wrap
+        return {b: wrap(c) for b, c in terms.items()}
+
+    def _terms(self, s: int, t: int) -> tuple:
+        """The structure-table entry of (s, t): ((blade, payload), ...)."""
+        terms = self._table[s * self.dim + t]
+        if terms is None:
+            terms = self._table[s * self.dim + t] = tuple(
+                (b, c.payload) for b, c in self.blade_mul(s, t).items())
         return terms
 
     # -- element constructors -------------------------------------------------
 
     def element(self, coeffs: dict[int, FieldElement]) -> "CliffordElement":
-        clean = {b: c for b, c in coeffs.items() if c}
-        return CliffordElement(self, clean)
+        """The element with coefficients ``{blade: FieldElement}``."""
+        return CliffordElement(self, coeffs)
 
     def zero(self) -> "CliffordElement":
-        return CliffordElement(self, {})
+        return _element(self, {})
 
     def scalar(self, c: FieldElement) -> "CliffordElement":
         return self.element({0: c})
 
     def one(self) -> "CliffordElement":
-        return self.scalar(self.field.one)
+        return _element(self, {0: self._one})
 
     def basis_blade(self, s: int) -> "CliffordElement":
-        return self.element({s: self.field.one})
+        self._check_blade(s)
+        return _element(self, {s: self._one})
 
     def vector(self, v: Vector) -> "CliffordElement":
-        return self.element({1 << i: c for i, c in enumerate(v)})
+        """The element sum v_i e_i; DimensionMismatch unless v has one entry
+        per generator, DescriptorMismatch for an entry of another field."""
+        if len(v) != self.n:
+            raise DimensionMismatch(f"vector of length {len(v)} for {self.n} generators")
+        zero = self._zero
+        return _element(self, {1 << i: c for i, c in enumerate(_unbox(self.field, v)) if c != zero})
+
+    def _check_blade(self, b) -> None:
+        if type(b) is not int or not 0 <= b < self.dim:
+            raise DimensionMismatch(f"{b!r} is not a blade of an algebra of dimension {self.dim}")
+
+    def _unbox_coeffs(self, coeffs) -> dict:
+        """The nonzero payloads of a ``{blade: FieldElement}`` map."""
+        out = {}
+        for b, c in coeffs.items():
+            self._check_blade(b)
+            c = _unbox_one(self.field, c)
+            if c != self._zero:
+                out[b] = c
+        return out
 
     # -- arithmetic ------------------------------------------------------------
 
     def mul(self, a: "CliffordElement", b: "CliffordElement") -> "CliffordElement":
         if a.algebra is not self or b.algebra is not self:
             raise AlgebraMismatch("elements of different algebras")
-        out: dict[int, FieldElement] = {}
-        for s, ca in a.coeffs.items():
-            for t, cb in b.coeffs.items():
-                c = ca * cb
-                for blade, coef in self.blade_mul(s, t).items():
-                    val = coef * c
-                    prev = out.get(blade)
-                    total = val if prev is None else prev + val
-                    if total:
-                        out[blade] = total
-                    elif prev is not None:
-                        del out[blade]
-        return CliffordElement(self, out)
+        table, dim, terms_of = self._table, self.dim, self._terms
+        out: dict[int, object] = {}
+        get = out.get
+        tab = self._tab
+        if tab is not None:
+            for s, ca in a.payloads.items():
+                row, tab_a = s * dim, tab[ca]
+                for t, cb in b.payloads.items():
+                    terms = table[row + t]
+                    if terms is None:
+                        terms = terms_of(s, t)
+                    c = tab_a[cb]
+                    if c == 1:
+                        for blade, k in terms:
+                            out[blade] = get(blade, 0) ^ k
+                    else:
+                        tab_c = tab[c]
+                        for blade, k in terms:
+                            out[blade] = get(blade, 0) ^ tab_c[k]
+            return _element(self, {bl: v for bl, v in out.items() if v})
+        add, mul, zero = self._add, self._mul, self._zero
+        for s, ca in a.payloads.items():
+            row = s * dim
+            for t, cb in b.payloads.items():
+                terms = table[row + t]
+                if terms is None:
+                    terms = terms_of(s, t)
+                c = mul(ca, cb)
+                for blade, k in terms:
+                    val = mul(c, k)
+                    prev = get(blade)
+                    out[blade] = val if prev is None else add(prev, val)
+        return _element(self, {bl: v for bl, v in out.items() if v != zero})
+
+    def _combine(self, terms) -> "CliffordElement":
+        """The sum of c * x over pairs (payload c, element x)."""
+        add, mul, zero = self._add, self._mul, self._zero
+        out: dict[int, object] = {}
+        get = out.get
+        for c, x in terms:
+            for b, v in x.payloads.items():
+                val = mul(c, v)
+                prev = get(b)
+                out[b] = val if prev is None else add(prev, val)
+        return _element(self, {b: v for b, v in out.items() if v != zero})
+
+    def _payload_vector(self, a: "CliffordElement") -> tuple:
+        get, zero = a.payloads.get, self._zero
+        return tuple([get(b, zero) for b in range(self.dim)])
+
+    def _payload_matrix(self, elements, by_columns: bool = False) -> Matrix:
+        """The payload coefficient vectors of `elements` as the rows (or
+        the columns) of a matrix."""
+        rows = tuple(map(self._payload_vector, elements))
+        if by_columns:
+            return Matrix._trusted(self.field, tuple(zip(*rows)), len(rows))
+        return Matrix._trusted(self.field, rows, self.dim)
 
     def coeff_vector(self, a: "CliffordElement") -> Vector:
-        z = self.field.zero
-        return tuple(a.coeffs.get(b, z) for b in range(self.dim))
+        return self.field.wrap_all(self._payload_vector(a))
 
     def from_coeff_vector(self, v: Vector) -> "CliffordElement":
-        return self.element({b: c for b, c in enumerate(v)})
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"{len(v)} coefficients in dimension {self.dim}")
+        return self.element(dict(enumerate(v)))
+
+    def _blades(self) -> list["CliffordElement"]:
+        return [_element(self, {t: self._one}) for t in range(self.dim)]
 
     def lmul_matrix(self, a: "CliffordElement") -> Matrix:
-        cols = [self.coeff_vector(self.mul(a, self.basis_blade(t))) for t in range(self.dim)]
-        return from_columns(self.field, cols)
+        return self._payload_matrix([self.mul(a, e) for e in self._blades()], by_columns=True)
 
     def rmul_matrix(self, a: "CliffordElement") -> Matrix:
-        cols = [self.coeff_vector(self.mul(self.basis_blade(t), a)) for t in range(self.dim)]
-        return from_columns(self.field, cols)
+        return self._payload_matrix([self.mul(e, a) for e in self._blades()], by_columns=True)
 
     def inverse(self, a: "CliffordElement") -> "CliffordElement":
         sol = self.lmul_matrix(a).solve(self.coeff_vector(self.one()))
@@ -225,26 +335,42 @@ def algebra_for_space(space: QuadraticSpace) -> CliffordAlgebra:
 
 
 class CliffordElement:
-    """A map from blade bitmasks to nonzero field coefficients."""
+    """An element of a Clifford algebra: blade bitmasks mapped to the
+    payloads of its nonzero coefficients (``payloads``).  ``coeffs`` is the
+    same map with the coefficients boxed as field elements."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "payloads")
 
     def __init__(self, algebra: CliffordAlgebra, coeffs: dict[int, FieldElement]):
+        """The element with coefficients ``{blade: FieldElement}``, zero
+        coefficients dropped; DimensionMismatch for a key that is not a
+        blade of `algebra`, DescriptorMismatch for a coefficient that is not
+        an element of its field."""
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.payloads = algebra._unbox_coeffs(coeffs)
+
+    @property
+    def coeffs(self) -> dict[int, FieldElement]:
+        wrap = self.algebra.field.wrap
+        return {b: wrap(c) for b, c in self.payloads.items()}
 
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
         if other.algebra is not self.algebra:
             raise AlgebraMismatch("elements of different algebras")
-        out = dict(self.coeffs)
-        for b, c in other.coeffs.items():
+        alg = self.algebra
+        add, zero = alg._add, alg._zero
+        out = dict(self.payloads)
+        for b, c in other.payloads.items():
             prev = out.get(b)
-            total = c if prev is None else prev + c
-            if total:
-                out[b] = total
-            elif prev is not None:
-                del out[b]
-        return CliffordElement(self.algebra, out)
+            if prev is None:
+                out[b] = c
+            else:
+                total = add(prev, c)
+                if total != zero:
+                    out[b] = total
+                else:
+                    del out[b]
+        return _element(alg, out)
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return self + other  # characteristic 2
@@ -253,37 +379,59 @@ class CliffordElement:
         return self.algebra.mul(self, other)
 
     def scale(self, c: FieldElement) -> "CliffordElement":
-        return self.algebra.element({b: c * v for b, v in self.coeffs.items()})
+        alg = self.algebra
+        c = _unbox_one(alg.field, c)
+        if c == alg._zero:
+            return alg.zero()
+        mul = alg._mul
+        return _element(alg, {b: mul(c, v) for b, v in self.payloads.items()})
 
     def scalar_part(self) -> FieldElement:
-        return self.coeffs.get(0, self.algebra.field.zero)
+        alg = self.algebra
+        return alg.field.wrap(self.payloads.get(0, alg._zero))
 
     def is_scalar(self) -> bool:
-        return all(b == 0 for b in self.coeffs)
+        return all(b == 0 for b in self.payloads)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.payloads
 
     def __eq__(self, other):
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
+        return self.algebra is other.algebra and self.payloads == other.payloads
 
     def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.coeffs.items())))
+        return hash((id(self.algebra), frozenset(self.payloads.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.payloads:
             return "0"
+        alg = self.algebra
+        fmt = alg.field.format
         parts = []
-        for b in sorted(self.coeffs):
+        for b in sorted(self.payloads):
             name = "1" if b == 0 else "".join(
-                f"e{i + 1}" for i in range(self.algebra.n) if b >> i & 1
+                f"e{i + 1}" for i in range(alg.n) if b >> i & 1
             )
-            c = self.coeffs[b]
-            parts.append(name if (c == self.algebra.field.one and b) else
-                         (str(c) if b == 0 else f"({c}){name}"))
+            c = self.payloads[b]
+            parts.append(name if (c == alg._one and b) else
+                         (fmt(c) if b == 0 else f"({fmt(c)}){name}"))
         return "+".join(parts)
+
+
+def _element(algebra: CliffordAlgebra, payloads: dict) -> CliffordElement:
+    """The element on a map of blades of `algebra` to nonzero canonical
+    payloads (results of the algebra's own arithmetic; not checked)."""
+    elt = _new(CliffordElement)
+    _set_algebra(elt, algebra)
+    _set_payloads(elt, payloads)
+    return elt
+
+
+_new = object.__new__
+_set_algebra = CliffordElement.algebra.__set__
+_set_payloads = CliffordElement.payloads.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -298,32 +446,31 @@ class AlgebraInvolution:
     matrix: Matrix                       # columns are the blade images
 
     def apply(self, a: CliffordElement) -> CliffordElement:
-        out = self.algebra.zero()
-        for b, c in a.coeffs.items():
-            out = out + self.images[b].scale(c)
-        return out
+        if a.algebra is not self.algebra:
+            raise AlgebraMismatch("element of another algebra")
+        images = self.images
+        return self.algebra._combine((c, images[b]) for b, c in a.payloads.items())
 
 
 def natural_involution(tau: Isometry, algebra: CliffordAlgebra | None = None) -> AlgebraInvolution:
     """The involution J with J(v) = tau(v) on vectors, extended to products
-    anti-multiplicatively: J(e_{i1} ... e_{il}) = tau(e_{il}) ... tau(e_{i1})."""
+    anti-multiplicatively: J(e_{i1} ... e_{il}) = tau(e_{il}) ... tau(e_{i1}).
+
+    One product per blade: J(e_B) = tau(e_top) J(e_{B - top}) for the top
+    generator of B.  The matrix (columns the blade images) must square to
+    the identity."""
     space = tau.space
     if space.field.characteristic() != 2:
         raise CharacteristicNot2("the induced involution is built in characteristic 2")
     if not tau.is_involution():
         raise NotInvolution("tau^2 != id")
     alg = algebra if algebra is not None else algebra_for_space(space)
-    tau_vectors = [alg.vector(tau.apply(space.basis_vector(i))) for i in range(alg.n)]
-    images = []
-    for blade in range(alg.dim):
-        acc = alg.one()
-        rest = blade
-        while rest:
-            i = rest.bit_length() - 1  # descending index order
-            rest ^= 1 << i
-            acc = acc * tau_vectors[i]
-        images.append(acc)
-    mat = from_columns(alg.field, [alg.coeff_vector(img) for img in images])
+    tau_vectors = [alg.vector(tau.mat.col(i)) for i in range(alg.n)]
+    images = [alg.one()]
+    for blade in range(1, alg.dim):
+        top = blade.bit_length() - 1
+        images.append(alg.mul(tau_vectors[top], images[blade ^ (1 << top)]))
+    mat = alg._payload_matrix(images, by_columns=True)
     if mat * mat != Matrix.identity(alg.field, alg.dim):
         raise InvariantViolation("involution does not square to the identity")
     return AlgebraInvolution(alg, tau, tuple(images), mat)
@@ -391,13 +538,7 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
     alg = algebra_for_space(tau.space)
     gens = [alg.vector(u) for u in wf.basis]
     s = len(gens)
-    monomials = []
-    for subset in range(1 << s):
-        acc = alg.one()
-        for i in range(s):
-            if subset >> i & 1:
-                acc = acc * gens[i]
-        monomials.append(acc)
+    monomials = _monomials(alg, gens)
     squares = tuple(tau.space.eval_q(u) for u in wf.basis)
 
     # pairwise commutation and scalar squares
@@ -411,7 +552,7 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
             raise InvariantViolation("monomial square is not a scalar")
 
     # linear independence: dimension 2^s
-    coeff_rows = Matrix(alg.field, [alg.coeff_vector(m) for m in monomials])
+    coeff_rows = alg._payload_matrix(monomials)
     if coeff_rows.rank() != 1 << s:
         raise InvariantViolation("monomials are not linearly independent")
 
@@ -443,6 +584,16 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
                 raise InvariantViolation("subalgebra does not multiply like C(q|r)")
 
     return PhiAlgebra(alg, tuple(wf.basis), tuple(monomials), squares)
+
+
+def _monomials(alg: CliffordAlgebra, gens) -> list[CliffordElement]:
+    """The products of `gens` over every subset, in increasing order,
+    indexed by subset bitmask: one product per subset."""
+    monomials = [alg.one()]
+    for subset in range(1, 1 << len(gens)):
+        top = subset.bit_length() - 1
+        monomials.append(alg.mul(monomials[subset ^ (1 << top)], gens[top]))
+    return monomials
 
 
 @dataclass(frozen=True)
@@ -487,20 +638,14 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
             raise InvariantViolation("no preimage for a residual vector")
         preimages.append(alg.vector(y))
 
+    monomials = _monomials(alg, gens)
     explicit = []
     solved = []
     ok = True
     for subset in range(1, 1 << s):
-        monomial = alg.one()
-        for i in range(s):
-            if subset >> i & 1:
-                monomial = monomial * gens[i]
+        monomial = monomials[subset]
         first = (subset & -subset).bit_length() - 1
-        rest = alg.one()
-        for i in range(s):
-            if subset >> i & 1 and i != first:
-                rest = rest * gens[i]
-        witness = preimages[first] * rest
+        witness = preimages[first] * monomials[subset ^ (1 << first)]
         if witness + inv.apply(witness) != monomial:
             ok = False
         explicit.append(witness)
@@ -600,13 +745,15 @@ def transpose_iso_criterion(tau: Isometry) -> TransposeCriterion:
 # explicit matrix isomorphism
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def _split_quaternion(field: Field, qa: FieldElement, qb: FieldElement):
     """Images of the generators a, b of the quaternion algebra
     (a^2 = qa, b^2 = qb, ab + ba = 1) under an isomorphism to M_2(F).
 
     Works over any finite field of characteristic 2: find an element of
     square 1, derive a nilpotent, pair it into a nontrivial idempotent and
-    build matrix units.
+    build matrix units.  The result depends on (field, qa, qb) only and is
+    immutable, so it is kept for the next plane with the same values.
     """
     local = CliffordAlgebra(field, (qa, qb), Matrix.from_ints(field, [[0, 1], [1, 0]]))
     one = local.one()
@@ -693,15 +840,14 @@ class MatrixIso:
     blade_images: tuple[Matrix, ...]
 
     def apply(self, a: CliffordElement) -> Matrix:
-        out = Matrix.zeros(self.algebra.field, self.size, self.size)
-        for b, c in a.coeffs.items():
-            out = out + self.blade_images[b].scale(c)
-        return out
+        return _apply_images(self.blade_images, self.algebra, a)
 
 
 def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     """Build and verify an isomorphism of (C(q), J) with the full matrix
-    algebra carrying the transpose involution.  Finite fields only."""
+    algebra carrying the transpose involution.  Finite fields only.  Every
+    call runs the generator relations and the final checks of
+    :func:`_verify_matrix_iso` over all blades and blade pairs."""
     space = tau.space
     field = space.field
     criterion = transpose_iso_criterion(tau)
@@ -761,13 +907,10 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
             if anti != ident.scale(space.gram[i, j]):
                 raise InvariantViolation("generator images break the polar relation")
 
-    blade_images = []
-    for blade in range(alg.dim):
-        acc = ident
-        for i in range(n):
-            if blade >> i & 1:
-                acc = acc * f_gen[i]
-        blade_images.append(acc)
+    blade_images = [ident]
+    for blade in range(1, alg.dim):
+        top = blade.bit_length() - 1
+        blade_images.append(blade_images[blade ^ (1 << top)] * f_gen[top])
 
     # involution transport: G f(J(e_i)) = f(e_i)^T G, then G = H^T H
     g_mat = _solve_involution_gram(field, size, f_gen, [
@@ -785,49 +928,94 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
         p_cols.col(i), p_cols.col(i))) for i in range(size)]
     h_mat = Matrix.diagonal(field, roots) * p_cols.inverse()
     h_inv = h_mat.inverse()
-    blade_images = tuple(h_mat * img * h_inv for img in blade_images)
-
-    iso = MatrixIso(alg, size, blade_images)
-
-    # final verification: bijective, transpose-compatible, multiplicative
-    flat = Matrix(field, [
-        [img[r, c] for r in range(size) for c in range(size)] for img in blade_images
-    ])
-    if flat.rank() != alg.dim:
-        raise InvariantViolation("blade images are not linearly independent")
-    for blade in range(alg.dim):
-        if iso.apply(inv.images[blade]) != blade_images[blade].transpose():
-            raise InvariantViolation("isomorphism does not carry J to transpose")
-    for s in range(alg.dim):
-        for t in range(alg.dim):
-            lhs = iso.apply(alg.element(dict(alg.blade_mul(s, t))))
-            if lhs != blade_images[s] * blade_images[t]:
-                raise InvariantViolation("isomorphism is not multiplicative")
+    # conjugate every blade image by H, as two batched products
+    arith = _batch_arith(field)
+    conj = arith.matmul(arith.matmul(_payload_array(h_mat), _payload_array(*blade_images)),
+                        _payload_array(h_inv))
+    iso = MatrixIso(alg, size, tuple(
+        Matrix._trusted(field, tuple(map(tuple, img)), size) for img in conj.tolist()))
+    _verify_matrix_iso(iso, inv)
     return iso
 
 
-def _apply_images(blade_images, alg: CliffordAlgebra, elt: CliffordElement) -> Matrix:
-    size = blade_images[0].nrows
-    out = Matrix.zeros(alg.field, size, size)
-    for b, c in elt.coeffs.items():
-        out = out + blade_images[b].scale(c)
+PAIR_BATCH = 1 << 18  # image entries per batch of pairwise products
+
+
+def _payload_array(*mats: Matrix) -> np.ndarray:
+    """The payloads of square matrices over GF(2^k), stacked: (len, N, N)."""
+    return np.array([m.payload_rows for m in mats], dtype=np.uint8)
+
+
+def _verify_matrix_iso(iso: MatrixIso, inv: AlgebraInvolution) -> None:
+    """The final checks of an explicit model f of (C(q), J), each over
+    every blade: the blade images are linearly independent, f(J(e_b)) is
+    f(e_b)^T for every blade b, and f(e_s e_t) = f(e_s) f(e_t) for all
+    4^n pairs (s, t).  The last two are batched exact products: J^T times
+    the flattened images, and the structure-constant matrix of all pairs
+    times the same images against every pairwise product of images."""
+    alg, size = iso.algebra, iso.size
+    field, dim = alg.field, alg.dim
+    imgs = _payload_array(*iso.blade_images)
+    flat = imgs.reshape(dim, size * size)
+    if Matrix._trusted(field, tuple(map(tuple, flat.tolist())), size * size).rank() != dim:
+        raise InvariantViolation("blade images are not linearly independent")
+    arith = _batch_arith(field)
+    # row b of J^T holds the coefficients of J(e_b)
+    j_rows = np.array(inv.matrix.payload_rows, dtype=np.uint8).T
+    if not np.array_equal(arith.matmul(j_rows, flat),
+                          imgs.transpose(0, 2, 1).reshape(dim, size * size)):
+        raise InvariantViolation("isomorphism does not carry J to transpose")
+    structure = _structure_constants(alg)
+    step = max(1, PAIR_BATCH // (dim * size * size))
+    for lo in range(0, dim, step):
+        products = arith.matmul(imgs[lo:lo + step, None], imgs[None, :])
+        images = arith.matmul(structure[lo * dim:(lo + step) * dim], flat)
+        if not np.array_equal(products.reshape(-1, size * size), images):
+            raise InvariantViolation("isomorphism is not multiplicative")
+
+
+def _structure_constants(alg: CliffordAlgebra) -> np.ndarray:
+    """The (4^n, 2^n) payload matrix whose row s * 2^n + t holds the
+    coefficients of e_s e_t, read from the algebra's structure table."""
+    dim = alg.dim
+    out = np.zeros((dim * dim, dim), dtype=np.uint8)
+    for s in range(dim):
+        for t in range(dim):
+            for b, c in alg._terms(s, t):
+                out[s * dim + t, b] = c
     return out
+
+
+def _apply_images(blade_images, alg: CliffordAlgebra, elt: CliffordElement) -> Matrix:
+    """The sum of c f(e_b) over the terms c e_b of `elt`, on payloads."""
+    if elt.algebra is not alg:
+        raise AlgebraMismatch("element of another algebra")
+    size = blade_images[0].nrows
+    if not elt.payloads:
+        return Matrix.zeros(alg.field, size, size)
+    coeffs, flats = zip(*((c, sum(blade_images[b].payload_rows, ()))
+                          for b, c in elt.payloads.items()))
+    flat = _kernel(alg.field).matmul((coeffs,), flats, size * size)[0]
+    return Matrix._trusted(alg.field, tuple(
+        flat[i * size:(i + 1) * size] for i in range(size)), size)
 
 
 def _solve_involution_gram(field, size, f_gen, f_j_gen) -> Matrix:
     """Solve G f(J(e_i)) = f(e_i)^T G for an invertible G (unique up to
-    scalars); unknowns are the entries of G in row-major order."""
+    scalars); unknowns are the entries of G in row-major order.  The
+    field is GF(2^k), so the system's payload rows are summed by XOR."""
     n_unknowns = size * size
     rows = []
-    for a_mat, c_mat in zip(f_j_gen, (g.transpose() for g in f_gen)):
+    for a_mat, g_mat in zip(f_j_gen, f_gen):
+        a, g = a_mat.payload_rows, g_mat.payload_rows
         for r in range(size):
             for s in range(size):
-                row = [field.zero] * n_unknowns
+                row = [0] * n_unknowns
                 for t in range(size):
-                    row[r * size + t] = row[r * size + t] + a_mat[t, s]
-                    row[t * size + s] = row[t * size + s] - c_mat[r, t]
-                rows.append(row)
-    system = Matrix(field, rows)
+                    row[r * size + t] ^= a[t][s]
+                    row[t * size + s] ^= g[t][r]  # (f(e_i)^T)[r][t]
+                rows.append(tuple(row))
+    system = Matrix._trusted(field, tuple(rows), n_unknowns)
     for k in system.kernel_basis():
         g = Matrix(field, [k[i * size:(i + 1) * size] for i in range(size)])
         if g.rank() == size:
@@ -851,6 +1039,9 @@ def goldman_element(tau: Isometry, construction: str = "frame") -> CliffordEleme
     g = 1 + (u1 + tau(u1)) (v1 + tau(v1)).  Both are verified to conjugate
     correctly before being returned.
     """
+    if construction not in ("frame", "swap-plane"):
+        raise UnknownConstruction(
+            f"unknown construction {construction!r}; known: 'frame', 'swap-plane'")
     if not tau.is_interchange():
         raise NotInterchange("a 4-dimensional interchange isometry is required")
     space = tau.space
@@ -860,14 +1051,12 @@ def goldman_element(tau: Isometry, construction: str = "frame") -> CliffordEleme
     x, y, w, z = interchange_normal_basis(tau)
     if construction == "frame":
         g = alg.one() + alg.vector(w) * alg.vector(x)
-    elif construction == "swap-plane":
+    else:
         u1, v1 = y, vadd(x, z)
         _check_swap_plane(tau, u1, v1)
         du = alg.vector(vadd(u1, tau.apply(u1)))
         dv = alg.vector(vadd(v1, tau.apply(v1)))
         g = alg.one() + du * dv
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
     g_inv = alg.inverse(g)
     for i in range(space.dim):
         e = space.basis_vector(i)
@@ -949,21 +1138,12 @@ def tensor_decomposition_witness(tau: Isometry) -> TensorWitness:
                         raise InvariantViolation("factor generators do not commute")
 
     # ordered products of factor blades give a basis compatible with J
-    per_factor_blades = []
-    for f in factors:
-        blades = []
-        for subset in range(1 << len(f.vectors)):
-            acc = alg.one()
-            for i, vec in enumerate(f.vectors):
-                if subset >> i & 1:
-                    acc = acc * alg.vector(vec)
-            blades.append(acc)
-        per_factor_blades.append(blades)
+    per_factor_blades = [_monomials(alg, [alg.vector(v) for v in f.vectors]) for f in factors]
 
     products: list[tuple[CliffordElement, tuple[CliffordElement, ...]]] = [(alg.one(), ())]
     for blades in per_factor_blades:
         products = [(p * b, parts + (b,)) for p, parts in products for b in blades]
-    coeffs = Matrix(space.field, [alg.coeff_vector(p) for p, _ in products])
+    coeffs = alg._payload_matrix([p for p, _ in products])
     if coeffs.rank() != alg.dim:
         raise InvariantViolation("tensor products do not span the algebra")
 

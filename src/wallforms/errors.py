@@ -160,6 +160,10 @@ class NotScalarSquare(PreconditionError):
     pass
 
 
+class UnknownConstruction(PreconditionError, ValueError):
+    """A construction name that ``goldman_element`` does not know."""
+
+
 # --- oracle / cli -------------------------------------------------------------
 
 class TooLarge(PreconditionError):

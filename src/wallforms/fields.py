@@ -16,6 +16,9 @@ for hot loops.  Square-class queries (``is_square``, ``sqrt``) are exact.
 Finite fields intern their elements, one per payload, so wrapping a payload
 (:meth:`Field.wrap`) allocates nothing; their product and inverse tables
 (:func:`field_tables`) are built once and shared by every equal field.
+The same tables drive the batched numpy arithmetic on payload arrays
+(:func:`_batch_arith`, one per field) that the oracle's enumeration and
+the Clifford-algebra checks share.
 
 Textual literals: fields ``"gf(7)"``, ``"gf(4;x^2+x+1)"``, ``"gf2(t)"``;
 elements ``"3"``, ``"w+1"``, ``"(t^2+1)/t"``.
@@ -27,12 +30,16 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import (
     CapExceeded,
     DescriptorMismatch,
     DivisionByZero,
     NotASquare,
     ParseError,
+    TooLarge,
+    UnsupportedField,
 )
 
 MAX_PRIME = 97
@@ -384,6 +391,73 @@ def field_tables(field: Field) -> FieldTables:
         tuple(tuple(field.mul(a, b) for b in codes) for a in codes),
         (0,) + tuple(field.div(1, a) for a in codes[1:]),
     )
+
+
+SMALL_PRODUCT = 1 << 12  # products below which one gather beats a loop over k
+
+
+class _BatchArith:
+    """Exact batched arithmetic on payload arrays over one finite field.
+
+    Products and inverses are read from :func:`field_tables`, the
+    field's own payload ``mul`` and ``div`` tabulated once over all payloads
+    0 .. |F|-1 and shared with the exact kernel of ``linalg``.  Where the
+    product table and the field's ``add`` are those of the integers mod |F|
+    (prime fields and GF(2), checked here), batched products use numpy's
+    integer matmul mod |F|; otherwise they are table lookups summed by XOR,
+    which ``add`` must then be.  Arguments and results are integer arrays of
+    payloads.  Build it through :func:`_batch_arith`, which keeps one per
+    field; the oracle and ``clifford`` share it."""
+
+    def __init__(self, field):
+        if not isinstance(field, _FiniteField):
+            raise TooLarge(f"no batched arithmetic over the infinite field {field.literal()}")
+        codes = list(field.payloads())
+        self.order = q = len(codes)
+        tables = field_tables(field)
+        self._mul = np.array(tables.mul, dtype=np.uint8)
+        self.inv = np.array(tables.inv, dtype=np.uint8)
+        sums = np.array([[field.add(a, b) for b in codes] for a in codes])
+        pay = np.arange(q)
+        self.modular = (np.array_equal(self._mul, np.multiply.outer(pay, pay) % q)
+                        and np.array_equal(sums, np.add.outer(pay, pay) % q))
+        if not self.modular and not np.array_equal(sums, np.bitwise_xor.outer(pay, pay)):
+            raise UnsupportedField(f"no batched arithmetic for {field.literal()}")
+        self._mul.flags.writeable = self.inv.flags.writeable = False  # shared per field
+
+    def mul(self, a, b):
+        """Elementwise product (broadcast)."""
+        return self._mul[a, b]
+
+    def add(self, a, b):
+        if self.modular:
+            return np.add(a, b, dtype=np.intp) % self.order
+        return a ^ b
+
+    def sub(self, a, b):
+        if self.modular:
+            return np.subtract(a, b, dtype=np.intp) % self.order
+        return a ^ b
+
+    def matmul(self, a, b):
+        """Batched matrix product a @ b with numpy broadcasting over the
+        leading axes; a is (..., n, k) and b is (..., k, m).  Without
+        modular arithmetic, a few matrices take one lookup of all n*k*m
+        products, and larger batches go one k at a time, which keeps the
+        temporaries at n*m per matrix."""
+        if self.modular:
+            return np.matmul(a, b, dtype=np.intp) % self.order
+        if a.size * b.shape[-1] <= SMALL_PRODUCT:
+            return np.bitwise_xor.reduce(self._mul[a[..., :, :, None], b[..., None, :, :]], axis=-2)
+        acc = self._mul[a[..., :, 0, None], b[..., None, 0, :]]
+        for k in range(1, a.shape[-1]):
+            acc ^= self._mul[a[..., :, k, None], b[..., None, k, :]]
+        return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_arith(field) -> _BatchArith:
+    return _BatchArith(field)
 
 
 class PrimeField(_FiniteField):

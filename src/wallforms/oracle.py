@@ -10,10 +10,10 @@ Two enumeration methods:
   all reflections and all Eichler transformations.
 
 The closure path works on payload arrays end to end.  One batched
-arithmetic per field (:class:`_BatchArith`) is tabulated from the field's
-own payload ``mul``/``div``; it builds every generator matrix as one batch
-from the payload matrices of Q and B, and checks that batch once against
-the isometry condition.  Elements are deduplicated on fixed-width byte
+arithmetic per field (:class:`fields._BatchArith`) is tabulated from the
+field's own payload ``mul``/``div``; it builds every generator matrix as
+one batch from the payload matrices of Q and B, and checks that batch once
+against the isometry condition.  Elements are deduplicated on fixed-width byte
 keys (the n*n payloads, row by row) with ``np.unique``/``searchsorted``,
 and byte order is the canonical order of an enumeration.  The unipotent,
 involution and identity filters are each one batched product or
@@ -37,10 +37,9 @@ from .errors import (
     PreconditionError,
     TooLarge,
     UnknownTheorem,
-    UnsupportedField,
     WallformsError,
 )
-from .fields import Galois2Field, PrimeField, field_tables
+from .fields import Galois2Field, PrimeField, _BatchArith, _batch_arith
 from .linalg import Matrix
 from .quadspace import QuadraticSpace, Subspace
 from .isometry import Isometry
@@ -105,73 +104,10 @@ def _payload_matrix_to_isometry(space: QuadraticSpace, rows) -> Isometry:
 
 
 # ---------------------------------------------------------------------------
-# batched payload arithmetic and element keys
+# element keys
 # ---------------------------------------------------------------------------
 
 BATCH_ROWS = 1 << 16  # matrices per batched product; bounds the temporaries
-SMALL_PRODUCT = 1 << 12  # products below which one gather beats a loop over k
-
-
-class _BatchArith:
-    """Exact batched arithmetic on payload arrays over one finite field.
-
-    Products and inverses are read from :func:`fields.field_tables`, the
-    field's own payload ``mul`` and ``div`` tabulated once over all payloads
-    0 .. |F|-1 and shared with the exact kernel of ``linalg``.  Where the
-    product table and the field's ``add`` are those of the integers mod |F|
-    (prime fields and GF(2), checked here), batched products use numpy's
-    integer matmul mod |F|; otherwise they are table lookups summed by XOR,
-    which ``add`` must then be.  Arguments and results are integer arrays of
-    payloads.
-    Build it through :func:`_batch_arith`, which keeps one per field."""
-
-    def __init__(self, field):
-        codes = _field_codes(field)
-        self.order = q = len(codes)
-        tables = field_tables(field)
-        self._mul = np.array(tables.mul, dtype=np.uint8)
-        self.inv = np.array(tables.inv, dtype=np.uint8)
-        sums = np.array([[field.add(a, b) for b in codes] for a in codes])
-        pay = np.arange(q)
-        self.modular = (np.array_equal(self._mul, np.multiply.outer(pay, pay) % q)
-                        and np.array_equal(sums, np.add.outer(pay, pay) % q))
-        if not self.modular and not np.array_equal(sums, np.bitwise_xor.outer(pay, pay)):
-            raise UnsupportedField(f"no batched arithmetic for {field.literal()}")
-        self._mul.flags.writeable = self.inv.flags.writeable = False  # shared per field
-
-    def mul(self, a, b):
-        """Elementwise product (broadcast)."""
-        return self._mul[a, b]
-
-    def add(self, a, b):
-        if self.modular:
-            return np.add(a, b, dtype=np.intp) % self.order
-        return a ^ b
-
-    def sub(self, a, b):
-        if self.modular:
-            return np.subtract(a, b, dtype=np.intp) % self.order
-        return a ^ b
-
-    def matmul(self, a, b):
-        """Batched matrix product a @ b with numpy broadcasting over the
-        leading axes; a is (..., n, k) and b is (..., k, m).  Without
-        modular arithmetic, a few matrices take one lookup of all n*k*m
-        products, and larger batches go one k at a time, which keeps the
-        temporaries at n*m per matrix."""
-        if self.modular:
-            return np.matmul(a, b, dtype=np.intp) % self.order
-        if a.size * b.shape[-1] <= SMALL_PRODUCT:
-            return np.bitwise_xor.reduce(self._mul[a[..., :, :, None], b[..., None, :, :]], axis=-2)
-        acc = self._mul[a[..., :, 0, None], b[..., None, 0, :]]
-        for k in range(1, a.shape[-1]):
-            acc ^= self._mul[a[..., :, k, None], b[..., None, k, :]]
-        return acc
-
-
-@functools.lru_cache(maxsize=None)
-def _batch_arith(field) -> _BatchArith:
-    return _BatchArith(field)
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,16 +4,32 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import wallforms as wf
-from wallforms.clifford import alt_membership, sym_alt_dimensions
+from wallforms import clifford
+from wallforms.clifford import (
+    AlgebraInvolution,
+    CliffordAlgebra,
+    MatrixIso,
+    _verify_matrix_iso,
+    alt_membership,
+    sym_alt_dimensions,
+)
 from wallforms.errors import (
     CharacteristicNot2,
     CriterionFails,
+    DescriptorMismatch,
+    DimensionMismatch,
+    InvariantViolation,
+    IsotropicVector,
     NotInterchange,
+    NotRegular,
     NotScalarSquare,
     NotSymmetric,
+    PreconditionError,
     ResidualNotFixed,
+    UnknownConstruction,
     UnsupportedField,
     ZeroSquare,
 )
@@ -442,3 +458,230 @@ def test_six_dim_three_reflection_model(f2):
     report = wf.alternating_generators_check(tau, wf.wall_form(tau).basis)
     assert report.ok
     assert len(report.explicit_witnesses) == 7
+
+
+# ---------------------------------------------------------------------------
+# constructors reject foreign input
+# ---------------------------------------------------------------------------
+
+def test_element_rejects_plain_int(alg_h4f2):
+    with pytest.raises(DescriptorMismatch):
+        alg_h4f2.element({1: 1})
+
+
+def test_constructors_reject_element_of_another_field(h4f4, f7):
+    alg = wf.algebra_for_space(h4f4)
+    seven = f7.from_int(3)
+    with pytest.raises(DescriptorMismatch):
+        alg.element({0: seven})
+    with pytest.raises(DescriptorMismatch):
+        alg.scalar(seven)
+    with pytest.raises(DescriptorMismatch):
+        alg.vector((seven,) * 4)
+    with pytest.raises(DescriptorMismatch):
+        alg.one().scale(seven)
+
+
+@pytest.mark.parametrize("length", [2, 5])
+def test_vector_rejects_wrong_length(alg_h4f2, f2, length):
+    with pytest.raises(DimensionMismatch):
+        alg_h4f2.vector((f2.one,) * length)
+
+
+@pytest.mark.parametrize("blade", [99, 16, -1])
+def test_blades_outside_the_algebra_are_rejected(alg_h4f2, f2, blade):
+    with pytest.raises(DimensionMismatch):
+        alg_h4f2.basis_blade(blade)
+    with pytest.raises(DimensionMismatch):
+        alg_h4f2.element({blade: f2.one})
+
+
+def test_goldman_rejects_unknown_construction(tau_int):
+    with pytest.raises(UnknownConstruction) as info:
+        wf.goldman_element(tau_int, "bogus")
+    assert isinstance(info.value, PreconditionError)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the payload kernel against a boxed reference (the
+# FieldElement loop over blade_mul) and against the defining relations
+# ---------------------------------------------------------------------------
+
+CLIFFORD_FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(8)", "gf2(t)"]
+
+
+@st.composite
+def _scalar(draw, field, nonzero=False):
+    if not nonzero and draw(st.integers(0, 2)) == 0:
+        return field.zero
+    if field.kind == "ratfunc":
+        return field.fraction(draw(st.integers(1, 15)), draw(st.integers(1, 15)))
+    return field.element(draw(st.integers(1, field.order() - 1)))
+
+
+@st.composite
+def _algebra(draw, field):
+    """C(q) on random q values and a random alternating polar form."""
+    n = draw(st.integers(1, 4))
+    qvals = [draw(_scalar(field)) for _ in range(n)]
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(_scalar(field))
+    return CliffordAlgebra(field, qvals, Matrix(field, rows))
+
+
+@st.composite
+def _clifford_element(draw, alg):
+    blades = draw(st.lists(st.integers(0, alg.dim - 1), max_size=4))
+    return alg.element({b: draw(_scalar(alg.field)) for b in blades})
+
+
+def _ref_mul(alg, a, b):
+    """The boxed product: a FieldElement loop over the structure constants."""
+    out = {}
+    for s, ca in a.coeffs.items():
+        for t, cb in b.coeffs.items():
+            c = ca * cb
+            for blade, coef in alg.blade_mul(s, t).items():
+                out[blade] = out.get(blade, alg.field.zero) + coef * c
+    return {blade: c for blade, c in out.items() if c}
+
+
+def _clifford_settings():
+    return settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@pytest.mark.parametrize("literal", CLIFFORD_FIELDS)
+@given(data=st.data())
+@_clifford_settings()
+def test_payload_product_matches_boxed_reference(literal, data):
+    field = wf.parse_field(literal)
+    alg = data.draw(_algebra(field))
+    a, b, c = (data.draw(_clifford_element(alg)) for _ in range(3))
+    ab = a * b
+    assert ab.coeffs == _ref_mul(alg, a, b)
+    assert all(v.field is field and v for v in ab.coeffs.values())
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) * c == a * c + b * c
+    assert alg.coeff_vector(ab) == tuple(
+        ab.coeffs.get(blade, field.zero) for blade in range(alg.dim))
+
+
+@pytest.mark.parametrize("literal", CLIFFORD_FIELDS)
+@given(data=st.data())
+@_clifford_settings()
+def test_generator_relations(literal, data):
+    field = wf.parse_field(literal)
+    alg = data.draw(_algebra(field))
+    gens = [alg.basis_blade(1 << i) for i in range(alg.n)]
+    for i, e in enumerate(gens):
+        assert e * e == alg.scalar(alg.qvals[i])
+        for j in range(i + 1, alg.n):
+            assert e * gens[j] + gens[j] * e == alg.scalar(alg.bmat[i, j])
+
+
+@st.composite
+def _involution(draw, field):
+    """A reflection, or a product of two commuting reflections, of a
+    random regular space of dimension 2 or 4."""
+    n = draw(st.sampled_from([2, 4]))
+    rows = [[draw(_scalar(field)) if j >= i else field.zero for j in range(n)] for i in range(n)]
+    try:
+        space = wf.QuadraticSpace.from_q_upper(field, Matrix(field, rows))
+    except NotRegular:
+        assume(False)
+    u = tuple(draw(_scalar(field)) for _ in range(n))
+    try:
+        tau = wf.reflection(space, u)
+    except IsotropicVector:
+        assume(False)
+    v = tuple(draw(_scalar(field)) for _ in range(n))
+    if draw(st.booleans()) and space.eval_q(v) and not space.eval_b(u, v):
+        tau = tau * wf.reflection(space, v)
+    return tau
+
+
+@pytest.mark.parametrize("literal", CLIFFORD_FIELDS)
+@given(data=st.data())
+@_clifford_settings()
+def test_natural_involution_matches_definition(literal, data):
+    field = wf.parse_field(literal)
+    tau = data.draw(_involution(field))
+    space = tau.space
+    alg = CliffordAlgebra.from_space(space)
+    j = wf.natural_involution(tau, alg)
+    tau_vectors = [alg.vector(tau.apply(space.basis_vector(i))) for i in range(alg.n)]
+    for blade in range(alg.dim):
+        # J(e_{i1} ... e_{il}) = tau(e_{il}) ... tau(e_{i1})
+        expected = alg.one()
+        for i in reversed(range(alg.n)):
+            if blade >> i & 1:
+                expected = expected * tau_vectors[i]
+        assert j.images[blade] == expected
+        assert j.apply(alg.basis_blade(blade)) == expected
+        assert alg.coeff_vector(expected) == j.matrix.col(blade)
+    a, b = data.draw(_clifford_element(alg)), data.draw(_clifford_element(alg))
+    assert j.apply(a * b) == j.apply(b) * j.apply(a)
+    assert j.apply(j.apply(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# explicit_matrix_iso: each final check fails on a corrupted input
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def model_h4f2(tau_int, alg_h4f2):
+    return wf.explicit_matrix_iso(tau_int), wf.natural_involution(tau_int, alg_h4f2)
+
+
+def _plus_one(m, r, c):
+    """m with one added to entry (r, c)."""
+    rows = [list(row) for row in m.rows]
+    rows[r][c] = rows[r][c] + m.field.one
+    return Matrix(m.field, rows)
+
+
+def test_matrix_iso_checks_pass(model_h4f2):
+    _verify_matrix_iso(*model_h4f2)
+
+
+def test_matrix_iso_dependent_images_fail_rank(model_h4f2):
+    iso, inv = model_h4f2
+    images = list(iso.blade_images)
+    images[5] = images[6]
+    with pytest.raises(InvariantViolation, match="not linearly independent"):
+        _verify_matrix_iso(MatrixIso(iso.algebra, iso.size, tuple(images)), inv)
+
+
+def test_matrix_iso_every_corrupted_image_entry_fails(model_h4f2):
+    iso, inv = model_h4f2
+    for blade, r, c in itertools.product(range(iso.algebra.dim), range(iso.size), range(iso.size)):
+        images = list(iso.blade_images)
+        images[blade] = _plus_one(images[blade], r, c)
+        with pytest.raises(InvariantViolation, match="transpose|multiplicative|independent"):
+            _verify_matrix_iso(MatrixIso(iso.algebra, iso.size, tuple(images)), inv)
+
+
+def test_matrix_iso_every_corrupted_involution_entry_fails(model_h4f2):
+    iso, inv = model_h4f2
+    for r, c in itertools.product(range(inv.matrix.nrows), repeat=2):
+        bad = AlgebraInvolution(inv.algebra, inv.tau, inv.images, _plus_one(inv.matrix, r, c))
+        with pytest.raises(InvariantViolation, match="does not carry J to transpose"):
+            _verify_matrix_iso(iso, bad)
+
+
+@pytest.mark.parametrize("pair", [(0, 5), (3, 5), (6, 9), (15, 15), (0b1010, 0b0001)])
+def test_corrupted_structure_constant_fails_multiplicativity(monkeypatch, h4f2, tau_int, pair):
+    class Corrupted(CliffordAlgebra):
+        def blade_mul(self, s, t):
+            out = super().blade_mul(s, t)
+            if (s, t) == pair:
+                out[0] = out.get(0, self.field.zero) + self.field.one
+            return out
+
+    alg = Corrupted.from_space(h4f2)
+    monkeypatch.setattr(clifford, "algebra_for_space", lambda space: alg)
+    with pytest.raises(InvariantViolation, match="isomorphism is not multiplicative"):
+        wf.explicit_matrix_iso(tau_int)
