@@ -19,6 +19,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -220,7 +221,10 @@ def _emit(payload: dict):
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `parse_args` keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="wallforms",
         description="Exact analysis of quadratic-space isometries: residual "
@@ -238,8 +242,11 @@ def main(argv=None) -> int:
         if needs_theorem:
             p.add_argument("--theorem", required=True,
                            help="theorem id: tauid, defint, char, v', res, g, clif, totimes")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         problem = _read_problem(args.space)
         if args.command == "analyze":

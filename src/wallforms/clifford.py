@@ -465,6 +465,17 @@ def natural_involution(tau: Isometry, algebra: CliffordAlgebra | None = None) ->
     if not tau.is_involution():
         raise NotInvolution("tau^2 != id")
     alg = algebra if algebra is not None else algebra_for_space(space)
+    # the isometry keeps the blade images for the first algebra object it
+    # was asked of (not the involution, which refers back to it)
+    kept_alg, images, mat = tau.derived(
+        "natural_involution", lambda tau: _involution_images(tau, alg))
+    if kept_alg is not alg:
+        _, images, mat = _involution_images(tau, alg)
+    return AlgebraInvolution(alg, tau, images, mat)
+
+
+def _involution_images(tau: Isometry, alg: CliffordAlgebra):
+    """(alg, the image of each blade, the matrix of those images)."""
     tau_vectors = [alg.vector(tau.mat.col(i)) for i in range(alg.n)]
     images = [alg.one()]
     for blade in range(1, alg.dim):
@@ -473,7 +484,7 @@ def natural_involution(tau: Isometry, algebra: CliffordAlgebra | None = None) ->
     mat = alg._payload_matrix(images, by_columns=True)
     if mat * mat != Matrix.identity(alg.field, alg.dim):
         raise InvariantViolation("involution does not square to the identity")
-    return AlgebraInvolution(alg, tau, tuple(images), mat)
+    return alg, tuple(images), mat
 
 
 def alt_membership(inv: AlgebraInvolution, a: CliffordElement) -> CliffordElement | None:

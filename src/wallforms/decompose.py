@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .errors import (
     CharacteristicNot2,
     InvariantViolation,
+    IsotropicVector,
     NotHyperbolicPair,
     NotInResidual,
     NotInterchange,
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .linalg import Matrix, Vector, block_diag, from_columns, vadd, vscale, vsub
 from .quadspace import Subspace, complement_in, hyperbolic_basis_alternating, orthogonal_basis
-from .isometry import Isometry, reflection, eichler
+from .isometry import Isometry, eichler
 from .wallform import WallForm, wall_form
 
 
@@ -151,9 +152,12 @@ def reflection_block(
     plane = Subspace.from_vectors(space, [u, v])
     if plane.dim != 2 or not plane.is_regular():
         raise InvariantViolation("reflection block plane is not a regular plane")
-    refl = reflection(space, u)
+    qu = space.eval_q(u)
+    if not qu:
+        raise IsotropicVector("reflection requires q(u) != 0")
     for vec in (u, v):
-        if tau.apply(vec) != refl.apply(vec):
+        # the reflection along u, x -> x - (b(u, x) / q(u)) u, without its matrix
+        if tau.apply(vec) != vsub(vec, vscale(space.eval_b(u, vec) / qu, u)):
             raise InvariantViolation("restriction to the block is not the reflection")
     return ReflectionBlock(u, v, plane)
 
@@ -279,8 +283,9 @@ def decompose(tau: Isometry) -> Decomposition:
     return decomposition
 
 
-def reassemble(d: Decomposition) -> Matrix:
-    """Rebuild the isometry matrix from the block data alone."""
+def _block_basis(d: Decomposition) -> tuple[Matrix, Matrix]:
+    """P, whose columns are the vectors of the summands, and the
+    block-diagonal matrix of the claimed actions on them."""
     space = d.tau.space
     field = space.field
     columns = list(d.fixed_complement.vectors())
@@ -291,7 +296,13 @@ def reassemble(d: Decomposition) -> Matrix:
     p = from_columns(field, columns)
     if p.nrows != p.ncols:
         raise InvariantViolation("decomposition vectors do not form a basis")
-    return p * block_diag(field, locals_) * p.inverse()
+    return p, block_diag(field, locals_)
+
+
+def reassemble(d: Decomposition) -> Matrix:
+    """Rebuild the isometry matrix from the block data alone."""
+    p, local = _block_basis(d)
+    return p * local * p.inverse()
 
 
 def validate_decomposition(d: Decomposition, wf: WallForm | None = None):
@@ -324,5 +335,10 @@ def validate_decomposition(d: Decomposition, wf: WallForm | None = None):
     else:
         if any(blk.kind != "reflection" for blk in d.blocks) or d.m != s:
             raise InvariantViolation("nonalternating case must give s reflection blocks")
-    if reassemble(d) != tau.mat:
+    # reassemble(d) == tau.mat, checked without the inverse: P D P^-1 = M
+    # iff P is invertible and M P = P D
+    p, local = _block_basis(d)
+    if not p.det():
+        raise InvariantViolation("decomposition vectors do not form a basis")
+    if tau.mat * p != p * local:
         raise InvariantViolation("reassembled blocks do not reproduce tau")

@@ -45,6 +45,11 @@ from .errors import (
 MAX_PRIME = 97
 MAX_EXTENSION_DEGREE = 8
 MAX_POLY_DEGREE = 64
+_CAP_BITS = MAX_POLY_DEGREE + 1  # bit length of a polynomial of the largest degree
+# Largest exponent a polynomial literal may name ("t^4096").  Far above
+# every cap, so a literal like "t^100/t^99" still parses and reduces; it
+# only keeps a literal from asking for an arbitrarily large shift.
+MAX_LITERAL_EXPONENT = 4096
 
 # Irreducible polynomials over GF(2), one per extension degree.
 DEFAULT_MODULI = {
@@ -70,35 +75,52 @@ def poly_deg(p: int) -> int:
 
 def poly_mul(a: int, b: int) -> int:
     """Carry-less product of two GF(2) polynomials."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a  # one shifted copy of the longer operand per term of the shorter
     out = 0
     while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b
+        out ^= a * low
+        b ^= low
     return out
 
 
 def poly_divmod(a: int, b: int) -> tuple[int, int]:
     if b == 0:
         raise DivisionByZero("polynomial division by zero")
-    db = poly_deg(b)
+    db = b.bit_length()
+    da = a.bit_length()
     q = 0
-    while poly_deg(a) >= db:
-        shift = poly_deg(a) - db
+    while da >= db:
+        shift = da - db
         q ^= 1 << shift
         a ^= b << shift
+        da = a.bit_length()
     return q, a
 
 
 def poly_mod(a: int, b: int) -> int:
-    return poly_divmod(a, b)[1]
+    if b == 0:
+        raise DivisionByZero("polynomial division by zero")
+    db = b.bit_length()
+    da = a.bit_length()
+    while da >= db:
+        a ^= b << (da - db)
+        da = a.bit_length()
+    return a
 
 
 def poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, poly_mod(a, b)
-    return a
+    """Euclid's algorithm, the remainder loop inline; it stops at a
+    remainder of 1, whose gcd with anything is 1."""
+    db = b.bit_length()
+    while db > 1:
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b, db = b, a, da
+    return b if db else a
 
 
 def poly_is_square(p: int) -> bool:
@@ -164,8 +186,9 @@ def _poly_from_str(s: str, var: str) -> int:
                 exp = int(term[len(var) + 1:])
             except ValueError:
                 raise ParseError(f"bad polynomial term {term!r}") from None
-            if exp < 0:
-                raise ParseError(f"bad polynomial term {term!r}")
+            if not 0 <= exp <= MAX_LITERAL_EXPONENT:
+                raise ParseError(f"bad polynomial term {term!r} "
+                                 f"(exponents run from 0 to {MAX_LITERAL_EXPONENT})")
             out ^= 1 << exp
         else:
             raise ParseError(f"bad polynomial term {term!r} (variable {var!r})")
@@ -628,7 +651,25 @@ class Galois2Field(_FiniteField):
 
 
 class RationalFunctionField(Field):
-    """GF(2)(t): reduced fractions of GF(2)[t] polynomials."""
+    """GF(2)(t): reduced fractions of GF(2)[t] polynomials.
+
+    Payloads are ``(num, den)`` with gcd(num, den) = 1 and 0 as ``(0, 1)``.
+    A gcd is taken only where a result can fail to be reduced:
+
+    * ``fraction`` (and parsing) reduce by gcd(num, den), taken only when
+      den is not 1, and divide only when it is not 1.
+    * ``add`` returns the other operand when one is zero; with equal
+      denominators it XORs the numerators (a gcd with the denominator
+      unless that is 1); otherwise it reduces the cross sum over ad*bd.
+    * ``mul`` (and ``div``) return 0 for a zero operand, else cancel across
+      (Henrici 1956): gcd(an, bd) and gcd(bn, ad), each taken only when
+      neither polynomial is 1.  The product of the cancelled parts is
+      reduced, so no gcd of the full product is taken.
+
+    ``CapExceeded`` means the *reduced* result has a numerator or
+    denominator of degree above ``MAX_POLY_DEGREE``.  The reduced form is
+    unique, so the cap does not depend on how a result was computed.
+    """
 
     kind = "ratfunc"
     var = "t"
@@ -638,17 +679,24 @@ class RationalFunctionField(Field):
         self._one = FieldElement(self, (1, 1))
 
     @staticmethod
+    def _capped(num: int, den: int) -> tuple[int, int]:
+        """`(num, den)`, a reduced fraction, if it is within the cap."""
+        if num.bit_length() > _CAP_BITS or den.bit_length() > _CAP_BITS:
+            raise CapExceeded(f"polynomial degree exceeds cap {MAX_POLY_DEGREE}")
+        return (num, den)
+
+    @staticmethod
     def _normalize(num: int, den: int) -> tuple[int, int]:
         if den == 0:
             raise DivisionByZero("zero denominator in gf2(t)")
         if num == 0:
             return (0, 1)
-        g = poly_gcd(num, den)
-        num, _ = poly_divmod(num, g)
-        den, _ = poly_divmod(den, g)
-        if poly_deg(num) > MAX_POLY_DEGREE or poly_deg(den) > MAX_POLY_DEGREE:
-            raise CapExceeded(f"polynomial degree exceeds cap {MAX_POLY_DEGREE}")
-        return (num, den)
+        if den != 1:
+            g = poly_gcd(num, den)
+            if g != 1:
+                num = poly_divmod(num, g)[0]
+                den = poly_divmod(den, g)[0]
+        return RationalFunctionField._capped(num, den)
 
     def is_payload(self, payload) -> bool:
         if not (type(payload) is tuple and len(payload) == 2
@@ -668,13 +716,35 @@ class RationalFunctionField(Field):
 
     def add(self, a, b):
         (an, ad), (bn, bd) = a, b
+        if not an:
+            return b
+        if not bn:
+            return a
+        if ad == bd:
+            return self._normalize(an ^ bn, ad)
         return self._normalize(poly_mul(an, bd) ^ poly_mul(bn, ad), poly_mul(ad, bd))
 
     sub = add
 
     def mul(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        return self._normalize(poly_mul(an, bn), poly_mul(ad, bd))
+        an, ad = a
+        bn, bd = b
+        if not an or not bn:
+            return (0, 1)
+        if bd != 1 and an != 1:
+            g = poly_gcd(bd, an)
+            if g != 1:
+                an = poly_divmod(an, g)[0]
+                bd = poly_divmod(bd, g)[0]
+        if ad != 1 and bn != 1:
+            g = poly_gcd(ad, bn)
+            if g != 1:
+                bn = poly_divmod(bn, g)[0]
+                ad = poly_divmod(ad, g)[0]
+        # a product with 1 needs no carry-less multiplication
+        num = bn if an == 1 else an if bn == 1 else poly_mul(an, bn)
+        den = bd if ad == 1 else ad if bd == 1 else poly_mul(ad, bd)
+        return self._capped(num, den)
 
     def div(self, a, b):
         (bn, bd) = b

@@ -10,7 +10,9 @@ transformations from an isotropic vector and an orthogonal partner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .errors import (
     DimensionMismatch,
@@ -40,10 +42,29 @@ def _isometry_defect_witness(space: QuadraticSpace, mat: Matrix) -> Vector | Non
     return None
 
 
+T = TypeVar("T")
+
+
+def _once(method):
+    """An argument-free method of Isometry, computed once per isometry."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def once(self):
+        return self.derived(name, method)
+    return once
+
+
 @dataclass(frozen=True)
 class Isometry:
+    """Immutable; what is derived from the matrix alone (the displacement,
+    the fixed and residual spaces, the parts of the Wall form and of the
+    induced involution) is computed on first use and kept with the
+    isometry."""
+
     space: QuadraticSpace
     mat: Matrix
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mat.shape != (self.space.dim, self.space.dim):
@@ -53,6 +74,16 @@ class Isometry:
             raise NotAnIsometry(
                 "matrix does not preserve the quadratic form", witness=witness
             )
+
+    def derived(self, key: str, compute: Callable[["Isometry"], T]) -> T:
+        """`compute(self)`, computed on the first call with `key` only.  The
+        value must not refer back to the isometry: a reference cycle would
+        leave every isometry to the cyclic garbage collector."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(self)
+            return value
 
     def apply(self, v: Vector) -> Vector:
         return mat_vec(self.mat, v)
@@ -70,33 +101,40 @@ class Isometry:
     def is_identity(self) -> bool:
         return self.mat == Matrix.identity(self.space.field, self.space.dim)
 
+    @_once
     def is_involution(self) -> bool:
         return (self.mat * self.mat) == Matrix.identity(self.space.field, self.space.dim)
 
+    @_once
     def displacement(self) -> Matrix:
         """M - I; its kernel is the fixed space, its image the residual space."""
         return self.mat - Matrix.identity(self.space.field, self.space.dim)
 
+    @_once
     def fixed_space(self) -> Subspace:
         return Subspace.from_vectors(self.space, self.displacement().kernel_basis())
 
+    @_once
     def residual_space(self) -> Subspace:
         return Subspace.from_vectors(self.space, self.displacement().transpose().rows)
 
+    @_once
     def unipotency_index(self) -> int | None:
         """Least k with (M - I)^k = 0, or None if M - I is not nilpotent.
-        The identity gets index 0 by convention."""
-        n = self.space.dim
+        The identity gets index 0 by convention.  The nonzero powers of a
+        nilpotent M - I fall in rank by at least one a step, so its index is
+        at most rank(M - I) + 1, and no higher power is formed."""
         delta = self.displacement()
-        power = delta
-        if power.is_zero():
+        if delta.is_zero():
             return 0
-        for k in range(1, n + 1):
+        power = delta
+        for k in range(2, delta.rank() + 2):
+            power = power * delta
             if power.is_zero():
                 return k
-            power = power * delta
         return None
 
+    @_once
     def is_unipotent2(self) -> bool:
         """(M - I)^2 = 0; includes the identity."""
         delta = self.displacement()

@@ -203,7 +203,9 @@ class Subspace:
         return Subspace.from_vectors(self.space, constraint.kernel_basis())
 
     def is_regular(self) -> bool:
-        return self.intersection(self.orthogonal_complement()).dim == 0
+        """W meets its orthogonal complement in 0: the polar form has no
+        radical on W, i.e. its Gram matrix on the basis is invertible."""
+        return self.dim == 0 or bool(self.gram_matrix().det())
 
     def is_totally_singular(self) -> bool:
         """The polar form vanishes on the subspace."""

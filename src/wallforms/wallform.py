@@ -16,6 +16,7 @@ zero) of (M - I) y = u.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotSymmetric
@@ -42,10 +43,15 @@ class WallForm:
         )
 
     def carrier(self) -> Subspace:
+        return self._carrier
+
+    @functools.cached_property
+    def _carrier(self) -> Subspace:
         return Subspace.from_vectors(self.tau.space, self.basis)
 
     def coords(self, u: Vector) -> Vector:
-        c = Matrix(self.tau.space.field, self.basis).transpose().solve(u)
+        """Coordinates of u in the (RREF) residual basis."""
+        c = self._carrier.coordinates(u)
         if c is None:
             raise InvariantViolation("vector is not in the residual space")
         return c
@@ -65,9 +71,16 @@ class WallForm:
 
 
 def wall_form(tau: Isometry) -> WallForm:
+    """The Wall form of `tau`.  Its basis, preimages and Gram matrix are
+    built and checked once per isometry; the isometry keeps only those, so
+    that it holds no reference to itself."""
+    return WallForm(tau, *tau.derived("wall_form", _wall_form_parts))
+
+
+def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, ...], Matrix]:
     space = tau.space
     n_mat = tau.displacement()
-    residual = n_mat.transpose().row_space()
+    residual = tau.residual_space().basis  # the RREF of the columns of M - I
     basis = residual.rows
     preimages = []
     for u in basis:
@@ -83,7 +96,7 @@ def wall_form(tau: Isometry) -> WallForm:
     for i, u in enumerate(basis):
         if gram[i, i] != -space.eval_q(u):
             raise InvariantViolation("diagonal law w(u, u) = -q(u) failed")
-    return WallForm(tau, tuple(basis), tuple(preimages), gram)
+    return tuple(basis), tuple(preimages), gram
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,16 @@
 """Command-line interface: JSON in, JSON out, exit codes, round-trips."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import wallforms
 from wallforms.cli import main
 
 H4F2_DOC = {
@@ -303,3 +312,138 @@ def test_malformed_structure_is_parse_error(tmp_path, capsys):
                 dict(GF7_DOC, reflection_words=[[5]])):
         _expect_parse_error(tmp_path, capsys, doc)
 
+
+def test_oversized_exponent_is_parse_error(tmp_path, capsys):
+    # 1 << 99999999999 used to be computed before any check (MemoryError, exit 1)
+    for key in ("q_upper", "tau"):
+        _expect_parse_error(tmp_path, capsys, _with_entry(R2T_DOC, key, "t^99999999999"))
+    _expect_parse_error(tmp_path, capsys, dict(H4F2_DOC, field="gf(4;x^99999999999)"))
+    doc = dict(R2T_DOC, q_upper=[["t^100/t^99", "1"], ["0", "0"]])  # still read as t
+    code, out = _run(capsys, "analyze", "--space", _write(tmp_path, doc))
+    assert code == 0
+    assert out["space"]["q_upper"] == R2T_DOC["q_upper"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _run_in_subprocess(*argv):
+    src = os.path.dirname(os.path.dirname(wallforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "wallforms.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_calls_in_one_process_print_what_separate_processes_print(tmp_path, capsys):
+    h4 = _write(tmp_path, H4F2_DOC, "h4.json")
+    r2 = _write(tmp_path, R2T_DOC, "r2.json")
+    requests = [("analyze", "--space", r2), ("decompose", "--space", h4),
+                ("clifford", "--space", r2), ("verify", "--space", h4, "--theorem", "res")]
+    in_process = []
+    for argv in requests:
+        code = main(list(argv))
+        in_process.append((code, capsys.readouterr().out))
+    assert in_process == [_run_in_subprocess(*argv) for argv in requests]
+
+
+def test_argparse_exit_leaves_the_parser_usable(tmp_path, capsys):
+    path = _write(tmp_path, H4F2_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--space", path])  # --theorem is required
+    assert exc.value.code == 2
+    assert "--theorem" in capsys.readouterr().err
+    code, out = _run(capsys, "verify", "--space", path, "--theorem", "char")
+    assert code == 0
+    assert out["theorem"] == "char"
+    code, out = _run(capsys, "analyze", "--space", path)
+    assert code == 0
+
+
+def test_help_exits_zero_and_repeats(capsys):
+    texts = []
+    for argv in (["--help"], ["analyze", "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[2]
+    assert "analyze" in texts[0] and "--space" in texts[1]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: generated problem documents exit 0/2/3/4, never with a traceback
+# ---------------------------------------------------------------------------
+
+_VARS = {"gf(2)": "x", "gf(4)": "w", "gf(8)": "w", "gf(7)": "", "gf(97)": "", "gf2(t)": "t"}
+
+
+def _poly_literals(var):
+    if not var:
+        return st.integers(-200, 200).map(str)
+    term = st.one_of(st.just("1"), st.just(var),
+                     st.integers(0, 12).map(lambda e: f"{var}^{e}"))
+    return st.lists(term, min_size=1, max_size=4).map("+".join)
+
+
+def _entries(field):
+    var = _VARS[field]
+    valid = _poly_literals(var)
+    if field == "gf2(t)":
+        valid = st.one_of(valid, st.tuples(valid, valid).map(lambda p: f"({p[0]})/({p[1]})"))
+    invalid = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.none(),
+        st.integers(-10**30, 10**30),
+        st.sampled_from(["t^99999999999", f"{var or 't'}^-1", f"{var or 't'}^1.5",
+                         "1/0", "t/t/t", "", "+", "x^", "(t", "1/(t^2+t)", "w+x"]),
+        st.text(max_size=6),
+    )
+    return st.one_of(valid, valid, valid, invalid)
+
+
+def _square(field, dim):
+    return st.lists(st.lists(_entries(field), min_size=dim, max_size=dim),
+                    min_size=dim, max_size=dim)
+
+
+@st.composite
+def _problem_docs(draw):
+    field = draw(st.sampled_from(sorted(_VARS)))
+    dim = draw(st.integers(1, 4))
+    doc = {"field": field, "dim": dim, "q_upper": draw(_square(field, dim))}
+    if draw(st.booleans()):
+        doc["tau"] = draw(st.one_of(_square(field, dim), _square(field, dim),
+                                    st.sampled_from([[], 5, "tau", [[]]])))
+    if draw(st.booleans()):
+        vector = st.lists(_entries(field), min_size=dim, max_size=dim)
+        doc["reflection_words"] = draw(st.one_of(
+            st.lists(st.lists(vector, min_size=1, max_size=2), max_size=2),
+            st.sampled_from([5, [5], [[5]], [[[]]]])))
+    # wrong shapes: a dropped key or a field, dim or matrix of the wrong kind
+    wrong = draw(st.sampled_from([None, None, None, "drop", "field", "dim", "q_upper"]))
+    if wrong == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif wrong == "field":
+        doc["field"] = draw(st.sampled_from([5, None, True, ["gf(2)"], "gf(9)", "gf(1)", "gf2(s)"]))
+    elif wrong == "dim":
+        doc["dim"] = draw(st.sampled_from([0, -1, dim + 1, 2.5, True, "2", None]))
+    elif wrong == "q_upper":
+        doc["q_upper"] = draw(st.sampled_from([[], [[]], 5, "q", [["1"] * dim]]))
+    return draw(st.one_of(st.just(doc), st.just(doc), st.just(doc),
+                          st.sampled_from([[doc], "doc", 5, None])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_problem_docs(), st.sampled_from(["analyze", "decompose", "clifford"]))
+def test_fuzzed_documents_exit_with_a_documented_code(doc, command):
+    out = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--space", "-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4)
+    assert isinstance(json.loads(out.getvalue()), dict)

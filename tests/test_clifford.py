@@ -685,3 +685,14 @@ def test_corrupted_structure_constant_fails_multiplicativity(monkeypatch, h4f2, 
     monkeypatch.setattr(clifford, "algebra_for_space", lambda space: alg)
     with pytest.raises(InvariantViolation, match="isomorphism is not multiplicative"):
         wf.explicit_matrix_iso(tau_int)
+
+
+def test_natural_involution_is_kept_per_isometry_and_algebra(tau_int, h4f2, alg_h4f2):
+    tau = wf.Isometry(h4f2, tau_int.mat)
+    j = wf.natural_involution(tau, alg_h4f2)
+    again = wf.natural_involution(tau, alg_h4f2)
+    assert again.images is j.images and again.matrix is j.matrix and again.tau is tau
+    other = wf.CliffordAlgebra.from_space(h4f2)  # a second algebra object of the space
+    j_other = wf.natural_involution(tau, other)
+    assert j_other.algebra is other and j_other.matrix == j.matrix
+    assert wf.natural_involution(tau, alg_h4f2).images is j.images

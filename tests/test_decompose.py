@@ -227,3 +227,22 @@ def test_decompose_computes_the_wall_form_once(tau_int, tau_r4t, monkeypatch):
         calls.clear()
         wf.decompose(tau)
         assert calls == [tau]
+
+
+def test_validate_rejects_a_block_action_that_does_not_reassemble(tau_r4t, ft):
+    d = wf.decompose(tau_r4t)
+    blk = d.blocks[0]
+    # t * preimage spans the same plane, but tau does not act on it as the block claims
+    scaled = type(blk)(blk.u, tuple(ft.t * c for c in blk.preimage), blk.plane)
+    bad = wf.Decomposition(tau_r4t, d.fixed_complement, (scaled,) + d.blocks[1:])
+    assert reassemble(bad) != tau_r4t.mat
+    with pytest.raises(wf.WallformsError, match="reassembled"):
+        validate_decomposition(bad)
+
+
+def test_validate_rejects_dependent_decomposition_vectors(tau_r4t):
+    d = wf.decompose(tau_r4t)
+    blk = d.blocks[0]
+    twice = wf.Decomposition(tau_r4t, d.fixed_complement, (blk, blk))
+    with pytest.raises(wf.WallformsError):
+        validate_decomposition(twice)

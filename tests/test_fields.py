@@ -1,6 +1,7 @@
 """Field arithmetic: examples checked against independent oracles, plus
 axiom property tests (exhaustive on GF(2)/GF(4), randomized elsewhere)."""
 
+import functools
 import itertools
 
 import pytest
@@ -276,3 +277,178 @@ def test_ratfunc_parse_rejects_double_slash(ft):
         ft.parse("t/t/t")
     with pytest.raises(ParseError):
         ft.parse("t^-2")
+
+
+# ---------------------------------------------------------------------------
+# polynomial literals: the exponent bound
+# ---------------------------------------------------------------------------
+
+def test_oversized_exponents_are_parse_errors(f4, ft):
+    big = wf.fields.MAX_LITERAL_EXPONENT + 1
+    for field, var in ((ft, "t"), (f4, "w")):
+        for lit in (f"{var}^{big}", f"{var}^99999999999", f"1+{var}^{big}"):
+            with pytest.raises(ParseError):
+                field.parse(lit)
+    with pytest.raises(ParseError):
+        ft.parse(f"1/t^{big}")
+    with pytest.raises(ParseError):
+        wf.parse_field("gf(4;x^99999999999)")
+
+
+def test_exponents_up_to_the_bound_still_parse(f4, ft):
+    top = wf.fields.MAX_LITERAL_EXPONENT
+    # far above the degree cap, and reduced to t before the cap is checked
+    assert ft.parse("t^100/t^99") == ft.t
+    assert ft.parse(f"t^{top}/t^{top - 1}") == ft.t
+    # w^3 = 1 in GF(4)
+    assert f4.parse(f"w^{top - 1}") == f4.one
+
+
+# ---------------------------------------------------------------------------
+# GF(2)(t) payload ops against a reference that reduces every result
+# ---------------------------------------------------------------------------
+
+def _clmul_ref(a, b):
+    out = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            out ^= a << i
+    return out
+
+
+def _divmod_ref(a, b):
+    """Schoolbook long division, one quotient bit per degree from the top."""
+    if b == 0:
+        raise DivisionByZero("reference division by zero")
+    db = b.bit_length() - 1
+    q = 0
+    for i in range(a.bit_length() - 1, db - 1, -1):
+        if a >> i & 1:
+            q |= 1 << (i - db)
+            a ^= b << (i - db)
+    return q, a
+
+
+def _reduce_ref(num, den):
+    """The reduced fraction num/den by a plain gcd, or CapExceeded."""
+    if num == 0:
+        return (0, 1)
+    g = _poly_gcd_oracle(num, den)
+    num, den = _divmod_ref(num, g)[0], _divmod_ref(den, g)[0]
+    cap = wf.fields.MAX_POLY_DEGREE
+    if num.bit_length() - 1 > cap or den.bit_length() - 1 > cap:
+        raise CapExceeded("reference cap")
+    return (num, den)
+
+
+def _add_ref(a, b):
+    (an, ad), (bn, bd) = a, b
+    return _reduce_ref(_clmul_ref(an, bd) ^ _clmul_ref(bn, ad), _clmul_ref(ad, bd))
+
+
+def _mul_ref(a, b):
+    (an, ad), (bn, bd) = a, b
+    return _reduce_ref(_clmul_ref(an, bn), _clmul_ref(ad, bd))
+
+
+def _div_ref(a, b):
+    if b[0] == 0:
+        raise DivisionByZero("reference division by zero")
+    return _mul_ref(a, (b[1], b[0]))
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except (CapExceeded, DivisionByZero) as exc:
+        return type(exc)
+
+
+# small irreducibles, so that random fractions share factors; degrees stay
+# below 44, within the cap, while sums and products cross it
+_FACTORS = (0b10, 0b11, 0b111, 0b1011, 0b1101, 0b10011)
+_polys = st.builds(
+    lambda factors, rest: functools.reduce(_clmul_ref, factors, rest),
+    st.lists(st.sampled_from(_FACTORS), max_size=8),
+    st.integers(1, (1 << 12) - 1),
+)
+_fractions = st.builds(_reduce_ref, _polys, _polys)
+_zero = st.just((0, 1))
+_den_one = st.builds(lambda n: (n, 1), _polys)
+
+
+def _strip(n, d):
+    """n with every factor it shares with d divided out."""
+    g = _poly_gcd_oracle(n, d)
+    while g != 1:
+        n = _divmod_ref(n, g)[0]
+        g = _poly_gcd_oracle(n, d)
+    return n
+
+
+_equal_dens = st.builds(lambda n1, n2, d: ((_strip(n1, d), d), (_strip(n2, d), d)),
+                        _polys, _polys, _polys)
+_operand = st.one_of(_zero, _den_one, _fractions)
+_pairs = st.one_of(st.tuples(_operand, _operand), _equal_dens)
+
+_RATFUNC_OPS = (
+    (FT.add, _add_ref), (FT.sub, _add_ref), (FT.mul, _mul_ref), (FT.div, _div_ref),
+)
+
+
+def _check_ops_against_reference(a, b):
+    assert FT.is_payload(a) and FT.is_payload(b)
+    for op, ref in _RATFUNC_OPS:
+        for x, y in ((a, b), (b, a)):
+            got = _outcome(op, x, y)
+            assert got == _outcome(ref, x, y), (op.__name__, x, y)
+            if isinstance(got, tuple):
+                assert FT.is_payload(got)
+                assert _poly_gcd_oracle(*got) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs)
+def test_ratfunc_payload_ops_match_reduce_every_result_reference(pair):
+    _check_ops_against_reference(*pair)
+
+
+def _tpow(base, e):
+    return functools.reduce(_clmul_ref, [base] * e, 1)
+
+
+def test_ratfunc_ops_at_the_degree_cap():
+    t, t1 = 0b10, 0b11
+    # (t+1)^40/t^10 * t^30/(t+1)^35: unreduced numerator of degree 70,
+    # reduced t^20 (t+1)^5 = t^25+t^24+t^21+t^20
+    a = (_tpow(t1, 40), _tpow(t, 10))
+    b = (_tpow(t, 30), _tpow(t1, 35))
+    assert FT.mul(a, b) == FT.parse("t^25+t^24+t^21+t^20").payload
+    with pytest.raises(CapExceeded):
+        FT.mul((_tpow(t, 40), 1), (_tpow(t, 30), 1))
+    cases = [
+        (a, b),
+        ((_tpow(t, 40), 1), (_tpow(t, 30), 1)),
+        ((1, _tpow(t, 40)), (1, _clmul_ref(_tpow(t, 40), t1))),  # reduced den 41
+        ((1, _tpow(t, 64)), (1, t1)),                              # den 65
+        ((1, _tpow(t, 64)), (1, 1)),
+        ((_tpow(t, 64), 1), (1, _tpow(t, 64))),
+        ((_tpow(t1, 33), _tpow(t, 32)), (_tpow(t, 32), _tpow(t1, 32))),
+    ]
+    for x, y in cases:
+        _check_ops_against_reference(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1 << 80), st.integers(0, 1 << 40))
+def test_poly_division_and_gcd_match_reference_loops(a, b):
+    if b == 0:
+        for op in (wf.fields.poly_divmod, wf.fields.poly_mod):
+            with pytest.raises(DivisionByZero):
+                op(a, b)
+    else:
+        q, r = _divmod_ref(a, b)
+        assert wf.fields.poly_divmod(a, b) == (q, r)
+        assert wf.fields.poly_mod(a, b) == r
+    assert wf.fields.poly_gcd(a, b) == _poly_gcd_oracle(a, b)
+    assert wf.fields.poly_mul(a, b) == _clmul_ref(a, b) == wf.fields.poly_mul(b, a)

@@ -240,3 +240,87 @@ def test_spinor_norm_uu_insertion_invariance(r4t, ft):
 def test_word_factors_must_be_anisotropic(h4f2):
     with pytest.raises(IsotropicVector):
         wf.ReflectionWord(h4f2, (h4f2.basis_vector(0),))
+
+
+def _index_by_powers(tau):
+    """Least k <= n with (M - I)^k = 0 (0 for the identity), or None:
+    every power up to n is formed."""
+    n = tau.space.dim
+    delta = tau.mat - wf.Matrix.identity(tau.space.field, n)
+    if delta.is_zero():
+        return 0
+    power = delta
+    for k in range(1, n + 1):
+        if power.is_zero():
+            return k
+        power = power * delta
+    return None
+
+
+def _random_reflection_words(space, count, rng):
+    elems = list(space.field.elements())
+    taus = []
+    while len(taus) < count:
+        tau = wf.identity_isometry(space)
+        for _ in range(rng.randrange(1, 5)):
+            while True:
+                v = tuple(rng.choice(elems) for _ in range(space.dim))
+                if space.eval_q(v):
+                    break
+            tau = tau * wf.reflection(space, v)
+        taus.append(tau)
+    return taus
+
+
+def test_unipotency_index_matches_every_power(h4f2, h4f7, f2):
+    group = wf.enumerate_orthogonal_group(h4f2)
+    taus = list(group.isometries())
+    taus += _random_reflection_words(h4f7, 40, random.Random(3))
+    big = h4f2.orthogonal_sum(wf.QuadraticSpace.hyperbolic(f2, 1))
+    taus += _random_reflection_words(big, 40, random.Random(4))
+    seen = set()
+    for tau in taus:
+        expected = _index_by_powers(tau)
+        assert tau.unipotency_index() == expected
+        seen.add(expected)
+    assert {0, 2, None} <= seen and len(seen) >= 4  # index 3 or more occurs
+
+
+def test_unipotency_index_ratfunc_words(r4t, ft):
+    rng = random.Random(5)
+    for _ in range(12):
+        tau = wf.identity_isometry(r4t)
+        for _ in range(rng.randrange(1, 4)):
+            while True:
+                v = tuple(ft.fraction(rng.randrange(8), 1) for _ in range(4))
+                if r4t.eval_q(v):
+                    break
+            tau = tau * wf.reflection(r4t, v)
+        assert tau.unipotency_index() == _index_by_powers(tau)
+
+
+def test_derived_data_is_kept_and_matches_a_fresh_isometry(h4f2, tau_int):
+    fresh = wf.Isometry(h4f2, tau_int.mat)
+    for name in ("displacement", "fixed_space", "residual_space", "is_involution",
+                 "is_unipotent2", "unipotency_index"):
+        first = getattr(tau_int, name)()
+        assert getattr(tau_int, name)() is first
+        assert getattr(wf.Isometry(h4f2, tau_int.mat), name)() == first
+    assert wf.wall_form(tau_int) == wf.wall_form(fresh)
+    # the kept values take no part in equality or hashing
+    assert fresh == tau_int and hash(fresh) == hash(tau_int)
+    assert repr(fresh) == repr(wf.Isometry(h4f2, tau_int.mat))
+
+
+def test_a_failed_derivation_is_not_kept(h4f2, tau_int):
+    tau = wf.Isometry(h4f2, tau_int.mat)
+    calls = []
+
+    def failing(t):
+        calls.append(t)
+        raise PreconditionError("no value")
+
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            tau.derived("probe", failing)
+    assert calls == [tau, tau]

@@ -294,3 +294,26 @@ def test_form_matrix_canonicalization(f7):
     for coords in rng_vals:
         v = tuple(f7.from_int(c) for c in coords)
         assert upper.eval_q(v) == lower.eval_q(v) == split.eval_q(v)
+
+
+def _regular_by_intersection(s):
+    return s.intersection(s.orthogonal_complement()).dim == 0
+
+
+def test_is_regular_matches_the_intersection_with_the_complement(h4f2, h4f7, r4t, f7, ft):
+    vectors = [tuple(h4f2.field.from_int(i >> j & 1) for j in range(4)) for i in range(16)]
+    flags = set()
+    for i, a in enumerate(vectors):
+        for b in vectors[i:]:
+            s = Subspace.from_vectors(h4f2, [a, b])
+            flags.add(s.is_regular())
+            assert s.is_regular() == _regular_by_intersection(s)
+    assert flags == {True, False}
+    rng = random.Random(13)
+    elems = list(f7.elements())
+    for space, pick in ((h4f7, lambda: rng.choice(elems)),
+                        (r4t, lambda: ft.fraction(rng.randrange(4), rng.randrange(1, 4)))):
+        for _ in range(30):
+            vecs = [tuple(pick() for _ in range(4)) for _ in range(rng.randrange(1, 4))]
+            s = Subspace.from_vectors(space, vecs)
+            assert s.is_regular() == _regular_by_intersection(s)

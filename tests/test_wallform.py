@@ -6,7 +6,7 @@ import random
 import pytest
 
 import wallforms as wf
-from wallforms.errors import NotSymmetric
+from wallforms.errors import InvariantViolation, NotSymmetric
 from wallforms.linalg import Matrix, vadd, vscale
 
 
@@ -157,3 +157,18 @@ def test_assoc_quadratic_requires_symmetry(h4f7):
     tau = wf.eichler(h4f7, e(0), e(2))  # antisymmetric, not symmetric
     with pytest.raises(NotSymmetric):
         wf.assoc_quadratic(wf.wall_form(tau))
+
+
+def test_coords_match_a_solve_in_the_residual_basis(h4f2, tau_int, tau_r4t, h4f7, f7):
+    eich = wf.eichler(h4f7, h4f7.basis_vector(0), h4f7.basis_vector(2))
+    for tau in (tau_int, tau_r4t, eich):
+        w = wf.wall_form(tau)
+        basis_t = Matrix(tau.space.field, w.basis).transpose()
+        for u in w.basis + tuple(vadd(a, b) for a in w.basis for b in w.basis):
+            assert w.coords(u) == basis_t.solve(u)
+        outside = [v for v in (tau.space.basis_vector(i) for i in range(tau.space.dim))
+                   if basis_t.solve(v) is None]
+        assert outside
+        for v in outside:
+            with pytest.raises(InvariantViolation):
+                w.coords(v)
