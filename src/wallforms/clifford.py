@@ -23,9 +23,15 @@ the involution type via 1 in Alt = im(id + J), the commutative subalgebra
 generated by a residual basis, alternating-generator witnesses, the
 multiset of diagonal residual-form values (a bilinear Pfister form datum),
 an explicit isomorphism to matrices with the transpose involution over
-finite fields (its final checks over all blades and all 4^n blade pairs
-run as batched products of payload arrays), conjugating elements for
-interchange isometries, and a tensor-factorization witness.
+finite fields, conjugating elements for interchange isometries, and a
+tensor-factorization witness.
+
+The matrix model of C(q) alone is built once per algebra and kept on it:
+orthogonal planes, each quaternion algebra split by a closed form, and
+Kronecker products.  Per involution only the transport form and the
+conjugation are computed.  The final checks over all blades and all 4^n
+blade pairs (batched products of payload arrays) are the model's only
+relation checks, and they run for every involution.
 """
 
 from __future__ import annotations
@@ -91,8 +97,9 @@ class CliffordAlgebra:
     :meth:`blade_mul`, the one source of structure constants.  Over GF(2^k)
     products are lookups in the field's product table and sums are XOR;
     over GF(2)(t) they are the field's payload ``mul`` and ``add``.  Table
-    entries are filled idempotently (a racing fill writes the same value),
-    so shared instances are safe for concurrent readers.
+    entries and the kept matrix model are filled idempotently (a racing
+    fill writes an equal value), so shared instances are safe for
+    concurrent readers.
     """
 
     def __init__(self, field: Field, qvals, bmat: Matrix, space: QuadraticSpace | None = None):
@@ -116,6 +123,7 @@ class CliffordAlgebra:
         self._mul = _kernel(field).mul
         self._push_memo: dict[tuple[int, int], dict[int, object]] = {}
         self._table: list[tuple | None] = [None] * (self.dim * self.dim)
+        self._model: tuple[Matrix, ...] | None = None  # see _base_model
 
     @classmethod
     def from_space(cls, space: QuadraticSpace) -> "CliffordAlgebra":
@@ -713,7 +721,7 @@ def pfister_invariant(tau: Isometry) -> PfisterDescriptor:
     if wf.is_alternating():
         gens = (field.one,) * wf.s
     else:
-        basis = orthogonal_basis(wf.form())
+        basis = wf.orthogonal_basis()
         gens = tuple(wf.evaluate(u, u) for u in basis)
         for u, g in zip(basis, gens):
             # diagonal values coincide with q on the residual space in char 2
@@ -744,7 +752,7 @@ def transpose_iso_criterion(tau: Isometry) -> TransposeCriterion:
     if wf.is_alternating():
         structure = "alternating"
     else:
-        diag = [wf.evaluate(u, u) for u in orthogonal_basis(wf.form())]
+        diag = [wf.evaluate(u, u) for u in wf.orthogonal_basis()]
         structure = "unit-diagonal" if all(field.is_square(d) for d in diag) else "fails"
     cond_s = structure != "fails"
     if not (cond_q == cond_w == cond_s):
@@ -755,91 +763,6 @@ def transpose_iso_criterion(tau: Isometry) -> TransposeCriterion:
 # ---------------------------------------------------------------------------
 # explicit matrix isomorphism
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1024)
-def _split_quaternion(field: Field, qa: FieldElement, qb: FieldElement):
-    """Images of the generators a, b of the quaternion algebra
-    (a^2 = qa, b^2 = qb, ab + ba = 1) under an isomorphism to M_2(F).
-
-    Works over any finite field of characteristic 2: find an element of
-    square 1, derive a nilpotent, pair it into a nontrivial idempotent and
-    build matrix units.  The result depends on (field, qa, qb) only and is
-    immutable, so it is kept for the next plane with the same values.
-    """
-    local = CliffordAlgebra(field, (qa, qb), Matrix.from_ints(field, [[0, 1], [1, 0]]))
-    one = local.one()
-
-    def vec(x, y):
-        return local.element({1: x, 2: y})
-
-    def qval(x, y):
-        return x * x * qa + y * y * qb + x * y
-
-    elems = [(x, y) for x in field.elements() for y in field.elements()]
-    v = next(((x, y) for x, y in elems if qval(x, y) == field.one), None)
-    if v is None:
-        raise InvariantViolation("binary form fails to represent 1 over a finite field")
-    vx, vy = v
-    nil = vec(vx, vy) + one  # (v + 1)^2 = q(v) + 1 = 0
-
-    idem = None
-    for wx, wy in elems:
-        # b(v, w) = vx wy + wx vy must be 1 so that nil*w + w*nil = 1
-        if vx * wy + wx * vy != field.one:
-            continue
-        cand = nil * vec(wx, wy)
-        if cand * cand == cand and not cand.is_zero() and cand != one:
-            idem = cand
-            break
-    if idem is None:
-        raise InvariantViolation("no nontrivial idempotent found in a split quaternion")
-
-    e11 = idem
-    e22 = one + idem
-    blades = [local.basis_blade(b) for b in range(4)]
-    e12 = next((e11 * c * e22 for c in blades if not (e11 * c * e22).is_zero()), None)
-    e21 = None
-    for c in blades:
-        cand = e22 * c * e11
-        if cand.is_zero():
-            continue
-        prod = e12 * cand
-        # prod must be a nonzero multiple of e11
-        lam = None
-        for b, coeff in prod.coeffs.items():
-            ref = e11.coeffs.get(b)
-            if ref is None:
-                lam = None
-                break
-            r = coeff / ref
-            if lam is None:
-                lam = r
-            elif lam != r:
-                lam = None
-                break
-        if lam and prod == e11.scale(lam):
-            e21 = cand.scale(field.one / lam)
-            break
-    if e12 is None or e21 is None:
-        raise InvariantViolation("matrix units could not be built")
-    units = (e11, e12, e21, e22)
-    if (e12 * e21 != e11 or e21 * e12 != e22 or e11 + e22 != one
-            or e11 * e12 != e12 or e12 * e22 != e12):
-        raise InvariantViolation("matrix unit relations failed")
-
-    # coordinates of a local element in the matrix-unit basis
-    unit_cols = from_columns(field, [local.coeff_vector(u) for u in units])
-
-    def to_matrix(elt):
-        coords = unit_cols.solve(local.coeff_vector(elt))
-        if coords is None:
-            raise InvariantViolation("matrix units do not span the quaternion algebra")
-        return Matrix(field, [[coords[0], coords[1]], [coords[2], coords[3]]])
-
-    mat_a = to_matrix(local.basis_blade(1))
-    mat_b = to_matrix(local.basis_blade(2))
-    return mat_a, mat_b
-
 
 @dataclass(frozen=True)
 class MatrixIso:
@@ -854,11 +777,69 @@ class MatrixIso:
         return _apply_images(self.blade_images, self.algebra, a)
 
 
+def _quaternion_matrices(field: Field, qa: FieldElement, qb: FieldElement) -> tuple[Matrix, Matrix]:
+    """Images A, B in M_2(F) of the generators of the quaternion algebra
+    a^2 = qa, b^2 = qb, ab + ba = 1, over a finite field of characteristic
+    2: A = [[0, qa], [1, 0]] and B = [[s, 1], [0, s]] with s^2 = qb (every
+    element of such a field is a square)."""
+    z, o, s = field.zero, field.one, field.sqrt(qb)
+    return Matrix(field, [[z, qa], [o, z]]), Matrix(field, [[s, o], [z, s]])
+
+
+def _base_model(alg: CliffordAlgebra) -> tuple[Matrix, ...]:
+    """The image of every blade under an isomorphism f of C(q) with the
+    matrix algebra M_N(F), N = 2^(n/2), over a finite field of
+    characteristic 2.  It does not depend on an involution, so it is built
+    on first use and kept on the algebra.
+
+    V splits into orthogonal planes (a_k, b_k) with b(a_k, b_k) = 1, so
+    C(q) is the tensor product of the quaternion algebras they generate:
+    plane k maps to the Kronecker product of :func:`_quaternion_matrices`
+    in factor k with identities in the others."""
+    if alg._model is not None:
+        return alg._model
+    space, field, n = alg.space, alg.field, alg.n
+    whole = SymBilinearForm(
+        field, tuple(space.basis_vector(i) for i in range(n)), space.gram, space
+    )
+    plane_pairs = hyperbolic_basis_alternating(whole)
+    ident2 = Matrix.identity(field, 2)
+    plane_images = []  # f(a_1), f(b_1), f(a_2), ...
+    for k, (a_vec, b_vec) in enumerate(plane_pairs):
+        for mat2 in _quaternion_matrices(field, space.eval_q(a_vec), space.eval_q(b_vec)):
+            img = Matrix.identity(field, 1)
+            for i in range(len(plane_pairs)):
+                img = kron(img, mat2 if i == k else ident2)
+            plane_images.append(img)
+    size = 1 << len(plane_pairs)
+    # column i of the inverse change of basis holds e_i in plane coordinates
+    to_planes = from_columns(field, [v for pair in plane_pairs for v in pair]).inverse()
+    f_gen = []
+    for i in range(n):
+        img = Matrix.zeros(field, size, size)
+        for c, plane_img in zip(to_planes.col(i), plane_images):
+            if c:
+                img = img + plane_img.scale(c)
+        f_gen.append(img)
+    blade_images = [Matrix.identity(field, size)]
+    for blade in range(1, alg.dim):
+        top = blade.bit_length() - 1
+        blade_images.append(blade_images[blade ^ (1 << top)] * f_gen[top])
+    alg._model = tuple(blade_images)
+    return alg._model
+
+
 def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     """Build and verify an isomorphism of (C(q), J) with the full matrix
-    algebra carrying the transpose involution.  Finite fields only.  Every
-    call runs the generator relations and the final checks of
-    :func:`_verify_matrix_iso` over all blades and blade pairs."""
+    algebra carrying the transpose involution.  Finite fields only.
+
+    The model f of C(q) does not depend on tau and is built once per
+    algebra (:func:`_base_model`).  Per tau, G = H^T H solves
+    G f(J(e_i)) = f(e_i)^T G, and every blade image is conjugated by H.
+    The final checks of :func:`_verify_matrix_iso`, over all blades and
+    all 4^n blade pairs, run on every call and are the only relation
+    checks: the pair (e_i, e_i) gives f(e_i)^2 = q(e_i) I, and the pairs
+    (e_i, e_j) and (e_j, e_i) give the polar relation."""
     space = tau.space
     field = space.field
     criterion = transpose_iso_criterion(tau)
@@ -869,63 +850,13 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
 
     alg = algebra_for_space(space)
     inv = natural_involution(tau, alg)
-    n = space.dim
-    size = 1 << (n // 2)
-
-    # split V into orthogonal regular planes (the polar form is alternating)
-    whole = SymBilinearForm(
-        field, tuple(space.basis_vector(i) for i in range(n)), space.gram, space
-    )
-    plane_pairs = hyperbolic_basis_alternating(whole)
-    m = len(plane_pairs)
-
-    gen_images_per_plane = []
-    for a_vec, b_vec in plane_pairs:
-        mat_a, mat_b = _split_quaternion(field, space.eval_q(a_vec), space.eval_q(b_vec))
-        gen_images_per_plane.append((mat_a, mat_b))
-
-    def embed(k: int, mat2: Matrix) -> Matrix:
-        out = None
-        for i in range(m):
-            factor = mat2 if i == k else Matrix.identity(field, 2)
-            out = factor if out is None else kron(out, factor)
-        return out if out is not None else Matrix.identity(field, 1)
-
-    # images of the original generators e_i via the plane-basis coordinates
-    new_basis = []
-    for a_vec, b_vec in plane_pairs:
-        new_basis.extend([a_vec, b_vec])
-    change = from_columns(field, new_basis)
-    f_gen = []
-    for i in range(n):
-        coords = change.solve(space.basis_vector(i))
-        if coords is None:
-            raise InvariantViolation("plane vectors do not span the space")
-        img = Matrix.zeros(field, size, size)
-        for j, c in enumerate(coords):
-            if not c:
-                continue
-            k, which = divmod(j, 2)
-            img = img + embed(k, gen_images_per_plane[k][which]).scale(c)
-        f_gen.append(img)
-
-    ident = Matrix.identity(field, size)
-    for i in range(n):
-        if f_gen[i] * f_gen[i] != ident.scale(alg.qvals[i]):
-            raise InvariantViolation("generator image has the wrong square")
-        for j in range(i + 1, n):
-            anti = f_gen[i] * f_gen[j] + f_gen[j] * f_gen[i]
-            if anti != ident.scale(space.gram[i, j]):
-                raise InvariantViolation("generator images break the polar relation")
-
-    blade_images = [ident]
-    for blade in range(1, alg.dim):
-        top = blade.bit_length() - 1
-        blade_images.append(blade_images[blade ^ (1 << top)] * f_gen[top])
+    blade_images = _base_model(alg)
+    size = blade_images[0].nrows
+    f_gen = [blade_images[1 << i] for i in range(alg.n)]
 
     # involution transport: G f(J(e_i)) = f(e_i)^T G, then G = H^T H
     g_mat = _solve_involution_gram(field, size, f_gen, [
-        _apply_images(blade_images, alg, inv.images[1 << i]) for i in range(n)
+        _apply_images(blade_images, alg, inv.images[1 << i]) for i in range(alg.n)
     ])
     sym_form = SymBilinearForm(
         field, tuple(unit_vector(field, size, i) for i in range(size)), g_mat

@@ -32,7 +32,7 @@ from .errors import (
     ZeroDiagonal,
 )
 from .linalg import Matrix, Vector, block_diag, from_columns, vadd, vscale, vsub
-from .quadspace import Subspace, complement_in, hyperbolic_basis_alternating, orthogonal_basis
+from .quadspace import Subspace, complement_in, hyperbolic_basis_alternating
 from .isometry import Isometry, eichler
 from .wallform import WallForm, wall_form
 
@@ -272,7 +272,7 @@ def decompose(tau: Isometry) -> Decomposition:
             current = current.intersection(blk.subspace().orthogonal_complement())
     else:
         # antisymmetric yet nonalternating residual forms exist only in char 2
-        for u in orthogonal_basis(wf.form()):
+        for u in wf.orthogonal_basis():
             if not current.contains(u):
                 raise InvariantViolation("residual vector left the running complement")
             blk = reflection_block(tau, u, wf, within=current)
@@ -307,38 +307,35 @@ def reassemble(d: Decomposition) -> Matrix:
 
 def validate_decomposition(d: Decomposition, wf: WallForm | None = None):
     """Raise InvariantViolation unless `d` is a valid decomposition of its
-    isometry.  `wf` is the Wall form of ``d.tau`` if already computed."""
+    isometry.  `wf` is the Wall form of ``d.tau`` if already computed.
+
+    Besides the block kind/count law, three matrix facts on P (columns the
+    summand vectors) and D (the claimed actions) are checked: det P != 0,
+    P^T B P is zero outside the summands' diagonal blocks, and M P = P D.
+    They imply the rest: each summand is regular, as
+    det(P^T B P) = det(P)^2 det(B) != 0; tau fixes W pointwise; and the
+    summand dimensions add up to dim V (P is square)."""
     tau, space = d.tau, d.tau.space
     if wf is None:
         wf = wall_form(tau)
     elif wf.tau != tau:
         raise PreconditionError("the Wall form belongs to another isometry")
     s = wf.s
-    parts = [d.fixed_complement] + [blk.subspace() for blk in d.blocks]
-    if sum(p.dim for p in parts) != space.dim:
-        raise InvariantViolation("decomposition dimensions do not sum to dim V")
-    for p in parts:
-        if not p.is_regular():
-            raise InvariantViolation("a summand is not regular")
-    for i, p in enumerate(parts):
-        for pq in parts[i + 1:]:
-            for v1 in p.vectors():
-                for v2 in pq.vectors():
-                    if space.eval_b(v1, v2):
-                        raise InvariantViolation("summands are not orthogonal")
-    for v in d.fixed_complement.vectors():
-        if tau.apply(v) != v:
-            raise InvariantViolation("tau does not fix the identity summand")
     if wf.is_alternating():
         if any(blk.kind != "interchange" for blk in d.blocks) or 2 * d.m != s:
             raise InvariantViolation("alternating case must give s/2 interchange blocks")
     else:
         if any(blk.kind != "reflection" for blk in d.blocks) or d.m != s:
             raise InvariantViolation("nonalternating case must give s reflection blocks")
-    # reassemble(d) == tau.mat, checked without the inverse: P D P^-1 = M
-    # iff P is invertible and M P = P D
     p, local = _block_basis(d)
     if not p.det():
         raise InvariantViolation("decomposition vectors do not form a basis")
+    summand = [0] * d.fixed_complement.dim
+    for k, blk in enumerate(d.blocks, 1):
+        summand += [k] * len(blk.vectors())
+    gram = (p.transpose() * space.gram * p).rows
+    if any(c for i, row in enumerate(gram) for j, c in enumerate(row) if summand[i] != summand[j]):
+        raise InvariantViolation("summands are not orthogonal")
+    # reassemble(d) == tau.mat without the inverse: P D P^-1 = M iff M P = P D
     if tau.mat * p != p * local:
         raise InvariantViolation("reassembled blocks do not reproduce tau")

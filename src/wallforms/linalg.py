@@ -574,10 +574,6 @@ def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
 def vscale(c: FieldElement, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 

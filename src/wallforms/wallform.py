@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, NotSymmetric
 from .fields import FieldElement
 from .linalg import Matrix, Vector, bilinear
-from .quadspace import SymBilinearForm, Subspace
+from .quadspace import SymBilinearForm, Subspace, orthogonal_basis
 from .isometry import Isometry
 
 
@@ -41,6 +41,11 @@ class WallForm:
         return SymBilinearForm(
             self.tau.space.field, self.basis, self.gram, self.tau.space
         )
+
+    def orthogonal_basis(self) -> tuple[Vector, ...]:
+        """An orthogonal basis of the residual form (nonalternating forms
+        only), computed once per isometry and kept with its Wall form."""
+        return self.tau.derived("orthogonal_basis", _orthogonal_residual_basis)
 
     def carrier(self) -> Subspace:
         return self._carrier
@@ -75,6 +80,12 @@ def wall_form(tau: Isometry) -> WallForm:
     built and checked once per isometry; the isometry keeps only those, so
     that it holds no reference to itself."""
     return WallForm(tau, *tau.derived("wall_form", _wall_form_parts))
+
+
+def _orthogonal_residual_basis(tau: Isometry) -> tuple[Vector, ...]:
+    # from the kept parts, not the WallForm, which refers back to tau
+    basis, _, gram = tau.derived("wall_form", _wall_form_parts)
+    return orthogonal_basis(SymBilinearForm(tau.space.field, basis, gram, tau.space))
 
 
 def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, ...], Matrix]:

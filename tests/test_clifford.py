@@ -1,5 +1,6 @@
 """Clifford algebras, the induced involution, and the invariant suite."""
 
+import functools
 import itertools
 import random
 
@@ -325,6 +326,73 @@ def test_explicit_iso_r2t_criterion_fails(tau_r2t):
         wf.explicit_matrix_iso(tau_r2t)
 
 
+@pytest.mark.parametrize("literal", ["gf(2)", "gf(4;x^2+x+1)", "gf(8)"])
+def test_quaternion_closed_form_splits_every_plane(literal):
+    field = wf.parse_field(literal)
+    ident = Matrix.identity(field, 2)
+    for qa, qb in itertools.product(field.elements(), repeat=2):
+        a, b = clifford._quaternion_matrices(field, qa, qb)
+        assert a * a == ident.scale(qa) and b * b == ident.scale(qb)
+        assert a * b + b * a == ident
+        flat = Matrix(field, [sum(m.rows, ()) for m in (ident, a, b, a * b)])
+        assert flat.rank() == 4
+
+
+def test_explicit_iso_gf8(f8):
+    w = f8.parse("w")
+    plane = wf.QuadraticSpace.from_q_upper(f8, Matrix(f8, [[w, f8.one], [f8.zero, w * w]]))
+    h4f8 = wf.QuadraticSpace.hyperbolic(f8, 2)
+    for tau, size in ((wf.reflection(plane, (f8.one, w)), 2),
+                      (wf.eichler(h4f8, h4f8.basis_vector(0), h4f8.basis_vector(2)), 4)):
+        iso = wf.explicit_matrix_iso(tau)
+        assert iso.size == size
+        _verify_matrix_iso(iso, wf.natural_involution(tau, iso.algebra))
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Count the calls to `name` made through each of `modules`."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    return calls
+
+
+def test_residual_orthogonal_basis_is_computed_once(tau_r4t, monkeypatch):
+    from wallforms import wallform
+    calls = _count_calls(monkeypatch, (wallform, clifford), "orthogonal_basis")
+    tau = wf.Isometry(tau_r4t.space, tau_r4t.mat)
+    gens = wf.pfister_invariant(tau).generators
+    assert not wf.transpose_iso_criterion(tau).holds
+    assert not wf.transpose_iso_criterion(tau).holds
+    d = wf.decompose(tau)
+    assert len(calls) == 1
+    assert [blk.u for blk in d.blocks] == list(wf.wall_form(tau).orthogonal_basis())
+    assert gens == tuple(tau.space.eval_q(blk.u) for blk in d.blocks)
+
+
+def test_clif_runner_evaluates_the_criterion_once_per_element(h4f2, monkeypatch):
+    from wallforms import oracle
+    modules = [m for m in (clifford, oracle) if hasattr(m, "transpose_iso_criterion")]
+    calls = _count_calls(monkeypatch, modules, "transpose_iso_criterion")
+    report = wf.exhaustive_verify("clif", h4f2)
+    assert report.checked > 0 and report.failed == 0
+    assert len(calls) == report.checked
+
+
+def test_matrix_model_is_built_once_per_algebra(f8, monkeypatch):
+    h4f8 = wf.QuadraticSpace.hyperbolic(f8, 2)
+    fresh = functools.lru_cache(maxsize=None)(CliffordAlgebra.from_space)
+    monkeypatch.setattr(clifford, "algebra_for_space", fresh)
+    calls = _count_calls(monkeypatch, (clifford,), "hyperbolic_basis_alternating")
+    e = h4f8.basis_vector
+    isos = [wf.explicit_matrix_iso(wf.eichler(h4f8, e(0), e(2))),
+            wf.explicit_matrix_iso(wf.eichler(h4f8, e(1), e(3)))]
+    assert len(calls) == 1
+    assert isos[0].algebra is isos[1].algebra is fresh(h4f8)
+
+
 # ---------------------------------------------------------------------------
 # conjugating elements
 # ---------------------------------------------------------------------------
@@ -511,11 +579,13 @@ CLIFFORD_FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(8)", "gf2(t)"]
 
 
 @st.composite
-def _scalar(draw, field, nonzero=False):
+def _scalar(draw, field, nonzero=False, bound=15):
+    """Zero, or a nonzero element; over GF(2)(t) a fraction whose numerator
+    and denominator are polynomials with bit patterns 1..`bound`."""
     if not nonzero and draw(st.integers(0, 2)) == 0:
         return field.zero
     if field.kind == "ratfunc":
-        return field.fraction(draw(st.integers(1, 15)), draw(st.integers(1, 15)))
+        return field.fraction(draw(st.integers(1, bound)), draw(st.integers(1, bound)))
     return field.element(draw(st.integers(1, field.order() - 1)))
 
 
@@ -585,19 +655,22 @@ def test_generator_relations(literal, data):
 @st.composite
 def _involution(draw, field):
     """A reflection, or a product of two commuting reflections, of a
-    random regular space of dimension 2 or 4."""
+    random regular space of dimension 2 or 4.  Over GF(2)(t) the space and
+    tau are drawn with degree-1 fractions: with degree 3, Clifford products
+    of random elements under tau can pass the field's degree cap."""
     n = draw(st.sampled_from([2, 4]))
-    rows = [[draw(_scalar(field)) if j >= i else field.zero for j in range(n)] for i in range(n)]
+    rows = [[draw(_scalar(field, bound=3)) if j >= i else field.zero for j in range(n)]
+            for i in range(n)]
     try:
         space = wf.QuadraticSpace.from_q_upper(field, Matrix(field, rows))
     except NotRegular:
         assume(False)
-    u = tuple(draw(_scalar(field)) for _ in range(n))
+    u = tuple(draw(_scalar(field, bound=3)) for _ in range(n))
     try:
         tau = wf.reflection(space, u)
     except IsotropicVector:
         assume(False)
-    v = tuple(draw(_scalar(field)) for _ in range(n))
+    v = tuple(draw(_scalar(field, bound=3)) for _ in range(n))
     if draw(st.booleans()) and space.eval_q(v) and not space.eval_b(u, v):
         tau = tau * wf.reflection(space, v)
     return tau

@@ -240,6 +240,21 @@ def test_validate_rejects_a_block_action_that_does_not_reassemble(tau_r4t, ft):
         validate_decomposition(bad)
 
 
+def test_validate_rejects_a_fixed_summand_that_is_not_orthogonal(f2):
+    h6f2 = wf.QuadraticSpace.hyperbolic(f2, 3)
+    e = h6f2.basis_vector
+    tau = wf.eichler(h6f2, e(0), e(2))
+    d = wf.decompose(tau)
+    (blk,) = d.blocks
+    w1, w2 = d.fixed_complement.vectors()
+    # tau fixes w1 + x and P stays invertible, but w1 + x pairs with y
+    moved = Subspace.from_vectors(h6f2, [vadd(w1, blk.x), w2])
+    assert all(tau.apply(v) == v for v in moved.vectors())
+    bad = wf.Decomposition(tau, moved, d.blocks)
+    with pytest.raises(wf.WallformsError, match="summands are not orthogonal"):
+        validate_decomposition(bad)
+
+
 def test_validate_rejects_dependent_decomposition_vectors(tau_r4t):
     d = wf.decompose(tau_r4t)
     blk = d.blocks[0]
