@@ -10,9 +10,12 @@ nonalternating (characteristic 2) and every V_i is a 2-dimensional
 reflection plane.  Block extraction follows the residual form: hyperbolic
 pairs give interchange blocks, orthogonal basis vectors give reflections.
 
-Every decomposition is validated before it is returned: the summands are
-regular, pairwise orthogonal and invariant, and reassembling the claimed
-block actions reproduces the isometry matrix exactly.
+Each block claims its action and its Gram matrix: an interchange frame
+(x, y, w, z) is hyperbolic; a reflection plane (u, v) has Gram
+[[0, q(u)], [q(u), 0]], as in characteristic 2 b(u, u) = b(v, v) = 0 and
+q(v + u) = q(v) gives b(u, v) = q(u).  One check (:func:`_check_blocks`)
+verifies the claims; the public block constructors run it on their block,
+and :func:`decompose` once on the whole decomposition.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from .errors import (
     CharacteristicNot2,
     InvariantViolation,
-    IsotropicVector,
     NotHyperbolicPair,
     NotInResidual,
     NotInterchange,
@@ -31,9 +33,9 @@ from .errors import (
     PreimageUnsolvable,
     ZeroDiagonal,
 )
-from .linalg import Matrix, Vector, block_diag, from_columns, vadd, vscale, vsub
+from .linalg import Matrix, Vector, block_diag, from_columns, vec_mat, vscale, vsub
 from .quadspace import Subspace, complement_in, hyperbolic_basis_alternating
-from .isometry import Isometry, eichler
+from .isometry import Isometry
 from .wallform import WallForm, wall_form
 
 
@@ -55,6 +57,10 @@ class ReflectionBlock:
         # action on the basis (u, v): u -> -u, v -> v + u
         one = field.one
         return Matrix(field, [[-one, one], [field.zero, one]])
+
+    def gram(self, space) -> Matrix:
+        qu, z = space.eval_q(self.u), space.field.zero
+        return Matrix(space.field, [[z, qu], [qu, z]])
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,11 @@ class InterchangeBlock:
             [z, o, o, z],
             [z, z, z, o],
         ])
+
+    def gram(self, space) -> Matrix:
+        # hyperbolic: b(x, y) = b(w, z) = 1, every other pairing zero
+        return Matrix.from_ints(space.field, [[0, 1, 0, 0], [1, 0, 0, 0],
+                                              [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 Block = ReflectionBlock | InterchangeBlock
@@ -124,10 +135,33 @@ def _solve_preimage(tau: Isometry, target: Vector, within: Subspace | None) -> V
     coeffs = (n_mat * within.basis.transpose()).solve(target)
     if coeffs is None:
         return None
-    y = tau.space.zero_vector()
-    for c, row in zip(coeffs, within.basis.rows):
-        y = vadd(y, vscale(c, row))
-    return y
+    return vec_mat(coeffs, within.basis)
+
+
+def _reflection(tau: Isometry, u: Vector, within: Subspace | None) -> ReflectionBlock:
+    """The reflection block of u, unchecked; `within` restricts the
+    preimage v of u to a subspace."""
+    v = _solve_preimage(tau, u, within)
+    if v is None:
+        raise PreimageUnsolvable("no preimage for a residual vector")
+    return ReflectionBlock(u, v, Subspace.from_vectors(tau.space, [u, v]))
+
+
+def _interchange(tau: Isometry, x: Vector, w: Vector, within: Subspace | None) -> InterchangeBlock:
+    """The interchange block of a residual hyperbolic pair (x, w), unchecked:
+    preimages y, z of w and -x, adjusted by fixed vectors so that
+    q(y) = q(z) = b(y, z) = 0, make the frame (x, y, w, z) with
+    tau(y) = y + w and tau(z) = z - x."""
+    space = tau.space
+    y = _solve_preimage(tau, w, within)
+    z = _solve_preimage(tau, tuple(-c for c in x), within)
+    if y is None or z is None:
+        raise PreimageUnsolvable("no preimage for a residual vector")
+    y = vsub(y, vscale(space.eval_q(y), x))
+    z = vsub(z, vscale(space.eval_q(z), w))
+    z = vsub(z, vscale(space.eval_b(y, z), x))
+    frame = (x, y, w, z)
+    return InterchangeBlock(*frame, Subspace.from_vectors(space, frame))
 
 
 def reflection_block(
@@ -137,71 +171,17 @@ def reflection_block(
     """The regular plane span(u, v) with tau acting as the reflection along u,
     where v solves (tau - id) v = u.  Requires characteristic 2, u in the
     residual space, and nonzero residual-form diagonal at u.  `within`
-    restricts the preimage to a subspace (used when peeling off blocks)."""
-    space = tau.space
-    if space.field.characteristic() != 2:
+    restricts the preimage to a subspace."""
+    if tau.space.field.characteristic() != 2:
         raise CharacteristicNot2("reflection blocks exist in characteristic 2 only")
     wf = wf if wf is not None else wall_form(tau)
     if not tau.residual_space().contains(u):
         raise NotInResidual("u is not in the residual space")
     if not wf.evaluate(u, u):
         raise ZeroDiagonal("residual form vanishes at u")
-    v = _solve_preimage(tau, u, within)
-    if v is None:
-        raise PreimageUnsolvable("no preimage for a residual vector")
-    plane = Subspace.from_vectors(space, [u, v])
-    if plane.dim != 2 or not plane.is_regular():
-        raise InvariantViolation("reflection block plane is not a regular plane")
-    qu = space.eval_q(u)
-    if not qu:
-        raise IsotropicVector("reflection requires q(u) != 0")
-    for vec in (u, v):
-        # the reflection along u, x -> x - (b(u, x) / q(u)) u, without its matrix
-        if tau.apply(vec) != vsub(vec, vscale(space.eval_b(u, vec) / qu, u)):
-            raise InvariantViolation("restriction to the block is not the reflection")
-    return ReflectionBlock(u, v, plane)
-
-
-def _normalized_interchange_frame(
-    tau: Isometry, x: Vector, w: Vector, within: Subspace | None = None
-) -> tuple[Vector, Vector, Vector, Vector]:
-    """Solve preimages for a residual hyperbolic pair (x, w) and normalize
-    them so that (x, y, w, z) is a hyperbolic basis with tau(y) = y + w and
-    tau(z) = z - x."""
-    space = tau.space
-    y = _solve_preimage(tau, w, within)
-    z = _solve_preimage(tau, tuple(-c for c in x), within)
-    if y is None or z is None:
-        raise PreimageUnsolvable("no preimage for a residual vector")
-    # adjust by fixed vectors: q(y') = 0, q(z') = 0, b(y', z') = 0
-    y = vsub(y, vscale(space.eval_q(y), x))
-    z = vsub(z, vscale(space.eval_q(z), w))
-    z = vsub(z, vscale(space.eval_b(y, z), x))
-    return (x, y, w, z)
-
-
-def _check_interchange_frame(tau: Isometry, frame) -> Subspace:
-    space = tau.space
-    x, y, w, z = frame
-    b, q = space.eval_b, space.eval_q
-    expected_pairings = {
-        (0, 1): space.field.one, (2, 3): space.field.one,
-        (0, 2): space.field.zero, (0, 3): space.field.zero,
-        (1, 2): space.field.zero, (1, 3): space.field.zero,
-    }
-    for (i, j), val in expected_pairings.items():
-        if b(frame[i], frame[j]) != val:
-            raise InvariantViolation("interchange frame is not hyperbolic")
-    if any(q(v) for v in frame):
-        raise InvariantViolation("interchange frame vectors are not isotropic")
-    if tau.apply(x) != x or tau.apply(w) != w:
-        raise InvariantViolation("interchange frame: x, w are not fixed")
-    if tau.apply(y) != vadd(y, w) or tau.apply(z) != vsub(z, x):
-        raise InvariantViolation("interchange frame: wrong action on y, z")
-    sub = Subspace.from_vectors(space, frame)
-    if sub.dim != 4 or not sub.is_regular():
-        raise InvariantViolation("interchange frame does not span a regular 4-space")
-    return sub
+    blk = _reflection(tau, u, within)
+    _check_blocks(tau, [blk])
+    return blk
 
 
 def interchange_block(
@@ -223,25 +203,22 @@ def interchange_block(
         or wf.evaluate(w, x) != -one
     ):
         raise NotHyperbolicPair("pair is not hyperbolic for the residual form")
-    frame = _normalized_interchange_frame(tau, x, w, within)
-    sub = _check_interchange_frame(tau, frame)
-    return InterchangeBlock(*frame, sub)
+    blk = _interchange(tau, x, w, within)
+    _check_blocks(tau, [blk])
+    return blk
 
 
 def interchange_normal_basis(tau: Isometry) -> tuple[Vector, Vector, Vector, Vector]:
     """A hyperbolic basis (x, y, w, z) of a 4-dimensional interchange isometry
     with (x, w) spanning the fixed space, tau(y) = y + w and tau(z) = z - x.
-    The Eichler transformation of (x, w) reproduces tau exactly."""
+    The Eichler transformation of (x, w) reproduces tau exactly: on this
+    basis it acts as the block check has shown tau to act."""
     if not tau.is_interchange():
         raise NotInterchange("isometry is not an interchange isometry")
-    wf = wall_form(tau)
-    pairs = hyperbolic_basis_alternating(wf.form())
-    (x, w), = pairs
-    frame = _normalized_interchange_frame(tau, x, w)
-    _check_interchange_frame(tau, frame)
-    if eichler(tau.space, frame[0], frame[2]).mat != tau.mat:
-        raise InvariantViolation("normal basis does not reproduce the isometry")
-    return frame
+    (x, w), = hyperbolic_basis_alternating(wall_form(tau).form())
+    blk = _interchange(tau, x, w, None)
+    _check_blocks(tau, [blk])
+    return blk.vectors()
 
 
 def is_interchanging_kind(tau: Isometry) -> bool:
@@ -253,7 +230,8 @@ def is_interchanging_kind(tau: Isometry) -> bool:
 
 
 def decompose(tau: Isometry) -> Decomposition:
-    """The full orthogonal decomposition; validated before being returned.
+    """The full orthogonal decomposition; validated once before it is
+    returned.
 
     Blocks are peeled off inside a shrinking orthogonal complement: block i
     is built inside the complement of the earlier blocks (and of the
@@ -261,47 +239,62 @@ def decompose(tau: Isometry) -> Decomposition:
     _require_unipotent2(tau)
     wf = wall_form(tau)
     fixed_complement = complement_W(tau)
-    current = fixed_complement.orthogonal_complement()
-    blocks: list[Block] = []
     if wf.is_alternating():
-        for x, w in hyperbolic_basis_alternating(wf.form()):
-            if not (current.contains(x) and current.contains(w)):
-                raise InvariantViolation("residual pair left the running complement")
-            blk = interchange_block(tau, x, w, wf, within=current)
-            blocks.append(blk)
-            current = current.intersection(blk.subspace().orthogonal_complement())
+        build, pieces = _interchange, hyperbolic_basis_alternating(wf.form())
     else:
         # antisymmetric yet nonalternating residual forms exist only in char 2
-        for u in wf.orthogonal_basis():
-            if not current.contains(u):
-                raise InvariantViolation("residual vector left the running complement")
-            blk = reflection_block(tau, u, wf, within=current)
-            blocks.append(blk)
-            current = current.intersection(blk.subspace().orthogonal_complement())
+        build, pieces = _reflection, [(u,) for u in wf.orthogonal_basis()]
+    current = fixed_complement.orthogonal_complement()
+    blocks: list[Block] = []
+    for piece in pieces:
+        if blocks:
+            current = current.intersection(blocks[-1].subspace().orthogonal_complement())
+        blocks.append(build(tau, *piece, within=current))
     decomposition = Decomposition(tau, fixed_complement, tuple(blocks))
     validate_decomposition(decomposition, wf)
     return decomposition
 
 
-def _block_basis(d: Decomposition) -> tuple[Matrix, Matrix]:
-    """P, whose columns are the vectors of the summands, and the
-    block-diagonal matrix of the claimed actions on them."""
-    space = d.tau.space
-    field = space.field
-    columns = list(d.fixed_complement.vectors())
-    locals_ = [Matrix.identity(field, d.fixed_complement.dim)]
-    for blk in d.blocks:
+def _block_basis(field, fixed: Subspace | None, blocks) -> tuple[Matrix, Matrix]:
+    """P, whose columns are the vectors of the summands (those of `fixed`
+    first), and D, the block-diagonal matrix of the claimed actions on them
+    (the identity on `fixed`)."""
+    columns = list(fixed.vectors()) if fixed is not None else []
+    locals_ = [Matrix.identity(field, len(columns))]
+    for blk in blocks:
         columns.extend(blk.vectors())
         locals_.append(blk.local_matrix(field))
-    p = from_columns(field, columns)
-    if p.nrows != p.ncols:
-        raise InvariantViolation("decomposition vectors do not form a basis")
-    return p, block_diag(field, locals_)
+    return from_columns(field, columns), block_diag(field, locals_)
+
+
+def _check_blocks(tau: Isometry, blocks, fixed: Subspace | None = None):
+    """The one block check: raise InvariantViolation unless, with P and D
+    from :func:`_block_basis` and G = block_diag(Gram matrix on `fixed`,
+    each block's claimed Gram matrix), M P = P D, P^T B P = G, every
+    diagonal block of G is regular and q vanishes on interchange frames.
+    Then P^T B P is regular, so the summand vectors are independent."""
+    space = tau.space
+    field = space.field
+    p, local = _block_basis(field, fixed, blocks)
+    # P D P^-1 = M iff M P = P D, without the inverse
+    if tau.mat * p != p * local:
+        raise InvariantViolation("reassembled blocks do not reproduce tau")
+    grams = [blk.gram(space) for blk in blocks]
+    if fixed is not None:
+        grams.insert(0, fixed.gram_matrix())
+    if p.transpose() * space.gram * p != block_diag(field, grams):
+        raise InvariantViolation("summands are not orthogonal or not of their claimed forms")
+    if not all(g.det() for g in grams):
+        raise InvariantViolation("a summand is not regular")
+    if any(space.eval_q(v) for blk in blocks if blk.kind == "interchange" for v in blk.vectors()):
+        raise InvariantViolation("interchange frame vectors are not isotropic")
 
 
 def reassemble(d: Decomposition) -> Matrix:
     """Rebuild the isometry matrix from the block data alone."""
-    p, local = _block_basis(d)
+    p, local = _block_basis(d.tau.space.field, d.fixed_complement, d.blocks)
+    if not p.is_square():
+        raise InvariantViolation("decomposition vectors do not form a basis")
     return p * local * p.inverse()
 
 
@@ -309,33 +302,20 @@ def validate_decomposition(d: Decomposition, wf: WallForm | None = None):
     """Raise InvariantViolation unless `d` is a valid decomposition of its
     isometry.  `wf` is the Wall form of ``d.tau`` if already computed.
 
-    Besides the block kind/count law, three matrix facts on P (columns the
-    summand vectors) and D (the claimed actions) are checked: det P != 0,
-    P^T B P is zero outside the summands' diagonal blocks, and M P = P D.
-    They imply the rest: each summand is regular, as
-    det(P^T B P) = det(P)^2 det(B) != 0; tau fixes W pointwise; and the
-    summand dimensions add up to dim V (P is square)."""
-    tau, space = d.tau, d.tau.space
+    Checks the block kind/count law, that the summand dimensions add up to
+    dim V, and the one block check (:func:`_check_blocks`) with W as the
+    fixed summand.  Then P is square and P^T B P regular, so
+    det(P)^2 det(B) != 0 and P is a basis; tau fixes W pointwise; and
+    every summand is regular and orthogonal to the others."""
+    tau = d.tau
     if wf is None:
         wf = wall_form(tau)
     elif wf.tau != tau:
         raise PreconditionError("the Wall form belongs to another isometry")
-    s = wf.s
-    if wf.is_alternating():
-        if any(blk.kind != "interchange" for blk in d.blocks) or 2 * d.m != s:
-            raise InvariantViolation("alternating case must give s/2 interchange blocks")
-    else:
-        if any(blk.kind != "reflection" for blk in d.blocks) or d.m != s:
-            raise InvariantViolation("nonalternating case must give s reflection blocks")
-    p, local = _block_basis(d)
-    if not p.det():
+    # the block kind/count law: s/2 interchange blocks or s reflection blocks
+    kind, size = ("interchange", 2) if wf.is_alternating() else ("reflection", 1)
+    if any(blk.kind != kind for blk in d.blocks) or size * d.m != wf.s:
+        raise InvariantViolation(f"the residual form asks for {wf.s // size} {kind} blocks")
+    if d.fixed_complement.dim + sum(len(blk.vectors()) for blk in d.blocks) != tau.space.dim:
         raise InvariantViolation("decomposition vectors do not form a basis")
-    summand = [0] * d.fixed_complement.dim
-    for k, blk in enumerate(d.blocks, 1):
-        summand += [k] * len(blk.vectors())
-    gram = (p.transpose() * space.gram * p).rows
-    if any(c for i, row in enumerate(gram) for j, c in enumerate(row) if summand[i] != summand[j]):
-        raise InvariantViolation("summands are not orthogonal")
-    # reassemble(d) == tau.mat without the inverse: P D P^-1 = M iff M P = P D
-    if tau.mat * p != p * local:
-        raise InvariantViolation("reassembled blocks do not reproduce tau")
+    _check_blocks(tau, d.blocks, d.fixed_complement)

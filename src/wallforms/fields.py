@@ -27,6 +27,7 @@ elements ``"3"``, ``"w+1"``, ``"(t^2+1)/t"``.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -169,6 +170,18 @@ def _poly_to_str(p: int, var: str) -> str:
     return "+".join(terms)
 
 
+_ASCII_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII digits with an optional sign and surrounding
+    whitespace; ValueError for the rest of what int() reads, such as
+    "1_0" or non-ASCII digits."""
+    if not _ASCII_INT.fullmatch(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
 def _poly_from_str(s: str, var: str) -> int:
     s = s.replace(" ", "")
     if not s:
@@ -183,7 +196,7 @@ def _poly_from_str(s: str, var: str) -> int:
             out ^= 2
         elif term.startswith(var + "^"):
             try:
-                exp = int(term[len(var) + 1:])
+                exp = _ascii_int(term[len(var) + 1:])
             except ValueError:
                 raise ParseError(f"bad polynomial term {term!r}") from None
             if not 0 <= exp <= MAX_LITERAL_EXPONENT:
@@ -527,8 +540,8 @@ class PrimeField(_FiniteField):
     def parse(self, s) -> FieldElement:
         _check_literal(s, self)
         try:
-            return self.from_int(int(s))
-        except (TypeError, ValueError):
+            return self.from_int(s if isinstance(s, int) else _ascii_int(s))
+        except ValueError:
             raise ParseError(f"bad element literal {s!r} for {self}") from None
 
     def format(self, payload) -> str:
@@ -625,8 +638,7 @@ class Galois2Field(_FiniteField):
         _check_literal(s, self)
         if isinstance(s, int):
             return self.from_int(s)
-        s = s.strip().replace("x", self.var)
-        p = _poly_from_str(s, self.var)
+        p = _poly_from_str(s.strip(), self.var)
         if poly_deg(p) >= self.k:
             p = poly_mod(p, self.modulus)
         return self._elements[p]
@@ -832,7 +844,7 @@ def parse_field(s: str) -> Field:
     else:
         size_s, modulus = body, None
     try:
-        size = int(size_s)
+        size = _ascii_int(size_s)
     except ValueError:
         raise ParseError(f"bad field literal {s!r}") from None
     if size >= 2 and size & (size - 1) == 0:  # a power of two

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import Field, FieldElement
-from .linalg import Matrix, Vector, from_columns, mat_vec, vadd, vsub, vscale
+from .linalg import Matrix, Vector, from_columns, mat_vec, vadd, vec_mat, vsub, vscale
 from .quadspace import QuadraticSpace, Subspace
 
 
@@ -183,35 +183,30 @@ def make_isometry(space: QuadraticSpace, rows) -> Isometry:
 
 
 def reflection(space: QuadraticSpace, u: Vector) -> Isometry:
-    """The orthogonal reflection along u: x -> x - (b(u, x) / q(u)) u."""
+    """The orthogonal reflection along u, x -> x - (b(u, x) / q(u)) u:
+    M = I - u (B u)^T / q(u)."""
     qu = space.eval_q(u)
     if not qu:
         raise IsotropicVector("reflection requires q(u) != 0")
-    cols = []
-    for j in range(space.dim):
-        e = space.basis_vector(j)
-        cols.append(vsub(e, vscale(space.eval_b(u, e) / qu, u)))
-    return Isometry(space, from_columns(space.field, cols))
+    field = space.field
+    bu = vec_mat(u, space.gram)
+    shear = from_columns(field, [u]) * Matrix(field, [vscale(-field.one / qu, bu)])
+    return Isometry(space, Matrix.identity(field, space.dim) + shear)
 
 
 def eichler(space: QuadraticSpace, x: Vector, w: Vector) -> Isometry:
-    """The Eichler transformation for isotropic x and w orthogonal to x:
-    v -> v + b(v, x) w - b(v, w) x - q(w) b(v, x) x."""
+    """The Eichler transformation for isotropic x and w orthogonal to x,
+    v -> v + b(v, x) w - b(v, w) x - q(w) b(v, x) x:
+    M = I + w (B x)^T - x (B w + q(w) B x)^T."""
     if space.eval_q(x):
         raise PreconditionError("Eichler transformation requires q(x) = 0")
     if space.eval_b(x, w):
         raise PreconditionError("Eichler transformation requires b(x, w) = 0")
-    qw = space.eval_q(w)
-    cols = []
-    for j in range(space.dim):
-        v = space.basis_vector(j)
-        bvx = space.eval_b(v, x)
-        bvw = space.eval_b(v, w)
-        img = vadd(v, vscale(bvx, w))
-        img = vsub(img, vscale(bvw, x))
-        img = vsub(img, vscale(qw * bvx, x))
-        cols.append(img)
-    return Isometry(space, from_columns(space.field, cols))
+    field = space.field
+    bx, bw = (Matrix(field, [x, w]) * space.gram).rows
+    tail = vsub(vscale(-space.eval_q(w), bx), bw)  # -(B w + q(w) B x)
+    shear = from_columns(field, [w, x]) * Matrix(field, [bx, tail])
+    return Isometry(space, Matrix.identity(field, space.dim) + shear)
 
 
 # ---------------------------------------------------------------------------

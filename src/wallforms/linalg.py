@@ -582,10 +582,6 @@ def vzero(field: Field, n: int) -> Vector:
     return (field.zero,) * n
 
 
-def is_zero_vector(u: Vector) -> bool:
-    return all(not a for a in u)
-
-
 def unit_vector(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one if j == i else field.zero for j in range(n))
 

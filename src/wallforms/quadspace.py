@@ -8,6 +8,12 @@ the dimension to be even.
 
 Subspaces keep their bases in reduced row-echelon form so that equality
 is representational.
+
+Greedy choices ("keep each vector that is independent of those kept so
+far") are one elimination: column j of [v_1 ... v_k] is a pivot column of
+its RREF exactly when v_j lies outside span(v_1, ..., v_{j-1}), so the
+pivot columns are the greedy choice, in order (:func:`_independent`,
+:func:`complement_in`).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .linalg import (
     Matrix,
     Vector,
     bilinear,
-    is_zero_vector,
+    from_columns,
     stack_rows,
     unit_vector,
     vadd,
@@ -167,7 +173,7 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.vectors())
+        return stack_rows(self.space.field, [self.basis, other.basis]).rank() == self.dim
 
     def coordinates(self, v: Vector) -> Vector | None:
         """Coefficients of v in this basis, or None if v is outside.
@@ -209,8 +215,7 @@ class Subspace:
 
     def is_totally_singular(self) -> bool:
         """The polar form vanishes on the subspace."""
-        g = self.basis * self.space.gram * self.basis.transpose()
-        return g.is_zero()
+        return self.gram_matrix().is_zero()
 
     def is_totally_isotropic(self) -> bool:
         """q vanishes identically on the subspace."""
@@ -226,17 +231,18 @@ class Subspace:
 
 
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
-    """A complement of `inner` inside `outer` (greedy, deterministic)."""
+    """A complement of `inner` inside `outer`: the basis vectors of `outer`
+    that the greedy choice keeps after those of `inner`, i.e. the pivot
+    columns of (inner | outer) past inner's.  `inner` lies in `outer`
+    exactly when that elimination has rank dim(outer)."""
     if inner.space != outer.space:
         raise DimensionMismatch("subspaces of different spaces")
-    if not outer.contains_subspace(inner):
+    joint = stack_rows(outer.space.field, [inner.basis, outer.basis]).transpose()
+    pivots = joint.rref()[1]
+    if len(pivots) != outer.dim:
         raise NotNested("inner subspace is not contained in outer")
-    chosen: list[Vector] = []
-    current = inner
-    for v in outer.vectors():
-        if not current.contains(v):
-            chosen.append(v)
-            current = current.subspace_sum(Subspace.from_vectors(outer.space, [v]))
+    outer_rows = outer.vectors()
+    chosen = [outer_rows[j - inner.dim] for j in pivots if j >= inner.dim]
     return Subspace.from_vectors(outer.space, chosen)
 
 
@@ -262,11 +268,6 @@ class SymBilinearForm:
     def dim(self) -> int:
         return len(self.basis)
 
-    def carrier(self) -> Subspace:
-        if self.space is None:
-            raise DimensionMismatch("form has no ambient space")
-        return Subspace.from_vectors(self.space, self.basis)
-
     def eval_coords(self, a: Vector, b: Vector) -> FieldElement:
         return bilinear(a, self.gram, b)
 
@@ -274,10 +275,7 @@ class SymBilinearForm:
         """The ambient vector with the given coefficients in this basis."""
         if self.dim == 0:
             raise DimensionMismatch("zero-dimensional form has no vectors")
-        v = vzero(self.field, len(self.basis[0]))
-        for c, row in zip(coords, self.basis):
-            v = vadd(v, vscale(c, row))
-        return v
+        return vec_mat(coords, Matrix(self.field, self.basis))
 
     def is_symmetric(self) -> bool:
         return self.gram.is_symmetric()
@@ -290,14 +288,10 @@ class SymBilinearForm:
 
 
 def _independent(field: Field, vectors) -> list[Vector]:
-    out: list[Vector] = []
-    for v in vectors:
-        if is_zero_vector(v):
-            continue
-        if out and Matrix(field, out).transpose().solve(v) is not None:
-            continue
-        out.append(v)
-    return out
+    """The greedy choice of independent vectors: the pivot columns."""
+    if not vectors:
+        return []
+    return [vectors[j] for j in from_columns(field, vectors).rref()[1]]
 
 
 def _symplectic_pairs(form: SymBilinearForm, coord_vectors: list[Vector]):
@@ -419,8 +413,8 @@ def extend_to_hyperbolic_basis(
         raise NotExtendable("(x, w) must span a totally isotropic plane")
 
     field = space.field
-    bx = tuple(space.eval_b(x, space.basis_vector(j)) for j in range(4))
-    bw = tuple(space.eval_b(w, space.basis_vector(j)) for j in range(4))
+    bx = vec_mat(x, space.gram)  # bx[j] = b(x, e_j)
+    bw = vec_mat(w, space.gram)
 
     sys_y = Matrix(field, [bx, bw])
     y = sys_y.solve((field.one, field.zero))
@@ -428,7 +422,7 @@ def extend_to_hyperbolic_basis(
         raise NotExtendable("cannot solve for the first partner vector")
     y = vsub(y, vscale(space.eval_q(y), x))  # fix q(y) = 0; keeps pairings
 
-    by = tuple(space.eval_b(y, space.basis_vector(j)) for j in range(4))
+    by = vec_mat(y, space.gram)
     sys_z = Matrix(field, [bx, bw, by])
     z = sys_z.solve((field.zero, field.one, field.zero))
     if z is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, NotSymmetric
 from .fields import FieldElement
 from .linalg import Matrix, Vector, bilinear
-from .quadspace import SymBilinearForm, Subspace, orthogonal_basis
+from .quadspace import SymBilinearForm, Subspace, _upper_triangularize, orthogonal_basis
 from .isometry import Isometry
 
 
@@ -149,12 +149,4 @@ class AssocQuadratic:
 def assoc_quadratic(w: WallForm) -> AssocQuadratic:
     if not w.is_symmetric():
         raise NotSymmetric("associated quadratic form needs a symmetric input")
-    field = w.tau.space.field
-    s = w.s
-    z = field.zero
-    rows = [[z] * s for _ in range(s)]
-    for i in range(s):
-        rows[i][i] = w.gram[i, i]
-        for j in range(i + 1, s):
-            rows[i][j] = w.gram[i, j] + w.gram[j, i]
-    return AssocQuadratic(w.basis, Matrix(field, rows))
+    return AssocQuadratic(w.basis, _upper_triangularize(w.tau.space.field, w.gram))

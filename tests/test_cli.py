@@ -297,6 +297,14 @@ def test_non_literal_vector_entries_are_parse_errors(tmp_path, capsys):
                             dict(GF7_DOC, reflection_words=[[["1", value]]]))
 
 
+def test_literals_outside_the_grammar_are_parse_errors(tmp_path, capsys):
+    # each was read as some element before: 3, 3, t^10 and 0
+    for doc, value in ((GF7_DOC, "1_0"), (GF7_DOC, "\u0663"), (R2T_DOC, "t^1_0"),
+                       (dict(H4F2_DOC, field="gf(4)"), "w+x")):
+        _expect_parse_error(tmp_path, capsys, _with_entry(doc, "q_upper", value))
+    _expect_parse_error(tmp_path, capsys, dict(GF7_DOC, field="gf(0_7)"))
+
+
 def test_integer_entries_still_accepted(tmp_path, capsys):
     doc = dict(GF7_DOC, q_upper=[[1, 0], [0, 6]], tau=[[6, 0], [0, 6]])
     code, out = _run(capsys, "analyze", "--space", _write(tmp_path, doc))
@@ -376,7 +384,7 @@ def test_help_exits_zero_and_repeats(capsys):
 # fuzz: generated problem documents exit 0/2/3/4, never with a traceback
 # ---------------------------------------------------------------------------
 
-_VARS = {"gf(2)": "x", "gf(4)": "w", "gf(8)": "w", "gf(7)": "", "gf(97)": "", "gf2(t)": "t"}
+_VARS = {"gf(2)": "w", "gf(4)": "w", "gf(8)": "w", "gf(7)": "", "gf(97)": "", "gf2(t)": "t"}
 
 
 def _poly_literals(var):
@@ -396,7 +404,8 @@ def _entries(field):
         st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.none(),
         st.integers(-10**30, 10**30),
         st.sampled_from(["t^99999999999", f"{var or 't'}^-1", f"{var or 't'}^1.5",
-                         "1/0", "t/t/t", "", "+", "x^", "(t", "1/(t^2+t)", "w+x"]),
+                         "1/0", "t/t/t", "", "+", "x^", "(t", "1/(t^2+t)", "w+x",
+                         "1_0", "\u0663", "t^1_0"]),
         st.text(max_size=6),
     )
     return st.one_of(valid, valid, valid, invalid)

@@ -14,7 +14,7 @@ from wallforms.errors import (
     ZeroDiagonal,
 )
 from wallforms.decompose import reassemble, validate_decomposition
-from wallforms.linalg import vadd
+from wallforms.linalg import vadd, vscale
 from wallforms.quadspace import Subspace
 
 
@@ -261,3 +261,64 @@ def test_validate_rejects_dependent_decomposition_vectors(tau_r4t):
     twice = wf.Decomposition(tau_r4t, d.fixed_complement, (blk, blk))
     with pytest.raises(wf.WallformsError):
         validate_decomposition(twice)
+
+
+def test_validate_rejects_a_frame_that_is_not_hyperbolic(h4f4, f4):
+    e = h4f4.basis_vector
+    tau = wf.eichler(h4f4, e(0), e(2))
+    w = f4.parse("w")
+    frame = (e(0), vscale(w, e(1)), vscale(w, e(2)), e(3))
+    # tau acts on the frame as an interchange block claims, and the frame
+    # vectors are isotropic and span an orthogonal summand, but b(x, y) = w
+    blk = wf.InterchangeBlock(*frame, Subspace.from_vectors(h4f4, frame))
+    bad = wf.Decomposition(tau, Subspace.zero(h4f4), (blk,))
+    assert reassemble(bad) == tau.mat
+    assert h4f4.eval_b(blk.x, blk.y) == w
+    with pytest.raises(wf.WallformsError, match="claimed forms"):
+        validate_decomposition(bad)
+
+
+
+def test_validate_rejects_an_interchange_frame_that_is_not_isotropic(h4f2, tau_int):
+    e = h4f2.basis_vector
+    # y = e1 + e0: tau(y) = y + w and every pairing of the frame is
+    # hyperbolic, but q(y) = b(e0, e1) = 1
+    frame = (e(0), vadd(e(1), e(0)), e(2), e(3))
+    blk = wf.InterchangeBlock(*frame, Subspace.full(h4f2))
+    bad = wf.Decomposition(tau_int, Subspace.zero(h4f2), (blk,))
+    assert reassemble(bad) == tau_int.mat
+    with pytest.raises(wf.WallformsError, match="isotropic"):
+        validate_decomposition(bad)
+
+
+def test_every_block_is_checked_once(tau_int, tau_r4t, r4t, monkeypatch):
+    module = importlib.import_module("wallforms.decompose")
+    checked = []
+    real = module._check_blocks
+
+    def spy(tau, blocks, fixed=None):
+        checked.append([blk.kind for blk in blocks])
+        return real(tau, blocks, fixed)
+
+    monkeypatch.setattr(module, "_check_blocks", spy)
+    wf.decompose(tau_r4t)
+    wf.decompose(tau_int)
+    wf.reflection_block(tau_r4t, r4t.basis_vector(0))
+    wf.interchange_normal_basis(tau_int)
+    assert checked == [["reflection", "reflection"], ["interchange"],
+                       ["reflection"], ["interchange"]]
+
+
+def test_validate_rejects_singular_planes_that_repeat(f2):
+    # tau: the reflection along e0 + e1 on the first plane, and the
+    # interchange eichler(e2, e4) on the other two; s = 3, nonalternating
+    h6f2 = wf.QuadraticSpace.hyperbolic(f2, 3)
+    e = h6f2.basis_vector
+    tau = wf.reflection(h6f2, vadd(e(0), e(1))) * wf.eichler(h6f2, e(2), e(4))
+    honest = wf.reflection_block(tau, vadd(e(0), e(1)))
+    # (e2, e5) has the claimed action and the claimed Gram matrix, which is
+    # zero as q(e2) = 0; twice over, P^T B P is block diagonal but P is singular
+    singular = wf.ReflectionBlock(e(2), e(5), Subspace.from_vectors(h6f2, [e(2), e(5)]))
+    bad = wf.Decomposition(tau, Subspace.zero(h6f2), (honest, singular, singular))
+    with pytest.raises(wf.WallformsError, match="not regular"):
+        validate_decomposition(bad)

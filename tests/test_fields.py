@@ -224,7 +224,9 @@ def test_field_literal_defaults():
 
 
 def test_bad_field_literals():
-    for lit in ["gf(6)", "gf(99)", "qq", "gf(4;x^2+1)", "gf(-3)"]:
+    # ASCII digits only: int() alone would read the last three as gf(7), gf(7), gf(4)
+    for lit in ["gf(6)", "gf(99)", "qq", "gf(4;x^2+1)", "gf(-3)",
+                "gf(0_7)", "gf(\u0667)", "gf(4;x^0_2+x+1)"]:
         with pytest.raises((ParseError, CapExceeded)):
             wf.parse_field(lit)
 
@@ -270,6 +272,23 @@ def test_gf32_raw_arithmetic_axioms():
     for a in elems:
         r = field.sqrt(a)
         assert r * r == a
+
+
+# integers in literals are ASCII digits (int() alone would read "1_0" as 10
+# and an Arabic-Indic three as 3), and the generator of GF(2^k) is w only
+@pytest.mark.parametrize("field_literal, literal", [
+    ("gf(7)", "1_0"), ("gf(7)", "\u0663"), ("gf2(t)", "t^1_0"), ("gf2(t)", "t^\u0663"),
+    ("gf(4;x^2+x+1)", "w+x"), ("gf(4;x^2+x+1)", "x"), ("gf(2)", "x"),
+])
+def test_literals_outside_the_grammar_are_parse_errors(field_literal, literal):
+    with pytest.raises(ParseError):
+        wf.parse_field(field_literal).parse(literal)
+
+
+def test_signs_and_whitespace_around_digits_still_parse(f7, ft):
+    assert f7.parse(" -3 ") == f7.parse("4") == f7.parse("+4")
+    assert ft.parse("t^03") == ft.parse("t^3")
+    assert wf.parse_field(" gf( 7 ) ") == f7
 
 
 def test_ratfunc_parse_rejects_double_slash(ft):

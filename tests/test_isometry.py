@@ -12,7 +12,7 @@ from wallforms.errors import (
     NotRegular,
     PreconditionError,
 )
-from wallforms.linalg import vadd, vscale
+from wallforms.linalg import from_columns, vadd, vscale, vsub
 from wallforms.quadspace import Subspace
 
 
@@ -124,6 +124,70 @@ def test_eichler_preconditions(h4f7, f7):
         wf.eichler(h4f7, aniso, e(2))
     with pytest.raises(PreconditionError):
         wf.eichler(h4f7, e(0), e(1))  # b(e1, e2) = 1
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the column-by-column definitions
+# ---------------------------------------------------------------------------
+
+def _reflection_by_columns(space, u):
+    """Column j: e_j - (b(u, e_j) / q(u)) u."""
+    qu = space.eval_q(u)
+    basis = [space.basis_vector(j) for j in range(space.dim)]
+    return from_columns(space.field, [vsub(e, vscale(space.eval_b(u, e) / qu, u))
+                                      for e in basis])
+
+
+def _eichler_by_columns(space, x, w):
+    """Column j: e_j + b(e_j, x) w - b(e_j, w) x - q(w) b(e_j, x) x."""
+    qw = space.eval_q(w)
+    cols = []
+    for j in range(space.dim):
+        v = space.basis_vector(j)
+        bvx, bvw = space.eval_b(v, x), space.eval_b(v, w)
+        cols.append(vsub(vsub(vadd(v, vscale(bvx, w)), vscale(bvw, x)), vscale(qw * bvx, x)))
+    return from_columns(space.field, cols)
+
+
+def test_reflection_and_eichler_match_their_columns_on_h4f4(h4f4):
+    vectors = list(h4f4.vectors())
+    anisotropic = [u for u in vectors if h4f4.eval_q(u)]
+    assert len(anisotropic) == 180
+    for u in anisotropic:
+        assert wf.reflection(h4f4, u).mat == _reflection_by_columns(h4f4, u)
+    rng = random.Random(29)
+    isotropic = [x for x in vectors if not h4f4.eval_q(x)]
+    for x in isotropic:
+        partners = [w for w in vectors if not h4f4.eval_b(x, w)]
+        for w in rng.sample(partners, 4):
+            assert wf.eichler(h4f4, x, w).mat == _eichler_by_columns(h4f4, x, w)
+
+
+def _random_vector(space, rng):
+    field = space.field
+    if field.kind == "ratfunc":
+        return tuple(field.fraction(rng.randrange(8), rng.randrange(1, 8)) for _ in range(4))
+    elems = list(field.elements())
+    return tuple(rng.choice(elems) for _ in range(4))
+
+
+@pytest.mark.parametrize("name", ["h4f7", "r4t"])
+def test_reflection_and_eichler_match_their_columns_at_random(name, request):
+    space = request.getfixturevalue(name)
+    e = space.basis_vector(1)  # isotropic in both spaces, b(e_0, e) = 1
+    rng = random.Random(31)
+    for _ in range(40):
+        u = _random_vector(space, rng)
+        if space.eval_q(u):
+            assert wf.reflection(space, u).mat == _reflection_by_columns(space, u)
+        # v - (q(v) / b(v, e)) e is isotropic; w - (b(x, w) / b(x, e)) e is orthogonal to x
+        v = vadd(_random_vector(space, rng), space.basis_vector(0))
+        if not space.eval_b(v, e):
+            continue
+        x = vsub(v, vscale(space.eval_q(v) / space.eval_b(v, e), e))
+        w = _random_vector(space, rng)
+        w = vsub(w, vscale(space.eval_b(x, w) / space.eval_b(x, e), e))
+        assert wf.eichler(space, x, w).mat == _eichler_by_columns(space, x, w)
 
 
 # ---------------------------------------------------------------------------

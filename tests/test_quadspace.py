@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wallforms as wf
 from wallforms.errors import (
@@ -12,10 +13,11 @@ from wallforms.errors import (
     NotNested,
     NotRegular,
 )
-from wallforms.linalg import Matrix, vadd
+from wallforms.linalg import Matrix, vadd, vscale
 from wallforms.quadspace import (
     Subspace,
     SymBilinearForm,
+    _independent,
     complement_in,
     extend_to_hyperbolic_basis,
     hyperbolic_basis_alternating,
@@ -136,6 +138,100 @@ def test_complement_in_direct_sum(h4f7, f7):
         assert comp.dim + inner.dim == outer.dim
         assert comp.intersection(inner).dim == 0
         assert comp.subspace_sum(inner) == outer
+
+
+# ---------------------------------------------------------------------------
+# greedy choices against the one-vector-at-a-time reference
+# ---------------------------------------------------------------------------
+
+GREEDY_FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(7)", "gf2(t)"]
+
+
+def _ref_independent(field, vectors):
+    """Keep each nonzero vector outside the span of those kept so far, one
+    solve per vector."""
+    out = []
+    for v in vectors:
+        if all(not a for a in v):
+            continue
+        if out and Matrix(field, out).transpose().solve(v) is not None:
+            continue
+        out.append(v)
+    return out
+
+
+def _ref_complement_in(inner, outer):
+    """Grow `inner` by each basis vector of `outer` it does not contain yet."""
+    if not all(outer.contains(v) for v in inner.vectors()):
+        raise NotNested("inner subspace is not contained in outer")
+    chosen, current = [], inner
+    for v in outer.vectors():
+        if not current.contains(v):
+            chosen.append(v)
+            current = current.subspace_sum(Subspace.from_vectors(outer.space, [v]))
+    return Subspace.from_vectors(outer.space, chosen)
+
+
+@st.composite
+def _vector_lists(draw, field, max_size):
+    """Length-4 vectors, with zero vectors, repeats and combinations of
+    earlier vectors among them."""
+    def element():
+        if draw(st.integers(0, 2)) == 0:
+            return field.zero
+        if field.kind == "ratfunc":
+            return field.fraction(draw(st.integers(0, 15)), draw(st.integers(1, 15)))
+        return field.element(draw(st.integers(0, field.order() - 1)))
+
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            out.append((field.zero,) * 4)
+        elif kind == "new" or not out:
+            out.append(tuple(element() for _ in range(4)))
+        elif kind == "repeat":
+            out.append(out[draw(st.integers(0, len(out) - 1))])
+        else:
+            a, b = (out[draw(st.integers(0, len(out) - 1))] for _ in range(2))
+            out.append(vadd(a, vscale(element(), b)))
+    return out
+
+
+def _greedy_settings():
+    return settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("literal", GREEDY_FIELDS)
+@given(data=st.data())
+@_greedy_settings()
+def test_independent_is_the_greedy_choice(literal, data):
+    field = wf.parse_field(literal)
+    vectors = data.draw(_vector_lists(field, 7))
+    assert _independent(field, vectors) == _ref_independent(field, vectors)
+
+
+@pytest.mark.parametrize("literal", GREEDY_FIELDS)
+@given(data=st.data())
+@_greedy_settings()
+def test_complement_in_is_the_greedy_choice(literal, data):
+    field = wf.parse_field(literal)
+    space = wf.QuadraticSpace.hyperbolic(field, 2)
+    inner_vectors = data.draw(_vector_lists(field, 3))
+    extra = data.draw(_vector_lists(field, 4))
+    nested = data.draw(st.booleans())
+    inner = Subspace.from_vectors(space, inner_vectors)
+    outer = Subspace.from_vectors(space, (inner_vectors if nested else []) + extra)
+    try:
+        expected = _ref_complement_in(inner, outer)
+    except NotNested:
+        assert not outer.contains_subspace(inner)
+        with pytest.raises(NotNested):
+            complement_in(inner, outer)
+    else:
+        assert outer.contains_subspace(inner)
+        assert complement_in(inner, outer) == expected
 
 
 # ---------------------------------------------------------------------------
