@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     WallformsError,
 )
-from .fields import parse_field
+from .fields import _ascii_int, parse_field
 from .linalg import Matrix
 from .quadspace import QuadraticSpace
 from .isometry import Isometry, ReflectionWord
@@ -76,7 +76,7 @@ def load_problem(doc: dict) -> ProblemFile:
         dim = doc["dim"]
         if isinstance(dim, (bool, float)):
             raise ParseError(f"dim must be an integer, got {dim!r}")
-        dim = int(dim)
+        dim = _ascii_int(dim) if isinstance(dim, str) else int(dim)
         qmat = _parse_matrix(field, doc["q_upper"], dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad problem file: {exc}") from exc

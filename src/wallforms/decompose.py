@@ -180,7 +180,7 @@ def reflection_block(
     if not wf.evaluate(u, u):
         raise ZeroDiagonal("residual form vanishes at u")
     blk = _reflection(tau, u, within)
-    _check_blocks(tau, [blk])
+    _check_blocks(tau, [blk], Subspace.zero(tau.space))
     return blk
 
 
@@ -204,7 +204,7 @@ def interchange_block(
     ):
         raise NotHyperbolicPair("pair is not hyperbolic for the residual form")
     blk = _interchange(tau, x, w, within)
-    _check_blocks(tau, [blk])
+    _check_blocks(tau, [blk], Subspace.zero(tau.space))
     return blk
 
 
@@ -217,7 +217,7 @@ def interchange_normal_basis(tau: Isometry) -> tuple[Vector, Vector, Vector, Vec
         raise NotInterchange("isometry is not an interchange isometry")
     (x, w), = hyperbolic_basis_alternating(wall_form(tau).form())
     blk = _interchange(tau, x, w, None)
-    _check_blocks(tau, [blk])
+    _check_blocks(tau, [blk], Subspace.zero(tau.space))
     return blk.vectors()
 
 
@@ -255,11 +255,11 @@ def decompose(tau: Isometry) -> Decomposition:
     return decomposition
 
 
-def _block_basis(field, fixed: Subspace | None, blocks) -> tuple[Matrix, Matrix]:
+def _block_basis(field, fixed: Subspace, blocks) -> tuple[Matrix, Matrix]:
     """P, whose columns are the vectors of the summands (those of `fixed`
     first), and D, the block-diagonal matrix of the claimed actions on them
     (the identity on `fixed`)."""
-    columns = list(fixed.vectors()) if fixed is not None else []
+    columns = list(fixed.vectors())
     locals_ = [Matrix.identity(field, len(columns))]
     for blk in blocks:
         columns.extend(blk.vectors())
@@ -267,7 +267,7 @@ def _block_basis(field, fixed: Subspace | None, blocks) -> tuple[Matrix, Matrix]
     return from_columns(field, columns), block_diag(field, locals_)
 
 
-def _check_blocks(tau: Isometry, blocks, fixed: Subspace | None = None):
+def _check_blocks(tau: Isometry, blocks, fixed: Subspace):
     """The one block check: raise InvariantViolation unless, with P and D
     from :func:`_block_basis` and G = block_diag(Gram matrix on `fixed`,
     each block's claimed Gram matrix), M P = P D, P^T B P = G, every
@@ -279,9 +279,7 @@ def _check_blocks(tau: Isometry, blocks, fixed: Subspace | None = None):
     # P D P^-1 = M iff M P = P D, without the inverse
     if tau.mat * p != p * local:
         raise InvariantViolation("reassembled blocks do not reproduce tau")
-    grams = [blk.gram(space) for blk in blocks]
-    if fixed is not None:
-        grams.insert(0, fixed.gram_matrix())
+    grams = [fixed.gram_matrix()] + [blk.gram(space) for blk in blocks]
     if p.transpose() * space.gram * p != block_diag(field, grams):
         raise InvariantViolation("summands are not orthogonal or not of their claimed forms")
     if not all(g.det() for g in grams):

@@ -306,14 +306,16 @@ def test_literals_outside_the_grammar_are_parse_errors(tmp_path, capsys):
 
 
 def test_integer_entries_still_accepted(tmp_path, capsys):
-    doc = dict(GF7_DOC, q_upper=[[1, 0], [0, 6]], tau=[[6, 0], [0, 6]])
+    doc = dict(GF7_DOC, dim=" 2 ", q_upper=[[1, 0], [0, 6]], tau=[[6, 0], [0, 6]])
     code, out = _run(capsys, "analyze", "--space", _write(tmp_path, doc))
     assert code == 0
     assert out["space"]["q_upper"] == [["1", "0"], ["0", "6"]]
 
 
 def test_malformed_structure_is_parse_error(tmp_path, capsys):
+    # a string dim follows the literal grammar: "\u0662" was read as 2, "1_0" as 10
     for doc in (dict(GF7_DOC, dim=2.5), dict(GF7_DOC, dim=True),
+                dict(GF7_DOC, dim="\u0662"), dict(GF7_DOC, dim="1_0"),
                 dict(GF7_DOC, tau=5), dict(GF7_DOC, tau="66"),
                 dict(GF7_DOC, reflection_words=5),
                 dict(GF7_DOC, reflection_words=[5]),

@@ -296,7 +296,7 @@ def test_every_block_is_checked_once(tau_int, tau_r4t, r4t, monkeypatch):
     checked = []
     real = module._check_blocks
 
-    def spy(tau, blocks, fixed=None):
+    def spy(tau, blocks, fixed):
         checked.append([blk.kind for blk in blocks])
         return real(tau, blocks, fixed)
 
