@@ -20,7 +20,6 @@ from .linalg import Matrix
 from .quadspace import (
     QuadraticSpace,
     Subspace,
-    SymBilinearForm,
     complement_in,
     extend_to_hyperbolic_basis,
     hyperbolic_basis_alternating,

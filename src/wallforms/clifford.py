@@ -68,16 +68,13 @@ from .linalg import (
     _kernel,
     _unbox,
     _unbox_one,
-    from_columns,
     kron,
     stack_rows,
-    unit_vector,
     vadd,
 )
 from .quadspace import (
     QuadraticSpace,
     Subspace,
-    SymBilinearForm,
     hyperbolic_basis_alternating,
     orthogonal_basis,
 )
@@ -632,12 +629,14 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
     carrier = wf.carrier()
     if Subspace.from_vectors(tau.space, basis).basis != carrier.basis or s != wf.s:
         raise NotOrthogonalBasis("vectors do not form a basis of the residual space")
-    for i in range(s):
-        if not wf.evaluate(basis[i], basis[i]):
+    # the residual form on the basis: C G C^T, C the coordinates of the basis
+    coords = Matrix(tau.space.field, [wf.coords(u) for u in basis], ncols=s)
+    zero = tau.space.field.zero.payload
+    for i, row in enumerate((coords * wf.gram * coords.transpose()).payload_rows):
+        if row[i] == zero:
             raise ZeroSquare("residual form vanishes on a basis vector")
-        for j in range(i + 1, s):
-            if wf.evaluate(basis[i], basis[j]):
-                raise NotOrthogonalBasis("basis is not orthogonal for the residual form")
+        if any(c != zero for c in row[i + 1:]):
+            raise NotOrthogonalBasis("basis is not orthogonal for the residual form")
 
     alg = algebra_for_space(tau.space)
     inv = natural_involution(tau, alg)
@@ -721,8 +720,7 @@ def pfister_invariant(tau: Isometry) -> PfisterDescriptor:
     if wf.is_alternating():
         gens = (field.one,) * wf.s
     else:
-        basis = wf.orthogonal_basis()
-        gens = tuple(wf.evaluate(u, u) for u in basis)
+        basis, gens = wf.orthogonal_basis()
         for u, g in zip(basis, gens):
             # diagonal values coincide with q on the residual space in char 2
             if g != tau.space.eval_q(u):
@@ -752,7 +750,7 @@ def transpose_iso_criterion(tau: Isometry) -> TransposeCriterion:
     if wf.is_alternating():
         structure = "alternating"
     else:
-        diag = [wf.evaluate(u, u) for u in wf.orthogonal_basis()]
+        diag = wf.orthogonal_basis()[1]
         structure = "unit-diagonal" if all(field.is_square(d) for d in diag) else "fails"
     cond_s = structure != "fails"
     if not (cond_q == cond_w == cond_s):
@@ -799,10 +797,8 @@ def _base_model(alg: CliffordAlgebra) -> tuple[Matrix, ...]:
     if alg._model is not None:
         return alg._model
     space, field, n = alg.space, alg.field, alg.n
-    whole = SymBilinearForm(
-        field, tuple(space.basis_vector(i) for i in range(n)), space.gram, space
-    )
-    plane_pairs = hyperbolic_basis_alternating(whole)
+    planes = hyperbolic_basis_alternating(space.gram)  # rows a_1, b_1, a_2, ...
+    plane_pairs = list(zip(planes.rows[0::2], planes.rows[1::2]))
     ident2 = Matrix.identity(field, 2)
     plane_images = []  # f(a_1), f(b_1), f(a_2), ...
     for k, (a_vec, b_vec) in enumerate(plane_pairs):
@@ -813,7 +809,7 @@ def _base_model(alg: CliffordAlgebra) -> tuple[Matrix, ...]:
             plane_images.append(img)
     size = 1 << len(plane_pairs)
     # column i of the inverse change of basis holds e_i in plane coordinates
-    to_planes = from_columns(field, [v for pair in plane_pairs for v in pair]).inverse()
+    to_planes = planes.transpose().inverse()
     f_gen = []
     for i in range(n):
         img = Matrix.zeros(field, size, size)
@@ -858,17 +854,12 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     g_mat = _solve_involution_gram(field, size, f_gen, [
         _apply_images(blade_images, alg, inv.images[1 << i]) for i in range(alg.n)
     ])
-    sym_form = SymBilinearForm(
-        field, tuple(unit_vector(field, size, i) for i in range(size)), g_mat
-    )
     try:
-        diag_basis = orthogonal_basis(sym_form)
+        p_mat, diag = orthogonal_basis(g_mat)  # P G P^T = diag(d)
     except AlternatingForm:
         raise InvariantViolation("transport form is alternating despite the criterion")
-    p_cols = from_columns(field, diag_basis)
-    roots = [field.sqrt(sym_form.eval_coords(
-        p_cols.col(i), p_cols.col(i))) for i in range(size)]
-    h_mat = Matrix.diagonal(field, roots) * p_cols.inverse()
+    # H = diag(sqrt d) (P^T)^-1 has H^T H = P^-1 diag(d) P^-T = G
+    h_mat = Matrix.diagonal(field, map(field.sqrt, diag)) * p_mat.transpose().inverse()
     h_inv = h_mat.inverse()
     # conjugate every blade image by H, as two batched products
     arith = _batch_arith(field)
@@ -1059,12 +1050,9 @@ def tensor_decomposition_witness(tau: Isometry) -> TensorWitness:
 
     factors: list[TensorFactor] = []
     w_sub = dec.fixed_complement
-    if w_sub.dim:
-        w_form = SymBilinearForm(
-            space.field, w_sub.vectors(), w_sub.gram_matrix(), space
-        )
-        for u, v in hyperbolic_basis_alternating(w_form):
-            factors.append(TensorFactor("identity-plane", (u, v)))
+    planes = (hyperbolic_basis_alternating(w_sub.gram_matrix()) * w_sub.basis).rows
+    for u, v in zip(planes[0::2], planes[1::2]):
+        factors.append(TensorFactor("identity-plane", (u, v)))
     for blk in dec.blocks:
         factors.append(TensorFactor(blk.kind, blk.vectors()))
 

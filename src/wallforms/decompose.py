@@ -195,13 +195,9 @@ def interchange_block(
     residual = tau.residual_space()
     if not (residual.contains(x) and residual.contains(w)):
         raise NotInResidual("pair does not lie in the residual space")
-    one = tau.space.field.one
-    if (
-        wf.evaluate(x, x)
-        or wf.evaluate(w, w)
-        or wf.evaluate(x, w) != one
-        or wf.evaluate(w, x) != -one
-    ):
+    field = tau.space.field
+    coords = Matrix(field, [wf.coords(x), wf.coords(w)])
+    if coords * wf.gram * coords.transpose() != Matrix.from_ints(field, [[0, 1], [-1, 0]]):
         raise NotHyperbolicPair("pair is not hyperbolic for the residual form")
     blk = _interchange(tau, x, w, within)
     _check_blocks(tau, [blk], Subspace.zero(tau.space))
@@ -215,7 +211,7 @@ def interchange_normal_basis(tau: Isometry) -> tuple[Vector, Vector, Vector, Vec
     basis it acts as the block check has shown tau to act."""
     if not tau.is_interchange():
         raise NotInterchange("isometry is not an interchange isometry")
-    (x, w), = hyperbolic_basis_alternating(wall_form(tau).form())
+    (x, w), = _hyperbolic_pairs(tau, wall_form(tau))
     blk = _interchange(tau, x, w, None)
     _check_blocks(tau, [blk], Subspace.zero(tau.space))
     return blk.vectors()
@@ -240,10 +236,10 @@ def decompose(tau: Isometry) -> Decomposition:
     wf = wall_form(tau)
     fixed_complement = complement_W(tau)
     if wf.is_alternating():
-        build, pieces = _interchange, hyperbolic_basis_alternating(wf.form())
+        build, pieces = _interchange, _hyperbolic_pairs(tau, wf)
     else:
         # antisymmetric yet nonalternating residual forms exist only in char 2
-        build, pieces = _reflection, [(u,) for u in wf.orthogonal_basis()]
+        build, pieces = _reflection, [(u,) for u in wf.orthogonal_basis()[0]]
     current = fixed_complement.orthogonal_complement()
     blocks: list[Block] = []
     for piece in pieces:
@@ -253,6 +249,13 @@ def decompose(tau: Isometry) -> Decomposition:
     decomposition = Decomposition(tau, fixed_complement, tuple(blocks))
     validate_decomposition(decomposition, wf)
     return decomposition
+
+
+def _hyperbolic_pairs(tau: Isometry, wf: WallForm) -> list[tuple[Vector, Vector]]:
+    """The hyperbolic pairs (x, w) of an alternating residual form, as
+    residual vectors."""
+    rows = (hyperbolic_basis_alternating(wf.gram) * tau.residual_space().basis).rows
+    return list(zip(rows[0::2], rows[1::2]))
 
 
 def _block_basis(field, fixed: Subspace, blocks) -> tuple[Matrix, Matrix]:

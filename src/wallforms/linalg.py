@@ -46,6 +46,7 @@ class _Kernel:
         self.field = field
         self.zero = field.zero.payload
         self.one = field.one.payload
+        self.identities: dict[int, Matrix] = {}  # n -> the n x n identity
 
     # -- scalars
     def mul(self, a, b):
@@ -296,7 +297,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return _diagonal(field, (field.one.payload,) * n)
+        """The n x n identity, built once per field and n."""
+        cache = _kernel(field).identities
+        ident = cache.get(n)
+        if ident is None:
+            ident = cache[n] = _diagonal(field, (field.one.payload,) * n)
+        return ident
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "Matrix":
@@ -576,14 +582,6 @@ def vsub(u: Vector, v: Vector) -> Vector:
 
 def vscale(c: FieldElement, u: Vector) -> Vector:
     return tuple(c * a for a in u)
-
-
-def vzero(field: Field, n: int) -> Vector:
-    return (field.zero,) * n
-
-
-def unit_vector(field: Field, n: int, i: int) -> Vector:
-    return tuple(field.one if j == i else field.zero for j in range(n))
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:

@@ -232,27 +232,6 @@ def _scan(space: QuadraticSpace) -> GroupEnumeration:
     return _finish(space, "exhaustive-matrix-scan", results)
 
 
-def scan_flat(space: QuadraticSpace) -> GroupEnumeration:
-    """Plain scan over every matrix; cross-check oracle for the backtracking
-    scan (use on tiny spaces only)."""
-    tables = _space_tables(space)
-    n = space.dim
-    if len(tables.vectors) ** n > AUTO_SCAN_LIMIT:
-        raise TooLarge("flat scan is for tiny spaces")
-    unit = lambda i: tables.index[tuple(1 if j == i else 0 for j in range(n))]
-    results = []
-    for cols in itertools.product(range(len(tables.vectors)), repeat=n):
-        ok = all(tables.qvals[c] == tables.qvals[unit(j)] for j, c in enumerate(cols))
-        if ok:
-            ok = all(
-                tables.bvals[cols[i]][cols[j]] == tables.bvals[unit(i)][unit(j)]
-                for i in range(n) for j in range(i + 1, n)
-            )
-        if ok:
-            results.append(np.array([tables.vectors[c] for c in cols], dtype=np.int64).T)
-    return _finish(space, "exhaustive-matrix-scan", results)
-
-
 def _check_isometries(arith: _BatchArith, mats, qmat):
     """Raise unless every matrix preserves q: N = M^T Q M - Q must have a
     zero diagonal and N + N^T = 0, checked for the whole batch at once."""
@@ -606,7 +585,7 @@ def _run_clif(space, enum: GroupEnumeration) -> VerifyReport:
                 if any(g != space.field.one for g in pf.generators):
                     raise WallformsError("alternating case must give unit generators")
             else:
-                report = alternating_generators_check(iso, wf.orthogonal_basis())
+                report = alternating_generators_check(iso, wf.orthogonal_basis()[0])
                 if not report.ok:
                     raise WallformsError("alternating-generator check failed")
             model = explicit_matrix_iso(iso)

@@ -9,6 +9,13 @@ the dimension to be even.
 Subspaces keep their bases in reduced row-echelon form so that equality
 is representational.
 
+A bilinear form enters as its Gram matrix G.  Its orthogonal and
+hyperbolic bases come back as coordinate rows P, built on payload rows by
+the field's kernel, and are checked by one product: P G P^T must be
+diagonal with nonzero entries (:func:`orthogonal_basis`) or the standard
+hyperbolic form (:func:`hyperbolic_basis_alternating`).  A caller that
+holds the form on an explicit basis B gets the basis vectors as P B.
+
 Greedy choices ("keep each vector that is independent of those kept so
 far") are one elimination: column j of [v_1 ... v_k] is a pivot column of
 its RREF exactly when v_j lies outside span(v_1, ..., v_{j-1}), so the
@@ -25,24 +32,26 @@ from .errors import (
     AlternatingForm,
     Degenerate,
     DimensionMismatch,
+    InvariantViolation,
     NotAlternating,
     NotExtendable,
     NotNested,
     NotRegular,
+    NotSymmetric,
 )
 from .fields import Field, FieldElement
 from .linalg import (
     Matrix,
     Vector,
+    _diagonal,
+    _kernel,
+    _vec_mat,
     bilinear,
-    from_columns,
+    block_diag,
     stack_rows,
-    unit_vector,
-    vadd,
     vec_mat,
     vscale,
     vsub,
-    vzero,
 )
 
 
@@ -100,10 +109,10 @@ class QuadraticSpace:
         return bilinear(x, self.gram, y)
 
     def basis_vector(self, i: int) -> Vector:
-        return unit_vector(self.field, self.dim, i)
+        return Matrix.identity(self.field, self.dim).row(i)
 
     def zero_vector(self) -> Vector:
-        return vzero(self.field, self.dim)
+        return (self.field.zero,) * self.dim
 
     def vectors(self) -> Iterator[Vector]:
         """All vectors of the space; finite fields only."""
@@ -247,157 +256,119 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric bilinear forms on an explicit basis
+# Orthogonal and hyperbolic bases of a Gram matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymBilinearForm:
-    """A bilinear form given by its Gram matrix on an explicit vector basis.
-
-    ``basis`` are ambient vectors (rows); ``gram[i][j]`` is the value of the
-    form on (basis[i], basis[j]).  ``space`` is the ambient quadratic space
-    when there is one (coordinate-only forms pass None).
-    """
-
-    field: Field
-    basis: tuple[Vector, ...]
-    gram: Matrix
-    space: QuadraticSpace | None = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def eval_coords(self, a: Vector, b: Vector) -> FieldElement:
-        return bilinear(a, self.gram, b)
-
-    def ambient(self, coords: Vector) -> Vector:
-        """The ambient vector with the given coefficients in this basis."""
-        if self.dim == 0:
-            raise DimensionMismatch("zero-dimensional form has no vectors")
-        return vec_mat(coords, Matrix(self.field, self.basis))
-
-    def is_symmetric(self) -> bool:
-        return self.gram.is_symmetric()
-
-    def is_alternating(self) -> bool:
-        return self.gram.is_alternating()
-
-    def is_nondegenerate(self) -> bool:
-        return self.dim == 0 or bool(self.gram.det())
-
-
-def _independent(field: Field, vectors) -> list[Vector]:
-    """The greedy choice of independent vectors: the pivot columns."""
-    if not vectors:
+def _independent(field: Field, rows) -> list:
+    """The greedy choice of independent payload rows: the pivot columns of
+    the matrix whose columns they are."""
+    if not rows:
         return []
-    return [vectors[j] for j in from_columns(field, vectors).rref()[1]]
+    columns = Matrix._trusted(field, tuple(zip(*rows)), len(rows))
+    return [rows[j] for j in columns.rref()[1]]
 
 
-def _symplectic_pairs(form: SymBilinearForm, coord_vectors: list[Vector]):
-    """Symplectic Gram-Schmidt on coordinate vectors spanning an alternating
-    nondegenerate piece; returns coordinate pairs with f(u, v) = 1."""
-    field = form.field
-    f = form.eval_coords
-    remaining = list(coord_vectors)
+def _symplectic_pairs(gram: Matrix, rows) -> list:
+    """Symplectic Gram-Schmidt on payload rows spanning a nondegenerate
+    piece of the alternating form G; returns pairs (u, v) with u G v^T = 1."""
+    field, kernel = gram.field, _kernel(gram.field)
+    dot, zero = kernel.dot, kernel.zero
+    remaining = list(rows)
     pairs = []
     while remaining:
         u = remaining[0]
-        v = next((w for w in remaining[1:] if f(u, w)), None)
+        ug = _vec_mat(field, u, gram)
+        v = next((w for w in remaining[1:] if dot(ug, w) != zero), None)
         if v is None:
             raise Degenerate("no symplectic partner; form is degenerate")
-        v = vscale(field.one / f(u, v), v)
+        v = kernel.scale_row(kernel.inv(dot(ug, v)), v)
         pairs.append((u, v))
+        gv = [dot(r, v) for r in gram.payload_rows]  # G v^T
         new = []
-        for w in remaining:
-            if w is u:
-                continue
-            w1 = vsub(w, vscale(f(w, v), u))
-            w1 = vsub(w1, vscale(f(u, w1), v))
-            new.append(w1)
+        for w in remaining[1:]:
+            w = kernel.eliminate(w, dot(w, gv), u)
+            new.append(kernel.eliminate(w, dot(ug, w), v))
         remaining = _independent(field, new)
     return pairs
 
 
-def orthogonal_basis(form: SymBilinearForm) -> tuple[Vector, ...]:
-    """An orthogonal basis of a nonalternating nondegenerate symmetric form.
-
-    Returns ambient vectors whose Gram matrix under the form is diagonal
-    with nonzero entries.  In characteristic 2 a greedy split can leave an
-    alternating remainder; it is repaired by combining the last diagonal
-    vector v (of norm a) with a hyperbolic pair (e, f) of the remainder,
-    replacing them by (v+e, v+af, v+e+af), whose Gram is diag(a, a, a).
-    """
-    if not form.is_symmetric():
-        raise NotAlternating("form is not symmetric")
-    if not form.is_nondegenerate():
+def orthogonal_basis(gram: Matrix) -> tuple[Matrix, tuple[FieldElement, ...]]:
+    """An orthogonal basis of the nonalternating nondegenerate symmetric form
+    with Gram matrix G: coordinate rows P and the diagonal d, with
+    P G P^T = diag(d) and every d_i nonzero.  In characteristic 2 a greedy
+    split can leave an alternating remainder; it is repaired by combining
+    the last diagonal vector v (of norm a) with a hyperbolic pair (e, f) of
+    the remainder, replacing them by (v+e, v+af, v+e+af), whose Gram matrix
+    is diag(a, a, a).  A non-square G fails its determinant with
+    DimensionMismatch."""
+    if not gram.det():
         raise Degenerate("form is degenerate")
-    field = form.field
-    n = form.dim
+    if not gram.is_symmetric():
+        raise NotSymmetric("form is not symmetric")
+    field, kernel = gram.field, _kernel(gram.field)
+    dot, zero = kernel.dot, kernel.zero
     char2 = field.characteristic() == 2
-    f = form.eval_coords
-
-    remaining = [unit_vector(field, n, i) for i in range(n)]
-    diag: list[Vector] = []
-
+    remaining = list(Matrix.identity(field, gram.nrows).payload_rows)
+    diag = []
     while remaining:
-        pick = next((v for v in remaining if f(v, v)), None)
-        if pick is None and not char2:
+        at = next((i for i, v in enumerate(remaining)
+                   if dot(_vec_mat(field, v, gram), v) != zero), None)
+        if at is None and not char2:
             # f(u+v, u+v) = 2 f(u, v) rescues the greedy split
             for i, u in enumerate(remaining):
-                v = next((w for w in remaining[i + 1:] if f(u, w)), None)
+                ug = _vec_mat(field, u, gram)
+                v = next((w for w in remaining[i + 1:] if dot(ug, w) != zero), None)
                 if v is not None:
-                    pick = vadd(u, v)
-                    remaining.append(pick)
+                    at = len(remaining)
+                    remaining.append(kernel.add_rows(u, v))
                     break
-        if pick is None:
+        if at is None:
             break
+        pick = remaining[at]
         diag.append(pick)
-        a = f(pick, pick)
+        pg = _vec_mat(field, pick, gram)
+        inv = kernel.inv(dot(pg, pick))
         remaining = _independent(field, [
-            vsub(w, vscale(f(pick, w) / a, pick))
-            for w in remaining
-            if w is not pick
+            kernel.eliminate(w, kernel.mul(dot(pg, w), inv), pick)
+            for i, w in enumerate(remaining) if i != at
         ])
 
     if remaining:
         # alternating remainder (characteristic 2 only)
         if not diag:
             raise AlternatingForm("form is alternating; no orthogonal basis")
-        pairs = _symplectic_pairs(form, remaining)
         v = diag.pop()
-        for e, fv in pairs:
-            a = f(v, v)
-            v1 = vadd(v, e)
-            v2 = vadd(v, vscale(a, fv))
-            v3 = vadd(v1, vscale(a, fv))
-            diag.extend([v1, v2])
-            v = v3
+        for e, f in _symplectic_pairs(gram, remaining):
+            af = kernel.scale_row(dot(_vec_mat(field, v, gram), v), f)
+            diag.extend([kernel.add_rows(v, e), kernel.add_rows(v, af)])
+            v = kernel.add_rows(kernel.add_rows(v, e), af)
         diag.append(v)
 
-    _check_diagonal(form, diag)
-    return tuple(form.ambient(c) for c in diag)
+    p = Matrix.from_payloads(field, diag, gram.nrows)
+    product = p * gram * p.transpose()
+    d = tuple(product.payload_rows[i][i] for i in range(p.nrows))
+    if p.nrows != gram.nrows or zero in d or product != _diagonal(field, d):
+        raise InvariantViolation("P G P^T is not diagonal with nonzero entries")
+    return p, field.wrap_all(d)
 
 
-def _check_diagonal(form: SymBilinearForm, coord_basis: list[Vector]):
-    for i, u in enumerate(coord_basis):
-        if not form.eval_coords(u, u):
-            raise AlternatingForm("internal: produced a zero diagonal entry")
-        for v in coord_basis[i + 1:]:
-            if form.eval_coords(u, v):
-                raise AlternatingForm("internal: produced a non-orthogonal pair")
-
-
-def hyperbolic_basis_alternating(form: SymBilinearForm) -> tuple[tuple[Vector, Vector], ...]:
-    """Symplectic Gram-Schmidt: pairs (u_i, v_i) with f(u_i, v_i) = 1,
-    f(v_i, u_i) = -1, and all other pairings zero."""
-    if not form.is_alternating():
-        raise NotAlternating("form is not alternating")
-    if not form.is_nondegenerate():
+def hyperbolic_basis_alternating(gram: Matrix) -> Matrix:
+    """Symplectic Gram-Schmidt on the alternating nondegenerate form with
+    Gram matrix G: coordinate rows u_1, v_1, u_2, v_2, ... with
+    f(u_i, v_i) = 1, f(v_i, u_i) = -1 and all other pairings zero, i.e.
+    P G P^T is the standard hyperbolic form.  A non-square G fails its
+    determinant with DimensionMismatch."""
+    if not gram.det():
         raise Degenerate("form is degenerate")
-    coords = [unit_vector(form.field, form.dim, i) for i in range(form.dim)]
-    pairs = _symplectic_pairs(form, coords)
-    return tuple((form.ambient(u), form.ambient(v)) for u, v in pairs)
+    if not gram.is_alternating():
+        raise NotAlternating("form is not alternating")
+    field, n = gram.field, gram.nrows
+    pairs = _symplectic_pairs(gram, Matrix.identity(field, n).payload_rows)
+    p = Matrix.from_payloads(field, [r for pair in pairs for r in pair], n)
+    plane = Matrix.from_ints(field, [[0, 1], [-1, 0]])
+    if p * gram * p.transpose() != block_diag(field, [plane] * (n // 2)):
+        raise InvariantViolation("P G P^T is not the standard hyperbolic form")
+    return p
 
 
 def extend_to_hyperbolic_basis(

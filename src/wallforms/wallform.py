@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, NotSymmetric
 from .fields import FieldElement
 from .linalg import Matrix, Vector, bilinear
-from .quadspace import SymBilinearForm, Subspace, _upper_triangularize, orthogonal_basis
+from .quadspace import Subspace, _upper_triangularize, orthogonal_basis
 from .isometry import Isometry
 
 
@@ -37,14 +37,10 @@ class WallForm:
     def s(self) -> int:
         return len(self.basis)
 
-    def form(self) -> SymBilinearForm:
-        return SymBilinearForm(
-            self.tau.space.field, self.basis, self.gram, self.tau.space
-        )
-
-    def orthogonal_basis(self) -> tuple[Vector, ...]:
+    def orthogonal_basis(self) -> tuple[tuple[Vector, ...], tuple[FieldElement, ...]]:
         """An orthogonal basis of the residual form (nonalternating forms
-        only), computed once per isometry and kept with its Wall form."""
+        only) and its diagonal w(u, u), computed once per isometry and
+        kept with its Wall form."""
         return self.tau.derived("orthogonal_basis", _orthogonal_residual_basis)
 
     def carrier(self) -> Subspace:
@@ -82,10 +78,10 @@ def wall_form(tau: Isometry) -> WallForm:
     return WallForm(tau, *tau.derived("wall_form", _wall_form_parts))
 
 
-def _orthogonal_residual_basis(tau: Isometry) -> tuple[Vector, ...]:
-    # from the kept parts, not the WallForm, which refers back to tau
-    basis, _, gram = tau.derived("wall_form", _wall_form_parts)
-    return orthogonal_basis(SymBilinearForm(tau.space.field, basis, gram, tau.space))
+def _orthogonal_residual_basis(tau: Isometry):
+    # from the kept Gram matrix, not the WallForm, which refers back to tau
+    p, diagonal = orthogonal_basis(tau.derived("wall_form", _wall_form_parts)[2])
+    return (p * tau.residual_space().basis).rows, diagonal
 
 
 def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, ...], Matrix]:

@@ -25,6 +25,7 @@ from wallforms.errors import (
     InvariantViolation,
     IsotropicVector,
     NotInterchange,
+    NotOrthogonalBasis,
     NotRegular,
     NotScalarSquare,
     NotSymmetric,
@@ -231,6 +232,16 @@ def test_alternating_generators_zero_square(tau_int, h4f2):
             tau_int, (h4f2.basis_vector(0), h4f2.basis_vector(2)))
 
 
+def test_alternating_generators_checks_the_residual_gram_in_order(r4t, tau_r4t):
+    # w(u1, u1) = w(u2, u2) = t and w(u1, u2) = 0, so u1 + u2 has norm 0
+    u1, u2 = r4t.basis_vector(0), r4t.basis_vector(2)
+    both = tuple(a + b for a, b in zip(u1, u2))
+    with pytest.raises(NotOrthogonalBasis):
+        wf.alternating_generators_check(tau_r4t, (u1, both))
+    with pytest.raises(ZeroSquare):
+        wf.alternating_generators_check(tau_r4t, (both, u1))
+
+
 # ---------------------------------------------------------------------------
 # Pfister data
 # ---------------------------------------------------------------------------
@@ -368,8 +379,9 @@ def test_residual_orthogonal_basis_is_computed_once(tau_r4t, monkeypatch):
     assert not wf.transpose_iso_criterion(tau).holds
     d = wf.decompose(tau)
     assert len(calls) == 1
-    assert [blk.u for blk in d.blocks] == list(wf.wall_form(tau).orthogonal_basis())
-    assert gens == tuple(tau.space.eval_q(blk.u) for blk in d.blocks)
+    basis, diagonal = wf.wall_form(tau).orthogonal_basis()
+    assert [blk.u for blk in d.blocks] == list(basis)
+    assert gens == diagonal == tuple(tau.space.eval_q(blk.u) for blk in d.blocks)
 
 
 def test_clif_runner_evaluates_the_criterion_once_per_element(h4f2, monkeypatch):

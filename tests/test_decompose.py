@@ -93,6 +93,17 @@ def test_interchange_block_skew_pair(h4f2, tau_int):
     assert blk.w == vadd(e(0), e(2))
 
 
+def test_interchange_block_needs_the_hyperbolic_pairing(h4f7, f7):
+    # w(x, w) = 1 = -w(w, x) and w(x, x) = w(w, w) = 0, in this order only
+    e = h4f7.basis_vector
+    tau = wf.eichler(h4f7, e(0), e(2))
+    x, _, w, _ = wf.interchange_normal_basis(tau)
+    assert wf.interchange_block(tau, x, w).vectors()[::2] == (x, w)
+    for pair in ((w, x), (x, x), (x, tuple(f7.from_int(2) * c for c in w))):
+        with pytest.raises(NotHyperbolicPair):
+            wf.interchange_block(tau, *pair)
+
+
 def test_interchange_block_rejects_bad_pair(tau_r4t, r4t):
     # w(u1, u1) = t != 0
     with pytest.raises((NotHyperbolicPair, wf.WallformsError)):

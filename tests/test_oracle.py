@@ -1,6 +1,7 @@
 """Group enumeration: orders, closure properties, method agreement."""
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -19,7 +20,6 @@ from wallforms.oracle import (
     _batch_arith,
     _closure,
     _keys,
-    scan_flat,
     standard_generators,
 )
 
@@ -37,6 +37,27 @@ def test_h4f2_order(group_h4f2):
 def test_scan_is_idempotent(h4f2, group_h4f2):
     again = wf.enumerate_orthogonal_group(h4f2)
     assert (again.payloads == group_h4f2.payloads).all()
+
+
+def scan_flat(space):
+    """Plain scan over every matrix: the reference for the backtracking
+    scan (tiny spaces only)."""
+    tables = oracle._space_tables(space)
+    n = space.dim
+    if len(tables.vectors) ** n > oracle.AUTO_SCAN_LIMIT:
+        raise TooLarge("flat scan is for tiny spaces")
+    unit = lambda i: tables.index[tuple(1 if j == i else 0 for j in range(n))]  # noqa: E731
+    results = []
+    for cols in itertools.product(range(len(tables.vectors)), repeat=n):
+        ok = all(tables.qvals[c] == tables.qvals[unit(j)] for j, c in enumerate(cols))
+        if ok:
+            ok = all(
+                tables.bvals[cols[i]][cols[j]] == tables.bvals[unit(i)][unit(j)]
+                for i in range(n) for j in range(i + 1, n)
+            )
+        if ok:
+            results.append(np.array([tables.vectors[c] for c in cols], dtype=np.int64).T)
+    return oracle._finish(space, "exhaustive-matrix-scan", results)
 
 
 def test_backtracking_scan_equals_flat_scan(h4f2, group_h4f2):

@@ -3,20 +3,23 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import wallforms as wf
 from wallforms.errors import (
     AlternatingForm,
+    Degenerate,
+    DimensionMismatch,
+    InvariantViolation,
     NotAlternating,
     NotExtendable,
     NotNested,
     NotRegular,
+    NotSymmetric,
 )
-from wallforms.linalg import Matrix, vadd, vscale
+from wallforms.linalg import Matrix, bilinear, vadd, vec_mat, vscale, vsub
 from wallforms.quadspace import (
     Subspace,
-    SymBilinearForm,
     _independent,
     complement_in,
     extend_to_hyperbolic_basis,
@@ -172,6 +175,10 @@ def _ref_complement_in(inner, outer):
     return Subspace.from_vectors(outer.space, chosen)
 
 
+def _payloads(v):
+    return tuple(a.payload for a in v)
+
+
 @st.composite
 def _vector_lists(draw, field, max_size):
     """Length-4 vectors, with zero vectors, repeats and combinations of
@@ -209,7 +216,8 @@ def _greedy_settings():
 def test_independent_is_the_greedy_choice(literal, data):
     field = wf.parse_field(literal)
     vectors = data.draw(_vector_lists(field, 7))
-    assert _independent(field, vectors) == _ref_independent(field, vectors)
+    rows = [_payloads(v) for v in vectors]
+    assert _independent(field, rows) == [_payloads(v) for v in _ref_independent(field, vectors)]
 
 
 @pytest.mark.parametrize("literal", GREEDY_FIELDS)
@@ -238,69 +246,65 @@ def test_complement_in_is_the_greedy_choice(literal, data):
 # orthogonal bases
 # ---------------------------------------------------------------------------
 
-def _form_on_unit_vectors(field, gram_rows, space=None):
-    def conv(v):
-        return v if isinstance(v, wf.FieldElement) else field.from_int(v)
-    gram = Matrix(field, [[conv(v) for v in row] for row in gram_rows])
-    n = gram.nrows
-    basis = tuple(
-        tuple(field.one if j == i else field.zero for j in range(n))
-        for i in range(n)
-    )
-    return SymBilinearForm(field, basis, gram, space)
+def _gram(field, rows):
+    return Matrix(field, [[v if isinstance(v, wf.FieldElement) else field.from_int(v)
+                           for v in row] for row in rows])
 
 
 def test_orthogonal_basis_diagonal_input(ft):
     t = ft.t
-    form = _form_on_unit_vectors(ft, [[t, ft.zero], [ft.zero, t]])
-    basis = orthogonal_basis(form)
-    assert basis == (
-        (ft.one, ft.zero), (ft.zero, ft.one),
-    )
+    p, d = orthogonal_basis(_gram(ft, [[t, ft.zero], [ft.zero, t]]))
+    assert p.rows == ((ft.one, ft.zero), (ft.zero, ft.one))
+    assert d == (t, t)
 
 
 def test_orthogonal_basis_char2_fixup(f2):
     # a diagonal vector plus an alternating remainder forces the repair rule
-    form = _form_on_unit_vectors(f2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    basis = orthogonal_basis(form)
-    assert len(basis) == 3
-    for i, u in enumerate(basis):
-        assert form.eval_coords(u, u) == f2.one
-        for v in basis[i + 1:]:
-            assert not form.eval_coords(u, v)
+    gram = _gram(f2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    p, d = orthogonal_basis(gram)
+    assert p.nrows == 3 and d == (f2.one,) * 3
+    assert p * gram * p.transpose() == Matrix.identity(f2, 3)
 
 
 def test_orthogonal_basis_one_dimensional(f7):
-    form = _form_on_unit_vectors(f7, [[3]])
-    assert orthogonal_basis(form) == ((f7.one,),)
+    p, d = orthogonal_basis(_gram(f7, [[3]]))
+    assert p.rows == ((f7.one,),) and d == (f7.from_int(3),)
 
 
 def test_orthogonal_basis_rejects_alternating(f2):
-    form = _form_on_unit_vectors(f2, [[0, 1], [1, 0]])
     with pytest.raises(AlternatingForm):
-        orthogonal_basis(form)
+        orthogonal_basis(_gram(f2, [[0, 1], [1, 0]]))
 
 
 def test_orthogonal_basis_odd_char_zero_diagonal(f7):
     # all diagonal entries zero, yet not alternating in odd characteristic
-    form = _form_on_unit_vectors(f7, [[0, 1], [1, 0]])
-    basis = orthogonal_basis(form)
-    assert len(basis) == 2
-    assert form.eval_coords(basis[0], basis[0])
-    assert not form.eval_coords(basis[0], basis[1])
+    gram = _gram(f7, [[0, 1], [1, 0]])
+    p, d = orthogonal_basis(gram)
+    assert p.nrows == 2 and all(d)
+    assert p * gram * p.transpose() == Matrix.diagonal(f7, d)
+
+
+def test_orthogonal_basis_rejects_nonsymmetric_and_nonsquare(f7):
+    # a non-symmetric form is NotSymmetric, not NotAlternating
+    with pytest.raises(NotSymmetric):
+        orthogonal_basis(_gram(f7, [[1, 2], [0, 1]]))
+    with pytest.raises(Degenerate):
+        orthogonal_basis(_gram(f7, [[1, 1], [1, 1]]))
+    for basis in (orthogonal_basis, hyperbolic_basis_alternating):
+        with pytest.raises(DimensionMismatch):
+            basis(_gram(f7, [[0, 1, 0], [6, 0, 0]]))
 
 
 def test_hyperbolic_basis_alternating_already_hyperbolic(f2, h4f2, tau_int):
     w = wf.wall_form(tau_int)
-    pairs = hyperbolic_basis_alternating(w.form())
-    assert len(pairs) == 1
-    (x, y), = pairs
+    p = hyperbolic_basis_alternating(w.gram)
+    assert p.nrows == 2
+    x, y = (p * tau_int.residual_space().basis).rows
     assert w.evaluate(x, y) == f2.one
 
 
-def test_hyperbolic_basis_zero_dimensional(f2, h4f2):
-    form = SymBilinearForm(f2, (), Matrix(f2, [], ncols=0), h4f2)
-    assert hyperbolic_basis_alternating(form) == ()
+def test_hyperbolic_basis_zero_dimensional(f2):
+    assert hyperbolic_basis_alternating(Matrix(f2, [], ncols=0)).shape == (0, 0)
 
 
 def test_hyperbolic_basis_gf7_random_alternating(f7):
@@ -310,34 +314,209 @@ def test_hyperbolic_basis_gf7_random_alternating(f7):
     while found < 5:
         a, b, c, d, e, f = (rng.choice(elems) for _ in range(6))
         z = f7.zero
-        rows = [
+        gram = Matrix(f7, [
             [z, a, b, c],
             [-a, z, d, e],
             [-b, -d, z, f],
             [-c, -e, -f, z],
-        ]
-        gram = Matrix(f7, rows)
+        ])
         if not gram.det():
             continue
         found += 1
-        form = _form_on_unit_vectors(f7, rows)
-        pairs = hyperbolic_basis_alternating(form)
-        assert len(pairs) == 2
-        flat = [v for pair in pairs for v in pair]
-        for i, u in enumerate(flat):
-            for j, v in enumerate(flat):
-                expected = f7.zero
-                if (i, j) == (0, 1) or (i, j) == (2, 3):
-                    expected = f7.one
-                if (i, j) == (1, 0) or (i, j) == (3, 2):
-                    expected = -f7.one
-                assert form.eval_coords(u, v) == expected
+        p = hyperbolic_basis_alternating(gram)
+        assert p.nrows == 4
+        assert p * gram * p.transpose() == _gram(f7, [
+            [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
 
 def test_hyperbolic_basis_rejects_nonalternating(ft):
-    form = _form_on_unit_vectors(ft, [[ft.t]])
     with pytest.raises(NotAlternating):
-        hyperbolic_basis_alternating(form)
+        hyperbolic_basis_alternating(_gram(ft, [[ft.t]]))
+
+
+def test_bases_check_their_product(monkeypatch):
+    # a greedy step that loses vectors, or a skipped elimination, is caught
+    # by the one product check; the field is fresh, so no other test sees
+    # its patched kernel
+    from wallforms import linalg, quadspace
+    f7 = wf.parse_field("gf(7)")
+    hyperbolic = _gram(f7, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    with monkeypatch.context() as m:
+        m.setattr(quadspace, "_independent", lambda field, rows: [])
+        with pytest.raises(InvariantViolation):
+            orthogonal_basis(_gram(f7, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
+        with pytest.raises(InvariantViolation):
+            hyperbolic_basis_alternating(hyperbolic)
+    kernel = linalg._kernel(f7)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "eliminate", lambda row, c, prow: list(row))
+        with pytest.raises(InvariantViolation):
+            orthogonal_basis(_gram(f7, [[1, 1], [1, 2]]))
+
+
+# ---------------------------------------------------------------------------
+# orthogonal and hyperbolic bases against the boxed reference
+# ---------------------------------------------------------------------------
+
+def _ref_symplectic_pairs(gram, coord_vectors):
+    """Symplectic Gram-Schmidt on boxed coordinate vectors."""
+    field = gram.field
+    f = lambda a, b: bilinear(a, gram, b)  # noqa: E731
+    remaining = list(coord_vectors)
+    pairs = []
+    while remaining:
+        u = remaining[0]
+        v = next((w for w in remaining[1:] if f(u, w)), None)
+        if v is None:
+            raise Degenerate("no symplectic partner; form is degenerate")
+        v = vscale(field.one / f(u, v), v)
+        pairs.append((u, v))
+        new = []
+        for w in remaining[1:]:
+            w1 = vsub(w, vscale(f(w, v), u))
+            w1 = vsub(w1, vscale(f(u, w1), v))
+            new.append(w1)
+        remaining = _ref_independent(field, new)
+    return pairs
+
+
+def _ref_orthogonal_basis(gram):
+    """The greedy diagonalization with the characteristic-2 repair, on
+    boxed coordinate vectors; returns the basis and its diagonal."""
+    field, n = gram.field, gram.nrows
+    f = lambda a, b: bilinear(a, gram, b)  # noqa: E731
+    char2 = field.characteristic() == 2
+    remaining = list(Matrix.identity(field, n).rows)
+    diag = []
+    while remaining:
+        pick = next((v for v in remaining if f(v, v)), None)
+        if pick is None and not char2:
+            for i, u in enumerate(remaining):
+                v = next((w for w in remaining[i + 1:] if f(u, w)), None)
+                if v is not None:
+                    pick = vadd(u, v)
+                    remaining.append(pick)
+                    break
+        if pick is None:
+            break
+        diag.append(pick)
+        a = f(pick, pick)
+        remaining = _ref_independent(field, [
+            vsub(w, vscale(f(pick, w) / a, pick)) for w in remaining if w is not pick])
+    if remaining:
+        if not diag:
+            raise AlternatingForm("form is alternating; no orthogonal basis")
+        v = diag.pop()
+        for e, fv in _ref_symplectic_pairs(gram, remaining):
+            a = f(v, v)
+            v1 = vadd(v, e)
+            diag.extend([v1, vadd(v, vscale(a, fv))])
+            v = vadd(v1, vscale(a, fv))
+        diag.append(v)
+    return tuple(diag), tuple(f(u, u) for u in diag)
+
+
+BASIS_FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(7)", "gf(97)", "gf2(t)"]
+
+
+@st.composite
+def _nondegenerate_grams(draw, field, alternating):
+    """Random nondegenerate symmetric, or alternating, Gram matrices, with
+    zero entries common and, at times, a zero diagonal; over GF(2)(t) with
+    entries of degree at most 1."""
+    def element():
+        if draw(st.integers(0, 2)) == 0:
+            return field.zero
+        if field.kind == "ratfunc":
+            return field.fraction(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+        return field.element(draw(st.integers(0, field.order() - 1)))
+
+    top = 4 if field.kind == "ratfunc" else 6
+    n = draw(st.sampled_from(range(2, top + 1, 2)) if alternating else st.integers(1, top - 1))
+    zero_diagonal = alternating or (field.characteristic() != 2 and draw(st.integers(0, 2)) == 0)
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        if not zero_diagonal:
+            rows[i][i] = element()
+        for j in range(i + 1, n):
+            rows[i][j] = element()
+            rows[j][i] = -rows[i][j] if alternating else rows[i][j]
+    gram = Matrix(field, rows)
+    assume(gram.det())
+    return gram
+
+
+def _basis_settings():
+    return settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@pytest.mark.parametrize("literal", BASIS_FIELDS)
+@given(data=st.data())
+@_basis_settings()
+def test_orthogonal_basis_matches_reference(literal, data):
+    gram = data.draw(_nondegenerate_grams(wf.parse_field(literal), alternating=False))
+    try:
+        expected = _ref_orthogonal_basis(gram)
+    except AlternatingForm:
+        with pytest.raises(AlternatingForm):
+            orthogonal_basis(gram)
+    else:
+        p, d = orthogonal_basis(gram)
+        assert (p.rows, d) == expected
+
+
+@pytest.mark.parametrize("literal", BASIS_FIELDS)
+@given(data=st.data())
+@_basis_settings()
+def test_hyperbolic_basis_matches_reference(literal, data):
+    gram = data.draw(_nondegenerate_grams(wf.parse_field(literal), alternating=True))
+    units = Matrix.identity(gram.field, gram.nrows).rows
+    expected = tuple(v for pair in _ref_symplectic_pairs(gram, units) for v in pair)
+    assert hyperbolic_basis_alternating(gram).rows == expected
+
+
+def _ref_residual_vectors(wall):
+    """The residual vectors of the reference bases of a Wall form:
+    (orthogonal basis, diagonal) or the hyperbolic pairs."""
+    residual = Matrix(wall.tau.space.field, wall.basis, ncols=wall.tau.space.dim)
+    if wall.is_alternating():
+        units = Matrix.identity(wall.gram.field, wall.s).rows
+        return [tuple(vec_mat(c, residual) for c in pair)
+                for pair in _ref_symplectic_pairs(wall.gram, units)]
+    coords, diag = _ref_orthogonal_basis(wall.gram)
+    return tuple(vec_mat(c, residual) for c in coords), diag
+
+
+def test_residual_bases_match_reference_on_h4f4_involutions(h4f4):
+    enum = wf.enumerate_orthogonal_group(h4f4)
+    kinds = set()
+    for i in enum.involution_indices():
+        tau = enum.isometry(i)
+        wall = wf.wall_form(tau)
+        kinds.add(wall.is_alternating())
+        if not wall.is_alternating():
+            assert wall.orthogonal_basis() == _ref_residual_vectors(wall)
+        elif wall.s:
+            rows = (hyperbolic_basis_alternating(wall.gram) * tau.residual_space().basis).rows
+            assert list(zip(rows[0::2], rows[1::2])) == _ref_residual_vectors(wall)
+    assert kinds == {True, False}
+
+
+def test_decompose_blocks_match_reference_on_h6f2_unipotents(f2):
+    h6f2 = wf.QuadraticSpace.hyperbolic(f2, 3)
+    enum = wf.enumerate_orthogonal_group(h6f2)
+    kinds = set()
+    for i in enum.unipotent2_indices():
+        d = wf.decompose(enum.isometry(i))
+        wall = wf.wall_form(d.tau)
+        kinds.update(blk.kind for blk in d.blocks)
+        if wall.is_alternating():
+            assert [(blk.x, blk.w) for blk in d.blocks] == _ref_residual_vectors(wall)
+        else:
+            basis, _ = _ref_residual_vectors(wall)
+            assert tuple(blk.u for blk in d.blocks) == basis
+    assert kinds == {"interchange", "reflection"}
 
 
 # ---------------------------------------------------------------------------
