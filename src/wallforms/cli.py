@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import (
@@ -218,7 +219,13 @@ def cmd_enumerate(problem: ProblemFile) -> dict:
 
 
 def _emit(payload: dict):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader has gone: send stdout to devnull, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 @functools.cache

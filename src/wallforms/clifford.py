@@ -858,9 +858,12 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
         p_mat, diag = orthogonal_basis(g_mat)  # P G P^T = diag(d)
     except AlternatingForm:
         raise InvariantViolation("transport form is alternating despite the criterion")
-    # H = diag(sqrt d) (P^T)^-1 has H^T H = P^-1 diag(d) P^-T = G
-    h_mat = Matrix.diagonal(field, map(field.sqrt, diag)) * p_mat.transpose().inverse()
-    h_inv = h_mat.inverse()
+    # H = diag(sqrt d) (P^T)^-1 has H^T H = P^-1 diag(d) P^-T = G,
+    # and H^-1 = P^T diag(sqrt d)^-1
+    roots = [field.sqrt(d) for d in diag]
+    p_t = p_mat.transpose()
+    h_mat = Matrix.diagonal(field, roots) * p_t.inverse()
+    h_inv = p_t * Matrix.diagonal(field, [field.one / r for r in roots])
     # conjugate every blade image by H, as two batched products
     arith = _batch_arith(field)
     conj = arith.matmul(arith.matmul(_payload_array(h_mat), _payload_array(*blade_images)),

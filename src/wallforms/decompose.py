@@ -208,7 +208,11 @@ def interchange_normal_basis(tau: Isometry) -> tuple[Vector, Vector, Vector, Vec
     """A hyperbolic basis (x, y, w, z) of a 4-dimensional interchange isometry
     with (x, w) spanning the fixed space, tau(y) = y + w and tau(z) = z - x.
     The Eichler transformation of (x, w) reproduces tau exactly: on this
-    basis it acts as the block check has shown tau to act."""
+    basis it acts as the block check has shown tau to act; kept with tau."""
+    return tau.derived("interchange_normal_basis", _normal_basis)
+
+
+def _normal_basis(tau: Isometry) -> tuple[Vector, Vector, Vector, Vector]:
     if not tau.is_interchange():
         raise NotInterchange("isometry is not an interchange isometry")
     (x, w), = _hyperbolic_pairs(tau, wall_form(tau))

@@ -21,6 +21,9 @@ comparison over the whole enumeration.
 
 Verification runners re-check the library's structural claims over every
 applicable element of an enumerated group and report counterexamples.
+Each runner is a check of one element (with its precondition, set-up and
+element filter), run by one loop (:func:`_check_each`) that counts the
+failures and builds the report.
 """
 
 from __future__ import annotations
@@ -390,25 +393,39 @@ def _descr(iso: Isometry) -> str:
     ) + "]"
 
 
-def _run_tauid(space, enum: GroupEnumeration) -> VerifyReport:
+def _check_each(theorem: str, items, holds, catch=(), describe=_descr) -> VerifyReport:
+    """Run `holds` on every item: it returns whether the claim holds there,
+    or None where the claim does not apply (not counted).  An exception of
+    a class in `catch` counts as a failure; any other propagates."""
     checked = failed = 0
     examples = []
-    indices = list(range(enum.order))
+    for item in items:
+        try:
+            ok = holds(item)
+        except catch:
+            ok = False
+        if ok is None:
+            continue
+        checked += 1
+        if not ok:
+            failed += 1
+            examples.append(describe(item))
+    return VerifyReport(theorem, checked, failed, examples)
+
+
+def _run_tauid(space, enum: GroupEnumeration) -> VerifyReport:
+    indices = range(enum.order)
     if enum.order > 5000:
         # large groups: run the full three-way check on a prefix sample plus
         # every nilpotent element (found by the batched matrix filter)
         indices = sorted(set(enum.unipotent2_indices()) | set(range(5000)))
-    for i in indices:
-        iso = enum.isometry(i)
-        cond_nilpotent = iso.is_unipotent2()
+
+    def holds(iso):
+        nilpotent = iso.is_unipotent2()
         r, k = iso.residual_space(), iso.fixed_space()
-        cond_contained = k.contains_subspace(r)
-        cond_singular = r.is_totally_singular()
-        checked += 1
-        if not (cond_nilpotent == cond_contained == cond_singular):
-            failed += 1
-            examples.append(_descr(iso))
-    return VerifyReport("tauid", checked, failed, examples)
+        contained, singular = k.contains_subspace(r), r.is_totally_singular()
+        return nilpotent == contained == singular
+    return _check_each("tauid", map(enum.isometry, indices), holds)
 
 
 def _proper_regular_subspaces(space: QuadraticSpace) -> list[Subspace]:
@@ -461,107 +478,69 @@ def _run_defint(space, enum: GroupEnumeration) -> VerifyReport:
     if space.dim != 4:
         raise PreconditionError("the interchange characterization is 4-dimensional")
     regs = _proper_regular_subspaces(space)
-    checked = failed = 0
-    examples = []
-    for iso in enum.isometries():
-        checked += 1
-        c1 = iso.is_interchange()
+
+    def holds(iso):
+        # a normal basis would force a 2-dim totally isotropic fixed space
+        c1 = c2 = iso.is_interchange()
         if c1:
             try:
                 interchange_normal_basis(iso)
-                c2 = True
             except WallformsError:
                 c2 = False
-        else:
-            # a normal basis would force a 2-dim totally isotropic fixed space
-            c2 = False
         c3 = iso.is_unipotent2() and not _has_invariant_subspace(iso, regs)
-        if not (c1 == c2 == c3):
-            failed += 1
-            examples.append(_descr(iso))
-    return VerifyReport("defint", checked, failed, examples)
+        return c1 == c2 == c3
+    return _check_each("defint", enum.isometries(), holds)
 
 
 def _run_char(space, enum: GroupEnumeration) -> VerifyReport:
-    checked = failed = 0
-    examples = []
-    for i in enum.unipotent2_indices():
-        iso = enum.isometry(i)
-        checked += 1
-        try:
-            decompose(iso)  # validated there, the block-count law included
-        except WallformsError:
-            failed += 1
-            examples.append(_descr(iso))
-    return VerifyReport("char", checked, failed, examples)
+    def holds(iso):
+        decompose(iso)  # validated there, the block-count law included
+        return True
+    return _check_each("char", map(enum.isometry, enum.unipotent2_indices()), holds,
+                       WallformsError)
 
 
 def _run_vprime(space, enum: GroupEnumeration) -> VerifyReport:
-    checked = failed = 0
-    examples = []
-    for i in enum.unipotent2_indices():
-        iso = enum.isometry(i)
-        checked += 1
-        try:
-            w = complement_W(iso)
-            r = iso.residual_space()
-            wperp = w.orthogonal_complement()
-            ok = wperp.dim == 2 * r.dim  # complement_W raises unless w is regular
-            ok = ok and all(iso.apply(v) == v for v in w.vectors())
-            fixed_in_wperp = iso.fixed_space().intersection(wperp)
-            ok = ok and fixed_in_wperp == r
-            image = Subspace.from_vectors(
-                space, [iso.apply(v) for v in wperp.vectors()]
-            )
-            ok = ok and image == wperp
-            residual_of_restriction = Subspace.from_vectors(
-                space,
-                [tuple(a - b for a, b in zip(iso.apply(v), v)) for v in wperp.vectors()],
-            )
-            ok = ok and residual_of_restriction == r
-            if not ok:
-                raise WallformsError("complement law failed")
-        except WallformsError:
-            failed += 1
-            examples.append(_descr(iso))
-    return VerifyReport("v'", checked, failed, examples)
+    """tau fixes W pointwise, keeps W-perp (of dimension 2 dim R), and fixes
+    and moves W-perp onto R = im(tau - 1); tau and tau - 1 act on a basis
+    as one product each."""
+    def holds(iso):
+        w = complement_W(iso)  # raises unless W is regular
+        r = iso.residual_space()
+        wperp = w.orthogonal_complement()
+        moves = iso.displacement().transpose()  # rows v -> (tau - 1) v
+        images = (wperp.basis * iso.mat.transpose()).rows
+        moved = (wperp.basis * moves).rows
+        return (wperp.dim == 2 * r.dim
+                and (w.basis * moves).is_zero()
+                and iso.fixed_space().intersection(wperp) == r
+                and Subspace.from_vectors(space, images) == wperp
+                and Subspace.from_vectors(space, moved) == r)
+    return _check_each("v'", map(enum.isometry, enum.unipotent2_indices()), holds,
+                       WallformsError)
 
 
 def _run_res(space, enum: GroupEnumeration) -> VerifyReport:
     if space.field.characteristic() != 2:
         raise CharacteristicNot2("involution-type comparison requires characteristic 2")
     alg = algebra_for_space(space)
-    checked = failed = 0
-    examples = []
-    for i in enum.involution_indices():
-        iso = enum.isometry(i)
-        checked += 1
-        inv = natural_involution(iso, alg)
-        t = involution_type(inv)
-        expected = "orthogonal" if iso.residual_space() == iso.fixed_space() else "symplectic"
-        if t != expected:
-            failed += 1
-            examples.append(_descr(iso))
-    return VerifyReport("res", checked, failed, examples)
+
+    def holds(iso):
+        t = involution_type(natural_involution(iso, alg))
+        return t == ("orthogonal" if iso.residual_space() == iso.fixed_space() else "symplectic")
+    return _check_each("res", map(enum.isometry, enum.involution_indices()), holds)
 
 
 def _run_g(space, enum: GroupEnumeration) -> VerifyReport:
     if space.field.characteristic() != 2:
         raise CharacteristicNot2("conjugating elements require characteristic 2")
-    checked = failed = 0
-    examples = []
-    for i in enum.involution_indices():
-        iso = enum.isometry(i)
-        if not iso.is_interchange():
-            continue
-        checked += 1
-        try:
-            goldman_element(iso, "frame")
-            goldman_element(iso, "swap-plane")
-        except WallformsError:
-            failed += 1
-            examples.append(_descr(iso))
-    return VerifyReport("g", checked, failed, examples)
+
+    def holds(iso):
+        goldman_element(iso, "frame")
+        goldman_element(iso, "swap-plane")
+        return True
+    isos = (iso for iso in map(enum.isometry, enum.involution_indices()) if iso.is_interchange())
+    return _check_each("g", isos, holds, WallformsError)
 
 
 def _run_clif(space, enum: GroupEnumeration) -> VerifyReport:
@@ -570,35 +549,25 @@ def _run_clif(space, enum: GroupEnumeration) -> VerifyReport:
     raises CriterionFails where it does not."""
     if space.field.characteristic() != 2:
         raise CharacteristicNot2("the invariant suite requires characteristic 2")
-    checked = failed = 0
-    examples = []
-    for i in enum.involution_indices():
-        iso = enum.isometry(i)
-        if iso.residual_space() != iso.fixed_space():
-            continue
-        checked += 1
-        try:
-            wf = wall_form(iso)
-            phi_subalgebra(iso)  # verifies the residual-subalgebra isomorphism
-            pf = pfister_invariant(iso)
-            if wf.is_alternating():
-                if any(g != space.field.one for g in pf.generators):
-                    raise WallformsError("alternating case must give unit generators")
-            else:
-                report = alternating_generators_check(iso, wf.orthogonal_basis()[0])
-                if not report.ok:
-                    raise WallformsError("alternating-generator check failed")
-            model = explicit_matrix_iso(iso)
-            alg = model.algebra
-            # residual images are symmetric with square q(u) I, q(u) a square
-            for u in wf.basis:
-                img = model.apply(alg.vector(u))
-                if not square_scalar_check(img, space.eval_q(u)):
-                    raise WallformsError("residual image square is not a square")
-        except WallformsError:
-            failed += 1
-            examples.append(_descr(iso))
-    return VerifyReport("clif", checked, failed, examples)
+
+    def holds(iso):
+        wf = wall_form(iso)
+        phi_subalgebra(iso)  # verifies the residual-subalgebra isomorphism
+        pf = pfister_invariant(iso)
+        if wf.is_alternating():
+            # the alternating case must give unit generators
+            if any(g != space.field.one for g in pf.generators):
+                return False
+        elif not alternating_generators_check(iso, wf.orthogonal_basis()[0]).ok:
+            return False
+        model = explicit_matrix_iso(iso)
+        alg = model.algebra
+        # residual images are symmetric with square q(u) I, q(u) a square
+        return all(square_scalar_check(model.apply(alg.vector(u)), space.eval_q(u))
+                   for u in wf.basis)
+    isos = (iso for iso in map(enum.isometry, enum.involution_indices())
+            if iso.residual_space() == iso.fixed_space())
+    return _check_each("clif", isos, holds, WallformsError)
 
 
 def _symmetric_payload_matrices(field, n):
@@ -616,22 +585,17 @@ def _run_totimes(space, enum=None) -> VerifyReport:
     field = space.field
     if field.characteristic() != 2:
         raise CharacteristicNot2("the symmetric-square law is a characteristic-2 statement")
-    checked = failed = 0
-    examples = []
     size = field.order()
-    for n in (2, 3):
-        if size ** (n * (n + 1) // 2) > 4096:
-            continue
-        for x in _symmetric_payload_matrices(field, n):
-            sq = x * x
-            c = sq[0, 0]
-            if sq != Matrix.identity(field, n).scale(c):
-                continue
-            checked += 1
-            if not square_scalar_check(x, c):
-                failed += 1
-                examples.append(repr(x))
-    return VerifyReport("totimes", checked, failed, examples)
+
+    def holds(x):
+        sq = x * x
+        c = sq[0, 0]
+        if sq != Matrix.identity(field, x.nrows).scale(c):
+            return None
+        return square_scalar_check(x, c)
+    mats = (x for n in (2, 3) if size ** (n * (n + 1) // 2) <= 4096
+            for x in _symmetric_payload_matrices(field, n))
+    return _check_each("totimes", mats, holds, describe=repr)
 
 
 _RUNNERS = {
@@ -656,9 +620,5 @@ def exhaustive_verify(theorem: str, space: QuadraticSpace,
     runner, needs_group = entry
     if needs_group:
         enum = enum if enum is not None else enumerate_orthogonal_group(space)
-        report = runner(space, enum)
-    else:
-        report = runner(space)
-    if theorem == "vprime":
-        report.theorem = "v'"
-    return report
+        return runner(space, enum)
+    return runner(space)

@@ -358,6 +358,30 @@ def test_calls_in_one_process_print_what_separate_processes_print(tmp_path, caps
     assert in_process == [_run_in_subprocess(*argv) for argv in requests]
 
 
+@pytest.mark.parametrize("command, doc, expected", [
+    ("analyze", R2T_DOC, 0),
+    ("clifford", GF7_DOC, 3),                                  # characteristic 7
+    ("analyze", {k: v for k, v in GF7_DOC.items() if k != "tau"}, 2),
+])
+def test_closed_stdout_ends_quietly_with_the_same_exit_code(command, doc, expected,
+                                                           tmp_path, capsys):
+    assert main([command, "--space", _write(tmp_path, doc)]) == expected
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(wallforms.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left, so the first write fails with EPIPE
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "wallforms.cli", command, "--space", "-"],
+                                stdin=subprocess.PIPE, stdout=write_end,
+                                stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(json.dumps(doc).encode(), timeout=120)
+    assert (proc.returncode, err) == (expected, b"")
+
+
 def test_argparse_exit_leaves_the_parser_usable(tmp_path, capsys):
     path = _write(tmp_path, H4F2_DOC)
     with pytest.raises(SystemExit) as exc:

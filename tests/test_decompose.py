@@ -315,7 +315,9 @@ def test_every_block_is_checked_once(tau_int, tau_r4t, r4t, monkeypatch):
     wf.decompose(tau_r4t)
     wf.decompose(tau_int)
     wf.reflection_block(tau_r4t, r4t.basis_vector(0))
-    wf.interchange_normal_basis(tau_int)
+    fresh = wf.Isometry(tau_int.space, tau_int.mat)  # no normal basis kept with it yet
+    wf.interchange_normal_basis(fresh)
+    wf.interchange_normal_basis(fresh)  # kept with the isometry, so not checked again
     assert checked == [["reflection", "reflection"], ["interchange"],
                        ["reflection"], ["interchange"]]
 

@@ -1,8 +1,11 @@
-"""Group enumeration: orders, closure properties, method agreement."""
+"""Group enumeration: orders, closure properties, method agreement; the
+verification runners against the loops they replaced."""
 
 import dataclasses
+import importlib
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
@@ -13,9 +16,13 @@ from wallforms.errors import (
     DescriptorMismatch,
     InvariantViolation,
     NotAnIsometry,
+    NotInterchange,
+    PreconditionError,
     TooLarge,
     UnknownTheorem,
+    WallformsError,
 )
+from wallforms.quadspace import Subspace
 from wallforms.oracle import (
     _batch_arith,
     _closure,
@@ -160,11 +167,13 @@ def test_unknown_theorem(h4f2):
         wf.exhaustive_verify("nonsense", h4f2)
 
 
+H4F2_COUNTS = {"tauid": 72, "defint": 72, "char": 22, "v'": 22, "res": 22, "g": 6, "clif": 15}
+
+
 def test_verify_smoke(h4f2, group_h4f2):
-    for theorem in ("tauid", "res", "g"):
+    for theorem, count in H4F2_COUNTS.items():
         rep = wf.exhaustive_verify(theorem, h4f2, group_h4f2)
-        assert rep.failed == 0
-        assert rep.checked > 0
+        assert (rep.theorem, rep.checked, rep.failed, rep.examples) == (theorem, count, 0, [])
 
 
 def test_verify_vprime_alias(h4f2, group_h4f2):
@@ -356,3 +365,357 @@ def test_enumeration_isometry_is_validated_payload_matrix(group_h4f2, h4f2):
         oracle._payload_matrix_to_isometry(h4f2, np.ones((4, 4), dtype=np.int64))
     with pytest.raises(DescriptorMismatch):
         oracle._payload_matrix_to_isometry(h4f2, 2 * np.eye(4, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# verification runners against the per-runner loops they replaced
+# ---------------------------------------------------------------------------
+# Each _ref_run_* is a runner as it was before the runners became checks
+# over one loop (oracle._check_each).  Library calls go through the oracle
+# module, so a fault patched in there reaches both versions.
+
+def _ref_run_tauid(space, enum):
+    checked = failed = 0
+    examples = []
+    indices = list(range(enum.order))
+    if enum.order > 5000:
+        indices = sorted(set(enum.unipotent2_indices()) | set(range(5000)))
+    for i in indices:
+        iso = enum.isometry(i)
+        cond_nilpotent = iso.is_unipotent2()
+        r, k = iso.residual_space(), iso.fixed_space()
+        cond_contained = k.contains_subspace(r)
+        cond_singular = r.is_totally_singular()
+        checked += 1
+        if not (cond_nilpotent == cond_contained == cond_singular):
+            failed += 1
+            examples.append(oracle._descr(iso))
+    return oracle.VerifyReport("tauid", checked, failed, examples)
+
+
+def _ref_run_defint(space, enum):
+    if space.dim != 4:
+        raise PreconditionError("the interchange characterization is 4-dimensional")
+    regs = oracle._proper_regular_subspaces(space)
+    checked = failed = 0
+    examples = []
+    for iso in enum.isometries():
+        checked += 1
+        c1 = iso.is_interchange()
+        if c1:
+            try:
+                oracle.interchange_normal_basis(iso)
+                c2 = True
+            except WallformsError:
+                c2 = False
+        else:
+            c2 = False
+        c3 = iso.is_unipotent2() and not oracle._has_invariant_subspace(iso, regs)
+        if not (c1 == c2 == c3):
+            failed += 1
+            examples.append(oracle._descr(iso))
+    return oracle.VerifyReport("defint", checked, failed, examples)
+
+
+def _ref_run_char(space, enum):
+    checked = failed = 0
+    examples = []
+    for i in enum.unipotent2_indices():
+        iso = enum.isometry(i)
+        checked += 1
+        try:
+            oracle.decompose(iso)
+        except WallformsError:
+            failed += 1
+            examples.append(oracle._descr(iso))
+    return oracle.VerifyReport("char", checked, failed, examples)
+
+
+def _ref_run_vprime(space, enum):
+    checked = failed = 0
+    examples = []
+    for i in enum.unipotent2_indices():
+        iso = enum.isometry(i)
+        checked += 1
+        try:
+            w = oracle.complement_W(iso)
+            r = iso.residual_space()
+            wperp = w.orthogonal_complement()
+            ok = wperp.dim == 2 * r.dim
+            ok = ok and all(iso.apply(v) == v for v in w.vectors())
+            fixed_in_wperp = iso.fixed_space().intersection(wperp)
+            ok = ok and fixed_in_wperp == r
+            image = oracle.Subspace.from_vectors(space, [iso.apply(v) for v in wperp.vectors()])
+            ok = ok and image == wperp
+            residual_of_restriction = oracle.Subspace.from_vectors(
+                space,
+                [tuple(a - b for a, b in zip(iso.apply(v), v)) for v in wperp.vectors()],
+            )
+            ok = ok and residual_of_restriction == r
+            if not ok:
+                raise WallformsError("complement law failed")
+        except WallformsError:
+            failed += 1
+            examples.append(oracle._descr(iso))
+    return oracle.VerifyReport("v'", checked, failed, examples)
+
+
+def _ref_run_res(space, enum):
+    if space.field.characteristic() != 2:
+        raise oracle.CharacteristicNot2("involution-type comparison requires characteristic 2")
+    alg = oracle.algebra_for_space(space)
+    checked = failed = 0
+    examples = []
+    for i in enum.involution_indices():
+        iso = enum.isometry(i)
+        checked += 1
+        inv = oracle.natural_involution(iso, alg)
+        t = oracle.involution_type(inv)
+        expected = "orthogonal" if iso.residual_space() == iso.fixed_space() else "symplectic"
+        if t != expected:
+            failed += 1
+            examples.append(oracle._descr(iso))
+    return oracle.VerifyReport("res", checked, failed, examples)
+
+
+def _ref_run_g(space, enum):
+    if space.field.characteristic() != 2:
+        raise oracle.CharacteristicNot2("conjugating elements require characteristic 2")
+    checked = failed = 0
+    examples = []
+    for i in enum.involution_indices():
+        iso = enum.isometry(i)
+        if not iso.is_interchange():
+            continue
+        checked += 1
+        try:
+            oracle.goldman_element(iso, "frame")
+            oracle.goldman_element(iso, "swap-plane")
+        except WallformsError:
+            failed += 1
+            examples.append(oracle._descr(iso))
+    return oracle.VerifyReport("g", checked, failed, examples)
+
+
+def _ref_run_clif(space, enum):
+    if space.field.characteristic() != 2:
+        raise oracle.CharacteristicNot2("the invariant suite requires characteristic 2")
+    checked = failed = 0
+    examples = []
+    for i in enum.involution_indices():
+        iso = enum.isometry(i)
+        if iso.residual_space() != iso.fixed_space():
+            continue
+        checked += 1
+        try:
+            form = oracle.wall_form(iso)
+            oracle.phi_subalgebra(iso)
+            pf = oracle.pfister_invariant(iso)
+            if form.is_alternating():
+                if any(g != space.field.one for g in pf.generators):
+                    raise WallformsError("alternating case must give unit generators")
+            else:
+                report = oracle.alternating_generators_check(iso, form.orthogonal_basis()[0])
+                if not report.ok:
+                    raise WallformsError("alternating-generator check failed")
+            model = oracle.explicit_matrix_iso(iso)
+            alg = model.algebra
+            for u in form.basis:
+                img = model.apply(alg.vector(u))
+                if not oracle.square_scalar_check(img, space.eval_q(u)):
+                    raise WallformsError("residual image square is not a square")
+        except WallformsError:
+            failed += 1
+            examples.append(oracle._descr(iso))
+    return oracle.VerifyReport("clif", checked, failed, examples)
+
+
+def _ref_run_totimes(space, enum=None):
+    field = space.field
+    if field.characteristic() != 2:
+        raise oracle.CharacteristicNot2("the symmetric-square law is a characteristic-2 statement")
+    checked = failed = 0
+    examples = []
+    size = field.order()
+    for n in (2, 3):
+        if size ** (n * (n + 1) // 2) > 4096:
+            continue
+        for x in oracle._symmetric_payload_matrices(field, n):
+            sq = x * x
+            c = sq[0, 0]
+            if sq != wf.Matrix.identity(field, n).scale(c):
+                continue
+            checked += 1
+            if not oracle.square_scalar_check(x, c):
+                failed += 1
+                examples.append(repr(x))
+    return oracle.VerifyReport("totimes", checked, failed, examples)
+
+
+REF_RUNNERS = {
+    "tauid": _ref_run_tauid, "defint": _ref_run_defint, "char": _ref_run_char,
+    "v'": _ref_run_vprime, "res": _ref_run_res, "g": _ref_run_g,
+    "clif": _ref_run_clif, "totimes": _ref_run_totimes,
+}
+
+
+def _both_reports(theorem, space, enum):
+    """(new report, reference report), or the exception class each raised."""
+    out = []
+    for run in (lambda: wf.exhaustive_verify(theorem, space, enum),
+                lambda: REF_RUNNERS[theorem](space, enum)):
+        try:
+            out.append(run())
+        except Exception as exc:  # compared by class below
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("theorem", sorted(REF_RUNNERS))
+def test_runners_match_reference_on_h4f2(theorem, h4f2, group_h4f2):
+    new, ref = _both_reports(theorem, h4f2, group_h4f2)
+    assert new == ref
+    assert isinstance(new, oracle.VerifyReport) and new.failed == 0
+
+
+def test_totimes_matches_reference_on_gf4(h4f4):
+    new, ref = _both_reports("totimes", h4f4, None)
+    assert new == ref
+    assert new.checked > 0 and new.failed == 0
+
+
+@pytest.fixture(scope="module")
+def group_h4f4(h4f4):
+    return wf.enumerate_orthogonal_group(h4f4)
+
+
+@pytest.mark.parametrize("theorem", ["char", "v'", "res", "g"])
+def test_runners_match_reference_on_h4f4(theorem, h4f4, group_h4f4):
+    new, ref = _both_reports(theorem, h4f4, group_h4f4)
+    assert new == ref
+    assert new.checked > 0 and new.failed == 0
+
+
+def test_g_builds_one_normal_basis_per_element(h4f4, group_h4f4, monkeypatch):
+    module = importlib.import_module("wallforms.decompose")  # wf.decompose is the function
+    calls = []
+    compute = module._normal_basis
+    monkeypatch.setattr(module, "_normal_basis", lambda tau: calls.append(tau) or compute(tau))
+    rep = wf.exhaustive_verify("g", h4f4, group_h4f4)
+    assert (rep.checked, rep.failed) == (30, 0)
+    assert len(calls) == 30 and len({id(tau) for tau in calls}) == 30
+
+
+def test_clif_matches_reference_on_h4f4_with_one_inverse_per_element(h4f4, group_h4f4,
+                                                                     monkeypatch):
+    ref = _ref_run_clif(h4f4, group_h4f4)
+    # rebuild the base model of C(q), which takes one inverse of its own
+    monkeypatch.setattr(wf.algebra_for_space(h4f4), "_model", None)
+    inverses = []
+    inverse = wf.Matrix.inverse
+    monkeypatch.setattr(wf.Matrix, "inverse", lambda m: inverses.append(m) or inverse(m))
+    new = wf.exhaustive_verify("clif", h4f4, group_h4f4)
+    assert new == ref
+    assert (new.checked, new.failed) == (255, 0)
+    assert len(inverses) == 256
+
+
+def _chosen(mat):
+    """About half of all matrices (the hash of a tuple of ints is the same
+    in every process)."""
+    return hash(mat.payload_rows) % 2 == 1
+
+
+def _flip_singular(orig):
+    return lambda sub: orig(sub) != _chosen(sub.basis)
+
+
+def _raise_on_chosen(error, arg=0):
+    def fault(orig):
+        def patched(*args, **kwargs):
+            tau = args[arg]
+            if _chosen(tau if isinstance(tau, wf.Matrix) else tau.mat):
+                raise error("injected fault")
+            return orig(*args, **kwargs)
+        return patched
+    return fault
+
+
+def _swap_plane_fails(orig):
+    def patched(tau, construction="frame"):
+        if construction == "swap-plane" and _chosen(tau.mat):
+            raise InvariantViolation("injected fault")
+        return orig(tau, construction)
+    return patched
+
+
+def _fixed_space_for_w(orig):
+    return lambda tau: tau.fixed_space() if _chosen(tau.mat) else orig(tau)
+
+
+def _flip_type(orig):
+    swap = {"orthogonal": "symplectic", "symplectic": "orthogonal"}
+    return lambda inv: swap[orig(inv)] if _chosen(inv.matrix) else orig(inv)
+
+
+def _false_on_chosen(orig):
+    return lambda x, c: orig(x, c) and not _chosen(x)
+
+
+def _zero_on_chosen(orig):
+    return lambda sub, other: Subspace.zero(sub.space) if _chosen(sub.basis) else orig(sub, other)
+
+
+def _spans_read_as_zero(dim):
+    """oracle.Subspace with every span of dimension `dim` read as zero."""
+    def fault(orig):
+        def from_vectors(space, vectors):
+            sub = orig.from_vectors(space, vectors)
+            return Subspace.zero(space) if sub.dim == dim else sub
+        return types.SimpleNamespace(from_vectors=from_vectors)
+    return fault
+
+
+# (runner, what the fault breaks, (owner, attribute, fault), whether the
+#  report counts failures rather than raising)
+FAULTS = [
+    ("tauid", "singular-test", (Subspace, "is_totally_singular", _flip_singular), True),
+    ("tauid", "raises", (wf.Isometry, "is_unipotent2", _raise_on_chosen(InvariantViolation)),
+     False),
+    ("defint", "normal-basis",
+     (oracle, "interchange_normal_basis", _raise_on_chosen(NotInterchange)), True),
+    ("char", "decompose", (oracle, "decompose", _raise_on_chosen(InvariantViolation)), True),
+    ("char", "foreign-error", (oracle, "decompose", _raise_on_chosen(ZeroDivisionError)),
+     False),
+    ("v'", "w-is-k", (oracle, "complement_W", _fixed_space_for_w), True),
+    ("v'", "w-raises", (oracle, "complement_W", _raise_on_chosen(PreconditionError)), True),
+    # each of these breaks one condition of the complement law alone
+    ("v'", "fixed-part", (Subspace, "intersection", _zero_on_chosen), True),
+    ("v'", "image", (oracle, "Subspace", _spans_read_as_zero(4)), True),
+    ("v'", "moved", (oracle, "Subspace", _spans_read_as_zero(1)), True),
+    ("res", "type", (oracle, "involution_type", _flip_type), True),
+    ("res", "raises", (oracle, "natural_involution", _raise_on_chosen(InvariantViolation)),
+     False),
+    ("g", "swap-plane", (oracle, "goldman_element", _swap_plane_fails), True),
+    ("clif", "square", (oracle, "square_scalar_check", _false_on_chosen), True),
+    ("clif", "model", (oracle, "explicit_matrix_iso", _raise_on_chosen(InvariantViolation)),
+     True),
+    ("totimes", "square", (oracle, "square_scalar_check", _false_on_chosen), True),
+    ("totimes", "raises",
+     (oracle, "square_scalar_check", _raise_on_chosen(InvariantViolation)), False),
+]
+
+
+@pytest.mark.parametrize("theorem, breaks, patch, counted", FAULTS,
+                         ids=[f"{t}-{b}" for t, b, _, _ in FAULTS])
+def test_runners_match_reference_under_faults(theorem, breaks, patch, counted,
+                                              h4f2, group_h4f2, monkeypatch):
+    owner, name, fault = patch
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    new, ref = _both_reports(theorem, h4f2, group_h4f2)
+    assert new == ref
+    if counted:
+        assert 0 < new.failed < new.checked == H4F2_COUNTS.get(theorem, 12)
+        assert len(new.examples) == new.failed
+    else:
+        assert isinstance(new, type) and issubclass(new, Exception)
