@@ -13,9 +13,11 @@ The closure path works on payload arrays end to end.  One batched
 arithmetic per field (:class:`fields._BatchArith`) is tabulated from the
 field's own payload ``mul``/``div``; it builds every generator matrix as
 one batch from the payload matrices of Q and B, and checks that batch once
-against the isometry condition.  Elements are deduplicated on fixed-width byte
-keys (the n*n payloads, row by row) with ``np.unique``/``searchsorted``,
-and byte order is the canonical order of an enumeration.  The unipotent,
+against the isometry condition.  The closure keeps its elements as uint64
+keys (the n*n payloads as base-|F| digits, row by row), deduplicated by a
+sort and searchsorted, and multiplies them by generators on the keys
+alone; it therefore needs |F|^(n*n) <= 2^64.  Key order is payload order,
+row by row, the canonical order of an enumeration.  The unipotent,
 involution and identity filters are each one batched product or
 comparison over the whole enumeration.
 
@@ -36,6 +38,7 @@ import numpy as np
 
 from .errors import (
     CharacteristicNot2,
+    DimensionMismatch,
     InvariantViolation,
     PreconditionError,
     TooLarge,
@@ -62,6 +65,7 @@ from .clifford import (
 
 SCAN_LIMIT = 1 << 24
 CLOSURE_ELEMENT_LIMIT = 2_000_000
+GENERATOR_VECTOR_LIMIT = 100_000
 AUTO_SCAN_LIMIT = 1 << 17
 
 
@@ -123,29 +127,56 @@ def _payloads(mat: Matrix) -> np.ndarray:
     return np.array(mat.payload_rows, dtype=np.uint8).reshape(mat.shape)
 
 
-def _keys(mats) -> np.ndarray:
-    """One fixed-width key per (n, n) matrix: its n*n payloads as bytes,
-    row by row.  Every payload is below 256, so the key is injective, and
-    keys sort exactly as the int64 payload arrays' ``tobytes`` do."""
-    flat = np.ascontiguousarray(mats, dtype=np.uint8).reshape(len(mats), -1)
-    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
+def _keys(mats, size: int) -> np.ndarray:
+    """One uint64 key per matrix (or row): its payloads read as base-`size`
+    digits, row by row.  Every payload is below `size`, so keys sort
+    exactly as the payloads do lexicographically; they need
+    size ** (entries per matrix) <= 2 ** 64."""
+    flat = np.asarray(mats).reshape(len(mats), -1).astype(np.uint64)
+    return flat @ np.uint64(size) ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.uint64)
 
 
-def _matrices(keys, n: int) -> np.ndarray:
-    """The uint8 matrices behind `keys` (a view)."""
-    return keys.view(np.uint8).reshape(-1, n, n)
+def _decode(keys, size: int, n: int) -> np.ndarray:
+    """The int64 (n, n) payload matrices behind `keys`, one digit at a time
+    (the temporaries stay one key array wide)."""
+    digits = np.empty((len(keys), n * n), dtype=np.uint8)
+    rest, base = keys.copy(), np.uint64(size)
+    for k in range(n * n - 1, -1, -1):
+        digits[:, k] = rest % base
+        rest //= base
+    return digits.reshape(-1, n, n).astype(np.int64)
+
+
+def _unique_rows(mats) -> np.ndarray:
+    """The distinct matrices as flat uint8 payload rows, in lexicographic
+    order; any payload count per matrix, so no key width to respect.  A
+    lexsort takes a tenth of the time of np.unique(axis=0) here."""
+    flat = np.asarray(mats, dtype=np.uint8).reshape(len(mats), -1)
+    flat = flat[np.lexsort(flat.T[::-1])]
+    fresh = np.ones(len(flat), dtype=bool)
+    fresh[1:] = (flat[1:] != flat[:-1]).any(axis=1)
+    return flat[fresh]
+
+
+def _sorted_unique(keys) -> np.ndarray:
+    """The distinct keys, sorted (faster than np.unique on integer keys)."""
+    keys = np.sort(keys)
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
+
+
+def _positions(sorted_keys, keys):
+    """Where `keys` go in the nonempty sorted key array, and which of them
+    are there already."""
+    pos = np.searchsorted(sorted_keys, keys)
+    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
 def _all_vectors(size: int, n: int) -> np.ndarray:
     """Every payload vector, in base-|F| code order (first coordinate slowest)."""
     codes = np.arange(size ** n)[:, None]
     return (codes // size ** np.arange(n - 1, -1, -1) % size).astype(np.uint8)
-
-
-def _member(sorted_keys, keys) -> np.ndarray:
-    """Which of `keys` occur in the nonempty sorted key array."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[pos] == keys
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +203,18 @@ class GroupEnumeration:
         for i in range(self.order):
             yield self.isometry(i)
 
-    @functools.cached_property
-    def _sorted_keys(self) -> np.ndarray:
-        return np.sort(_keys(self.payloads))
-
     def contains_payload(self, rows) -> bool:
-        return bool(self.order) and bool(_member(self._sorted_keys, _keys([rows]))[0])
+        """Whether the n x n payload `rows` are an enumerated element,
+        compared entry by entry: nothing is reduced mod |F|, so an entry
+        outside 0 .. |F|-1 matches no element."""
+        n = self.space.dim
+        try:
+            rows = np.asarray(rows)
+        except ValueError:  # ragged rows
+            rows = None
+        if rows is None or rows.shape != (n, n):
+            raise DimensionMismatch(f"expected {n} x {n} payload rows")
+        return bool((self.payloads == rows).all(axis=(1, 2)).any())
 
     def unipotent2_indices(self) -> list[int]:
         arith = _batch_arith(self.space.field)
@@ -197,8 +234,8 @@ class GroupEnumeration:
 
 def _finish(space: QuadraticSpace, method: str, mats) -> GroupEnumeration:
     """Wrap enumerated matrices, sorted canonically (by payloads, row by row)."""
-    mats = np.asarray(mats, dtype=np.int64).reshape(-1, space.dim, space.dim)
-    return GroupEnumeration(space, method, mats[np.argsort(_keys(mats))])
+    n = space.dim
+    return GroupEnumeration(space, method, _unique_rows(mats).reshape(-1, n, n).astype(np.int64))
 
 
 def _scan(space: QuadraticSpace) -> GroupEnumeration:
@@ -258,7 +295,7 @@ def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
     M = I + w (B x)^T - x (B w + q(w) B x)^T."""
     arith = _batch_arith(space.field)
     n, size = space.dim, arith.order
-    if size ** n > 100_000:
+    if size ** n > GENERATOR_VECTOR_LIMIT:
         raise TooLarge("vector enumeration too large for generator construction")
     qmat, gram = _payloads(space.qmat), _payloads(space.gram)
     eye = _identity(n)
@@ -271,7 +308,7 @@ def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
     aniso = normalised & (qvec != 0)
     u = vecs[aniso]
     coef = arith.mul(bvec[aniso], arith.inv[qvec[aniso]][:, None])
-    parts = [np.unique(_keys(arith.sub(eye, arith.mul(u[:, :, None], coef[:, None, :]))))]
+    parts = [_unique_rows(arith.sub(eye, arith.mul(u[:, :, None], coef[:, None, :])))]
 
     iso = np.flatnonzero(normalised & (qvec == 0))
     chunk = max(1, BATCH_ROWS // len(vecs))
@@ -284,12 +321,12 @@ def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
         w, bw = vecs[wi], arith.add(bvec[wi], arith.mul(qvec[wi][:, None], bx))
         mats = arith.add(eye, arith.sub(arith.mul(w[:, :, None], bx[:, None, :]),
                                         arith.mul(x[:, :, None], bw[:, None, :])))
-        parts.append(np.unique(_keys(mats)))
+        parts.append(_unique_rows(mats))
         if sum(map(len, parts)) > CLOSURE_ELEMENT_LIMIT:
-            parts = [np.unique(np.concatenate(parts))]
+            parts = [_unique_rows(np.concatenate(parts))]
             if len(parts[0]) > CLOSURE_ELEMENT_LIMIT:
                 raise TooLarge("more generators than the closure element cap")
-    gens = _matrices(np.unique(np.concatenate(parts)), n)
+    gens = _unique_rows(np.concatenate(parts)).reshape(-1, n, n)
     _check_isometries(arith, gens, qmat)
     return list(gens.astype(np.int64))
 
@@ -299,22 +336,29 @@ def _closure(space: QuadraticSpace) -> GroupEnumeration:
 
     Generators join one at a time, each only if the group built so far
     misses it: then every element is multiplied by it, and each element
-    found from there on by every active generator.  Right multiplication
-    by g is a lookup: row r of a matrix becomes r g, read from a table of
-    v g over every vector v, indexed by the row's base-|F| code.  Elements
-    are kept as one sorted array of keys (:func:`_keys`); products are made
-    in batches of at most BATCH_ROWS matrices, and TooLarge is raised
-    before a batch's new elements would take the count past
-    CLOSURE_ELEMENT_LIMIT."""
+    found from there on by every active generator.  Elements are kept as
+    one sorted array of uint64 keys (:func:`_keys`), so the space must have
+    |F|^(n*n) <= 2^64, checked before any work.  Right multiplication by g
+    works on keys alone: row i of a matrix is the key's i-th base-|F|^n
+    digit, the row's code; r g is read from a table of the codes of v g
+    over every vector v, and the product's key is the sum of the new row
+    codes times their weights.  Products are made in batches of at most
+    BATCH_ROWS matrices, and TooLarge is raised before a batch's new
+    elements would take the count past CLOSURE_ELEMENT_LIMIT."""
     n = space.dim
     arith = _batch_arith(space.field)
+    size = arith.order
+    if size ** (n * n) > 1 << 64:
+        raise TooLarge(f"closure element keys need |F|^(n*n) <= 2^64, not {size}^{n * n}")
     eye = _identity(n)
-    gens = np.array(standard_generators(space) or [eye], dtype=np.uint8)
-    gen_keys = _keys(gens)
-    vecs = _all_vectors(arith.order, n)
-    weights = arith.order ** np.arange(n - 1, -1, -1)
-    known = _keys([eye])
-    active = []                                # row tables (|F|^n, n)
+    gens = standard_generators(space) or [eye]
+    gen_keys = _keys(gens, size)
+    vecs = _all_vectors(size, n)
+    # the weight of row i in a key, as a column: |F|^(n(n-1-i))
+    row_weights = np.uint64(size) ** np.arange(n * (n - 1), -1, -n, dtype=np.uint64)[:, None]
+    row_count = np.uint64(size ** n)
+    known = _keys([eye], size)
+    active = []                                # code tables (|F|^n,) of v -> v g
 
     def step(sources, tables):
         """Multiply `sources` (keys) by each generator behind `tables`;
@@ -324,25 +368,26 @@ def _closure(space: QuadraticSpace) -> GroupEnumeration:
         tables = np.stack(tables)
         found = []
         for start in range(0, len(sources), rows):
-            codes = _matrices(sources[start:start + rows], n) @ weights
-            new = np.unique(_keys(tables[:, codes].reshape(-1, n, n)))
-            new = new[~_member(known, new)]
+            codes = (sources[start:start + rows] // row_weights % row_count).astype(np.intp)
+            new = _sorted_unique((tables[:, codes] * row_weights).sum(axis=1).ravel())
+            pos, old = _positions(known, new)
+            new, pos = new[~old], pos[~old]
             if len(known) + len(new) > CLOSURE_ELEMENT_LIMIT:
                 raise TooLarge("closure exceeded the element cap")
-            known = np.insert(known, np.searchsorted(known, new), new)
+            known = np.insert(known, pos, new)
             found.append(new)
         return np.concatenate(found)
 
     while True:
-        missing = np.flatnonzero(~_member(known, gen_keys))
+        missing = np.flatnonzero(~_positions(known, gen_keys)[1])
         if not len(missing):
             break
-        active.append(arith.matmul(vecs, gens[missing[0]]).astype(np.uint8))
+        active.append(_keys(arith.matmul(vecs, gens[missing[0]]), size))
         frontier = step(known, active[-1:])
         while len(frontier):
             frontier = step(frontier, active)
     # keys are sorted, so the payloads come out in canonical order
-    return GroupEnumeration(space, "generator-closure", _matrices(known, n).astype(np.int64))
+    return GroupEnumeration(space, "generator-closure", _decode(known, size, n))
 
 
 def enumerate_orthogonal_group(space: QuadraticSpace, method: str = "auto") -> GroupEnumeration:

@@ -9,11 +9,13 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wallforms as wf
 from wallforms import oracle
 from wallforms.errors import (
     DescriptorMismatch,
+    DimensionMismatch,
     InvariantViolation,
     NotAnIsometry,
     NotInterchange,
@@ -22,11 +24,14 @@ from wallforms.errors import (
     UnknownTheorem,
     WallformsError,
 )
+from wallforms.fields import MAX_EXTENSION_DEGREE, MAX_PRIME
 from wallforms.quadspace import Subspace
 from wallforms.oracle import (
     _batch_arith,
     _closure,
+    _decode,
     _keys,
+    _sorted_unique,
     standard_generators,
 )
 
@@ -134,6 +139,30 @@ def test_dim6_closure_self_consistent(f2):
         a, b = rng.choice(sample), rng.choice(sample)
         rows = [[e.payload for e in row] for row in (a * b).mat.rows]
         assert enum.contains_payload(rows)
+
+
+@pytest.fixture(scope="module")
+def group_gf7_plane_split(gf7_plane_split):
+    return wf.enumerate_orthogonal_group(gf7_plane_split)
+
+
+def test_contains_payload_is_false_outside_the_payloads(group_gf7_plane_split):
+    enum = group_gf7_plane_split
+    for i in range(enum.order):
+        assert enum.contains_payload(enum.payload_rows(i))
+        assert enum.contains_payload(enum.payloads[i])
+    assert not enum.contains_payload([[0, 0], [0, 0]])
+    # no payload lies outside 0 .. 6, even where the entry reduces to one
+    # of a member: -6 and 8 are 1 mod 7
+    for rows in ([[1, 0], [0, -6]], [[1, 0], [0, 8]], [[1, 0], [0, 2 ** 70]]):
+        assert not enum.contains_payload(rows)
+
+
+def test_contains_payload_rejects_rows_of_another_shape(group_gf7_plane_split):
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [1, 0, 0, 1], [1, 0],
+                 np.eye(3, dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            group_gf7_plane_split.contains_payload(rows)
 
 
 def test_unipotent2_filter(group_h4f2, h4f2, tau_int):
@@ -311,9 +340,30 @@ def test_keys_sort_as_tobytes(literal, n):
     mats = np.concatenate([mats, mats[:200]])          # repeats
     mats[-100:, -1, -1] = (mats[-100:, -1, -1] + 1) % size  # differ in the last byte only
     expected = sorted(range(len(mats)), key=lambda i: mats[i].tobytes())
-    keys = _keys(mats)
+    keys = _keys(mats, size)
     assert np.argsort(keys, kind="stable").tolist() == expected
     assert len(np.unique(keys)) == len({m.tobytes() for m in mats})
+
+
+@pytest.mark.parametrize("size, n", [(16, 4), (97, 3)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_int_keys_sort_and_deduplicate_as_tobytes(size, n, data):
+    # gf(16) at dimension 4 takes all 64 bits: the largest key is 2^64 - 1
+    digits = st.lists(st.integers(0, size - 1), min_size=n * n, max_size=n * n)
+    drawn = np.array(data.draw(st.lists(digits, min_size=1, max_size=30)), dtype=np.int64)
+    mats = np.concatenate([drawn.reshape(-1, n, n), np.full((1, n, n), size - 1),
+                           np.zeros((1, n, n), dtype=np.int64)])
+    repeats = data.draw(st.lists(st.integers(0, len(mats) - 1), max_size=10))
+    mats = np.concatenate([mats, mats[repeats]])
+    keys = _keys(mats, size)
+    assert keys.dtype == np.uint64 and int(keys.max()) == size ** (n * n) - 1
+    assert (np.argsort(keys, kind="stable").tolist()
+            == sorted(range(len(mats)), key=lambda i: mats[i].tobytes()))
+    distinct = np.array([m for _, m in sorted({m.tobytes(): m for m in mats}.items())])
+    assert np.array_equal(_decode(_sorted_unique(keys), size, n), distinct)
+    # standard_generators' deduplication, which takes no keys
+    assert np.array_equal(oracle._unique_rows(mats), distinct.reshape(len(distinct), -1))
 
 
 @pytest.mark.parametrize("literal", ["gf(2)", "gf(4)", "gf(256)", "gf(7)", "gf(97)"])
@@ -341,6 +391,73 @@ def test_closure_raises_before_passing_the_element_cap(h4f4, monkeypatch):
         _closure(h4f4)
 
 
+@pytest.fixture(scope="module")
+def h4f17():
+    return wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(17)"), 2)
+
+
+def test_closure_checks_the_key_width_first(h4f17, monkeypatch):
+    # 17^16 > 2^64: no uint64 key per element, so nothing is built
+    monkeypatch.setattr(oracle, "standard_generators",
+                        lambda space: pytest.fail("generators built past the key width"))
+    with pytest.raises(TooLarge):
+        _closure(h4f17)
+    with pytest.raises(TooLarge):
+        wf.enumerate_orthogonal_group(h4f17)
+
+
+def test_closure_takes_keys_of_all_64_bits(monkeypatch):
+    field = wf.parse_field("gf(16)")
+    space = wf.QuadraticSpace.hyperbolic(field, 2)  # 16^16 = 2^64 keys
+    tau = wf.reflection(space, tuple(field.wrap_all([15, 14, 15, 15])))
+    rows = np.array(tau.mat.payload_rows, dtype=np.int64)
+    assert rows[0].tolist() == [15] * 4  # its key is above 2^64 - 2^48
+    monkeypatch.setattr(oracle, "standard_generators", lambda space: [rows])
+    enum = _closure(space)
+    assert np.array_equal(enum.payloads, np.array([np.eye(4, dtype=np.int64), rows]))
+
+
+def test_standard_generators_need_no_element_keys(h4f17):
+    gens = standard_generators(h4f17)
+    flat = np.array(gens).reshape(len(gens), -1)
+    assert len(gens) == 88_417 and flat.dtype == np.int64
+    step = np.diff(flat, axis=0)
+    first = np.argmax(step != 0, axis=1)
+    assert (step[np.arange(len(step)), first] > 0).all()  # strictly lexicographic
+
+
+def _smallest_orthogonal_order(q, dim):
+    """The smallest |O(V)| over regular quadratic spaces V of dimension dim
+    over GF(q): split type for even dim (q^m - 1 against q^m + 1), and
+    q^(m^2) prod(q^(2i) - 1), doubled for odd q, for dim = 2m + 1."""
+    if dim % 2 == 0:
+        return _split_orthogonal_order(q, dim // 2)
+    m = dim // 2
+    order = (1 if q % 2 == 0 else 2) * q ** (m * m)
+    for i in range(1, m + 1):
+        order *= q ** (2 * i) - 1
+    return order
+
+
+def test_key_width_loses_no_space_the_closure_finishes():
+    primes = [p for p in range(3, MAX_PRIME + 1) if all(p % d for d in range(2, p))]
+    sizes = primes + [2 ** k for k in range(1, MAX_EXTENSION_DEGREE + 1)]
+    # every (q, dim) within standard_generators' vector cap
+    pairs = [(q, dim) for q in sizes for dim in range(1, 18)
+             if q ** dim <= oracle.GENERATOR_VECTOR_LIMIT]
+    too_wide = {(q, dim) for q, dim in pairs if q ** (dim * dim) > 2 ** 64}
+    assert too_wide == ({(2, d) for d in range(9, 17)} | {(3, d) for d in range(7, 11)}
+                        | {(4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (7, 5), (8, 5), (17, 4)})
+    # none of them could finish under the element cap, whatever the form
+    smallest = min(_smallest_orthogonal_order(q, dim) for q, dim in too_wide)
+    assert smallest == _split_orthogonal_order(17, 2) > oracle.CLOSURE_ELEMENT_LIMIT
+    # the widest keys of a space that may finish: O(5, 4), 4^25 = 2^50
+    finishing = [(q, dim) for q, dim in pairs
+                 if _smallest_orthogonal_order(q, dim) <= oracle.CLOSURE_ELEMENT_LIMIT]
+    assert max(finishing, key=lambda p: p[0] ** (p[1] ** 2)) == (4, 5)
+    assert _smallest_orthogonal_order(4, 5) == 979_200
+
+
 @pytest.mark.parametrize("name", ["h4f2", "gf8_plane", "gf7_plane_sum", "gf7_plane_split"])
 def test_space_tables_match_boxed_forms(name, request, f8):
     space = (wf.QuadraticSpace.hyperbolic(f8, 1) if name == "gf8_plane"
@@ -365,6 +482,92 @@ def test_enumeration_isometry_is_validated_payload_matrix(group_h4f2, h4f2):
         oracle._payload_matrix_to_isometry(h4f2, np.ones((4, 4), dtype=np.int64))
     with pytest.raises(DescriptorMismatch):
         oracle._payload_matrix_to_isometry(h4f2, 2 * np.eye(4, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the generator closure against the byte-key closure it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_keys(mats):
+    flat = np.ascontiguousarray(mats, dtype=np.uint8).reshape(len(mats), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
+
+
+def _ref_matrices(keys, n):
+    return keys.view(np.uint8).reshape(-1, n, n)
+
+
+def _ref_member(sorted_keys, keys):
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
+def _ref_closure(space):
+    """The closure on fixed-width byte keys (the n*n payloads as bytes),
+    deduplicated with np.unique and searchsorted."""
+    n = space.dim
+    arith = _batch_arith(space.field)
+    eye = oracle._identity(n)
+    gens = np.array(standard_generators(space) or [eye], dtype=np.uint8)
+    gen_keys = _ref_keys(gens)
+    vecs = oracle._all_vectors(arith.order, n)
+    weights = arith.order ** np.arange(n - 1, -1, -1)
+    known = _ref_keys([eye])
+    active = []
+
+    def step(sources, tables):
+        nonlocal known
+        rows = max(1, oracle.BATCH_ROWS // len(tables))
+        tables = np.stack(tables)
+        found = []
+        for start in range(0, len(sources), rows):
+            codes = _ref_matrices(sources[start:start + rows], n) @ weights
+            new = np.unique(_ref_keys(tables[:, codes].reshape(-1, n, n)))
+            new = new[~_ref_member(known, new)]
+            if len(known) + len(new) > oracle.CLOSURE_ELEMENT_LIMIT:
+                raise TooLarge("closure exceeded the element cap")
+            known = np.insert(known, np.searchsorted(known, new), new)
+            found.append(new)
+        return np.concatenate(found)
+
+    while True:
+        missing = np.flatnonzero(~_ref_member(known, gen_keys))
+        if not len(missing):
+            break
+        active.append(arith.matmul(vecs, gens[missing[0]]).astype(np.uint8))
+        frontier = step(known, active[-1:])
+        while len(frontier):
+            frontier = step(frontier, active)
+    return oracle.GroupEnumeration(space, "generator-closure",
+                                   _ref_matrices(known, n).astype(np.int64))
+
+
+def _diagonal_space(literal, diagonal):
+    return wf.QuadraticSpace.from_int_rows(wf.parse_field(literal), np.diag(diagonal).tolist())
+
+
+CLOSURE_SPACES = {
+    "H4F2": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(2)"), 2),
+    "H4F3": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(3)"), 2),
+    "H4F4": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(4;x^2+x+1)"), 2),
+    "H6F2": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(2)"), 3),
+    "H4F7": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(7)"), 2),
+    "gf(7)-diagonal-4": lambda: _diagonal_space("gf(7)", [1, 1, 1, 1]),
+    "gf(2)-plane": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(2)"), 1),
+    "gf(3)-plane": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(3)"), 1),
+    "gf(4)-plane": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(4;x^2+x+1)"), 1),
+    "gf(8)-plane": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(8)"), 1),
+    "gf(7)-plane-sum": lambda: _diagonal_space("gf(7)", [1, 1]),
+    "gf(7)-plane-split": lambda: _diagonal_space("gf(7)", [1, -1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SPACES))
+def test_closure_matches_byte_key_reference(name):
+    space = CLOSURE_SPACES[name]()
+    new, ref = _closure(space), _ref_closure(space)
+    assert new.payloads.dtype == ref.payloads.dtype == np.int64
+    assert np.array_equal(new.payloads, ref.payloads)
 
 
 # ---------------------------------------------------------------------------
