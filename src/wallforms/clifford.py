@@ -557,16 +557,6 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
     monomials = _monomials(alg, gens)
     squares = tuple(tau.space.eval_q(u) for u in wf.basis)
 
-    # pairwise commutation and scalar squares
-    for i in range(s):
-        for j in range(i + 1, s):
-            if gens[i] * gens[j] != gens[j] * gens[i]:
-                raise InvariantViolation("residual generators do not commute")
-    for m in monomials:
-        sq = m * m
-        if not sq.is_scalar():
-            raise InvariantViolation("monomial square is not a scalar")
-
     # linear independence: dimension 2^s
     coeff_rows = alg._payload_matrix(monomials)
     if coeff_rows.rank() != 1 << s:
@@ -589,7 +579,7 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
             if span.solve(k) is None:
                 raise InvariantViolation("centralizer is larger than the subalgebra")
 
-    # multiplication law of the Clifford algebra of the restricted form
+    # multiplication law of C(q|r); it holds only with commuting generators and scalar squares
     for a in range(1 << s):
         for b in range(1 << s):
             scalar = alg.field.one

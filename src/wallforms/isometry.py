@@ -75,6 +75,13 @@ class Isometry:
                 "matrix does not preserve the quadratic form", witness=witness
             )
 
+    @classmethod
+    def _trusted(cls, space: QuadraticSpace, mat: Matrix) -> "Isometry":
+        """An isometry on a matrix already proven to preserve q; no check."""
+        self = object.__new__(cls)
+        self.__dict__.update(space=space, mat=mat, _memo={})
+        return self
+
     def derived(self, key: str, compute: Callable[["Isometry"], T]) -> T:
         """`compute(self)`, computed on the first call with `key` only.  The
         value must not refer back to the isometry: a reference cycle would

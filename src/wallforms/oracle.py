@@ -19,7 +19,9 @@ sort and searchsorted, and multiplies them by generators on the keys
 alone; it therefore needs |F|^(n*n) <= 2^64.  Key order is payload order,
 row by row, the canonical order of an enumeration.  The unipotent,
 involution and identity filters are each one batched product or
-comparison over the whole enumeration.
+comparison over the whole enumeration.  Each element is proven an
+isometry once, where its enumeration is made: by the scan, the closure,
+or a batched check when a caller builds it (:class:`GroupEnumeration`).
 
 Verification runners re-check the library's structural claims over every
 applicable element of an enumerated group and report counterexamples.
@@ -38,8 +40,10 @@ import numpy as np
 
 from .errors import (
     CharacteristicNot2,
+    DescriptorMismatch,
     DimensionMismatch,
     InvariantViolation,
+    NotAnIsometry,
     PreconditionError,
     TooLarge,
     UnknownTheorem,
@@ -93,8 +97,6 @@ def _space_tables(space: QuadraticSpace) -> _SpaceTables:
     product from the payload matrices of Q and B."""
     arith = _batch_arith(space.field)
     n = space.dim
-    if arith.order ** n > 4096:
-        raise TooLarge("vector table too large for a scan")
     vecs = _all_vectors(arith.order, n)
     qvals = arith.matmul(arith.matmul(vecs[:, None, :], _payloads(space.qmat)),
                          vecs[:, :, None])[:, 0, 0]
@@ -102,11 +104,6 @@ def _space_tables(space: QuadraticSpace) -> _SpaceTables:
     vectors = list(map(tuple, vecs.tolist()))
     return _SpaceTables(vectors, {v: i for i, v in enumerate(vectors)},
                         qvals.tolist(), bvals.tolist())
-
-
-def _payload_matrix_to_isometry(space: QuadraticSpace, rows) -> Isometry:
-    """The isometry on payload rows (range-checked), validated as usual."""
-    return Isometry(space, Matrix.from_payloads(space.field, np.asarray(rows).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +176,64 @@ def _all_vectors(size: int, n: int) -> np.ndarray:
     return (codes // size ** np.arange(n - 1, -1, -1) % size).astype(np.uint8)
 
 
+def _normalised_vectors(size: int, n: int):
+    """Every payload vector, the position of its leading nonzero coordinate,
+    and the mask of those led by 1 (one vector per line)."""
+    vecs = _all_vectors(size, n)
+    lead = np.argmax(vecs != 0, axis=1)
+    return vecs, lead, vecs[np.arange(len(vecs)), lead] == 1
+
+
 # ---------------------------------------------------------------------------
 # group enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GroupEnumeration:
+    """A read-only (N, n, n) int64 payload stack of isometries.  The scan
+    and the closure make theirs unchecked (:meth:`_trusted`), in canonical
+    order; one built by a caller is checked here, once, as one batch."""
+
     space: QuadraticSpace
     method: str
-    payloads: np.ndarray                       # (N, n, n) int64, sorted canonically
+    payloads: np.ndarray
+
+    def __post_init__(self):
+        n, arith = self.space.dim, _batch_arith(self.space.field)
+        try:
+            stack = np.asarray(self.payloads)
+        except ValueError:  # ragged
+            stack = np.empty(0)
+        if stack.shape[1:] != (n, n):
+            raise DimensionMismatch(f"expected a stack of {n} x {n} payload matrices")
+        if stack.dtype.kind not in "iu" or ((stack < 0) | (stack >= arith.order)).any():
+            raise DescriptorMismatch(f"payloads must be integers 0 .. {arith.order - 1}")
+        self.__dict__.update(payloads=stack.astype(np.int64))
+        _check_isometries(arith, self.payloads, _payloads(self.space.qmat), NotAnIsometry)
+        self.payloads.flags.writeable = False
+
+    @classmethod
+    def _trusted(cls, space: QuadraticSpace, method: str, payloads: np.ndarray):
+        """The enumeration on a new int64 stack of isometries; no check."""
+        self = object.__new__(cls)
+        self.__dict__.update(space=space, method=method, payloads=payloads)
+        payloads.flags.writeable = False
+        return self
 
     @property
     def order(self) -> int:
         return self.payloads.shape[0]
 
     def payload_rows(self, i: int):
-        return tuple(tuple(int(x) for x in row) for row in self.payloads[i])
+        return tuple(map(tuple, self.payloads[i].tolist()))
 
     def isometry(self, i: int) -> Isometry:
-        return _payload_matrix_to_isometry(self.space, self.payloads[i])
+        """Element i, proven an isometry when the enumeration was made."""
+        return Isometry._trusted(self.space, Matrix._trusted(
+            self.space.field, self.payload_rows(i), self.space.dim))
 
     def isometries(self):
-        for i in range(self.order):
-            yield self.isometry(i)
+        return map(self.isometry, range(self.order))
 
     def contains_payload(self, rows) -> bool:
         """Whether the n x n payload `rows` are an enumerated element,
@@ -211,8 +243,8 @@ class GroupEnumeration:
         try:
             rows = np.asarray(rows)
         except ValueError:  # ragged rows
-            rows = None
-        if rows is None or rows.shape != (n, n):
+            rows = np.empty(0)
+        if rows.shape != (n, n):
             raise DimensionMismatch(f"expected {n} x {n} payload rows")
         return bool((self.payloads == rows).all(axis=(1, 2)).any())
 
@@ -234,32 +266,25 @@ class GroupEnumeration:
 
 def _finish(space: QuadraticSpace, method: str, mats) -> GroupEnumeration:
     """Wrap enumerated matrices, sorted canonically (by payloads, row by row)."""
-    n = space.dim
-    return GroupEnumeration(space, method, _unique_rows(mats).reshape(-1, n, n).astype(np.int64))
+    return GroupEnumeration._trusted(
+        space, method, _unique_rows(mats).reshape(-1, space.dim, space.dim).astype(np.int64))
 
 
 def _scan(space: QuadraticSpace) -> GroupEnumeration:
     """Backtracking column scan; equivalent to filtering every matrix."""
     tables = _space_tables(space)
     n = space.dim
-    ncand = len(tables.vectors)
-    if ncand ** n > SCAN_LIMIT:
-        raise TooLarge("matrix space exceeds the exhaustive-scan cap")
-    target_q = [tables.qvals[tables.index[
-        tuple(1 if j == i else 0 for j in range(n))]] for i in range(n)]
-    # payload of b(e_i, e_j)
-    unit = lambda i: tables.index[tuple(1 if j == i else 0 for j in range(n))]
-    target_b = [[tables.bvals[unit(i)][unit(j)] for j in range(n)] for i in range(n)]
+    target_q = np.diagonal(_payloads(space.qmat)).tolist()  # q(e_i) = Q_ii
+    target_b = _payloads(space.gram).tolist()               # b(e_i, e_j) = B_ij
 
     results = []
     chosen: list[int] = []
 
     def extend(col: int):
         if col == n:
-            mat = np.array([tables.vectors[c] for c in chosen], dtype=np.int64).T
-            results.append(mat)
+            results.append(np.array([tables.vectors[c] for c in chosen], dtype=np.int64).T)
             return
-        for v in range(ncand):
+        for v in range(len(tables.vectors)):
             if tables.qvals[v] != target_q[col]:
                 continue
             if any(tables.bvals[chosen[i]][v] != target_b[i][col] for i in range(col)):
@@ -272,15 +297,14 @@ def _scan(space: QuadraticSpace) -> GroupEnumeration:
     return _finish(space, "exhaustive-matrix-scan", results)
 
 
-def _check_isometries(arith: _BatchArith, mats, qmat):
-    """Raise unless every matrix preserves q: N = M^T Q M - Q must have a
-    zero diagonal and N + N^T = 0, checked for the whole batch at once."""
+def _check_isometries(arith: _BatchArith, mats, qmat, error):
+    """Raise `error` unless every matrix preserves q: N = M^T Q M - Q must
+    have a zero diagonal and N + N^T = 0, checked for the whole batch."""
     defect = arith.sub(arith.matmul(arith.matmul(mats.transpose(0, 2, 1), qmat), mats), qmat)
     bad = (np.diagonal(defect, axis1=1, axis2=2).any(axis=1)
            | arith.add(defect, defect.transpose(0, 2, 1)).any(axis=(1, 2)))
     if bad.any():
-        raise InvariantViolation(
-            f"{int(bad.sum())} of {len(mats)} generator matrices do not preserve q")
+        raise error(f"{int(bad.sum())} of {len(mats)} matrices do not preserve q")
 
 
 def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
@@ -299,9 +323,7 @@ def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
         raise TooLarge("vector enumeration too large for generator construction")
     qmat, gram = _payloads(space.qmat), _payloads(space.gram)
     eye = _identity(n)
-    vecs = _all_vectors(size, n)
-    lead = np.argmax(vecs != 0, axis=1)
-    normalised = vecs[np.arange(len(vecs)), lead] == 1
+    vecs, lead, normalised = _normalised_vectors(size, n)
     bvec = arith.matmul(vecs, gram)                          # rows (B v)^T
     qvec = arith.matmul(arith.matmul(vecs[:, None, :], qmat), vecs[:, :, None])[:, 0, 0]
 
@@ -327,7 +349,7 @@ def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
             if len(parts[0]) > CLOSURE_ELEMENT_LIMIT:
                 raise TooLarge("more generators than the closure element cap")
     gens = _unique_rows(np.concatenate(parts)).reshape(-1, n, n)
-    _check_isometries(arith, gens, qmat)
+    _check_isometries(arith, gens, qmat, InvariantViolation)
     return list(gens.astype(np.int64))
 
 
@@ -387,7 +409,7 @@ def _closure(space: QuadraticSpace) -> GroupEnumeration:
         while len(frontier):
             frontier = step(frontier, active)
     # keys are sorted, so the payloads come out in canonical order
-    return GroupEnumeration(space, "generator-closure", _decode(known, size, n))
+    return GroupEnumeration._trusted(space, "generator-closure", _decode(known, size, n))
 
 
 def enumerate_orthogonal_group(space: QuadraticSpace, method: str = "auto") -> GroupEnumeration:
@@ -474,49 +496,29 @@ def _run_tauid(space, enum: GroupEnumeration) -> VerifyReport:
 
 
 def _proper_regular_subspaces(space: QuadraticSpace) -> list[Subspace]:
-    """Every proper nonzero regular subspace; desk-scale spaces only."""
-    field = space.field
-    codes = _field_codes(field)
-    n = space.dim
-    if len(codes) ** n > 4096:
+    """Every proper nonzero regular subspace, by dimension (d + 1: those of
+    dimension d plus a line outside them); desk-scale spaces only."""
+    size, n = len(_field_codes(space.field)), space.dim
+    if size ** n > 4096:
         raise TooLarge("subspace enumeration too large")
-    vectors = []
-    for payloads in itertools.product(codes, repeat=n):
-        v = field.wrap_all(payloads)
-        lead = next((c for c in v if c), None)
-        if lead is not None and lead == field.one:
-            vectors.append(v)
-    subspaces = {}
-    for v in vectors:
-        s = Subspace.from_vectors(space, [v])
-        subspaces[s.basis] = s
-    max_proper = n - 1
-    current = [Subspace.from_vectors(space, [v]) for v in vectors]
-    level = {s.basis: s for s in current}
-    all_levels = [level]
-    for _ in range(2, max_proper + 1):
+    vecs, _, normalised = _normalised_vectors(size, n)
+    vectors = [space.field.wrap_all(v) for v in vecs[normalised].tolist()]
+    lines = [Subspace.from_vectors(space, [v]) for v in vectors]
+    levels = [{s.basis: s for s in lines}]
+    while len(levels) < n - 1:
         nxt = {}
-        for s in level.values():
-            for v in vectors:
-                if s.contains(v):
-                    continue
-                bigger = s.subspace_sum(Subspace.from_vectors(space, [v]))
-                nxt.setdefault(bigger.basis, bigger)
-        level = nxt
-        all_levels.append(level)
-    out = []
-    for lv in all_levels:
-        for s in lv.values():
-            if 0 < s.dim < n and s.is_regular():
-                out.append(s)
-    return out
+        for s in levels[-1].values():
+            for v, line in zip(vectors, lines):
+                if not s.contains(v):
+                    bigger = s.subspace_sum(line)
+                    nxt.setdefault(bigger.basis, bigger)
+        levels.append(nxt)
+    return [s for level in levels[:n - 1] for s in level.values() if s.is_regular()]
 
 
 def _has_invariant_subspace(iso: Isometry, subspaces) -> bool:
-    for s in subspaces:
-        if all(s.contains(iso.apply(v)) for v in s.vectors()):
-            return True
-    return False
+    """Whether iso maps one of `subspaces` into itself (checked on its basis)."""
+    return any(all(s.contains(iso.apply(v)) for v in s.basis.rows) for s in subspaces)
 
 
 def _run_defint(space, enum: GroupEnumeration) -> VerifyReport:

@@ -772,6 +772,24 @@ def test_corrupted_structure_constant_fails_multiplicativity(monkeypatch, h4f2, 
         wf.explicit_matrix_iso(tau_int)
 
 
+@pytest.mark.parametrize("pair", [(4, 1), (1, 4)])  # e_2 e_0, e_0 e_2
+def test_noncommuting_residual_generators_fail_phi_subalgebra(monkeypatch, h4f2, tau_int, pair):
+    class Corrupted(CliffordAlgebra):
+        def blade_mul(self, s, t):
+            out = super().blade_mul(s, t)
+            if (s, t) == pair:
+                out[0] = out.get(0, self.field.zero) + self.field.one
+            return out
+
+    alg = Corrupted.from_space(h4f2)
+    tau = wf.Isometry(h4f2, tau_int.mat)  # nothing derived on another algebra
+    gens = [alg.vector(u) for u in wf.wall_form(tau).basis]
+    assert len(gens) == 2 and gens[0] * gens[1] != gens[1] * gens[0]
+    monkeypatch.setattr(clifford, "algebra_for_space", lambda space: alg)
+    with pytest.raises(InvariantViolation):
+        wf.phi_subalgebra(tau)
+
+
 def test_natural_involution_is_kept_per_isometry_and_algebra(tau_int, h4f2, alg_h4f2):
     tau = wf.Isometry(h4f2, tau_int.mat)
     j = wf.natural_involution(tau, alg_h4f2)

@@ -103,9 +103,12 @@ def test_gf2_hyperbolic_plane_order_two(f2):
     assert enum.order == 2
 
 
-def test_every_element_is_an_isometry(group_h4f2):
-    for tau in group_h4f2.isometries():
-        pass  # construction re-validates the defining condition
+def test_every_element_is_an_isometry(group_h4f2, group_h4f4):
+    # the scan (H4F2) and the closure (H4F4) hand out their elements
+    # unchecked; the public constructor checks each one again here
+    for group in (group_h4f2, group_h4f4):
+        for tau in group.isometries():
+            assert tau == wf.Isometry(group.space, tau.mat)
 
 
 def test_group_closed_under_product_and_inverse(group_h4f2, h4f2):
@@ -245,6 +248,57 @@ def test_subspace_enumeration_counts(h4f2, h4f4):
         assert by_dim.get(3, 0) == 0
         assert by_dim.get(2, 0) == q * q * (q * q + 1)
         assert len(regs) <= sum(_gaussian_binomial(4, k, q) for k in (1, 2, 3))
+
+
+def _ref_proper_regular_subspaces(space):
+    """The boxed subspace enumeration that the payload-vector one replaced."""
+    field = space.field
+    codes = oracle._field_codes(field)
+    n = space.dim
+    if len(codes) ** n > 4096:
+        raise TooLarge("subspace enumeration too large")
+    vectors = []
+    for payloads in itertools.product(codes, repeat=n):
+        v = field.wrap_all(payloads)
+        lead = next((c for c in v if c), None)
+        if lead is not None and lead == field.one:
+            vectors.append(v)
+    subspaces = {}
+    for v in vectors:
+        s = Subspace.from_vectors(space, [v])
+        subspaces[s.basis] = s
+    max_proper = n - 1
+    current = [Subspace.from_vectors(space, [v]) for v in vectors]
+    level = {s.basis: s for s in current}
+    all_levels = [level]
+    for _ in range(2, max_proper + 1):
+        nxt = {}
+        for s in level.values():
+            for v in vectors:
+                if s.contains(v):
+                    continue
+                bigger = s.subspace_sum(Subspace.from_vectors(space, [v]))
+                nxt.setdefault(bigger.basis, bigger)
+        level = nxt
+        all_levels.append(level)
+    out = []
+    for lv in all_levels:
+        for s in lv.values():
+            if 0 < s.dim < n and s.is_regular():
+                out.append(s)
+    return out
+
+
+def test_subspace_enumeration_matches_boxed_reference(h4f2, h4f3):
+    spaces = (h4f2, h4f3, _diagonal_space("gf(7)", [1, 3, 5]), _diagonal_space("gf(7)", [1]))
+    counts = []
+    for space in spaces:
+        bases = [s.basis for s in oracle._proper_regular_subspaces(space)]
+        assert bases == [s.basis for s in _ref_proper_regular_subspaces(space)]
+        counts.append(len(bases))
+    assert counts[-1] == 0 and min(counts[:-1]) > 0  # a line is not proper in dimension 1
+    with pytest.raises(TooLarge, match="^subspace enumeration too large$"):
+        oracle._proper_regular_subspaces(_diagonal_space("gf(11)", [1, 1, 1, 1]))
 
 
 def test_scan_too_large_raises(h4f7):
@@ -458,6 +512,15 @@ def test_key_width_loses_no_space_the_closure_finishes():
     assert _smallest_orthogonal_order(4, 5) == 979_200
 
 
+def test_scan_cap_bounds_the_vector_table():
+    # the scan needs |F|^(n*n) <= SCAN_LIMIT = 2^24, so its q and b tables
+    # over the |F|^n vectors stay at most 4096 vectors wide
+    primes = [p for p in range(3, MAX_PRIME + 1) if all(p % d for d in range(2, p))]
+    sizes = primes + [2 ** k for k in range(1, MAX_EXTENSION_DEGREE + 1)]
+    scanned = [(q, n) for q in sizes for n in range(1, 25) if q ** (n * n) <= oracle.SCAN_LIMIT]
+    assert max(q ** n for q, n in scanned) == 4096 == 64 ** 2
+
+
 @pytest.mark.parametrize("name", ["h4f2", "gf8_plane", "gf7_plane_sum", "gf7_plane_split"])
 def test_space_tables_match_boxed_forms(name, request, f8):
     space = (wf.QuadraticSpace.hyperbolic(f8, 1) if name == "gf8_plane"
@@ -479,9 +542,71 @@ def test_enumeration_isometry_is_validated_payload_matrix(group_h4f2, h4f2):
         assert iso.mat.payload_rows == group_h4f2.payload_rows(i)
         assert iso.mat == wf.Matrix.from_ints(h4f2.field, group_h4f2.payload_rows(i))
     with pytest.raises(NotAnIsometry):
-        oracle._payload_matrix_to_isometry(h4f2, np.ones((4, 4), dtype=np.int64))
+        oracle.GroupEnumeration(h4f2, "caller", np.ones((1, 4, 4), dtype=np.int64))
     with pytest.raises(DescriptorMismatch):
-        oracle._payload_matrix_to_isometry(h4f2, 2 * np.eye(4, dtype=np.int64))
+        oracle.GroupEnumeration(h4f2, "caller", 2 * np.eye(4, dtype=np.int64)[None])
+
+
+_EYE4 = np.eye(4, dtype=np.int64)
+
+
+@pytest.mark.parametrize("space, payloads, error", [
+    ("h4f2", np.zeros((1, 3, 3), dtype=np.int64), DimensionMismatch),
+    ("h4f2", _EYE4, DimensionMismatch),                            # not a stack
+    ("h4f2", [_EYE4.tolist(), _EYE4[:3].tolist()], DimensionMismatch),
+    ("h4f2", [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0]]], DimensionMismatch),
+    ("h4f2", 2 * _EYE4[None], DescriptorMismatch),                 # |F|
+    ("h4f4", 4 * _EYE4[None], DescriptorMismatch),
+    ("h4f2", -_EYE4[None], DescriptorMismatch),
+    ("h4f2", _EYE4[None].astype(float), DescriptorMismatch),
+    ("h4f2", _EYE4[None].astype(bool), DescriptorMismatch),
+], ids=["shape", "matrix", "ragged-stack", "ragged-rows", "entry-2", "entry-4",
+        "negative", "float", "bool"])
+def test_caller_built_enumeration_rejects_malformed_payloads(space, payloads, error, request):
+    with pytest.raises(error):
+        oracle.GroupEnumeration(request.getfixturevalue(space), "caller", payloads)
+
+
+@pytest.mark.parametrize("group", ["group_h4f2", "group_h4f4"])
+def test_caller_built_enumeration_rejects_one_non_isometry(group, request):
+    enum = request.getfixturevalue(group)
+    bad = enum.payloads[5].copy()
+    bad[0, 0] ^= 1
+    assert not enum.contains_payload(bad)
+    stack = np.concatenate([enum.payloads[:5], bad[None], enum.payloads[5:]])
+    with pytest.raises(NotAnIsometry, match=f"^1 of {enum.order + 1} matrices"):
+        oracle.GroupEnumeration(enum.space, "caller", stack)
+    again = oracle.GroupEnumeration(enum.space, "caller", enum.payloads.astype(np.uint8))
+    assert again.payloads.dtype == np.int64 and np.array_equal(again.payloads, enum.payloads)
+
+
+def test_caller_built_enumeration_may_be_empty(h4f2):
+    enum = oracle.GroupEnumeration(h4f2, "caller", np.zeros((0, 4, 4), dtype=np.int64))
+    assert enum.order == 0 and list(enum.isometries()) == []
+
+
+def test_enumeration_payloads_are_read_only(group_h4f2, group_h4f4, h4f2):
+    source = np.array(group_h4f2.payloads[3:5])
+    caller = oracle.GroupEnumeration(h4f2, "caller", source)
+    source[0, 0, 0] ^= 1  # the caller's array is not the checked one
+    assert np.array_equal(caller.payloads, group_h4f2.payloads[3:5])
+    for enum in (group_h4f2, group_h4f4, caller):  # scan, closure, caller
+        assert not enum.payloads.flags.writeable
+        with pytest.raises(ValueError):  # the same value: no harm if written
+            enum.payloads[0, 0, 0] = enum.payloads[0, 0, 0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        caller.payloads = source
+
+
+def test_enumerated_isometries_are_not_checked_again(group_h4f2, h4f2, monkeypatch):
+    calls = []
+    post_init = wf.Isometry.__post_init__
+    monkeypatch.setattr(wf.Isometry, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    isos = list(group_h4f2.isometries())
+    assert calls == []
+    assert wf.Isometry(h4f2, isos[7].mat) == isos[7]
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +721,13 @@ def _ref_run_tauid(space, enum):
     return oracle.VerifyReport("tauid", checked, failed, examples)
 
 
+def _ref_has_invariant_subspace(iso, subspaces):
+    for s in subspaces:
+        if all(s.contains(iso.apply(v)) for v in s.vectors()):
+            return True
+    return False
+
+
 def _ref_run_defint(space, enum):
     if space.dim != 4:
         raise PreconditionError("the interchange characterization is 4-dimensional")
@@ -613,7 +745,7 @@ def _ref_run_defint(space, enum):
                 c2 = False
         else:
             c2 = False
-        c3 = iso.is_unipotent2() and not oracle._has_invariant_subspace(iso, regs)
+        c3 = iso.is_unipotent2() and not _ref_has_invariant_subspace(iso, regs)
         if not (c1 == c2 == c3):
             failed += 1
             examples.append(oracle._descr(iso))
