@@ -70,7 +70,6 @@ from .linalg import (
     _unbox_one,
     kron,
     stack_rows,
-    vadd,
 )
 from .quadspace import (
     QuadraticSpace,
@@ -124,7 +123,7 @@ class CliffordAlgebra:
 
     @classmethod
     def from_space(cls, space: QuadraticSpace) -> "CliffordAlgebra":
-        qvals = [space.eval_q(space.basis_vector(i)) for i in range(space.dim)]
+        qvals = [space.qmat[i, i] for i in range(space.dim)]  # q(e_i) = Q_ii
         return cls(space.field, qvals, space.gram, space)
 
     # -- blade multiplication -------------------------------------------------
@@ -555,7 +554,7 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
     gens = [alg.vector(u) for u in wf.basis]
     s = len(gens)
     monomials = _monomials(alg, gens)
-    squares = tuple(tau.space.eval_q(u) for u in wf.basis)
+    squares = tau.space.q_values(tau.residual_space().basis)
 
     # linear independence: dimension 2^s
     coeff_rows = alg._payload_matrix(monomials)
@@ -711,10 +710,9 @@ def pfister_invariant(tau: Isometry) -> PfisterDescriptor:
         gens = (field.one,) * wf.s
     else:
         basis, gens = wf.orthogonal_basis()
-        for u, g in zip(basis, gens):
-            # diagonal values coincide with q on the residual space in char 2
-            if g != tau.space.eval_q(u):
-                raise InvariantViolation("residual diagonal does not match q")
+        # diagonal values coincide with q on the residual space in char 2
+        if gens != tau.space.q_values(Matrix(field, basis, ncols=tau.space.dim)):
+            raise InvariantViolation("residual diagonal does not match q")
     return PfisterDescriptor(field, gens, tuple(field.is_square(g) for g in gens))
 
 
@@ -735,7 +733,7 @@ def transpose_iso_criterion(tau: Isometry) -> TransposeCriterion:
     all-square entries)."""
     wf = _require_residual_fixed(tau)
     field = tau.space.field
-    cond_q = all(field.is_square(tau.space.eval_q(u)) for u in wf.basis)
+    cond_q = all(map(field.is_square, tau.space.q_values(tau.residual_space().basis)))
     cond_w = all(field.is_square(wf.gram[i, i]) for i in range(wf.s))
     if wf.is_alternating():
         structure = "alternating"
@@ -788,16 +786,16 @@ def _base_model(alg: CliffordAlgebra) -> tuple[Matrix, ...]:
         return alg._model
     space, field, n = alg.space, alg.field, alg.n
     planes = hyperbolic_basis_alternating(space.gram)  # rows a_1, b_1, a_2, ...
-    plane_pairs = list(zip(planes.rows[0::2], planes.rows[1::2]))
+    qvals = space.q_values(planes)  # q(a_1), q(b_1), q(a_2), ...
     ident2 = Matrix.identity(field, 2)
     plane_images = []  # f(a_1), f(b_1), f(a_2), ...
-    for k, (a_vec, b_vec) in enumerate(plane_pairs):
-        for mat2 in _quaternion_matrices(field, space.eval_q(a_vec), space.eval_q(b_vec)):
+    for k in range(n // 2):
+        for mat2 in _quaternion_matrices(field, qvals[2 * k], qvals[2 * k + 1]):
             img = Matrix.identity(field, 1)
-            for i in range(len(plane_pairs)):
+            for i in range(n // 2):
                 img = kron(img, mat2 if i == k else ident2)
             plane_images.append(img)
-    size = 1 << len(plane_pairs)
+    size = 1 << (n // 2)
     # column i of the inverse change of basis holds e_i in plane coordinates
     to_planes = planes.transpose().inverse()
     f_gen = []
@@ -978,10 +976,11 @@ def goldman_element(tau: Isometry, construction: str = "frame") -> CliffordEleme
     if construction == "frame":
         g = alg.one() + alg.vector(w) * alg.vector(x)
     else:
-        u1, v1 = y, vadd(x, z)
-        _check_swap_plane(tau, u1, v1)
-        du = alg.vector(vadd(u1, tau.apply(u1)))
-        dv = alg.vector(vadd(v1, tau.apply(v1)))
+        # rows u1 = y and v1 = x + z; in characteristic 2, u + tau(u) = (tau - 1) u
+        frame = Matrix(space.field, [x, y, w, z])
+        pair = Matrix.from_ints(space.field, [[0, 1, 0, 0], [1, 0, 0, 1]]) * frame
+        _check_swap_plane(tau, pair)
+        du, dv = map(alg.vector, (pair * tau.displacement().transpose()).rows)
         g = alg.one() + du * dv
     g_inv = alg.inverse(g)
     for i in range(space.dim):
@@ -991,22 +990,20 @@ def goldman_element(tau: Isometry, construction: str = "frame") -> CliffordEleme
     return g
 
 
-def _check_swap_plane(tau: Isometry, u1: Vector, v1: Vector):
-    """The plane span(u1, v1) must be regular with b(u1, v1) = 1, and tau
-    must swap it with its orthogonal complement."""
+def _check_swap_plane(tau: Isometry, pair: Matrix):
+    """The rows (u1, v1) of `pair` must span a regular plane with
+    b(u1, v1) = 1, and tau must swap it with its orthogonal complement."""
     space = tau.space
-    if space.eval_b(u1, v1) != space.field.one:
+    if space.eval_b(*pair.rows) != space.field.one:
         raise InvariantViolation("swap plane basis is not unimodular")
-    plane = Subspace.from_vectors(space, [u1, v1])
-    image = Subspace.from_vectors(space, [tau.apply(u1), tau.apply(v1)])
+    plane = Subspace.from_vectors(space, pair.rows)
+    image = Subspace.from_vectors(space, (pair * tau.mat.transpose()).rows)
     if plane.dim != 2 or not plane.is_regular():
         raise InvariantViolation("swap plane is not a regular plane")
     if plane.intersection(image).dim != 0:
         raise InvariantViolation("swap plane meets its image")
-    for a in plane.vectors():
-        for b in image.vectors():
-            if space.eval_b(a, b):
-                raise InvariantViolation("swap plane is not orthogonal to its image")
+    if not (plane.basis * space.gram * image.basis.transpose()).is_zero():
+        raise InvariantViolation("swap plane is not orthogonal to its image")
     if plane.subspace_sum(image).dim != space.dim:
         raise InvariantViolation("swap plane and its image do not fill the space")
 
@@ -1049,13 +1046,18 @@ def tensor_decomposition_witness(tau: Isometry) -> TensorWitness:
     for blk in dec.blocks:
         factors.append(TensorFactor(blk.kind, blk.vectors()))
 
-    # cross-factor generators must be orthogonal (hence commute in C(q))
+    # cross-factor generators must be orthogonal (hence commute in C(q)):
+    # one Gram product, zero wherever its row and column lie in distinct factors
+    owner = [k for k, f in enumerate(factors) for _ in f.vectors]
+    p = Matrix(space.field, [v for f in factors for v in f.vectors], ncols=space.dim)
+    zero = space.field.zero.payload
+    for i, row in enumerate((p * space.gram * p.transpose()).payload_rows):
+        if any(c != zero for j, c in enumerate(row) if owner[j] != owner[i]):
+            raise InvariantViolation("factors are not orthogonal")
     for i, f1 in enumerate(factors):
         for f2 in factors[i + 1:]:
             for a in f1.vectors:
                 for b in f2.vectors:
-                    if space.eval_b(a, b):
-                        raise InvariantViolation("factors are not orthogonal")
                     ea, eb = alg.vector(a), alg.vector(b)
                     if ea * eb != eb * ea:
                         raise InvariantViolation("factor generators do not commute")

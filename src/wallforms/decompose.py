@@ -20,6 +20,7 @@ and :func:`decompose` once on the whole decomposition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     PreimageUnsolvable,
     ZeroDiagonal,
 )
-from .linalg import Matrix, Vector, block_diag, from_columns, vec_mat, vscale, vsub
+from .linalg import Matrix, Vector, _kernel, _vec_mat, block_diag, from_columns, vec_mat
 from .quadspace import Subspace, complement_in, hyperbolic_basis_alternating
 from .isometry import Isometry
 from .wallform import WallForm, wall_form
@@ -58,9 +59,10 @@ class ReflectionBlock:
         one = field.one
         return Matrix(field, [[-one, one], [field.zero, one]])
 
-    def gram(self, space) -> Matrix:
-        qu, z = space.eval_q(self.u), space.field.zero
-        return Matrix(space.field, [[z, qu], [qu, z]])
+    def gram(self, field, qvals) -> Matrix:
+        """The claimed Gram matrix, given q(u) and q(v)."""
+        qu, z = qvals[0], field.zero
+        return Matrix(field, [[z, qu], [qu, z]])
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,11 @@ class InterchangeBlock:
             [z, z, z, o],
         ])
 
-    def gram(self, space) -> Matrix:
-        # hyperbolic: b(x, y) = b(w, z) = 1, every other pairing zero
-        return Matrix.from_ints(space.field, [[0, 1, 0, 0], [1, 0, 0, 0],
-                                              [0, 0, 0, 1], [0, 0, 1, 0]])
+    def gram(self, field, qvals) -> Matrix:
+        """The claimed Gram matrix, hyperbolic: b(x, y) = b(w, z) = 1, every
+        other pairing zero."""
+        return Matrix.from_ints(field, [[0, 1, 0, 0], [1, 0, 0, 0],
+                                        [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 Block = ReflectionBlock | InterchangeBlock
@@ -152,15 +155,19 @@ def _interchange(tau: Isometry, x: Vector, w: Vector, within: Subspace | None) -
     preimages y, z of w and -x, adjusted by fixed vectors so that
     q(y) = q(z) = b(y, z) = 0, make the frame (x, y, w, z) with
     tau(y) = y + w and tau(z) = z - x."""
-    space = tau.space
+    space, field = tau.space, tau.space.field
     y = _solve_preimage(tau, w, within)
     z = _solve_preimage(tau, tuple(-c for c in x), within)
     if y is None or z is None:
         raise PreimageUnsolvable("no preimage for a residual vector")
-    y = vsub(y, vscale(space.eval_q(y), x))
-    z = vsub(z, vscale(space.eval_q(z), w))
-    z = vsub(z, vscale(space.eval_b(y, z), x))
-    frame = (x, y, w, z)
+    frame = Matrix(field, [x, y, w, z])
+    _, qy, _, qz = space.q_values(frame)
+    kernel = _kernel(field)
+    px, py, pw, pz = frame.payload_rows
+    py = tuple(kernel.eliminate(py, qy.payload, px))
+    pz = kernel.eliminate(pz, qz.payload, pw)
+    pz = tuple(kernel.eliminate(pz, kernel.dot(_vec_mat(field, py, space.gram), pz), px))
+    frame = Matrix._trusted(field, (px, py, pw, pz), space.dim).rows
     return InterchangeBlock(*frame, Subspace.from_vectors(space, frame))
 
 
@@ -286,12 +293,15 @@ def _check_blocks(tau: Isometry, blocks, fixed: Subspace):
     # P D P^-1 = M iff M P = P D, without the inverse
     if tau.mat * p != p * local:
         raise InvariantViolation("reassembled blocks do not reproduce tau")
-    grams = [fixed.gram_matrix()] + [blk.gram(space) for blk in blocks]
+    # q of every block vector, one product over the columns of P past the fixed ones
+    qvals = iter(space.q_values(p.transpose())[fixed.dim:])
+    block_q = [tuple(itertools.islice(qvals, len(blk.vectors()))) for blk in blocks]
+    grams = [fixed.gram_matrix()] + [blk.gram(field, q) for blk, q in zip(blocks, block_q)]
     if p.transpose() * space.gram * p != block_diag(field, grams):
         raise InvariantViolation("summands are not orthogonal or not of their claimed forms")
     if not all(g.det() for g in grams):
         raise InvariantViolation("a summand is not regular")
-    if any(space.eval_q(v) for blk in blocks if blk.kind == "interchange" for v in blk.vectors()):
+    if any(any(q) for blk, q in zip(blocks, block_q) if blk.kind == "interchange"):
         raise InvariantViolation("interchange frame vectors are not isotropic")
 
 

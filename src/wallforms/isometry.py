@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import Field, FieldElement
-from .linalg import Matrix, Vector, from_columns, mat_vec, vadd, vec_mat, vsub, vscale
+from .linalg import Matrix, Vector, _kernel, from_columns, mat_vec, vec_mat
 from .quadspace import QuadraticSpace, Subspace
 
 
@@ -35,10 +35,11 @@ def _isometry_defect_witness(space: QuadraticSpace, mat: Matrix) -> Vector | Non
         if defect[i, i]:
             return space.basis_vector(i)
     sym = defect + defect.transpose()
+    ident = Matrix.identity(space.field, n).payload_rows
     for i in range(n):
         for j in range(i + 1, n):
             if sym[i, j]:
-                return vadd(space.basis_vector(i), space.basis_vector(j))
+                return space.field.wrap_all(_kernel(space.field).add_rows(ident[i], ident[j]))
     return None
 
 
@@ -196,8 +197,8 @@ def reflection(space: QuadraticSpace, u: Vector) -> Isometry:
     if not qu:
         raise IsotropicVector("reflection requires q(u) != 0")
     field = space.field
-    bu = vec_mat(u, space.gram)
-    shear = from_columns(field, [u]) * Matrix(field, [vscale(-field.one / qu, bu)])
+    bu = Matrix(field, [vec_mat(u, space.gram)])
+    shear = from_columns(field, [u]) * bu.scale(-field.one / qu)
     return Isometry(space, Matrix.identity(field, space.dim) + shear)
 
 
@@ -210,9 +211,9 @@ def eichler(space: QuadraticSpace, x: Vector, w: Vector) -> Isometry:
     if space.eval_b(x, w):
         raise PreconditionError("Eichler transformation requires b(x, w) = 0")
     field = space.field
-    bx, bw = (Matrix(field, [x, w]) * space.gram).rows
-    tail = vsub(vscale(-space.eval_q(w), bx), bw)  # -(B w + q(w) B x)
-    shear = from_columns(field, [w, x]) * Matrix(field, [bx, tail])
+    # (w, x) C has the columns w - q(w) x and -x
+    c = Matrix(field, [[field.one, field.zero], [-space.eval_q(w), -field.one]])
+    shear = from_columns(field, [w, x]) * c * (Matrix(field, [x, w]) * space.gram)
     return Isometry(space, Matrix.identity(field, space.dim) + shear)
 
 
@@ -257,9 +258,11 @@ class ReflectionWord:
     factors: tuple[Vector, ...]
 
     def __post_init__(self):
-        for u in self.factors:
-            if not self.space.eval_q(u):
-                raise IsotropicVector("reflection word factors must be anisotropic")
+        if not all(self._q_values()):
+            raise IsotropicVector("reflection word factors must be anisotropic")
+
+    def _q_values(self) -> tuple[FieldElement, ...]:
+        return self.space.q_values(Matrix(self.space.field, self.factors, ncols=self.space.dim))
 
     def isometry(self) -> Isometry:
         out = identity_isometry(self.space)
@@ -270,8 +273,8 @@ class ReflectionWord:
     def spinor_norm(self) -> SquareClass:
         """The class of the product of the q-values of the factors."""
         acc = self.space.field.one
-        for u in self.factors:
-            acc = acc * self.space.eval_q(u)
+        for qu in self._q_values():
+            acc = acc * qu
         return SquareClass(self.space.field, acc)
 
 

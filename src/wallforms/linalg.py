@@ -21,7 +21,9 @@ range-checked payload rows.  ``rows`` (boxed once, then cached),
 ``m[i, j]``, ``row``, ``col``, ``det`` and the vectors returned by
 ``solve``, ``kernel_basis``, ``mat_vec`` and ``vec_mat`` are boxed on the
 way out, and finite fields hand out interned elements, so boxing
-allocates nothing.  Vectors are plain tuples of field elements.
+allocates nothing.  Vectors are plain tuples of field elements; the
+boundary functions that take them are ``mat_vec``, ``vec_mat`` and
+``bilinear``.  Inside the library vector arithmetic runs on payload rows.
 """
 
 from __future__ import annotations
@@ -570,18 +572,6 @@ def _vec_mat(field: Field, v, m: Matrix) -> tuple:
     if not m.payload_rows:
         return (field.zero.payload,) * m.ncols
     return _kernel(field).matmul((v,), m.payload_rows, m.ncols)[0]
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: FieldElement, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:

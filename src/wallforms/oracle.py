@@ -610,8 +610,8 @@ def _run_clif(space, enum: GroupEnumeration) -> VerifyReport:
         model = explicit_matrix_iso(iso)
         alg = model.algebra
         # residual images are symmetric with square q(u) I, q(u) a square
-        return all(square_scalar_check(model.apply(alg.vector(u)), space.eval_q(u))
-                   for u in wf.basis)
+        return all(square_scalar_check(model.apply(alg.vector(u)), qu)
+                   for u, qu in zip(wf.basis, space.q_values(iso.residual_space().basis)))
     isos = (iso for iso in map(enum.isometry, enum.involution_indices())
             if iso.residual_space() == iso.fixed_space())
     return _check_each("clif", isos, holds, WallformsError)

@@ -6,6 +6,10 @@ polar Gram matrix B = Q + Q^T.  Regularity (B invertible) is enforced at
 construction: in characteristic 2 this forces B to be alternating, hence
 the dimension to be even.
 
+q on a set of vectors is one payload product: :meth:`QuadraticSpace.q_values`
+is the diagonal of R Q R^T for the rows of R.  ``eval_q`` and ``eval_b``
+take boxed vectors one at a time.
+
 Subspaces keep their bases in reduced row-echelon form so that equality
 is representational.
 
@@ -25,6 +29,7 @@ pivot columns are the greedy choice, in order (:func:`_independent`,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,6 +37,7 @@ from .errors import (
     AlternatingForm,
     Degenerate,
     DimensionMismatch,
+    DescriptorMismatch,
     InvariantViolation,
     NotAlternating,
     NotExtendable,
@@ -45,13 +51,12 @@ from .linalg import (
     Vector,
     _diagonal,
     _kernel,
+    _unbox,
     _vec_mat,
     bilinear,
     block_diag,
     stack_rows,
     vec_mat,
-    vscale,
-    vsub,
 )
 
 
@@ -91,12 +96,8 @@ class QuadraticSpace:
     @classmethod
     def hyperbolic(cls, field: Field, planes: int) -> "QuadraticSpace":
         """Orthogonal sum of `planes` hyperbolic planes: q = x1 x2 + x3 x4 + ..."""
-        n = 2 * planes
-        z, o = field.zero, field.one
-        rows = [[z] * n for _ in range(n)]
-        for k in range(planes):
-            rows[2 * k][2 * k + 1] = o
-        return cls.from_q_upper(field, Matrix(field, rows))
+        plane = Matrix.from_ints(field, [[0, 1], [0, 0]])
+        return cls.from_q_upper(field, block_diag(field, [plane] * planes))
 
     def eval_q(self, x: Vector) -> FieldElement:
         if len(x) != self.dim:
@@ -108,6 +109,17 @@ class QuadraticSpace:
             raise DimensionMismatch("vector length mismatch")
         return bilinear(x, self.gram, y)
 
+    def q_values(self, rows: Matrix) -> tuple[FieldElement, ...]:
+        """q of every row of `rows`: the diagonal of R Q R^T, one payload
+        product."""
+        if rows.field != self.field:
+            raise DescriptorMismatch(f"rows over {rows.field} in a space over {self.field}")
+        if rows.ncols != self.dim:
+            raise DimensionMismatch(f"rows of length {rows.ncols} in dim {self.dim}")
+        kernel, prows = _kernel(self.field), rows.payload_rows
+        rq = kernel.matmul(prows, self.qmat.payload_rows, self.dim)  # the rows of R Q
+        return self.field.wrap_all(map(kernel.dot, rq, prows))
+
     def basis_vector(self, i: int) -> Vector:
         return Matrix.identity(self.field, self.dim).row(i)
 
@@ -115,34 +127,16 @@ class QuadraticSpace:
         return (self.field.zero,) * self.dim
 
     def vectors(self) -> Iterator[Vector]:
-        """All vectors of the space; finite fields only."""
-        elems = list(self.field.elements())
-        idx = [0] * self.dim
-        while True:
-            yield tuple(elems[i] for i in idx)
-            j = 0
-            while j < self.dim:
-                idx[j] += 1
-                if idx[j] < len(elems):
-                    break
-                idx[j] = 0
-                j += 1
-            if j == self.dim:
-                return
+        """All vectors of the space, the first entry varying fastest; finite
+        fields only."""
+        for v in itertools.product(list(self.field.elements()), repeat=self.dim):
+            yield v[::-1]
 
     def orthogonal_sum(self, other: "QuadraticSpace") -> "QuadraticSpace":
         if self.field != other.field:
             raise DimensionMismatch("spaces over different fields")
-        n, m = self.dim, other.dim
-        z = self.field.zero
-        rows = [[z] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = self.qmat[i, j]
-        for i in range(m):
-            for j in range(m):
-                rows[n + i][n + j] = other.qmat[i, j]
-        return QuadraticSpace.from_q_upper(self.field, Matrix(self.field, rows))
+        qmat = block_diag(self.field, [self.qmat, other.qmat])
+        return QuadraticSpace.from_q_upper(self.field, qmat)
 
     def __repr__(self):
         return f"QuadraticSpace({self.field.literal()}, dim={self.dim})"
@@ -188,6 +182,8 @@ class Subspace:
         """Coefficients of v in this basis, or None if v is outside.
 
         The basis is in RREF, so the coefficient of row j is v[pivot_j]."""
+        if len(v) != self.space.dim:
+            raise DimensionMismatch(f"vector of length {len(v)} in dim {self.space.dim}")
         _, pivots = self.basis.rref()
         coords = tuple(v[p] for p in pivots)
         if vec_mat(coords, self.basis) != tuple(v):
@@ -228,9 +224,7 @@ class Subspace:
 
     def is_totally_isotropic(self) -> bool:
         """q vanishes identically on the subspace."""
-        if not all(not self.space.eval_q(v) for v in self.vectors()):
-            return False
-        return self.is_totally_singular()
+        return not any(self.space.q_values(self.basis)) and self.is_totally_singular()
 
     def gram_matrix(self) -> Matrix:
         return self.basis * self.space.gram * self.basis.transpose()
@@ -383,24 +377,24 @@ def extend_to_hyperbolic_basis(
     if pair.dim != 2 or not pair.is_totally_isotropic():
         raise NotExtendable("(x, w) must span a totally isotropic plane")
 
-    field = space.field
-    bx = vec_mat(x, space.gram)  # bx[j] = b(x, e_j)
-    bw = vec_mat(w, space.gram)
-
-    sys_y = Matrix(field, [bx, bw])
-    y = sys_y.solve((field.one, field.zero))
+    field, kernel = space.field, _kernel(space.field)
+    xw = Matrix(field, [x, w])
+    bxw = xw * space.gram  # rows b(x, .) and b(w, .)
+    y = bxw.solve((field.one, field.zero))
     if y is None:
         raise NotExtendable("cannot solve for the first partner vector")
-    y = vsub(y, vscale(space.eval_q(y), x))  # fix q(y) = 0; keeps pairings
+    # y - q(y) x and z - q(z) w are isotropic and keep their pairings
+    px, pw = xw.payload_rows
+    py = tuple(kernel.eliminate(_unbox(field, y), space.eval_q(y).payload, px))
 
-    by = vec_mat(y, space.gram)
-    sys_z = Matrix(field, [bx, bw, by])
-    z = sys_z.solve((field.zero, field.one, field.zero))
+    by = _vec_mat(field, py, space.gram)
+    z = Matrix._trusted(field, bxw.payload_rows + (by,), space.dim).solve(
+        (field.zero, field.one, field.zero))
     if z is None:
         raise NotExtendable("cannot solve for the second partner vector")
-    z = vsub(z, vscale(space.eval_q(z), w))  # fix q(z) = 0
+    pz = tuple(kernel.eliminate(_unbox(field, z), space.eval_q(z).payload, pw))
 
-    for v in (x, y, w, z):
-        if space.eval_q(v):
-            raise NotExtendable("space is not hyperbolic on the constructed basis")
-    return (x, y, w, z)
+    frame = Matrix._trusted(field, (px, py, pw, pz), space.dim)
+    if any(space.q_values(frame)):
+        raise NotExtendable("space is not hyperbolic on the constructed basis")
+    return frame.rows

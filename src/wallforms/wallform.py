@@ -100,9 +100,8 @@ def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, .
     # two theorems, checked eagerly: nondegeneracy and the diagonal law
     if basis and not gram.det():
         raise InvariantViolation("residual form is degenerate")
-    for i, u in enumerate(basis):
-        if gram[i, i] != -space.eval_q(u):
-            raise InvariantViolation("diagonal law w(u, u) = -q(u) failed")
+    if any(gram[i, i] != -qu for i, qu in enumerate(space.q_values(residual))):
+        raise InvariantViolation("diagonal law w(u, u) = -q(u) failed")
     return tuple(basis), tuple(preimages), gram
 
 

@@ -11,8 +11,10 @@ from contextlib import contextmanager
 import pytest
 
 import wallforms as wf
-from wallforms.linalg import Matrix, vadd, vscale
+from wallforms.linalg import Matrix
 from wallforms.oracle import GroupEnumeration
+
+from boxed_vectors import vadd, vscale
 
 
 @contextmanager

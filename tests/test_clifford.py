@@ -1,5 +1,6 @@
 """Clifford algebras, the induced involution, and the invariant suite."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -35,7 +36,10 @@ from wallforms.errors import (
     UnsupportedField,
     ZeroSquare,
 )
-from wallforms.linalg import Matrix
+from wallforms.linalg import Matrix, block_diag
+from wallforms.quadspace import Subspace
+
+from boxed_vectors import vadd
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +267,14 @@ def test_pfister_r4t(tau_r4t, ft):
     assert pf.generators == (ft.t, ft.t)
 
 
+def test_pfister_checks_the_kept_diagonal_against_q(r4t, tau_r4t, ft):
+    tau = wf.Isometry(r4t, tau_r4t.mat)  # its own memo, apart from the fixture's
+    basis, diagonal = wf.wall_form(tau).orthogonal_basis()
+    tau._memo["orthogonal_basis"] = (basis, (diagonal[0] * ft.t,) + diagonal[1:])
+    with pytest.raises(InvariantViolation, match="residual diagonal does not match q"):
+        wf.pfister_invariant(tau)
+
+
 def test_pfister_structural_equality(ft, tau_r4t):
     pf = wf.pfister_invariant(tau_r4t)
     t = ft.t
@@ -445,6 +457,19 @@ def test_goldman_rejects_non_interchange(h4f2):
         wf.goldman_element(wf.identity_isometry(h4f2))
 
 
+def test_swap_plane_check_rejects_a_plane_not_orthogonal_to_its_image(h4f4, f4):
+    """A unimodular plane that meets its image only in 0 and fills the
+    space with it, yet is not orthogonal to it: only the Gram product of the
+    plane against its image rejects it."""
+    e = h4f4.basis_vector
+    tau = wf.eichler(h4f4, e(0), e(2))
+    z, w, w1 = f4.zero, f4.parse("w"), f4.parse("w+1")
+    pair = Matrix(f4, [[z, w1, w, z], [z, z, w, w1]])
+    assert h4f4.eval_b(*pair.rows) == f4.one
+    with pytest.raises(InvariantViolation, match="not orthogonal to its image"):
+        clifford._check_swap_plane(tau, pair)
+
+
 # ---------------------------------------------------------------------------
 # tensor factorization
 # ---------------------------------------------------------------------------
@@ -458,6 +483,22 @@ def test_tensor_witness_interchange_plus_identity(f2, h4f2, tau_int):
     witness = wf.tensor_decomposition_witness(tau)
     kinds = sorted(f.kind for f in witness.factors)
     assert kinds == ["identity-plane", "interchange"]
+
+
+def test_tensor_witness_rejects_factors_that_are_not_orthogonal(monkeypatch, f2, h4f2, tau_int):
+    """A decomposition whose identity part is not orthogonal to its
+    interchange block: the Gram product of the factor vectors rejects it
+    before the commutation loop."""
+    big = h4f2.orthogonal_sum(wf.QuadraticSpace.hyperbolic(f2, 1))
+    tau = wf.Isometry(big, block_diag(f2, [tau_int.mat, Matrix.identity(f2, 2)]))
+    d = wf.decompose(tau)
+    e = big.basis_vector
+    skew = Subspace.from_vectors(big, [e(4), vadd(e(5), e(1))])
+    assert any(big.eval_b(a, b) for a in skew.vectors() for b in d.blocks[0].vectors())
+    monkeypatch.setattr(clifford, "decompose",
+                        lambda t: dataclasses.replace(d, fixed_complement=skew))
+    with pytest.raises(InvariantViolation, match="factors are not orthogonal"):
+        wf.tensor_decomposition_witness(tau)
 
 
 def test_tensor_witness_r4t(tau_r4t):

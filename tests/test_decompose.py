@@ -4,6 +4,7 @@ import importlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wallforms as wf
 from wallforms.errors import (
@@ -11,11 +12,26 @@ from wallforms.errors import (
     NotInterchange,
     NotUnipotent2,
     PreconditionError,
+    PreimageUnsolvable,
     ZeroDiagonal,
 )
-from wallforms.decompose import reassemble, validate_decomposition
-from wallforms.linalg import vadd, vscale
+from wallforms.decompose import (
+    InterchangeBlock,
+    _interchange,
+    _solve_preimage,
+    reassemble,
+    validate_decomposition,
+)
 from wallforms.quadspace import Subspace
+
+from boxed_vectors import (
+    isotropic_pairs,
+    isotropic_partners,
+    isotropic_vectors,
+    vadd,
+    vscale,
+    vsub,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +164,40 @@ def test_normal_basis_gf7_interchange(h4f7):
     assert tau.is_interchange()
     x, y, w, z = wf.interchange_normal_basis(tau)
     assert wf.eichler(h4f7, x, w).mat == tau.mat
+
+
+def _ref_interchange(tau, x, w, within):
+    """The interchange frame as it was built on boxed vectors: one eval_q or
+    eval_b per correction."""
+    space = tau.space
+    y = _solve_preimage(tau, w, within)
+    z = _solve_preimage(tau, tuple(-c for c in x), within)
+    if y is None or z is None:
+        raise PreimageUnsolvable("no preimage for a residual vector")
+    y = vsub(y, vscale(space.eval_q(y), x))
+    z = vsub(z, vscale(space.eval_q(z), w))
+    z = vsub(z, vscale(space.eval_b(y, z), x))
+    frame = (x, y, w, z)
+    return InterchangeBlock(*frame, Subspace.from_vectors(space, frame))
+
+
+@pytest.mark.parametrize("literal", ["gf(2)", "gf(3)"])
+def test_interchange_frame_matches_reference_on_every_isotropic_pair(literal):
+    """The Eichler transformation of a totally isotropic pair (x, w) has
+    residual space span(x, w), with preimages of w and -x."""
+    space = wf.QuadraticSpace.hyperbolic(wf.parse_field(literal), 2)
+    for x, w in isotropic_pairs(space):
+        tau = wf.eichler(space, x, w)
+        assert _interchange(tau, x, w, None) == _ref_interchange(tau, x, w, None)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_interchange_frame_matches_reference_gf7(h4f7, data):
+    x = data.draw(st.sampled_from(isotropic_vectors(h4f7)))
+    w = data.draw(st.sampled_from(isotropic_partners(h4f7, x)))
+    tau = wf.eichler(h4f7, x, w)
+    assert _interchange(tau, x, w, None) == _ref_interchange(tau, x, w, None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from wallforms.errors import (
     NotRegular,
     PreconditionError,
 )
-from wallforms.linalg import from_columns, vadd, vscale, vsub
+from wallforms.linalg import from_columns
 from wallforms.quadspace import Subspace
+
+from boxed_vectors import vadd, vscale, vsub
 
 
 def test_identity_is_isometry(h4f2):

@@ -9,6 +9,7 @@ import wallforms as wf
 from wallforms.errors import (
     AlternatingForm,
     Degenerate,
+    DescriptorMismatch,
     DimensionMismatch,
     InvariantViolation,
     NotAlternating,
@@ -17,7 +18,7 @@ from wallforms.errors import (
     NotRegular,
     NotSymmetric,
 )
-from wallforms.linalg import Matrix, bilinear, vadd, vec_mat, vscale, vsub
+from wallforms.linalg import Matrix, bilinear, vec_mat
 from wallforms.quadspace import (
     Subspace,
     _independent,
@@ -25,6 +26,15 @@ from wallforms.quadspace import (
     extend_to_hyperbolic_basis,
     hyperbolic_basis_alternating,
     orthogonal_basis,
+)
+
+from boxed_vectors import (
+    isotropic_pairs,
+    isotropic_partners,
+    isotropic_vectors,
+    vadd,
+    vscale,
+    vsub,
 )
 
 
@@ -42,6 +52,55 @@ def test_r2t_q_values(r2t, ft):
     assert r2t.eval_q(r2t.basis_vector(0)) == ft.t
     assert not r2t.eval_q(r2t.basis_vector(1))
     assert r2t.eval_b(r2t.basis_vector(0), r2t.basis_vector(1)) == ft.one
+
+
+# ---------------------------------------------------------------------------
+# q on the rows of a matrix against one boxed eval_q per row
+# ---------------------------------------------------------------------------
+
+Q_VALUE_FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(7)", "gf(97)", "gf2(t)"]
+
+
+def _element(draw, field):
+    if draw(st.integers(0, 2)) == 0:
+        return field.zero
+    if field.kind == "ratfunc":
+        return field.fraction(draw(st.integers(0, 15)), draw(st.integers(1, 15)))
+    return field.element(draw(st.integers(0, field.order() - 1)))
+
+
+@pytest.mark.parametrize("literal", Q_VALUE_FIELDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_q_values_match_eval_q(literal, data):
+    field = wf.parse_field(literal)
+    n = data.draw(st.sampled_from([2, 4] if field.characteristic() == 2 else [1, 2, 3, 4]))
+    qmat = Matrix(field, [[_element(data.draw, field) for _ in range(n)] for _ in range(n)])
+    try:
+        space = wf.QuadraticSpace.from_q_upper(field, qmat)
+    except NotRegular:
+        assume(False)
+    rows = Matrix(field, [[_element(data.draw, field) for _ in range(n)]
+                          for _ in range(data.draw(st.integers(0, 5)))], ncols=n)
+    assert space.q_values(rows) == tuple(space.eval_q(r) for r in rows.rows)
+
+
+def test_q_values_reject_rows_of_another_length_or_field(h4f2, h4f7, f7):
+    with pytest.raises(DimensionMismatch):
+        h4f2.q_values(Matrix.identity(h4f2.field, 3))
+    with pytest.raises(DescriptorMismatch):
+        h4f2.q_values(Matrix.identity(f7, 4))
+    assert h4f7.q_values(Matrix.zeros(f7, 0, 4)) == ()
+
+
+def test_coordinates_reject_vectors_of_another_length(h4f2, tau_int, f2):
+    one = f2.one
+    for sub in (Subspace.full(h4f2), tau_int.residual_space(), Subspace.zero(h4f2)):
+        for v in ((one,) * 2, (one,) * 5, (f2.zero,) * 5):
+            with pytest.raises(DimensionMismatch):
+                sub.coordinates(v)
+            with pytest.raises(DimensionMismatch):
+                sub.contains(v)
 
 
 def test_hyperbolic_pairings(h4f2, f2):
@@ -556,6 +615,50 @@ def test_extend_pair_rejects_anisotropic(h4f2, f2):
     u = (f2.one, f2.one, f2.zero, f2.zero)  # q(u) = 1
     with pytest.raises(NotExtendable):
         extend_to_hyperbolic_basis(h4f2, u, h4f2.basis_vector(2))
+
+
+def _ref_extend_to_hyperbolic_basis(space, x, w):
+    """The extension as it was on boxed vectors, one eval_q per vector."""
+    if space.dim != 4:
+        raise NotExtendable("space must be 4-dimensional")
+    pair = Subspace.from_vectors(space, [x, w])
+    if pair.dim != 2 or any(space.eval_q(v) for v in pair.vectors()) \
+            or not pair.is_totally_singular():
+        raise NotExtendable("(x, w) must span a totally isotropic plane")
+    field = space.field
+    bx = vec_mat(x, space.gram)
+    bw = vec_mat(w, space.gram)
+    y = Matrix(field, [bx, bw]).solve((field.one, field.zero))
+    if y is None:
+        raise NotExtendable("cannot solve for the first partner vector")
+    y = vsub(y, vscale(space.eval_q(y), x))
+    by = vec_mat(y, space.gram)
+    z = Matrix(field, [bx, bw, by]).solve((field.zero, field.one, field.zero))
+    if z is None:
+        raise NotExtendable("cannot solve for the second partner vector")
+    z = vsub(z, vscale(space.eval_q(z), w))
+    for v in (x, y, w, z):
+        if space.eval_q(v):
+            raise NotExtendable("space is not hyperbolic on the constructed basis")
+    return (x, y, w, z)
+
+
+@pytest.mark.parametrize("literal", ["gf(2)", "gf(3)"])
+def test_extend_matches_reference_on_every_isotropic_pair(literal):
+    space = wf.QuadraticSpace.hyperbolic(wf.parse_field(literal), 2)
+    pairs = isotropic_pairs(space)
+    assert len(pairs) == {"gf(2)": 36, "gf(3)": 384}[literal]  # 2(|F|+1) planes
+    for x, w in pairs:
+        assert extend_to_hyperbolic_basis(space, x, w) == _ref_extend_to_hyperbolic_basis(
+            space, x, w)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_extend_matches_reference_gf7(h4f7, data):
+    x = data.draw(st.sampled_from(isotropic_vectors(h4f7)))
+    w = data.draw(st.sampled_from(isotropic_partners(h4f7, x)))
+    assert extend_to_hyperbolic_basis(h4f7, x, w) == _ref_extend_to_hyperbolic_basis(h4f7, x, w)
 
 
 def test_form_matrix_canonicalization(f7):

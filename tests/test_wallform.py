@@ -6,8 +6,10 @@ import random
 import pytest
 
 import wallforms as wf
-from wallforms.errors import InvariantViolation, NotSymmetric
-from wallforms.linalg import Matrix, vadd, vscale
+from wallforms.errors import DimensionMismatch, InvariantViolation, NotSymmetric
+from wallforms.linalg import Matrix
+
+from boxed_vectors import vadd, vscale
 
 
 def test_identity_has_empty_form(h4f2):
@@ -36,6 +38,14 @@ def test_r2t_reflection_gram(tau_r2t, ft):
 def test_r4t_gram_is_diag_t_t(tau_r4t, ft):
     w = wf.wall_form(tau_r4t)
     assert w.gram == Matrix(ft, [[ft.t, ft.zero], [ft.zero, ft.t]])
+
+
+def test_wall_form_checks_the_diagonal_law(h4f7, f7):
+    """An unchecked matrix that is no isometry, e_1 -> e_1 + e_0: its
+    residual form on e_0 is b(e_0, e_1) = 1, nondegenerate, but q(e_0) = 0."""
+    shear = Matrix.from_ints(f7, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(InvariantViolation, match="diagonal law"):
+        wf.wall_form(wf.Isometry._trusted(h4f7, shear))
 
 
 def test_diagonal_law_and_nondegeneracy_random_probes(h4f7, tau_int, tau_r4t, f7):
@@ -172,3 +182,13 @@ def test_coords_match_a_solve_in_the_residual_basis(h4f2, tau_int, tau_r4t, h4f7
         for v in outside:
             with pytest.raises(InvariantViolation):
                 w.coords(v)
+
+
+def test_evaluate_rejects_vectors_of_another_length(tau_int, f2):
+    w = wf.wall_form(tau_int)
+    u = w.basis[0]
+    for v in ((f2.one,) * 2, u[:3], u + (f2.zero,)):
+        with pytest.raises(DimensionMismatch):
+            w.evaluate(v, u)
+        with pytest.raises(DimensionMismatch):
+            w.evaluate(u, v)
