@@ -429,7 +429,12 @@ def field_tables(field: Field) -> FieldTables:
     )
 
 
+# cached: a one-element stack's product costs a few microseconds, and
+# min_scalar_type would add half a microsecond to each
+_narrowest_unsigned = functools.lru_cache(maxsize=None)(np.min_scalar_type)
+
 SMALL_PRODUCT = 1 << 12  # products below which one gather beats a loop over k
+LAST_CHUNK = 1 << 10  # matrices per lookup of matmul_last; bounds the intp codes
 
 
 class _BatchArith:
@@ -442,8 +447,12 @@ class _BatchArith:
     (prime fields and GF(2), checked here), batched products use numpy's
     integer matmul mod |F|; otherwise they are table lookups summed by XOR,
     which ``add`` must then be.  Arguments and results are integer arrays of
-    payloads.  Build it through :func:`_batch_arith`, which keeps one per
-    field; the oracle and ``clifford`` share it."""
+    payloads.  :meth:`matmul` takes the batch on the leading axes and
+    computes in intp; :meth:`matmul_last` and :meth:`minus_identity_last`
+    take uint8 stacks with the batch on the last axis, (n, n, N), and keep
+    their products as narrow as the values allow.  Build it through
+    :func:`_batch_arith`, which keeps one per field; the oracle and
+    ``clifford`` share it."""
 
     def __init__(self, field):
         if not isinstance(field, _FiniteField):
@@ -489,6 +498,48 @@ class _BatchArith:
         for k in range(1, a.shape[-1]):
             acc ^= self._mul[a[..., :, k, None], b[..., None, k, :]]
         return acc
+
+    def minus_identity_last(self, a):
+        """M - I for every M of a batch-last (n, n, N) uint8 payload stack,
+        in uint8.  Over Z/|F| the uint8 subtraction wraps only 0 - 1, to
+        255, which min(., |F| - 1) takes to -1 = |F| - 1."""
+        eye = _identity_last(a.shape[0])
+        if not self.modular:
+            return a ^ eye
+        delta = a - eye
+        return np.minimum(delta, self.order - 1, out=delta)
+
+    def matmul_last(self, a, b):
+        """Batched matrix product with the batch on the last axis: a is
+        (n, k, N) and b is (k, m, N), the product (n, m, N).  Modular
+        products are one einsum in the narrowest unsigned dtype that holds
+        a sum of k products, k (|F|-1)^2, then mod |F| (einsum given the
+        dtype itself runs several times slower).  Otherwise every product
+        a_ik b_kj is one lookup in the flattened uint8 table, at the uint16
+        code |F| a_ik + b_kj, XOR-summed over k; the lookups go
+        LAST_CHUNK matrices at a time, since numpy copies their codes to
+        intp."""
+        k = a.shape[1]
+        if self.modular:
+            wide = _narrowest_unsigned(k * (self.order - 1) ** 2)
+            a, b = a.astype(wide, copy=False), b.astype(wide, copy=False)
+            prod = np.einsum("ikN,kjN->ijN", a, b)
+            return np.remainder(prod, self.order, out=prod)
+        rows = a.astype(np.uint16) * self.order  # where a_ik's row starts in the flat table
+        out = np.empty((a.shape[0], b.shape[1], a.shape[2]), dtype=np.uint8)
+        for start in range(0, a.shape[2], LAST_CHUNK):
+            part = slice(start, start + LAST_CHUNK)
+            codes = rows[:, :, None, part] + b[None, :, :, part]
+            np.bitwise_xor.reduce(self._mul.take(codes), axis=1, out=out[..., part])
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_last(n: int) -> np.ndarray:
+    """The n x n identity as a read-only batch-last (n, n, 1) uint8 stack."""
+    eye = np.eye(n, dtype=np.uint8)[:, :, None]
+    eye.flags.writeable = False
+    return eye
 
 
 @functools.lru_cache(maxsize=None)

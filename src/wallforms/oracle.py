@@ -18,8 +18,10 @@ keys (the n*n payloads as base-|F| digits, row by row), deduplicated by a
 sort and searchsorted, and multiplies them by generators on the keys
 alone; it therefore needs |F|^(n*n) <= 2^64.  Key order is payload order,
 row by row, the canonical order of an enumeration.  The unipotent,
-involution and identity filters are each one batched product or
-comparison over the whole enumeration.  Each element is proven an
+involution and identity filters run on one batch-last uint8 copy of the
+payloads, (n, n, N), made by the first filter and kept: each is one
+narrow product or comparison there, with no int64 temporary of the
+group's size.  Each element is proven an
 isometry once, where its enumeration is made: by the scan, the closure,
 or a batched check when a caller builds it (:class:`GroupEnumeration`).
 
@@ -49,7 +51,7 @@ from .errors import (
     UnknownTheorem,
     WallformsError,
 )
-from .fields import Galois2Field, PrimeField, _BatchArith, _batch_arith
+from .fields import Galois2Field, PrimeField, _BatchArith, _batch_arith, _identity_last
 from .linalg import Matrix
 from .quadspace import QuadraticSpace, Subspace
 from .isometry import Isometry
@@ -192,7 +194,8 @@ def _normalised_vectors(size: int, n: int):
 class GroupEnumeration:
     """A read-only (N, n, n) int64 payload stack of isometries.  The scan
     and the closure make theirs unchecked (:meth:`_trusted`), in canonical
-    order; one built by a caller is checked here, once, as one batch."""
+    order; one built by a caller is checked here, once, as one batch.  The
+    filters read a batch-last uint8 copy of the stack (:meth:`_batch_last`)."""
 
     space: QuadraticSpace
     method: str
@@ -248,20 +251,41 @@ class GroupEnumeration:
             raise DimensionMismatch(f"expected {n} x {n} payload rows")
         return bool((self.payloads == rows).all(axis=(1, 2)).any())
 
+    def _batch_last(self) -> np.ndarray:
+        """The payloads as one read-only, contiguous (n, n, N) uint8 array,
+        the batch last, which the filters read; made by the first filter
+        and kept (the payloads are read-only too).  Cached by hand: a
+        cached_property costs a one-element enumeration as much as the copy."""
+        last = self.__dict__.get("_last")
+        if last is None:
+            last = np.ascontiguousarray(self.payloads.astype(np.uint8).transpose(1, 2, 0))
+            last.flags.writeable = False
+            self.__dict__["_last"] = last
+        return last
+
     def unipotent2_indices(self) -> list[int]:
+        """The elements with (M - I)^2 = 0, from one batch-last product."""
         arith = _batch_arith(self.space.field)
-        delta = arith.sub(self.payloads, _identity(self.space.dim))
-        return np.nonzero(~arith.matmul(delta, delta).any(axis=(1, 2)))[0].tolist()
+        delta = arith.minus_identity_last(self._batch_last())
+        return np.nonzero(~arith.matmul_last(delta, delta).any(axis=(0, 1)))[0].tolist()
 
     def involution_indices(self) -> list[int]:
-        square = _batch_arith(self.space.field).matmul(self.payloads, self.payloads)
-        return np.nonzero((square == _identity(self.space.dim)).all(axis=(1, 2)))[0].tolist()
+        """The elements with M^2 = I, from one batch-last product."""
+        last = self._batch_last()
+        square = _batch_arith(self.space.field).matmul_last(last, last)
+        return np.nonzero(_is_identity(square))[0].tolist()
 
     def identity_index(self) -> int:
-        hits = np.nonzero((self.payloads == _identity(self.space.dim)).all(axis=(1, 2)))[0]
+        """The first element equal to I, by one comparison."""
+        hits = np.nonzero(_is_identity(self._batch_last()))[0]
         if not len(hits):
             raise WallformsError("identity missing from enumeration")
         return int(hits[0])
+
+
+def _is_identity(stack) -> np.ndarray:
+    """Whether each matrix of a batch-last (n, n, N) stack is I."""
+    return (stack == _identity_last(len(stack))).all(axis=(0, 1))
 
 
 def _finish(space: QuadraticSpace, method: str, mats) -> GroupEnumeration:

@@ -1,6 +1,7 @@
 """Command-line interface: JSON in, JSON out, exit codes, round-trips."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import wallforms
 from wallforms.cli import main
+from wallforms.errors import InvariantViolation
 
 H4F2_DOC = {
     "field": "gf(2)",
@@ -217,6 +219,18 @@ def test_bad_isometry_is_precondition_error(tmp_path, capsys):
                   ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     code, out = _run(capsys, "analyze", "--space", _write(tmp_path, doc))
     assert code == 3
+
+
+def test_invariant_violation_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(tau):
+        raise InvariantViolation("injected: the blocks do not reassemble tau")
+    monkeypatch.setattr(importlib.import_module("wallforms.cli"), "decompose", broken)
+    code = main(["decompose", "--space", _write(tmp_path, H4F2_DOC)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out) == {"error": "invariant",
+                                        "message": "injected: the blocks do not reassemble tau"}
+    assert captured.err == ""
 
 
 def test_round_trip_emitted_space(tmp_path, capsys):

@@ -2,18 +2,21 @@
 verification runners against the loops they replaced."""
 
 import dataclasses
+import functools
 import importlib
 import itertools
 import random
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wallforms as wf
 from wallforms import oracle
 from wallforms.errors import (
+    CharacteristicNot2,
     DescriptorMismatch,
     DimensionMismatch,
     InvariantViolation,
@@ -437,6 +440,31 @@ def test_batched_matmul_matches_boxed_product(literal):
             assert prods[i].tolist() == expected
 
 
+@pytest.mark.parametrize("literal", ["gf(2)", "gf(4)", "gf(8)", "gf(256)", "gf(7)", "gf(97)"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_batch_last_arithmetic_matches_leading_batch_arithmetic(literal, data):
+    # random stacks, not only group elements: zeros on the diagonal, products
+    # past uint8 over gf(97), shapes (n, k) x (k, m), empty batches
+    arith = _batch_arith(wf.parse_field(literal))
+    n, k, m, count = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 4), (1, 4), (0, 5)))
+
+    def stack(*shape):
+        size = int(np.prod(shape))
+        entries = st.lists(st.integers(0, arith.order - 1), min_size=size, max_size=size)
+        return np.array(data.draw(entries), dtype=np.uint8).reshape(shape)
+
+    a, b, c = stack(n, k, count), stack(k, m, count), stack(n, n, count)
+    prod = arith.matmul_last(a, b)
+    assert prod.dtype.kind == "u" and prod.dtype.itemsize <= 2
+    assert np.array_equal(prod, arith.matmul(a.transpose(2, 0, 1), b.transpose(2, 0, 1))
+                          .transpose(1, 2, 0))
+    delta = arith.minus_identity_last(c)
+    assert delta.dtype == np.uint8
+    assert np.array_equal(delta, arith.sub(c.transpose(2, 0, 1), np.eye(n, dtype=np.int64))
+                          .transpose(1, 2, 0))
+
+
 def test_closure_raises_before_passing_the_element_cap(h4f4, monkeypatch):
     monkeypatch.setattr(oracle, "CLOSURE_ELEMENT_LIMIT", 7200)
     assert _closure(h4f4).order == 7200
@@ -693,6 +721,124 @@ def test_closure_matches_byte_key_reference(name):
     new, ref = _closure(space), _ref_closure(space)
     assert new.payloads.dtype == ref.payloads.dtype == np.int64
     assert np.array_equal(new.payloads, ref.payloads)
+
+
+# ---------------------------------------------------------------------------
+# the batch-last filters against the int64 filters they replaced
+# ---------------------------------------------------------------------------
+# Each _ref_* is a GroupEnumeration filter as it was before the filters ran
+# on the batch-last uint8 copy: products and comparisons on the whole
+# (N, n, n) int64 stack, through _BatchArith.matmul.
+
+def _ref_unipotent2_indices(enum):
+    arith = _batch_arith(enum.space.field)
+    delta = arith.sub(enum.payloads, np.eye(enum.space.dim, dtype=np.int64))
+    return np.nonzero(~arith.matmul(delta, delta).any(axis=(1, 2)))[0].tolist()
+
+
+def _ref_involution_indices(enum):
+    square = _batch_arith(enum.space.field).matmul(enum.payloads, enum.payloads)
+    eye = np.eye(enum.space.dim, dtype=np.int64)
+    return np.nonzero((square == eye).all(axis=(1, 2)))[0].tolist()
+
+
+def _ref_identity_index(enum):
+    eye = np.eye(enum.space.dim, dtype=np.int64)
+    hits = np.nonzero((enum.payloads == eye).all(axis=(1, 2)))[0]
+    if not len(hits):
+        raise WallformsError("identity missing from enumeration")
+    return int(hits[0])
+
+
+# every enumerated fixture space, by scan (H4F2, O(3,3), the gf(2^k) planes)
+# or closure; n (|F| - 1)^2 > 255 on the last two, so their modular
+# products need uint16
+FILTER_SPACES = {
+    **{name: CLOSURE_SPACES[name] for name in (
+        "H4F2", "H4F3", "H4F4", "H4F7", "H6F2", "gf(7)-diagonal-4",
+        "gf(2)-plane", "gf(4)-plane", "gf(8)-plane")},
+    "O(3,3)": lambda: _diagonal_space("gf(3)", [1, 1, 1]),
+    "O(5,3)": lambda: _diagonal_space("gf(3)", [1, 1, 1, 1, 1]),
+    "gf(97)-plane": lambda: wf.QuadraticSpace.hyperbolic(wf.parse_field("gf(97)"), 1),
+    "O(3,11)": lambda: _diagonal_space("gf(11)", [1, 1, 1]),
+}
+
+
+@functools.cache
+def _filter_group(name):
+    return wf.enumerate_orthogonal_group(FILTER_SPACES[name]())
+
+
+def _filters_and_references(enum):
+    """[(new, reference)] for the three filters; a filter that raises
+    WallformsError gives its exception class."""
+    def run(filt):
+        try:
+            return filt()
+        except WallformsError as exc:
+            return type(exc)
+    return [(run(new), run(lambda: ref(enum))) for new, ref in (
+        (enum.unipotent2_indices, _ref_unipotent2_indices),
+        (enum.involution_indices, _ref_involution_indices),
+        (enum.identity_index, _ref_identity_index))]
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SPACES))
+def test_filters_match_int64_reference(name):
+    enum = _filter_group(name)
+    pairs = _filters_and_references(enum)
+    assert [new for new, _ in pairs] == [ref for _, ref in pairs]
+
+
+@pytest.mark.parametrize("name, order, involutions", [
+    ("gf(97)-plane", 192, 98), ("O(3,11)", 2640, 244)])
+def test_filters_take_uint16_products_where_uint8_overflows(name, order, involutions):
+    enum = _filter_group(name)
+    n, size = enum.space.dim, enum.space.field.order()
+    assert n * (size - 1) ** 2 > 255
+    assert (enum.order, len(enum.involution_indices())) == (order, involutions)
+    assert enum.unipotent2_indices() == _ref_unipotent2_indices(enum) == [enum.identity_index()]
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SPACES))
+@given(picks=st.lists(st.integers(0, 10 ** 6), max_size=12))
+@example(picks=[])
+@example(picks=[0])
+@example(picks=[5, 5, 5])
+@settings(max_examples=15, deadline=None)
+def test_filters_match_int64_reference_on_caller_stacks(name, picks):
+    # a caller's sub-stack: empty, one element, or with repeated elements
+    group = _filter_group(name)
+    rows = [i % group.order for i in picks]
+    enum = oracle.GroupEnumeration(group.space, "caller", group.payloads[rows])
+    pairs = _filters_and_references(enum)
+    assert [new for new, _ in pairs] == [ref for _, ref in pairs]
+
+
+def test_filters_make_no_int64_stack():
+    # the filters' largest temporaries are uint8 (n, n, N) arrays: together
+    # they stay below one int64 (N, n, n) stack (27.6 MiB on O(H4F7))
+    group = _filter_group("H4F7")
+    for name in ("unipotent2_indices", "involution_indices", "identity_index"):
+        fresh = oracle.GroupEnumeration._trusted(group.space, "copy", np.array(group.payloads))
+        tracemalloc.start()
+        try:
+            getattr(fresh, name)()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < group.payloads.nbytes, name
+
+
+def test_batch_last_copy_is_made_once_and_read_only(h4f2, group_h4f2):
+    enum = oracle.GroupEnumeration(h4f2, "caller", np.array(group_h4f2.payloads))
+    assert "_last" not in enum.__dict__
+    enum.involution_indices()
+    last = enum.__dict__["_last"]
+    enum.unipotent2_indices(), enum.identity_index()
+    assert enum.__dict__["_last"] is last
+    assert last.dtype == np.uint8 and last.flags.c_contiguous and not last.flags.writeable
+    assert np.array_equal(last, group_h4f2.payloads.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1001,6 +1147,25 @@ def _zero_on_chosen(orig):
     return lambda sub, other: Subspace.zero(sub.space) if _chosen(sub.basis) else orig(sub, other)
 
 
+def _pfister_not_one(orig):
+    """A Pfister generator that is not 1 (0 appended) on the chosen
+    elements; the runner reads the generators only where the residual
+    form is alternating."""
+    def patched(tau):
+        pf = orig(tau)
+        if not _chosen(tau.mat):
+            return pf
+        return dataclasses.replace(pf, generators=pf.generators + (pf.field.zero,))
+    return patched
+
+
+def _alternating_check_fails(orig):
+    def patched(tau, basis):
+        report = orig(tau, basis)
+        return dataclasses.replace(report, ok=False) if _chosen(tau.mat) else report
+    return patched
+
+
 def _spans_read_as_zero(dim):
     """oracle.Subspace with every span of dimension `dim` read as zero."""
     def fault(orig):
@@ -1035,6 +1200,11 @@ FAULTS = [
     ("clif", "square", (oracle, "square_scalar_check", _false_on_chosen), True),
     ("clif", "model", (oracle, "explicit_matrix_iso", _raise_on_chosen(InvariantViolation)),
      True),
+    # one case for each branch of the Pfister test: alternating (1 of the 6
+    # elements of H4F2 is chosen) and not (5 of 9)
+    ("clif", "pfister-not-one", (oracle, "pfister_invariant", _pfister_not_one), True),
+    ("clif", "alternating-check", (oracle, "alternating_generators_check",
+                                   _alternating_check_fails), True),
     ("totimes", "square", (oracle, "square_scalar_check", _false_on_chosen), True),
     ("totimes", "raises",
      (oracle, "square_scalar_check", _raise_on_chosen(InvariantViolation)), False),
@@ -1054,3 +1224,17 @@ def test_runners_match_reference_under_faults(theorem, breaks, patch, counted,
         assert len(new.examples) == new.failed
     else:
         assert isinstance(new, type) and issubclass(new, Exception)
+
+
+@pytest.mark.parametrize("theorem, name, error", [
+    ("defint", "H6F2", PreconditionError),
+    ("res", "H4F3", CharacteristicNot2),
+    ("g", "H4F3", CharacteristicNot2),
+    ("clif", "H4F3", CharacteristicNot2),
+    ("totimes", "H4F3", CharacteristicNot2),
+])
+def test_runner_preconditions_raise(theorem, name, error):
+    group = _filter_group(name)
+    with pytest.raises(error) as caught:
+        wf.exhaustive_verify(theorem, group.space, group)
+    assert caught.type is error
