@@ -14,6 +14,10 @@ Arithmetic runs on field payloads, as in ``linalg``: an element maps
 blades to the payloads of its nonzero coefficients, and products read a
 per-algebra structure table (the payload expansion of every blade
 product e_s e_t, filled lazily from :meth:`CliffordAlgebra.blade_mul`).
+Two views of that table are built on first use and kept on the algebra:
+the commutator table (the maps x -> e_i x - x e_i, one row per generator,
+whose products with vector coordinates give centralizers) and the sparse structure constants
+of all blade pairs (for the multiplicativity check of a matrix model).
 Field elements are made only at the API boundary.  Constructors reject a
 coefficient of another field (DescriptorMismatch) and a blade or vector
 outside the algebra (DimensionMismatch).
@@ -30,12 +34,13 @@ The matrix model of C(q) alone is built once per algebra and kept on it:
 orthogonal planes, each quaternion algebra split by a closed form, and
 Kronecker products.  Per involution only the transport form and the
 conjugation are computed.  The final checks over all blades and all 4^n
-blade pairs (batched products of payload arrays) are the model's only
-relation checks, and they run for every involution.
+blade pairs (batched products and gathers of payload arrays) are the
+model's only relation checks, and they run for every involution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import xor as _xor
@@ -65,6 +70,7 @@ from .fields import Field, FieldElement, Galois2Field, _batch_arith, field_table
 from .linalg import (
     Matrix,
     Vector,
+    _gauss_jordan,
     _kernel,
     _unbox,
     _unbox_one,
@@ -93,9 +99,9 @@ class CliffordAlgebra:
     :meth:`blade_mul`, the one source of structure constants.  Over GF(2^k)
     products are lookups in the field's product table and sums are XOR;
     over GF(2)(t) they are the field's payload ``mul`` and ``add``.  Table
-    entries and the kept matrix model are filled idempotently (a racing
-    fill writes an equal value), so shared instances are safe for
-    concurrent readers.
+    entries, the commutator table, the sparse structure constants and the
+    kept matrix model are filled idempotently (a racing fill writes an
+    equal value), so shared instances are safe for concurrent readers.
     """
 
     def __init__(self, field: Field, qvals, bmat: Matrix, space: QuadraticSpace | None = None):
@@ -119,6 +125,8 @@ class CliffordAlgebra:
         self._mul = _kernel(field).mul
         self._push_memo: dict[tuple[int, int], dict[int, object]] = {}
         self._table: list[tuple | None] = [None] * (self.dim * self.dim)
+        self._commutators: list[tuple | None] = [None] * self.n  # see _commutator_row
+        self._sparse: tuple[np.ndarray, np.ndarray] | None = None  # see _sparse_structure
         self._model: tuple[Matrix, ...] | None = None  # see _base_model
 
     @classmethod
@@ -190,6 +198,39 @@ class CliffordAlgebra:
             terms = self._table[s * self.dim + t] = tuple(
                 (b, c.payload) for b, c in self.blade_mul(s, t).items())
         return terms
+
+    def _commutator_row(self, i: int) -> tuple:
+        """Row i of the commutator table: the matrix of x -> e_i x - x e_i,
+        flattened row by row, as its nonzero entries (b * 2^n + t, c), c
+        the coefficient of e_b in e_i e_t + e_t e_i (characteristic 2).
+        Read from the structure table, filled on first use and kept, so a
+        row costs only the table entries it reads."""
+        row = self._commutators[i]
+        if row is None:
+            dim, add, zero, terms_of = self.dim, self._add, self._zero, self._terms
+            entries: dict[int, object] = {}
+            for t in range(dim):
+                for b, c in terms_of(1 << i, t) + terms_of(t, 1 << i):
+                    prev = entries.get(b * dim + t)
+                    entries[b * dim + t] = c if prev is None else add(prev, c)
+            row = self._commutators[i] = tuple((k, c) for k, c in entries.items() if c != zero)
+        return row
+
+    def _centralizer_matrix(self, coords) -> Matrix:
+        """The maps x -> v x - x v of the vectors v with payload coordinate
+        rows `coords`, stacked: its kernel is their centralizer.  One
+        product of the coordinates with the commutator table, over the
+        table's nonzero entries."""
+        dim, add, mul, zero = self.dim, self._add, self._mul, self._zero
+        rows = []
+        for u in coords:
+            flat = [zero] * (dim * dim)
+            for i, c in enumerate(u):
+                if c != zero:
+                    for k, v in self._commutator_row(i):
+                        flat[k] = add(flat[k], mul(c, v))
+            rows.extend(tuple(flat[k:k + dim]) for k in range(0, dim * dim, dim))
+        return Matrix._trusted(self.field, tuple(rows), dim)
 
     # -- element constructors -------------------------------------------------
 
@@ -319,14 +360,10 @@ class CliffordAlgebra:
         return self.from_coeff_vector(sol)
 
     def center_dimension(self) -> int:
-        """Dimension of the center; 1 means the algebra is central."""
-        blocks = []
-        for i in range(self.n):
-            e = self.basis_blade(1 << i)
-            blocks.append(self.lmul_matrix(e) - self.rmul_matrix(e))
-        if not blocks:
-            return self.dim
-        return len(stack_rows(self.field, blocks).kernel_basis())
+        """Dimension of the center, the centralizer of the generators; 1
+        means the algebra is central."""
+        return self.dim - self._centralizer_matrix(
+            Matrix.identity(self.field, self.n).payload_rows).rank()
 
     def __repr__(self):
         return f"CliffordAlgebra(n={self.n}, {self.field.literal()})"
@@ -493,10 +530,31 @@ def _involution_images(tau: Isometry, alg: CliffordAlgebra):
 
 def alt_membership(inv: AlgebraInvolution, a: CliffordElement) -> CliffordElement | None:
     """A witness x with a = x + J(x), or None if a is not in Alt."""
+    return _alt_witnesses(inv, (a,))[0]
+
+
+def _alt_witnesses(inv: AlgebraInvolution, elements) -> list[CliffordElement | None]:
+    """:func:`alt_membership` of each of `elements`, from one elimination
+    of [I + J | the elements as columns].  Pivots are sought among the
+    operator's columns only, so the row operations are those of I + J
+    alone and no element's column clears another's: an element is in Alt
+    iff its column vanishes below the pivot rows, and its witness is read
+    from the pivot rows with the free variables zero (the particular
+    solution ``Matrix.solve`` gives)."""
     alg = inv.algebra
-    operator = Matrix.identity(alg.field, alg.dim) + inv.matrix
-    sol = operator.solve(alg.coeff_vector(a))
-    return None if sol is None else alg.from_coeff_vector(sol)
+    dim, zero = alg.dim, alg._zero
+    operator = Matrix.identity(alg.field, dim) + inv.matrix
+    columns = alg._payload_matrix(elements, by_columns=True).payload_rows
+    red, pivots = _gauss_jordan(_kernel(alg.field),
+                                map(tuple.__add__, operator.payload_rows, columns), dim)
+    witnesses = []
+    for col in range(dim, dim + len(elements)):
+        if any(row[col] != zero for row in red[len(pivots):]):
+            witnesses.append(None)
+        else:
+            witnesses.append(_element(alg, {
+                pc: red[r][col] for r, pc in enumerate(pivots) if red[r][col] != zero}))
+    return witnesses
 
 
 def involution_type(inv: AlgebraInvolution) -> str:
@@ -568,15 +626,13 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
             raise InvariantViolation("subalgebra is not contained in Sym")
 
     # self-centralizing: the centralizer of the generators has dimension 2^s
-    blocks = [alg.lmul_matrix(g) - alg.rmul_matrix(g) for g in gens]
-    if blocks:
-        kernel = stack_rows(alg.field, blocks).kernel_basis()
+    # and lies in the span of the monomials
+    if s:
+        kernel = alg._centralizer_matrix([_unbox(alg.field, u) for u in wf.basis]).kernel_basis()
         if len(kernel) != 1 << s:
             raise InvariantViolation("subalgebra is not self-centralizing")
-        span = coeff_rows.transpose()
-        for k in kernel:
-            if span.solve(k) is None:
-                raise InvariantViolation("centralizer is larger than the subalgebra")
+        if stack_rows(alg.field, [coeff_rows, kernel]).rank() != 1 << s:
+            raise InvariantViolation("centralizer is larger than the subalgebra")
 
     # multiplication law of C(q|r); it holds only with commuting generators and scalar squares
     for a in range(1 << s):
@@ -646,6 +702,7 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
         preimages.append(alg.vector(y))
 
     monomials = _monomials(alg, gens)
+    memberships = _alt_witnesses(inv, monomials[1:])
     explicit = []
     solved = []
     ok = True
@@ -656,7 +713,7 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
         if witness + inv.apply(witness) != monomial:
             ok = False
         explicit.append(witness)
-        general = alt_membership(inv, monomial)
+        general = memberships[subset - 1]
         if general is None:
             ok = False
             general = alg.zero()
@@ -862,7 +919,7 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     return iso
 
 
-PAIR_BATCH = 1 << 18  # image entries per batch of pairwise products
+PAIR_BATCH = 1 << 22  # payload bytes gathered per batch of the multiplicativity check
 
 
 def _payload_array(*mats: Matrix) -> np.ndarray:
@@ -874,9 +931,10 @@ def _verify_matrix_iso(iso: MatrixIso, inv: AlgebraInvolution) -> None:
     """The final checks of an explicit model f of (C(q), J), each over
     every blade: the blade images are linearly independent, f(J(e_b)) is
     f(e_b)^T for every blade b, and f(e_s e_t) = f(e_s) f(e_t) for all
-    4^n pairs (s, t).  The last two are batched exact products: J^T times
-    the flattened images, and the structure-constant matrix of all pairs
-    times the same images against every pairwise product of images."""
+    4^n pairs (s, t).  The last two are batched exact products and
+    gathers: J^T times the flattened images, and every pairwise product of
+    images against the image of e_s e_t, summed from its sparse structure
+    constants (:func:`_pair_images`)."""
     alg, size = iso.algebra, iso.size
     field, dim = alg.field, alg.dim
     imgs = _payload_array(*iso.blade_images)
@@ -889,25 +947,49 @@ def _verify_matrix_iso(iso: MatrixIso, inv: AlgebraInvolution) -> None:
     if not np.array_equal(arith.matmul(j_rows, flat),
                           imgs.transpose(0, 2, 1).reshape(dim, size * size)):
         raise InvariantViolation("isomorphism does not carry J to transpose")
-    structure = _structure_constants(alg)
-    step = max(1, PAIR_BATCH // (dim * size * size))
+    terms = len(_sparse_structure(alg)[0])
+    step = max(1, PAIR_BATCH * dim // (terms * size * size))  # rows s per batch
     for lo in range(0, dim, step):
-        products = arith.matmul(imgs[lo:lo + step, None], imgs[None, :])
-        images = arith.matmul(structure[lo * dim:(lo + step) * dim], flat)
-        if not np.array_equal(products.reshape(-1, size * size), images):
+        hi = min(lo + step, dim)
+        products = arith.matmul(imgs[lo:hi, None], imgs[None, :])
+        if not np.array_equal(products.reshape(-1, size * size), _pair_images(alg, flat, lo, hi)):
             raise InvariantViolation("isomorphism is not multiplicative")
 
 
-def _structure_constants(alg: CliffordAlgebra) -> np.ndarray:
-    """The (4^n, 2^n) payload matrix whose row s * 2^n + t holds the
-    coefficients of e_s e_t, read from the algebra's structure table."""
-    dim = alg.dim
-    out = np.zeros((dim * dim, dim), dtype=np.uint8)
-    for s in range(dim):
-        for t in range(dim):
-            for b, c in alg._terms(s, t):
-                out[s * dim + t, b] = c
-    return out
+def _pair_images(alg: CliffordAlgebra, flat: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The images f(e_s e_t) for s in [lo, hi) and every t, one row per
+    pair in order, from the flattened blade images `flat` of a model over
+    GF(2^k): the terms c f(e_b) of all pairs are one gather from the
+    images scaled by every field element (row c * 2^n + b is c f(e_b)),
+    XOR-summed per pair.  The sum of payloads is their bytewise XOR, so
+    the rows are summed as words of up to 8 payload bytes."""
+    codes, starts = _sparse_structure(alg)
+    arith = _batch_arith(alg.field)
+    dim, width = alg.dim, flat.shape[1]
+    scaled = arith.mul(np.arange(arith.order)[:, None, None], flat).reshape(-1, width)
+    words = scaled.view(f"u{math.gcd(width, 8)}")
+    first, last = starts[lo * dim], starts[hi * dim]
+    return np.bitwise_xor.reduceat(words[codes[first:last]], starts[lo * dim:hi * dim] - first,
+                                   axis=0).view(np.uint8)
+
+
+def _sparse_structure(alg: CliffordAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero structure constants of every blade pair of an algebra
+    over GF(2^k), read from its structure table, built on first use and
+    kept: codes c * 2^n + b for the terms c e_b of e_s e_t, pair by pair,
+    and where each pair's terms start, 4^n + 1 offsets.  A pair whose
+    product is 0 holds the one code 0 (coefficient 0), since ``reduceat``
+    reads an empty segment as the entry after it."""
+    if alg._sparse is None:
+        dim = alg.dim
+        codes, starts = [], []
+        for s in range(dim):
+            for t in range(dim):
+                starts.append(len(codes))
+                codes.extend([c * dim + b for b, c in alg._terms(s, t)] or [0])
+        starts.append(len(codes))
+        alg._sparse = (np.array(codes, dtype=np.intp), np.array(starts, dtype=np.intp))
+    return alg._sparse
 
 
 def _apply_images(blade_images, alg: CliffordAlgebra, elt: CliffordElement) -> Matrix:

@@ -5,6 +5,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -36,6 +37,7 @@ from wallforms.errors import (
     UnsupportedField,
     ZeroSquare,
 )
+from wallforms.fields import _batch_arith
 from wallforms.linalg import Matrix, block_diag
 from wallforms.quadspace import Subspace
 
@@ -840,3 +842,178 @@ def test_natural_involution_is_kept_per_isometry_and_algebra(tau_int, h4f2, alg_
     j_other = wf.natural_involution(tau, other)
     assert j_other.algebra is other and j_other.matrix == j.matrix
     assert wf.natural_involution(tau, alg_h4f2).images is j.images
+
+
+# ---------------------------------------------------------------------------
+# per-algebra tables: the sparse structure constants and the commutator
+# table against references that recompute them, and Alt memberships from
+# one elimination against one solve per element
+# ---------------------------------------------------------------------------
+
+def _ref_structure_constants(alg):
+    """The dense (4^n, 2^n) payload matrix whose row s * 2^n + t holds the
+    coefficients of e_s e_t, read from the algebra's structure table."""
+    dim = alg.dim
+    out = np.zeros((dim * dim, dim), dtype=np.uint8)
+    for s in range(dim):
+        for t in range(dim):
+            for b, c in alg._terms(s, t):
+                out[s * dim + t, b] = c
+    return out
+
+
+def _ref_pair_images(alg, flat):
+    """The images of all blade pairs: the dense structure-constant matrix
+    times the flattened blade images."""
+    return _batch_arith(alg.field).matmul(_ref_structure_constants(alg), flat)
+
+
+TABLE_SPACES = [("gf(2)", 2), ("gf(4;x^2+x+1)", 2), ("gf(8)", 2), ("gf(2)", 3)]
+
+
+@pytest.mark.parametrize("literal, planes", TABLE_SPACES)
+def test_sparse_structure_reproduces_the_dense_matrix(literal, planes):
+    alg = CliffordAlgebra.from_space(wf.QuadraticSpace.hyperbolic(wf.parse_field(literal), planes))
+    codes, starts = clifford._sparse_structure(alg)
+    assert len(starts) == alg.dim ** 2 + 1 and starts[-1] == len(codes)
+    for pair, row in enumerate(_ref_structure_constants(alg)):
+        # (blade, coefficient) of the pair's codes c * 2^n + b; a zero
+        # product keeps the one code 0
+        terms = sorted(divmod(int(code), alg.dim)[::-1]
+                       for code in codes[starts[pair]:starts[pair + 1]])
+        assert terms == ([(b, int(row[b])) for b in np.flatnonzero(row)] or [(0, 0)])
+
+
+@pytest.mark.parametrize("literal, planes", TABLE_SPACES)
+def test_pair_images_match_the_dense_product(literal, planes):
+    alg = CliffordAlgebra.from_space(wf.QuadraticSpace.hyperbolic(wf.parse_field(literal), planes))
+    entries = 1 << (2 * planes)  # entries of an N x N image, N = 2^(n/2)
+    rng = np.random.default_rng(29)
+    flat = rng.integers(0, alg.field.order(), size=(alg.dim, entries), dtype=np.uint8)
+    expected = _ref_pair_images(alg, flat)
+    assert np.array_equal(clifford._pair_images(alg, flat, 0, alg.dim), expected)
+    lo, hi = 3, 5  # a batch of rows s
+    assert np.array_equal(clifford._pair_images(alg, flat, lo, hi),
+                          expected[lo * alg.dim:hi * alg.dim])
+
+
+@pytest.mark.parametrize("literal", CLIFFORD_FIELDS)
+@given(data=st.data())
+@_clifford_settings()
+def test_commutator_product_matches_left_minus_right_multiplication(literal, data):
+    field = wf.parse_field(literal)
+    alg = data.draw(_algebra(field))
+    vectors = [tuple(data.draw(_scalar(field)) for _ in range(alg.n))
+               for _ in range(data.draw(st.integers(1, 2)))]
+    expected = []
+    for v in vectors:
+        x = alg.vector(v)
+        expected.extend((alg.lmul_matrix(x) - alg.rmul_matrix(x)).payload_rows)
+    coords = [tuple(c.payload for c in v) for v in vectors]
+    assert alg._centralizer_matrix(coords).payload_rows == tuple(expected)
+
+
+def _ref_alt_membership(inv, a):
+    """Alt membership as one solve of (I + J) x = a per element."""
+    alg = inv.algebra
+    sol = (Matrix.identity(alg.field, alg.dim) + inv.matrix).solve(alg.coeff_vector(a))
+    return None if sol is None else alg.from_coeff_vector(sol)
+
+
+@pytest.mark.parametrize("literal", CLIFFORD_FIELDS)
+@given(data=st.data())
+@_clifford_settings()
+def test_one_elimination_alt_memberships_match_one_solve_each(literal, data):
+    field = wf.parse_field(literal)
+    tau = data.draw(_involution(field))
+    alg = CliffordAlgebra.from_space(tau.space)
+    inv = wf.natural_involution(tau, alg)
+    members = [x + inv.apply(x) for x in (data.draw(_clifford_element(alg)) for _ in range(2))]
+    others = [data.draw(_clifford_element(alg)) for _ in range(2)]
+    elements = members + others + [alg.one()]
+    witnesses = clifford._alt_witnesses(inv, elements)
+    assert witnesses == [_ref_alt_membership(inv, a) for a in elements]
+    assert witnesses == [alt_membership(inv, a) for a in elements]  # one at a time
+    assert all(w is not None for w in witnesses[:2])
+
+
+def test_one_elimination_keeps_a_non_member_apart(tau_int, alg_h4f2):
+    inv = wf.natural_involution(tau_int, alg_h4f2)  # orthogonal: 1 is not in Alt
+    member = alg_h4f2.basis_blade(0b0011) + inv.apply(alg_h4f2.basis_blade(0b0011))
+    assert not member.is_zero()
+    elements = [alg_h4f2.one(), member, alg_h4f2.one(), member]
+    witnesses = clifford._alt_witnesses(inv, elements)
+    assert witnesses == [_ref_alt_membership(inv, a) for a in elements]
+    assert witnesses[0] is None and witnesses[2] is None
+    assert witnesses[1] + inv.apply(witnesses[1]) == member
+
+
+def test_tables_are_built_once_per_algebra(h4f4, monkeypatch):
+    builds = []
+
+    class Rows(list):
+        def __setitem__(self, i, row):
+            builds.append(("commutator row", i))
+            super().__setitem__(i, row)
+
+    class Spy(CliffordAlgebra):
+        def __setattr__(self, name, value):
+            if name == "_commutators":
+                value = Rows(value)
+            elif name == "_sparse" and value is not None:
+                builds.append(("sparse", None))
+            super().__setattr__(name, value)
+
+    alg = Spy.from_space(h4f4)
+    monkeypatch.setattr(clifford, "algebra_for_space", lambda space: alg)
+    e = h4f4.basis_vector
+    for tau in (wf.eichler(h4f4, e(0), e(2)), wf.eichler(h4f4, e(1), e(3))):
+        wf.phi_subalgebra(tau)
+        assert wf.explicit_matrix_iso(tau).algebra is alg
+    assert ("sparse", None) in builds and len(builds) == len(set(builds))
+    assert alg.center_dimension() == 1  # reads every row
+    assert sorted(builds) == [("commutator row", i) for i in range(4)] + [("sparse", None)]
+
+
+# ---------------------------------------------------------------------------
+# phi_subalgebra: each check fails on a fault injected for it alone
+# ---------------------------------------------------------------------------
+
+def test_phi_multiplication_law_fails_on_a_scaled_top_monomial(h4f4, f4, monkeypatch):
+    w = f4.parse("w")
+    monomials = clifford._monomials
+
+    def scaled_top(alg, gens):
+        out = monomials(alg, gens)
+        out[-1] = out[-1].scale(w)  # g_0 ... g_{s-1} times w: same span, still symmetric
+        return out
+
+    monkeypatch.setattr(clifford, "_monomials", scaled_top)
+    enum = wf.enumerate_orthogonal_group(h4f4)
+    checked = 0
+    for tau in map(enum.isometry, enum.involution_indices()):
+        if tau.residual_space() != tau.fixed_space():
+            continue
+        with pytest.raises(InvariantViolation, match=r"does not multiply like C\(q\|r\)"):
+            wf.phi_subalgebra(tau)
+        checked += 1
+    assert checked == 255
+
+
+@pytest.mark.parametrize("pair, blade, message", [
+    ((1, 2), 0, "subalgebra is not self-centralizing"),        # (e_0)(e_1) gains 1
+    ((5, 1), 0, "centralizer is larger than the subalgebra"),  # (e_0 e_2)(e_0) gains 1
+])
+def test_corrupted_structure_constant_fails_the_centralizer_checks(
+        monkeypatch, h4f2, tau_int, pair, blade, message):
+    class Corrupted(CliffordAlgebra):
+        def blade_mul(self, s, t):
+            out = super().blade_mul(s, t)
+            if (s, t) == pair:
+                out[blade] = out.get(blade, self.field.zero) + self.field.one
+            return out
+
+    alg = Corrupted.from_space(h4f2)
+    monkeypatch.setattr(clifford, "algebra_for_space", lambda space: alg)
+    with pytest.raises(InvariantViolation, match=message):
+        wf.phi_subalgebra(wf.Isometry(h4f2, tau_int.mat))  # nothing derived on another algebra
