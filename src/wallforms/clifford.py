@@ -75,7 +75,6 @@ from .linalg import (
     _unbox,
     _unbox_one,
     kron,
-    stack_rows,
 )
 from .quadspace import (
     QuadraticSpace,
@@ -564,11 +563,11 @@ def involution_type(inv: AlgebraInvolution) -> str:
 
 
 def sym_alt_dimensions(inv: AlgebraInvolution) -> tuple[int, int]:
+    """dim Sym = dim ker(id + J) and dim Alt = rank(id + J), from one
+    elimination (they add up to dim C)."""
     alg = inv.algebra
-    operator = Matrix.identity(alg.field, alg.dim) + inv.matrix
-    alt_dim = operator.rank()
-    sym_dim = len(operator.kernel_basis())
-    return sym_dim, alt_dim
+    alt_dim = (Matrix.identity(alg.field, alg.dim) + inv.matrix).rank()
+    return alg.dim - alt_dim, alt_dim
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +627,10 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
     # self-centralizing: the centralizer of the generators has dimension 2^s
     # and lies in the span of the monomials
     if s:
-        kernel = alg._centralizer_matrix([_unbox(alg.field, u) for u in wf.basis]).kernel_basis()
+        kernel = alg._centralizer_matrix([_unbox(alg.field, u) for u in wf.basis]).kernel_rows()
         if len(kernel) != 1 << s:
             raise InvariantViolation("subalgebra is not self-centralizing")
-        if stack_rows(alg.field, [coeff_rows, kernel]).rank() != 1 << s:
+        if Matrix._trusted(alg.field, coeff_rows.payload_rows + kernel, alg.dim).rank() != 1 << s:
             raise InvariantViolation("centralizer is larger than the subalgebra")
 
     # multiplication law of C(q|r); it holds only with commuting generators and scalar squares
@@ -694,12 +693,11 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
             if gens[i] * gens[j] != gens[j] * gens[i]:
                 raise InvariantViolation("generators do not commute")
 
-    preimages = []
-    for u in basis:
-        y = tau.displacement().solve(u)
-        if y is None:
-            raise InvariantViolation("no preimage for a residual vector")
-        preimages.append(alg.vector(y))
+    # every preimage from one elimination
+    found = tau.displacement().solve_many(Matrix(tau.space.field, basis, ncols=tau.space.dim))
+    if found is None:
+        raise InvariantViolation("no preimage for a residual vector")
+    preimages = [alg.vector(y) for y in found.rows]
 
     monomials = _monomials(alg, gens)
     memberships = _alt_witnesses(inv, monomials[1:])
@@ -1022,8 +1020,8 @@ def _solve_involution_gram(field, size, f_gen, f_j_gen) -> Matrix:
                     row[t * size + s] ^= g[t][r]  # (f(e_i)^T)[r][t]
                 rows.append(tuple(row))
     system = Matrix._trusted(field, tuple(rows), n_unknowns)
-    for k in system.kernel_basis():
-        g = Matrix(field, [k[i * size:(i + 1) * size] for i in range(size)])
+    for k in system.kernel_rows():
+        g = Matrix._trusted(field, tuple(k[i * size:(i + 1) * size] for i in range(size)), size)
         if g.rank() == size:
             if not g.is_symmetric():
                 raise InvariantViolation("transport form is not symmetric")

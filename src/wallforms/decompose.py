@@ -34,8 +34,8 @@ from .errors import (
     PreimageUnsolvable,
     ZeroDiagonal,
 )
-from .linalg import Matrix, Vector, _kernel, _vec_mat, block_diag, from_columns, vec_mat
-from .quadspace import Subspace, complement_in, hyperbolic_basis_alternating
+from .linalg import Matrix, Vector, _kernel, _vec_mat, block_diag, from_columns
+from .quadspace import Subspace, _orthogonal_to, complement_in, hyperbolic_basis_alternating
 from .isometry import Isometry
 from .wallform import WallForm, wall_form
 
@@ -130,24 +130,28 @@ def complement_W(tau: Isometry) -> Subspace:
     return w
 
 
-def _solve_preimage(tau: Isometry, target: Vector, within: Subspace | None) -> Vector | None:
-    """A vector y with (tau - id) y = target, restricted to `within` if given."""
+def _preimages(tau: Isometry, targets: Matrix, within: Subspace | None) -> Matrix:
+    """Rows y_j with (tau - id) y_j = row j of `targets`, restricted to
+    `within` if given, all from one elimination; PreimageUnsolvable if any
+    of them has none."""
     n_mat = tau.displacement()
     if within is None:
-        return n_mat.solve(target)
-    coeffs = (n_mat * within.basis.transpose()).solve(target)
-    if coeffs is None:
-        return None
-    return vec_mat(coeffs, within.basis)
+        found = n_mat.solve_many(targets)
+    else:
+        coeffs = (n_mat * within.basis.transpose()).solve_many(targets)
+        found = None if coeffs is None else coeffs * within.basis
+    if found is None:
+        raise PreimageUnsolvable("no preimage for a residual vector")
+    return found
 
 
 def _reflection(tau: Isometry, u: Vector, within: Subspace | None) -> ReflectionBlock:
     """The reflection block of u, unchecked; `within` restricts the
     preimage v of u to a subspace."""
-    v = _solve_preimage(tau, u, within)
-    if v is None:
-        raise PreimageUnsolvable("no preimage for a residual vector")
-    return ReflectionBlock(u, v, Subspace.from_vectors(tau.space, [u, v]))
+    target = Matrix(tau.space.field, [u])
+    v = _preimages(tau, target, within)
+    plane = Subspace.from_rows(tau.space, target.payload_rows + v.payload_rows)
+    return ReflectionBlock(u, v.row(0), plane)
 
 
 def _interchange(tau: Isometry, x: Vector, w: Vector, within: Subspace | None) -> InterchangeBlock:
@@ -156,19 +160,16 @@ def _interchange(tau: Isometry, x: Vector, w: Vector, within: Subspace | None) -
     q(y) = q(z) = b(y, z) = 0, make the frame (x, y, w, z) with
     tau(y) = y + w and tau(z) = z - x."""
     space, field = tau.space, tau.space.field
-    y = _solve_preimage(tau, w, within)
-    z = _solve_preimage(tau, tuple(-c for c in x), within)
-    if y is None or z is None:
-        raise PreimageUnsolvable("no preimage for a residual vector")
-    frame = Matrix(field, [x, y, w, z])
-    _, qy, _, qz = space.q_values(frame)
     kernel = _kernel(field)
-    px, py, pw, pz = frame.payload_rows
+    px, pw = Matrix(field, [x, w]).payload_rows
+    targets = Matrix._trusted(field, (pw, kernel.neg_row(px)), space.dim)
+    py, pz = _preimages(tau, targets, within).payload_rows
+    _, qy, _, qz = space.q_values(Matrix._trusted(field, (px, py, pw, pz), space.dim))
     py = tuple(kernel.eliminate(py, qy.payload, px))
     pz = kernel.eliminate(pz, qz.payload, pw)
     pz = tuple(kernel.eliminate(pz, kernel.dot(_vec_mat(field, py, space.gram), pz), px))
-    frame = Matrix._trusted(field, (px, py, pw, pz), space.dim).rows
-    return InterchangeBlock(*frame, Subspace.from_vectors(space, frame))
+    frame = Matrix._trusted(field, (px, py, pw, pz), space.dim)
+    return InterchangeBlock(*frame.rows, Subspace.from_rows(space, frame.payload_rows))
 
 
 def reflection_block(
@@ -241,8 +242,10 @@ def decompose(tau: Isometry) -> Decomposition:
     returned.
 
     Blocks are peeled off inside a shrinking orthogonal complement: block i
-    is built inside the complement of the earlier blocks (and of the
-    identity summand), which keeps the summands pairwise orthogonal."""
+    is built inside the complement of the earlier blocks and of the
+    identity summand, which keeps the summands pairwise orthogonal.  That
+    complement is the kernel of (W basis; the earlier blocks' bases) B, one
+    product and one elimination, put in RREF; its RREF basis is unique."""
     _require_unipotent2(tau)
     wf = wall_form(tau)
     fixed_complement = complement_W(tau)
@@ -251,12 +254,11 @@ def decompose(tau: Isometry) -> Decomposition:
     else:
         # antisymmetric yet nonalternating residual forms exist only in char 2
         build, pieces = _reflection, [(u,) for u in wf.orthogonal_basis()[0]]
-    current = fixed_complement.orthogonal_complement()
+    taken = list(fixed_complement.basis.payload_rows)
     blocks: list[Block] = []
     for piece in pieces:
-        if blocks:
-            current = current.intersection(blocks[-1].subspace().orthogonal_complement())
-        blocks.append(build(tau, *piece, within=current))
+        blocks.append(build(tau, *piece, within=_orthogonal_to(tau.space, taken)))
+        taken.extend(blocks[-1].subspace().basis.payload_rows)
     decomposition = Decomposition(tau, fixed_complement, tuple(blocks))
     validate_decomposition(decomposition, wf)
     return decomposition

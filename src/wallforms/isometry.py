@@ -120,11 +120,11 @@ class Isometry:
 
     @_once
     def fixed_space(self) -> Subspace:
-        return Subspace.from_vectors(self.space, self.displacement().kernel_basis())
+        return Subspace.from_rows(self.space, self.displacement().kernel_rows())
 
     @_once
     def residual_space(self) -> Subspace:
-        return Subspace.from_vectors(self.space, self.displacement().transpose().rows)
+        return Subspace.from_rows(self.space, self.displacement().transpose().payload_rows)
 
     @_once
     def unipotency_index(self) -> int | None:

@@ -3,8 +3,8 @@
 A :class:`Matrix` stores its entries as payload rows: tuples of the
 field's payloads, ints for GF(p) and GF(2^k) and ``(num, den)`` pairs for
 GF(2)(t).  Products, sums, Gauss-Jordan elimination with field division
-(``rref``), ``solve``, ``kernel_basis``, ``inverse`` and ``det`` all run on
-those payloads through one kernel per field (:func:`_kernel`):
+(``rref``), ``solve_many``, ``kernel_rows``, ``inverse`` and ``det`` all run
+on those payloads through one kernel per field (:func:`_kernel`):
 
 * GF(p): integer products and sums reduced mod p, inverses from a table;
 * GF(2^k): sums are XOR, products are lookups in the product table;
@@ -20,8 +20,9 @@ DescriptorMismatch for any other entry; :meth:`Matrix.from_payloads` takes
 range-checked payload rows.  ``rows`` (boxed once, then cached),
 ``m[i, j]``, ``row``, ``col``, ``det`` and the vectors returned by
 ``solve``, ``kernel_basis``, ``mat_vec`` and ``vec_mat`` are boxed on the
-way out, and finite fields hand out interned elements, so boxing
-allocates nothing.  Vectors are plain tuples of field elements; the
+way out (``solve`` and ``kernel_basis`` box what ``solve_many`` and
+``kernel_rows`` return), and finite fields hand out interned elements, so
+boxing allocates nothing.  Vectors are plain tuples of field elements; the
 boundary functions that take them are ``mat_vec``, ``vec_mat`` and
 ``bilinear``.  Inside the library vector arithmetic runs on payload rows.
 """
@@ -451,8 +452,10 @@ class Matrix:
         red, pivots = self.rref()
         return Matrix._trusted(self.field, red.payload_rows[: len(pivots)], self._ncols)
 
-    def kernel_basis(self) -> tuple[Vector, ...]:
-        """Canonical basis of the right null space {x : Ax = 0}."""
+    def kernel_rows(self) -> tuple[tuple, ...]:
+        """Canonical basis of the right null space {x : Ax = 0}, as payload
+        rows: one row per free column f, with 1 at f, minus the pivot rows'
+        entries of column f at the pivots and zero elsewhere."""
         red, pivots = self.rref()
         n = self.ncols
         kernel = _kernel(self.field)
@@ -466,23 +469,45 @@ class Matrix:
             v[f] = one
             for r, pc in enumerate(pivots):
                 v[pc] = neg(red.payload_rows[r][f])
-            basis.append(self.field.wrap_all(v))
+            basis.append(tuple(v))
         return tuple(basis)
+
+    def kernel_basis(self) -> tuple[Vector, ...]:
+        """Canonical basis of the right null space {x : Ax = 0}."""
+        return tuple(map(self.field.wrap_all, self.kernel_rows()))
+
+    def solve_many(self, rhs: "Matrix") -> "Matrix | None":
+        """The particular solutions (free variables zero) of A x = b for
+        every row b of `rhs`, as the rows of one matrix, or None if any of
+        the systems has no solution.  One elimination of [A | rhs^T]: its
+        pivots in the A part do not depend on the columns appended, so each
+        row is the solution :meth:`solve` gives for its b alone."""
+        self._check_same_field(rhs)
+        if rhs.ncols != self.nrows:
+            raise DimensionMismatch("rhs length mismatch")
+        n, k = self._ncols, rhs.nrows
+        if not k:
+            return Matrix.zeros(self.field, 0, n)
+        aug = Matrix._trusted(self.field, tuple(
+            map(tuple.__add__, self.payload_rows, zip(*rhs.payload_rows))), n + k)
+        red, pivots = aug.rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        zero, red_rows = _kernel(self.field).zero, red.payload_rows
+        solutions = []
+        for j in range(n, n + k):
+            x = [zero] * n
+            for r, pc in enumerate(pivots):
+                x[pc] = red_rows[r][j]
+            solutions.append(tuple(x))
+        return Matrix._trusted(self.field, tuple(solutions), n)
 
     def solve(self, b: Vector) -> Vector | None:
         """A particular solution of Ax = b (free variables zero), or None."""
         if len(b) != self.nrows:
             raise DimensionMismatch("rhs length mismatch")
-        n = self.ncols
-        aug = Matrix._trusted(self.field, tuple(
-            r + (x,) for r, x in zip(self.payload_rows, _unbox(self.field, b))), n + 1)
-        red, pivots = aug.rref()
-        if n in pivots:
-            return None
-        x = [self.field.zero.payload] * n
-        for r, pc in enumerate(pivots):
-            x[pc] = red.payload_rows[r][n]
-        return self.field.wrap_all(x)
+        x = self.solve_many(Matrix._trusted(self.field, (_unbox(self.field, b),), self.nrows))
+        return None if x is None else x.row(0)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():

@@ -149,13 +149,20 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, space: QuadraticSpace, vectors) -> "Subspace":
-        vectors = list(vectors)
-        if not vectors:
+        """The span of vectors of the space's field; DescriptorMismatch for
+        an entry of another field."""
+        return cls.from_rows(space, [_unbox(space.field, v) for v in vectors])
+
+    @classmethod
+    def from_rows(cls, space: QuadraticSpace, rows) -> "Subspace":
+        """The span of payload rows of the space's field, as the kernel
+        makes them (tuples of canonical payloads): one elimination."""
+        rows = tuple(rows)
+        if not rows:
             return cls.zero(space)
-        m = Matrix(space.field, vectors)
-        if m.ncols != space.dim:
+        if any(len(r) != space.dim for r in rows):
             raise DimensionMismatch("vector length mismatch")
-        return cls(space, m.row_space())
+        return cls(space, Matrix._trusted(space.field, rows, space.dim).row_space())
 
     @classmethod
     def zero(cls, space: QuadraticSpace) -> "Subspace":
@@ -176,6 +183,7 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        _same_space(self, other)
         return stack_rows(self.space.field, [self.basis, other.basis]).rank() == self.dim
 
     def coordinates(self, v: Vector) -> Vector | None:
@@ -191,27 +199,26 @@ class Subspace:
         return coords
 
     def intersection(self, other: "Subspace") -> "Subspace":
+        _same_space(self, other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.space)
         # x = a . basis1 = b . basis2  <=>  (basis1^T | -basis2^T) (a; b) = 0
         field = self.space.field
         joint = stack_rows(field, [self.basis, -other.basis]).transpose()
-        kernel = joint.kernel_basis()
+        kernel = joint.kernel_rows()
         if not kernel:
             return Subspace.zero(self.space)
-        coeffs = Matrix(field, [k[: self.dim] for k in kernel])
+        coeffs = Matrix._trusted(field, tuple(k[: self.dim] for k in kernel), self.dim)
         return Subspace(self.space, (coeffs * self.basis).row_space())
 
     def subspace_sum(self, other: "Subspace") -> "Subspace":
+        _same_space(self, other)
         return Subspace(self.space, stack_rows(
             self.space.field, [self.basis, other.basis]).row_space())
 
     def orthogonal_complement(self) -> "Subspace":
         """{x : b(x, y) = 0 for all y in self} via a kernel computation."""
-        if self.dim == 0:
-            return Subspace.full(self.space)
-        constraint = self.basis * self.space.gram
-        return Subspace.from_vectors(self.space, constraint.kernel_basis())
+        return _orthogonal_to(self.space, self.basis.payload_rows)
 
     def is_regular(self) -> bool:
         """W meets its orthogonal complement in 0: the polar form has no
@@ -233,20 +240,35 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.space!r})"
 
 
+def _same_space(a: Subspace, b: Subspace):
+    """The one guard of the calls on two subspaces: DimensionMismatch unless
+    both live in one space (identity first, as most pairs share it)."""
+    if a.space is not b.space and a.space != b.space:
+        raise DimensionMismatch("subspaces of different spaces")
+
+
+def _orthogonal_to(space: QuadraticSpace, rows) -> Subspace:
+    """{x : b(r, x) = 0 for every payload row r}: the kernel of R B (one
+    product, one elimination), put in RREF (one more)."""
+    if not rows:
+        return Subspace.full(space)
+    constraint = Matrix._trusted(space.field, tuple(rows), space.dim) * space.gram
+    return Subspace.from_rows(space, constraint.kernel_rows())
+
+
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     """A complement of `inner` inside `outer`: the basis vectors of `outer`
     that the greedy choice keeps after those of `inner`, i.e. the pivot
     columns of (inner | outer) past inner's.  `inner` lies in `outer`
     exactly when that elimination has rank dim(outer)."""
-    if inner.space != outer.space:
-        raise DimensionMismatch("subspaces of different spaces")
+    _same_space(inner, outer)
     joint = stack_rows(outer.space.field, [inner.basis, outer.basis]).transpose()
     pivots = joint.rref()[1]
     if len(pivots) != outer.dim:
         raise NotNested("inner subspace is not contained in outer")
-    outer_rows = outer.vectors()
+    outer_rows = outer.basis.payload_rows
     chosen = [outer_rows[j - inner.dim] for j in pivots if j >= inner.dim]
-    return Subspace.from_vectors(outer.space, chosen)
+    return Subspace.from_rows(outer.space, chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ exactly when t^2 = id and antisymmetric exactly when (t - id)^2 = 0.
 The residual basis is canonical: the nonzero rows of the reduced
 row-echelon form of (M - I)^T, i.e. the column-echelon basis of
 im(M - I).  Preimages are the deterministic solutions (free variables
-zero) of (M - I) y = u.
+zero) of (M - I) y = u, all of them from one elimination.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotSymmetric
@@ -44,15 +43,12 @@ class WallForm:
         return self.tau.derived("orthogonal_basis", _orthogonal_residual_basis)
 
     def carrier(self) -> Subspace:
-        return self._carrier
-
-    @functools.cached_property
-    def _carrier(self) -> Subspace:
-        return Subspace.from_vectors(self.tau.space, self.basis)
+        """The residual space, whose RREF basis is `basis`."""
+        return self.tau.residual_space()
 
     def coords(self, u: Vector) -> Vector:
         """Coordinates of u in the (RREF) residual basis."""
-        c = self._carrier.coordinates(u)
+        c = self.carrier().coordinates(u)
         if c is None:
             raise InvariantViolation("vector is not in the residual space")
         return c
@@ -86,23 +82,19 @@ def _orthogonal_residual_basis(tau: Isometry):
 
 def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, ...], Matrix]:
     space = tau.space
-    n_mat = tau.displacement()
     residual = tau.residual_space().basis  # the RREF of the columns of M - I
-    basis = residual.rows
-    preimages = []
-    for u in basis:
-        y = n_mat.solve(u)
-        if y is None:
-            raise InvariantViolation("residual vector has no preimage")
-        preimages.append(y)
+    # every preimage from one elimination of [M - I | R^T]
+    preimages = tau.displacement().solve_many(residual)
+    if preimages is None:
+        raise InvariantViolation("residual vector has no preimage")
     # gram[i][j] = b(basis[i], preimages[j])
-    gram = residual * space.gram * Matrix(space.field, preimages, ncols=space.dim).transpose()
+    gram = residual * space.gram * preimages.transpose()
     # two theorems, checked eagerly: nondegeneracy and the diagonal law
-    if basis and not gram.det():
+    if residual.nrows and not gram.det():
         raise InvariantViolation("residual form is degenerate")
     if any(gram[i, i] != -qu for i, qu in enumerate(space.q_values(residual))):
         raise InvariantViolation("diagonal law w(u, u) = -q(u) failed")
-    return tuple(basis), tuple(preimages), gram
+    return residual.rows, preimages.rows, gram
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,13 @@ from wallforms.errors import (
 )
 from wallforms.decompose import (
     InterchangeBlock,
+    ReflectionBlock,
+    _hyperbolic_pairs,
     _interchange,
-    _solve_preimage,
     reassemble,
     validate_decomposition,
 )
+from wallforms.linalg import vec_mat
 from wallforms.quadspace import Subspace
 
 from boxed_vectors import (
@@ -166,12 +168,24 @@ def test_normal_basis_gf7_interchange(h4f7):
     assert wf.eichler(h4f7, x, w).mat == tau.mat
 
 
+def _ref_solve_preimage(tau, target, within):
+    """A vector y with (tau - id) y = target, restricted to `within` if
+    given: one elimination per target."""
+    n_mat = tau.displacement()
+    if within is None:
+        return n_mat.solve(target)
+    coeffs = (n_mat * within.basis.transpose()).solve(target)
+    if coeffs is None:
+        return None
+    return vec_mat(coeffs, within.basis)
+
+
 def _ref_interchange(tau, x, w, within):
     """The interchange frame as it was built on boxed vectors: one eval_q or
     eval_b per correction."""
     space = tau.space
-    y = _solve_preimage(tau, w, within)
-    z = _solve_preimage(tau, tuple(-c for c in x), within)
+    y = _ref_solve_preimage(tau, w, within)
+    z = _ref_solve_preimage(tau, tuple(-c for c in x), within)
     if y is None or z is None:
         raise PreimageUnsolvable("no preimage for a residual vector")
     y = vsub(y, vscale(space.eval_q(y), x))
@@ -370,6 +384,91 @@ def test_every_block_is_checked_once(tau_int, tau_r4t, r4t, monkeypatch):
     wf.interchange_normal_basis(fresh)  # kept with the isometry, so not checked again
     assert checked == [["reflection", "reflection"], ["interchange"],
                        ["reflection"], ["interchange"]]
+
+
+def _ref_orthogonal_complement(sub):
+    """{x : b(y, x) = 0 for every y in sub}, spanned by the boxed kernel
+    basis of (basis B)."""
+    if sub.dim == 0:
+        return Subspace.full(sub.space)
+    return Subspace.from_vectors(sub.space, (sub.basis * sub.space.gram).kernel_basis())
+
+
+def _ref_reflection(tau, u, within):
+    v = _ref_solve_preimage(tau, u, within)
+    if v is None:
+        raise PreimageUnsolvable("no preimage for a residual vector")
+    return ReflectionBlock(u, v, Subspace.from_vectors(tau.space, [u, v]))
+
+
+def _ref_decompose(tau):
+    """The identity summand and the blocks, each block built inside the
+    complement of W intersected with the complement of each earlier block
+    in turn."""
+    wall = wf.wall_form(tau)
+    fixed = wf.complement_W(tau)
+    if wall.is_alternating():
+        build, pieces = _ref_interchange, _hyperbolic_pairs(tau, wall)
+    else:
+        build, pieces = _ref_reflection, [(u,) for u in wall.orthogonal_basis()[0]]
+    current = _ref_orthogonal_complement(fixed)
+    blocks = []
+    for piece in pieces:
+        if blocks:
+            current = current.intersection(_ref_orthogonal_complement(blocks[-1].subspace()))
+        blocks.append(build(tau, *piece, current))
+    return fixed, blocks
+
+
+def _assert_matches_reference(tau):
+    space, delta = tau.space, tau.displacement()
+    assert tau.fixed_space() == Subspace.from_vectors(space, delta.kernel_basis())
+    assert tau.residual_space() == Subspace.from_vectors(space, delta.transpose().rows)
+    d = wf.decompose(tau)
+    fixed, blocks = _ref_decompose(tau)
+    assert d.fixed_complement == fixed
+    assert [blk.vectors() for blk in d.blocks] == [blk.vectors() for blk in blocks]
+    assert [blk.subspace() for blk in d.blocks] == [blk.subspace() for blk in blocks]
+    return d
+
+
+@pytest.mark.parametrize("literal, planes, most_blocks", [
+    ("gf(2)", 2, 2), ("gf(4;x^2+x+1)", 2, 2), ("gf(2)", 3, 3), ("gf(7)", 2, 1)])
+def test_decompose_matches_reference_on_every_unipotent(literal, planes, most_blocks):
+    space = wf.QuadraticSpace.hyperbolic(wf.parse_field(literal), planes)
+    enum = wf.enumerate_orthogonal_group(space)
+    counts = {_assert_matches_reference(enum.isometry(i)).m
+              for i in enum.unipotent2_indices()}
+    assert max(counts) == most_blocks
+
+
+def test_decompose_matches_reference_on_r4t(r4t, tau_r4t):
+    # u = e0 + e1 + e2 and v = e0 + e1 are orthogonal, with q(u) = 1 and q(v) = t + 1
+    e = r4t.basis_vector
+    u, v = vadd(vadd(e(0), e(1)), e(2)), vadd(e(0), e(1))
+    taus = [tau_r4t, wf.reflection(r4t, u), wf.reflection(r4t, u) * wf.reflection(r4t, v)]
+    assert [_assert_matches_reference(tau).m for tau in taus] == [2, 1, 2]
+
+
+def test_decompose_of_three_reflections_makes_at_most_17_eliminations(f2, monkeypatch):
+    """The antidiagonal isometry of H6F2: s = 3 reflection blocks and no
+    identity summand.  One product and one kernel per block complement
+    (23 eliminations as complement-and-intersection)."""
+    h6f2 = wf.QuadraticSpace.hyperbolic(f2, 3)
+    tau = wf.make_isometry(h6f2, [[int(i + j == 5) for j in range(6)] for i in range(6)])
+    linalg = importlib.import_module("wallforms.linalg")
+    calls = []
+    real = linalg._gauss_jordan
+    monkeypatch.setattr(linalg, "_gauss_jordan", lambda *a: calls.append(a) or real(*a))
+    d = wf.decompose(tau)
+    as_ints = lambda v: [int(str(c)) for c in v]
+    assert [(blk.kind, as_ints(blk.u), as_ints(blk.preimage)) for blk in d.blocks] == [
+        ("reflection", [1, 0, 1, 1, 0, 1], [1, 0, 1, 0, 0, 0]),
+        ("reflection", [0, 1, 1, 1, 1, 0], [0, 1, 0, 1, 0, 0]),
+        ("reflection", [1, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0]),
+    ]
+    assert (d.m, d.s, d.fixed_complement.dim) == (3, 3, 0)
+    assert len(calls) <= 17
 
 
 def test_validate_rejects_singular_planes_that_repeat(f2):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wallforms as wf
-from wallforms.errors import DescriptorMismatch, SingularMatrix
+from wallforms.errors import DescriptorMismatch, DimensionMismatch, SingularMatrix
 from wallforms.fields import FieldElement, Galois2Field, field_tables
 from wallforms.linalg import Matrix, bilinear, kron, mat_vec
 
@@ -356,3 +356,62 @@ def test_from_ints_rejects_non_integers(literal, bad):
     field = wf.parse_field(literal)
     with pytest.raises(DescriptorMismatch):
         Matrix.from_ints(field, [[1, bad], [0, 1]])
+
+
+def _ref_solve(field, rows, b):
+    """The particular solution of A x = b with free variables zero, from the
+    boxed reference elimination of [A | b], or None."""
+    ncols = len(rows[0])
+    red, pivots = _ref_rref(field, [r + [c] for r, c in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return tuple(x)
+
+
+@pytest.mark.parametrize("literal", ["gf(2)", "gf(4;x^2+x+1)", "gf(7)", "gf2(t)"])
+@given(data=st.data())
+@_settings()
+def test_solve_many_is_one_solve_per_right_hand_side(literal, data):
+    """Pivots in the A part of [A | b_1 ... b_k] do not depend on the b's:
+    each row of the many-sided solution is what one solve gives, and the
+    whole is None exactly when one of the systems has no solution."""
+    field = wf.parse_field(literal)
+    a = data.draw(_matrix(field))
+    k = data.draw(st.integers(0, 4))
+    rhs = [tuple(data.draw(_element(field)) for _ in range(a.nrows)) for _ in range(k)]
+    if data.draw(st.booleans()):
+        # right-hand sides in the column space, so that most are solvable
+        rhs = [mat_vec(a, x) for x in (data.draw(st.tuples(*[_element(field)] * a.ncols))
+                                        for _ in range(k))]
+    singles = [a.solve(b) for b in rhs]
+    assert singles == [_ref_solve(field, _boxed(a), list(b)) for b in rhs]
+    found = a.solve_many(Matrix(field, rhs, ncols=a.nrows))
+    if None in singles:
+        assert found is None
+    else:
+        assert found.rows == tuple(singles) and found.shape == (k, a.ncols)
+
+
+@pytest.mark.parametrize("literal", KERNEL_FIELDS)
+@given(data=st.data())
+@_settings()
+def test_kernel_rows_are_the_unboxed_kernel_basis(literal, data):
+    field = wf.parse_field(literal)
+    a = data.draw(_matrix(field))
+    rows = a.kernel_rows()
+    assert all(type(r) is tuple and len(r) == a.ncols for r in rows)
+    assert tuple(field.wrap_all(r) for r in rows) == a.kernel_basis()
+    if rows:
+        assert (a * Matrix.from_payloads(field, rows).transpose()).is_zero()
+
+
+def test_solve_many_checks_its_operands(f7, f4):
+    a = Matrix.identity(f7, 2)
+    with pytest.raises(DimensionMismatch):
+        a.solve_many(Matrix.identity(f7, 3))
+    with pytest.raises(DimensionMismatch):
+        a.solve_many(Matrix.identity(f4, 2))
+    assert a.solve_many(Matrix.zeros(f7, 0, 2)) == Matrix.zeros(f7, 0, 2)

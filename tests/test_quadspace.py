@@ -188,6 +188,25 @@ def test_complement_in(h4f2, tau_int):
         complement_in(full, r)
 
 
+def test_subspace_pairs_of_different_spaces_are_rejected(h4f2, h4f4, f2):
+    """Another form on the same field and dimension, or the same form over
+    another field: every call on two subspaces raises the one guard's error.
+    An equal space built again is the same space."""
+    other_form = wf.QuadraticSpace.from_int_rows(
+        f2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    mine = Subspace.full(h4f2)
+    calls = (mine.intersection, mine.subspace_sum, mine.contains_subspace,
+             lambda theirs: complement_in(theirs, mine))
+    for space in (other_form, h4f4):
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match="subspaces of different spaces"):
+                call(Subspace.full(space))
+    again = Subspace.full(wf.QuadraticSpace.hyperbolic(f2, 2))
+    assert mine.intersection(again) == mine.subspace_sum(again) == mine
+    assert mine.contains_subspace(again)
+    assert complement_in(again, mine) == Subspace.zero(h4f2)
+
+
 def test_complement_in_direct_sum(h4f7, f7):
     rng = random.Random(11)
     elems = list(f7.elements())

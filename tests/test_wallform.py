@@ -48,6 +48,39 @@ def test_wall_form_checks_the_diagonal_law(h4f7, f7):
         wf.wall_form(wf.Isometry._trusted(h4f7, shear))
 
 
+def test_wall_form_checks_nondegeneracy(h4f7, f7):
+    """An unchecked matrix that is no isometry, diag(2, 1, 1, 1): its
+    residual space is span(e_0) with preimage e_0, and b(e_0, e_0) = 0."""
+    scaling = Matrix.from_ints(f7, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(InvariantViolation, match="residual form is degenerate"):
+        wf.wall_form(wf.Isometry._trusted(h4f7, scaling))
+
+
+def test_wall_form_checks_every_preimage(h4f2, tau_int):
+    """A residual space larger than the image of M - I: the whole space,
+    kept with a fresh isometry before its Wall form is made."""
+    fresh = wf.Isometry(h4f2, tau_int.mat)
+    fresh._memo["residual_space"] = wf.Subspace.full(h4f2)
+    with pytest.raises(InvariantViolation, match="residual vector has no preimage"):
+        wf.wall_form(fresh)
+
+
+def _ref_preimages(tau):
+    """The preimages of the residual basis, one solve of M - I each."""
+    return tuple(tau.displacement().solve(u) for u in tau.residual_space().vectors())
+
+
+@pytest.mark.parametrize("literal", ["gf(2)", "gf(4;x^2+x+1)", "gf(7)"])
+def test_preimages_match_one_solve_per_residual_vector(literal):
+    """Over about 400 elements of O(H4): the one elimination of [M - I | R^T]
+    gives each residual vector the preimage its own solve gives."""
+    space = wf.QuadraticSpace.hyperbolic(wf.parse_field(literal), 2)
+    enum = wf.enumerate_orthogonal_group(space)
+    for i in range(0, enum.order, max(1, enum.order // 400)):
+        tau = enum.isometry(i)
+        assert wf.wall_form(tau).preimages == _ref_preimages(tau)
+
+
 def test_diagonal_law_and_nondegeneracy_random_probes(h4f7, tau_int, tau_r4t, f7):
     rng = random.Random(41)
     e = h4f7.basis_vector
