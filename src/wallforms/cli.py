@@ -158,16 +158,8 @@ def cmd_decompose(problem: ProblemFile) -> dict:
     d = decompose(tau)
     blocks = []
     for blk in d.blocks:
-        entry = {"kind": blk.kind}
-        if blk.kind == "reflection":
-            entry["u"] = _vector_strings(blk.u)
-            entry["preimage"] = _vector_strings(blk.preimage)
-        else:
-            entry["x"] = _vector_strings(blk.x)
-            entry["y"] = _vector_strings(blk.y)
-            entry["w"] = _vector_strings(blk.w)
-            entry["z"] = _vector_strings(blk.z)
-        blocks.append(entry)
+        names = ("u", "preimage") if blk.kind == "reflection" else ("x", "y", "w", "z")
+        blocks.append({"kind": blk.kind, **dict(zip(names, map(_vector_strings, blk.vectors())))})
     return {
         "W_basis": [_vector_strings(v) for v in d.fixed_complement.vectors()],
         "blocks": blocks,

@@ -40,9 +40,10 @@ model's only relation checks, and they run for every involution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import xor as _xor
 
 import numpy as np
@@ -70,21 +71,25 @@ from .fields import Field, FieldElement, Galois2Field, _batch_arith, field_table
 from .linalg import (
     Matrix,
     Vector,
+    _diagonal,
     _gauss_jordan,
     _kernel,
     _unbox,
     _unbox_one,
+    _vec_mat,
     kron,
+    stack_rows,
 )
 from .quadspace import (
     QuadraticSpace,
     Subspace,
+    _same_space,
     hyperbolic_basis_alternating,
     orthogonal_basis,
 )
 from .isometry import Isometry
 from .wallform import WallForm, wall_form
-from .decompose import Decomposition, decompose, interchange_normal_basis
+from .decompose import Decomposition, decompose, normal_frame
 
 
 class CliffordAlgebra:
@@ -255,8 +260,12 @@ class CliffordAlgebra:
         per generator, DescriptorMismatch for an entry of another field."""
         if len(v) != self.n:
             raise DimensionMismatch(f"vector of length {len(v)} for {self.n} generators")
+        return self._vector(_unbox(self.field, v))
+
+    def _vector(self, row) -> "CliffordElement":
+        """:meth:`vector` of a payload row of canonical payloads, unchecked."""
         zero = self._zero
-        return _element(self, {1 << i: c for i, c in enumerate(_unbox(self.field, v)) if c != zero})
+        return _element(self, {1 << i: c for i, c in enumerate(row) if c != zero})
 
     def _check_blade(self, b) -> None:
         if type(b) is not int or not 0 <= b < self.dim:
@@ -353,10 +362,11 @@ class CliffordAlgebra:
         return self._payload_matrix([self.mul(e, a) for e in self._blades()], by_columns=True)
 
     def inverse(self, a: "CliffordElement") -> "CliffordElement":
-        sol = self.lmul_matrix(a).solve(self.coeff_vector(self.one()))
+        """The x with a x = 1, solved on payloads."""
+        sol = self.lmul_matrix(a).solve_many(self._payload_matrix([self.one()]))
         if sol is None:
             raise SingularMatrix("element is not invertible")
-        return self.from_coeff_vector(sol)
+        return _element(self, {b: c for b, c in enumerate(sol.payload_rows[0]) if c != self._zero})
 
     def center_dimension(self) -> int:
         """Dimension of the center, the centralizer of the generators; 1
@@ -505,6 +515,11 @@ def natural_involution(tau: Isometry, algebra: CliffordAlgebra | None = None) ->
     if not tau.is_involution():
         raise NotInvolution("tau^2 != id")
     alg = algebra if algebra is not None else algebra_for_space(space)
+    # one built without a space must have q values and polar form of tau's
+    if alg.space is not None:
+        _same_space(alg.space, space, "an isometry and an algebra")
+    elif alg.bmat != space.gram or alg.qvals != tuple(space.qmat[i, i] for i in range(space.dim)):
+        raise DimensionMismatch("an isometry and an algebra of different spaces")
     # the isometry keeps the blade images for the first algebra object it
     # was asked of (not the involution, which refers back to it)
     kept_alg, images, mat = tau.derived(
@@ -516,7 +531,7 @@ def natural_involution(tau: Isometry, algebra: CliffordAlgebra | None = None) ->
 
 def _involution_images(tau: Isometry, alg: CliffordAlgebra):
     """(alg, the image of each blade, the matrix of those images)."""
-    tau_vectors = [alg.vector(tau.mat.col(i)) for i in range(alg.n)]
+    tau_vectors = list(map(alg._vector, tau.mat.transpose().payload_rows))  # the columns of M
     images = [alg.one()]
     for blade in range(1, alg.dim):
         top = blade.bit_length() - 1
@@ -608,10 +623,11 @@ class PhiAlgebra:
 def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
     wf = _require_residual_fixed(tau)
     alg = algebra_for_space(tau.space)
-    gens = [alg.vector(u) for u in wf.basis]
+    residual = tau.residual_space().basis
+    gens = list(map(alg._vector, residual.payload_rows))
     s = len(gens)
     monomials = _monomials(alg, gens)
-    squares = tau.space.q_values(tau.residual_space().basis)
+    squares = tau.space._q_payloads(residual.payload_rows)
 
     # linear independence: dimension 2^s
     coeff_rows = alg._payload_matrix(monomials)
@@ -627,23 +643,19 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
     # self-centralizing: the centralizer of the generators has dimension 2^s
     # and lies in the span of the monomials
     if s:
-        kernel = alg._centralizer_matrix([_unbox(alg.field, u) for u in wf.basis]).kernel_rows()
+        kernel = alg._centralizer_matrix(residual.payload_rows).kernel_rows()
         if len(kernel) != 1 << s:
             raise InvariantViolation("subalgebra is not self-centralizing")
         if Matrix._trusted(alg.field, coeff_rows.payload_rows + kernel, alg.dim).rank() != 1 << s:
             raise InvariantViolation("centralizer is larger than the subalgebra")
 
     # multiplication law of C(q|r); it holds only with commuting generators and scalar squares
-    for a in range(1 << s):
-        for b in range(1 << s):
-            scalar = alg.field.one
-            for i in range(s):
-                if a >> i & 1 and b >> i & 1:
-                    scalar = scalar * squares[i]
-            if monomials[a] * monomials[b] != monomials[a ^ b].scale(scalar):
-                raise InvariantViolation("subalgebra does not multiply like C(q|r)")
+    for a, b in itertools.product(range(1 << s), repeat=2):
+        scalar = reduce(alg._mul, (squares[i] for i in range(s) if (a & b) >> i & 1), alg._one)
+        if monomials[a] * monomials[b] != alg._combine([(scalar, monomials[a ^ b])]):
+            raise InvariantViolation("subalgebra does not multiply like C(q|r)")
 
-    return PhiAlgebra(alg, tuple(wf.basis), tuple(monomials), squares)
+    return PhiAlgebra(alg, tuple(wf.basis), tuple(monomials), alg.field.wrap_all(squares))
 
 
 def _monomials(alg: CliffordAlgebra, gens) -> list[CliffordElement]:
@@ -668,14 +680,16 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
     subalgebra by pairwise-commuting square-central units all of whose
     nonempty products lie in Alt(C(q), J); returns Alt-witnesses."""
     wf = _require_residual_fixed(tau)
-    basis = tuple(basis)
-    s = len(basis)
-    carrier = wf.carrier()
-    if Subspace.from_vectors(tau.space, basis).basis != carrier.basis or s != wf.s:
+    space = tau.space
+    rows = Matrix(space.field, tuple(basis), ncols=space.dim)  # the argument, unboxed once
+    s, carrier = rows.nrows, wf.carrier()
+    if Subspace.from_rows(space, rows.payload_rows).basis != carrier.basis or s != wf.s:
         raise NotOrthogonalBasis("vectors do not form a basis of the residual space")
-    # the residual form on the basis: C G C^T, C the coordinates of the basis
-    coords = Matrix(tau.space.field, [wf.coords(u) for u in basis], ncols=s)
-    zero = tau.space.field.zero.payload
+    # the residual form on the basis: C G C^T, C the coordinates (entries at the pivots)
+    pivots = carrier.basis.rref()[1]
+    coords = Matrix._trusted(space.field, tuple(
+        tuple(r[p] for p in pivots) for r in rows.payload_rows), s)
+    zero = space.field.zero.payload
     for i, row in enumerate((coords * wf.gram * coords.transpose()).payload_rows):
         if row[i] == zero:
             raise ZeroSquare("residual form vanishes on a basis vector")
@@ -684,7 +698,7 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
 
     alg = algebra_for_space(tau.space)
     inv = natural_involution(tau, alg)
-    gens = [alg.vector(u) for u in basis]
+    gens = list(map(alg._vector, rows.payload_rows))
     for i in range(s):
         sq = gens[i] * gens[i]
         if not sq.is_scalar() or not sq.scalar_part():
@@ -694,10 +708,10 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
                 raise InvariantViolation("generators do not commute")
 
     # every preimage from one elimination
-    found = tau.displacement().solve_many(Matrix(tau.space.field, basis, ncols=tau.space.dim))
+    found = tau.displacement().solve_many(rows)
     if found is None:
         raise InvariantViolation("no preimage for a residual vector")
-    preimages = [alg.vector(y) for y in found.rows]
+    preimages = list(map(alg._vector, found.payload_rows))
 
     monomials = _monomials(alg, gens)
     memberships = _alt_witnesses(inv, monomials[1:])
@@ -764,9 +778,9 @@ def pfister_invariant(tau: Isometry) -> PfisterDescriptor:
     if wf.is_alternating():
         gens = (field.one,) * wf.s
     else:
-        basis, gens = wf.orthogonal_basis()
+        rows, gens = wf.orthogonal_rows()
         # diagonal values coincide with q on the residual space in char 2
-        if gens != tau.space.q_values(Matrix(field, basis, ncols=tau.space.dim)):
+        if gens != tau.space.q_values(rows):
             raise InvariantViolation("residual diagonal does not match q")
     return PfisterDescriptor(field, gens, tuple(field.is_square(g) for g in gens))
 
@@ -850,17 +864,10 @@ def _base_model(alg: CliffordAlgebra) -> tuple[Matrix, ...]:
             for i in range(n // 2):
                 img = kron(img, mat2 if i == k else ident2)
             plane_images.append(img)
-    size = 1 << (n // 2)
-    # column i of the inverse change of basis holds e_i in plane coordinates
-    to_planes = planes.transpose().inverse()
-    f_gen = []
-    for i in range(n):
-        img = Matrix.zeros(field, size, size)
-        for c, plane_img in zip(to_planes.col(i), plane_images):
-            if c:
-                img = img + plane_img.scale(c)
-        f_gen.append(img)
-    blade_images = [Matrix.identity(field, size)]
+    # row i of the inverse change of basis holds e_i in plane coordinates
+    f_gen = [_image_sum(field, plane_images, enumerate(row))
+             for row in planes.inverse().payload_rows]
+    blade_images = [Matrix.identity(field, 1 << (n // 2))]
     for blade in range(1, alg.dim):
         top = blade.bit_length() - 1
         blade_images.append(blade_images[blade ^ (1 << top)] * f_gen[top])
@@ -903,10 +910,10 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
         raise InvariantViolation("transport form is alternating despite the criterion")
     # H = diag(sqrt d) (P^T)^-1 has H^T H = P^-1 diag(d) P^-T = G,
     # and H^-1 = P^T diag(sqrt d)^-1
-    roots = [field.sqrt(d) for d in diag]
+    roots = tuple(field.sqrt(d).payload for d in diag)
     p_t = p_mat.transpose()
-    h_mat = Matrix.diagonal(field, roots) * p_t.inverse()
-    h_inv = p_t * Matrix.diagonal(field, [field.one / r for r in roots])
+    h_mat = _diagonal(field, roots) * p_t.inverse()
+    h_inv = p_t * _diagonal(field, tuple(map(_kernel(field).inv, roots)))
     # conjugate every blade image by H, as two batched products
     arith = _batch_arith(field)
     conj = arith.matmul(arith.matmul(_payload_array(h_mat), _payload_array(*blade_images)),
@@ -991,17 +998,21 @@ def _sparse_structure(alg: CliffordAlgebra) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply_images(blade_images, alg: CliffordAlgebra, elt: CliffordElement) -> Matrix:
-    """The sum of c f(e_b) over the terms c e_b of `elt`, on payloads."""
+    """The sum of c f(e_b) over the terms c e_b of `elt`."""
     if elt.algebra is not alg:
         raise AlgebraMismatch("element of another algebra")
-    size = blade_images[0].nrows
-    if not elt.payloads:
-        return Matrix.zeros(alg.field, size, size)
-    coeffs, flats = zip(*((c, sum(blade_images[b].payload_rows, ()))
-                          for b, c in elt.payloads.items()))
-    flat = _kernel(alg.field).matmul((coeffs,), flats, size * size)[0]
-    return Matrix._trusted(alg.field, tuple(
-        flat[i * size:(i + 1) * size] for i in range(size)), size)
+    return _image_sum(alg.field, blade_images, elt.payloads.items())
+
+
+def _image_sum(field: Field, images, terms) -> Matrix:
+    """The sum of c images[b] over the pairs (b, payload c) of `terms`: one
+    payload product over the flattened images."""
+    size, terms = images[0].nrows, tuple(terms)
+    if not terms:
+        return Matrix.zeros(field, size, size)
+    coeffs, flats = zip(*((c, sum(images[b].payload_rows, ())) for b, c in terms))
+    flat = _kernel(field).matmul((coeffs,), flats, size * size)[0]
+    return Matrix._trusted(field, tuple(flat[i * size:(i + 1) * size] for i in range(size)), size)
 
 
 def _solve_involution_gram(field, size, f_gen, f_j_gen) -> Matrix:
@@ -1052,20 +1063,19 @@ def goldman_element(tau: Isometry, construction: str = "frame") -> CliffordEleme
     if space.field.characteristic() != 2:
         raise CharacteristicNot2("conjugating elements are built in characteristic 2")
     alg = algebra_for_space(space)
-    x, y, w, z = interchange_normal_basis(tau)
+    x, y, w, z = normal_frame(tau).payload_rows
     if construction == "frame":
-        g = alg.one() + alg.vector(w) * alg.vector(x)
+        g = alg.one() + alg._vector(w) * alg._vector(x)
     else:
         # rows u1 = y and v1 = x + z; in characteristic 2, u + tau(u) = (tau - 1) u
-        frame = Matrix(space.field, [x, y, w, z])
-        pair = Matrix.from_ints(space.field, [[0, 1, 0, 0], [1, 0, 0, 1]]) * frame
+        pair = Matrix._trusted(space.field, (y, _kernel(space.field).add_rows(x, z)), space.dim)
         _check_swap_plane(tau, pair)
-        du, dv = map(alg.vector, (pair * tau.displacement().transpose()).rows)
+        du, dv = map(alg._vector, (pair * tau.displacement().transpose()).payload_rows)
         g = alg.one() + du * dv
     g_inv = alg.inverse(g)
-    for i in range(space.dim):
-        e = space.basis_vector(i)
-        if g * alg.vector(e) * g_inv != alg.vector(tau.apply(e)):
+    # g e_i g^-1 = tau(e_i), column i of M, for every basis vector e_i
+    for i, image in enumerate(tau.mat.transpose().payload_rows):
+        if g * alg.basis_blade(1 << i) * g_inv != alg._vector(image):
             raise InvariantViolation("conjugation does not reproduce the isometry")
     return g
 
@@ -1073,11 +1083,12 @@ def goldman_element(tau: Isometry, construction: str = "frame") -> CliffordEleme
 def _check_swap_plane(tau: Isometry, pair: Matrix):
     """The rows (u1, v1) of `pair` must span a regular plane with
     b(u1, v1) = 1, and tau must swap it with its orthogonal complement."""
-    space = tau.space
-    if space.eval_b(*pair.rows) != space.field.one:
+    space, kernel = tau.space, _kernel(tau.space.field)
+    u1, v1 = pair.payload_rows
+    if kernel.dot(_vec_mat(space.field, u1, space.gram), v1) != kernel.one:
         raise InvariantViolation("swap plane basis is not unimodular")
-    plane = Subspace.from_vectors(space, pair.rows)
-    image = Subspace.from_vectors(space, (pair * tau.mat.transpose()).rows)
+    plane = Subspace.from_rows(space, pair.payload_rows)
+    image = Subspace.from_rows(space, (pair * tau.mat.transpose()).payload_rows)
     if plane.dim != 2 or not plane.is_regular():
         raise InvariantViolation("swap plane is not a regular plane")
     if plane.intersection(image).dim != 0:
@@ -1118,35 +1129,28 @@ def tensor_decomposition_witness(tau: Isometry) -> TensorWitness:
     inv = natural_involution(tau, alg)
     dec = decompose(tau)
 
-    factors: list[TensorFactor] = []
+    # each factor's frame: the identity part's hyperbolic planes, then the blocks'
     w_sub = dec.fixed_complement
-    planes = (hyperbolic_basis_alternating(w_sub.gram_matrix()) * w_sub.basis).rows
-    for u, v in zip(planes[0::2], planes[1::2]):
-        factors.append(TensorFactor("identity-plane", (u, v)))
-    for blk in dec.blocks:
-        factors.append(TensorFactor(blk.kind, blk.vectors()))
+    planes = hyperbolic_basis_alternating(w_sub.gram_matrix()) * w_sub.basis
+    field = space.field
+    frames = [("identity-plane", Matrix._trusted(field, planes.payload_rows[k:k + 2], space.dim))
+              for k in range(0, planes.nrows, 2)] + [(blk.kind, blk.frame) for blk in dec.blocks]
+    gens = [list(map(alg._vector, frame.payload_rows)) for _, frame in frames]
 
     # cross-factor generators must be orthogonal (hence commute in C(q)):
     # one Gram product, zero wherever its row and column lie in distinct factors
-    owner = [k for k, f in enumerate(factors) for _ in f.vectors]
-    p = Matrix(space.field, [v for f in factors for v in f.vectors], ncols=space.dim)
-    zero = space.field.zero.payload
+    owner = [k for k, g in enumerate(gens) for _ in g]
+    p, zero = stack_rows(planes, *(blk.frame for blk in dec.blocks)), field.zero.payload
     for i, row in enumerate((p * space.gram * p.transpose()).payload_rows):
         if any(c != zero for j, c in enumerate(row) if owner[j] != owner[i]):
             raise InvariantViolation("factors are not orthogonal")
-    for i, f1 in enumerate(factors):
-        for f2 in factors[i + 1:]:
-            for a in f1.vectors:
-                for b in f2.vectors:
-                    ea, eb = alg.vector(a), alg.vector(b)
-                    if ea * eb != eb * ea:
-                        raise InvariantViolation("factor generators do not commute")
+    for g1, g2 in itertools.combinations(gens, 2):
+        if any(a * b != b * a for a in g1 for b in g2):
+            raise InvariantViolation("factor generators do not commute")
 
     # ordered products of factor blades give a basis compatible with J
-    per_factor_blades = [_monomials(alg, [alg.vector(v) for v in f.vectors]) for f in factors]
-
     products: list[tuple[CliffordElement, tuple[CliffordElement, ...]]] = [(alg.one(), ())]
-    for blades in per_factor_blades:
+    for blades in (_monomials(alg, g) for g in gens):
         products = [(p * b, parts + (b,)) for p, parts in products for b in blades]
     coeffs = alg._payload_matrix([p for p, _ in products])
     if coeffs.rank() != alg.dim:
@@ -1161,7 +1165,7 @@ def tensor_decomposition_witness(tau: Isometry) -> TensorWitness:
         if inv.apply(p) != rhs:
             raise InvariantViolation("involution is not compatible with the factors")
 
-    return TensorWitness(tuple(factors), dec)
+    return TensorWitness(tuple(TensorFactor(kind, frame.rows) for kind, frame in frames), dec)
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,17 @@ nonalternating (characteristic 2) and every V_i is a 2-dimensional
 reflection plane.  Block extraction follows the residual form: hyperbolic
 pairs give interchange blocks, orthogonal basis vectors give reflections.
 
-Each block claims its action and its Gram matrix: an interchange frame
-(x, y, w, z) is hyperbolic; a reflection plane (u, v) has Gram
-[[0, q(u)], [q(u), 0]], as in characteristic 2 b(u, u) = b(v, v) = 0 and
-q(v + u) = q(v) gives b(u, v) = q(u).  One check (:func:`_check_blocks`)
-verifies the claims; the public block constructors run it on their block,
-and :func:`decompose` once on the whole decomposition.
+A block holds its frame as one payload matrix, boxed only by its public
+views (``u``, ``x``, ..., ``vectors()``), and claims its action and Gram
+matrix there: an interchange frame (x, y, w, z) is hyperbolic; a reflection
+frame (u, v) has Gram [[0, q(u)], [q(u), 0]], as in characteristic 2
+b(u, u) = b(v, v) = 0 and q(v + u) = q(v) gives b(u, v) = q(u).  One check
+(:func:`_check_blocks`) verifies the claims on payloads; the public block
+constructors run it on their block, and :func:`decompose` once on all.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,68 +34,51 @@ from .errors import (
     PreimageUnsolvable,
     ZeroDiagonal,
 )
-from .linalg import Matrix, Vector, _kernel, _vec_mat, block_diag, from_columns
+from .linalg import Matrix, Vector, _kernel, _unbox, _vec_mat, block_diag
 from .quadspace import Subspace, _orthogonal_to, complement_in, hyperbolic_basis_alternating
 from .isometry import Isometry
 from .wallform import WallForm, wall_form
 
 
+def _frame_row(i: int) -> property:
+    return property(lambda blk: blk.frame.rows[i], doc=f"Row {i} of the frame, boxed.")
+
+
 @dataclass(frozen=True)
 class ReflectionBlock:
-    u: Vector
-    preimage: Vector
+    """A reflection plane: `frame` has the rows u and v, with tau(u) = -u
+    and tau(v) = v + u; `u`, `preimage` and :meth:`vectors` box them."""
+
+    frame: Matrix
     plane: Subspace
 
     kind = "reflection"
+    u, preimage = _frame_row(0), _frame_row(1)
 
     def vectors(self) -> tuple[Vector, ...]:
-        return (self.u, self.preimage)
+        return self.frame.rows
 
     def subspace(self) -> Subspace:
         return self.plane
 
-    def local_matrix(self, field) -> Matrix:
-        # action on the basis (u, v): u -> -u, v -> v + u
-        one = field.one
-        return Matrix(field, [[-one, one], [field.zero, one]])
-
-    def gram(self, field, qvals) -> Matrix:
-        """The claimed Gram matrix, given q(u) and q(v)."""
-        qu, z = qvals[0], field.zero
-        return Matrix(field, [[z, qu], [qu, z]])
-
 
 @dataclass(frozen=True)
 class InterchangeBlock:
-    x: Vector
-    y: Vector
-    w: Vector
-    z: Vector
+    """An interchange block: `frame` has the rows x, y, w, z, with tau
+    fixing x and w, tau(y) = y + w and tau(z) = z - x; `x`, `y`, `w`, `z`
+    and :meth:`vectors` box them."""
+
+    frame: Matrix
     space4: Subspace
 
     kind = "interchange"
+    x, y, w, z = map(_frame_row, range(4))
 
     def vectors(self) -> tuple[Vector, ...]:
-        return (self.x, self.y, self.w, self.z)
+        return self.frame.rows
 
     def subspace(self) -> Subspace:
         return self.space4
-
-    def local_matrix(self, field) -> Matrix:
-        # action on (x, y, w, z): x -> x, y -> y + w, w -> w, z -> z - x
-        z, o = field.zero, field.one
-        return Matrix(field, [
-            [o, z, z, -o],
-            [z, o, z, z],
-            [z, o, o, z],
-            [z, z, z, o],
-        ])
-
-    def gram(self, field, qvals) -> Matrix:
-        """The claimed Gram matrix, hyperbolic: b(x, y) = b(w, z) = 1, every
-        other pairing zero."""
-        return Matrix.from_ints(field, [[0, 1, 0, 0], [1, 0, 0, 0],
-                                        [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 Block = ReflectionBlock | InterchangeBlock
@@ -145,31 +128,30 @@ def _preimages(tau: Isometry, targets: Matrix, within: Subspace | None) -> Matri
     return found
 
 
-def _reflection(tau: Isometry, u: Vector, within: Subspace | None) -> ReflectionBlock:
-    """The reflection block of u, unchecked; `within` restricts the
-    preimage v of u to a subspace."""
-    target = Matrix(tau.space.field, [u])
-    v = _preimages(tau, target, within)
-    plane = Subspace.from_rows(tau.space, target.payload_rows + v.payload_rows)
-    return ReflectionBlock(u, v.row(0), plane)
+def _reflection(tau: Isometry, u, within: Subspace | None) -> ReflectionBlock:
+    """The reflection block of the payload row u, unchecked; `within`
+    restricts the preimage v of u to a subspace."""
+    field, n = tau.space.field, tau.space.dim
+    v, = _preimages(tau, Matrix._trusted(field, (u,), n), within).payload_rows
+    frame = Matrix._trusted(field, (u, v), n)
+    return ReflectionBlock(frame, Subspace.from_rows(tau.space, frame.payload_rows))
 
 
-def _interchange(tau: Isometry, x: Vector, w: Vector, within: Subspace | None) -> InterchangeBlock:
-    """The interchange block of a residual hyperbolic pair (x, w), unchecked:
-    preimages y, z of w and -x, adjusted by fixed vectors so that
-    q(y) = q(z) = b(y, z) = 0, make the frame (x, y, w, z) with
+def _interchange(tau: Isometry, x, w, within: Subspace | None) -> InterchangeBlock:
+    """The interchange block of a residual hyperbolic pair of payload rows
+    (x, w), unchecked: preimages y, z of w and -x, adjusted by fixed vectors
+    so that q(y) = q(z) = b(y, z) = 0, make the frame (x, y, w, z) with
     tau(y) = y + w and tau(z) = z - x."""
     space, field = tau.space, tau.space.field
     kernel = _kernel(field)
-    px, pw = Matrix(field, [x, w]).payload_rows
-    targets = Matrix._trusted(field, (pw, kernel.neg_row(px)), space.dim)
-    py, pz = _preimages(tau, targets, within).payload_rows
-    _, qy, _, qz = space.q_values(Matrix._trusted(field, (px, py, pw, pz), space.dim))
-    py = tuple(kernel.eliminate(py, qy.payload, px))
-    pz = kernel.eliminate(pz, qz.payload, pw)
-    pz = tuple(kernel.eliminate(pz, kernel.dot(_vec_mat(field, py, space.gram), pz), px))
-    frame = Matrix._trusted(field, (px, py, pw, pz), space.dim)
-    return InterchangeBlock(*frame.rows, Subspace.from_rows(space, frame.payload_rows))
+    targets = Matrix._trusted(field, (w, kernel.neg_row(x)), space.dim)
+    y, z = _preimages(tau, targets, within).payload_rows
+    qy, qz = space._q_payloads((y, z))
+    y = tuple(kernel.eliminate(y, qy, x))
+    z = kernel.eliminate(z, qz, w)
+    z = tuple(kernel.eliminate(z, kernel.dot(_vec_mat(field, y, space.gram), z), x))
+    frame = Matrix._trusted(field, (x, y, w, z), space.dim)
+    return InterchangeBlock(frame, Subspace.from_rows(space, frame.payload_rows))
 
 
 def reflection_block(
@@ -187,7 +169,7 @@ def reflection_block(
         raise NotInResidual("u is not in the residual space")
     if not wf.evaluate(u, u):
         raise ZeroDiagonal("residual form vanishes at u")
-    blk = _reflection(tau, u, within)
+    blk = _reflection(tau, _unbox(tau.space.field, u), within)
     _check_blocks(tau, [blk], Subspace.zero(tau.space))
     return blk
 
@@ -207,7 +189,7 @@ def interchange_block(
     coords = Matrix(field, [wf.coords(x), wf.coords(w)])
     if coords * wf.gram * coords.transpose() != Matrix.from_ints(field, [[0, 1], [-1, 0]]):
         raise NotHyperbolicPair("pair is not hyperbolic for the residual form")
-    blk = _interchange(tau, x, w, within)
+    blk = _interchange(tau, *Matrix(field, [x, w]).payload_rows, within)
     _check_blocks(tau, [blk], Subspace.zero(tau.space))
     return blk
 
@@ -216,17 +198,22 @@ def interchange_normal_basis(tau: Isometry) -> tuple[Vector, Vector, Vector, Vec
     """A hyperbolic basis (x, y, w, z) of a 4-dimensional interchange isometry
     with (x, w) spanning the fixed space, tau(y) = y + w and tau(z) = z - x.
     The Eichler transformation of (x, w) reproduces tau exactly: on this
-    basis it acts as the block check has shown tau to act; kept with tau."""
+    basis it acts as the block check has shown tau to act."""
+    return normal_frame(tau).rows
+
+
+def normal_frame(tau: Isometry) -> Matrix:
+    """The rows of :func:`interchange_normal_basis`, kept with tau."""
     return tau.derived("interchange_normal_basis", _normal_basis)
 
 
-def _normal_basis(tau: Isometry) -> tuple[Vector, Vector, Vector, Vector]:
+def _normal_basis(tau: Isometry) -> Matrix:
     if not tau.is_interchange():
         raise NotInterchange("isometry is not an interchange isometry")
     (x, w), = _hyperbolic_pairs(tau, wall_form(tau))
     blk = _interchange(tau, x, w, None)
     _check_blocks(tau, [blk], Subspace.zero(tau.space))
-    return blk.vectors()
+    return blk.frame
 
 
 def is_interchanging_kind(tau: Isometry) -> bool:
@@ -253,7 +240,7 @@ def decompose(tau: Isometry) -> Decomposition:
         build, pieces = _interchange, _hyperbolic_pairs(tau, wf)
     else:
         # antisymmetric yet nonalternating residual forms exist only in char 2
-        build, pieces = _reflection, [(u,) for u in wf.orthogonal_basis()[0]]
+        build, pieces = _reflection, [(u,) for u in wf.orthogonal_rows()[0].payload_rows]
     taken = list(fixed_complement.basis.payload_rows)
     blocks: list[Block] = []
     for piece in pieces:
@@ -264,23 +251,38 @@ def decompose(tau: Isometry) -> Decomposition:
     return decomposition
 
 
-def _hyperbolic_pairs(tau: Isometry, wf: WallForm) -> list[tuple[Vector, Vector]]:
+def _hyperbolic_pairs(tau: Isometry, wf: WallForm) -> list[tuple[tuple, tuple]]:
     """The hyperbolic pairs (x, w) of an alternating residual form, as
-    residual vectors."""
-    rows = (hyperbolic_basis_alternating(wf.gram) * tau.residual_space().basis).rows
+    payload rows of residual vectors."""
+    rows = (hyperbolic_basis_alternating(wf.gram) * tau.residual_space().basis).payload_rows
     return list(zip(rows[0::2], rows[1::2]))
 
 
+# per kind, patterns of 0, 1, -1: the claimed action (column j holds the image
+# of frame row j) and Gram matrix, which a reflection frame (u, v) scales by q(u)
+_CLAIMS = {
+    "reflection": (((-1, 1), (0, 1)), ((0, 1), (1, 0))),  # u -> -u, v -> v + u
+    "interchange": (((1, 0, 0, -1), (0, 1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)),  # y -> y+w, z -> z-x
+                    ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))),  # hyperbolic
+}
+
+
+def _claimed(field, pattern, scale) -> Matrix:
+    """The payload matrix of a claim pattern times the payload `scale`."""
+    entries = {0: field.zero.payload, 1: scale, -1: _kernel(field).neg(scale)}
+    return Matrix._trusted(field, tuple(tuple(map(entries.__getitem__, r)) for r in pattern),
+                           len(pattern))
+
+
 def _block_basis(field, fixed: Subspace, blocks) -> tuple[Matrix, Matrix]:
-    """P, whose columns are the vectors of the summands (those of `fixed`
-    first), and D, the block-diagonal matrix of the claimed actions on them
-    (the identity on `fixed`)."""
-    columns = list(fixed.vectors())
-    locals_ = [Matrix.identity(field, len(columns))]
+    """P, whose columns are the vectors of the summands (the basis of
+    `fixed` first, then each block's frame), and D, the block-diagonal
+    matrix of the claimed actions on them (the identity on `fixed`)."""
+    rows, actions = fixed.basis.payload_rows, [Matrix.identity(field, fixed.dim)]
     for blk in blocks:
-        columns.extend(blk.vectors())
-        locals_.append(blk.local_matrix(field))
-    return from_columns(field, columns), block_diag(field, locals_)
+        rows += blk.frame.payload_rows
+        actions.append(_claimed(field, _CLAIMS[blk.kind][0], field.one.payload))
+    return Matrix._trusted(field, rows, fixed.space.dim).transpose(), block_diag(field, actions)
 
 
 def _check_blocks(tau: Isometry, blocks, fixed: Subspace):
@@ -295,15 +297,18 @@ def _check_blocks(tau: Isometry, blocks, fixed: Subspace):
     # P D P^-1 = M iff M P = P D, without the inverse
     if tau.mat * p != p * local:
         raise InvariantViolation("reassembled blocks do not reproduce tau")
-    # q of every block vector, one product over the columns of P past the fixed ones
-    qvals = iter(space.q_values(p.transpose())[fixed.dim:])
-    block_q = [tuple(itertools.islice(qvals, len(blk.vectors()))) for blk in blocks]
-    grams = [fixed.gram_matrix()] + [blk.gram(field, q) for blk, q in zip(blocks, block_q)]
+    zero, one = field.zero.payload, field.one.payload
+    grams, isotropic = [fixed.gram_matrix()], True
+    for blk in blocks:
+        q = space._q_payloads(blk.frame.payload_rows)
+        reflection = blk.kind == "reflection"
+        grams.append(_claimed(field, _CLAIMS[blk.kind][1], q[0] if reflection else one))
+        isotropic = isotropic and (reflection or all(c == zero for c in q))
     if p.transpose() * space.gram * p != block_diag(field, grams):
         raise InvariantViolation("summands are not orthogonal or not of their claimed forms")
     if not all(g.det() for g in grams):
         raise InvariantViolation("a summand is not regular")
-    if any(any(q) for blk, q in zip(blocks, block_q) if blk.kind == "interchange"):
+    if not isotropic:
         raise InvariantViolation("interchange frame vectors are not isotropic")
 
 
@@ -333,6 +338,6 @@ def validate_decomposition(d: Decomposition, wf: WallForm | None = None):
     kind, size = ("interchange", 2) if wf.is_alternating() else ("reflection", 1)
     if any(blk.kind != kind for blk in d.blocks) or size * d.m != wf.s:
         raise InvariantViolation(f"the residual form asks for {wf.s // size} {kind} blocks")
-    if d.fixed_complement.dim + sum(len(blk.vectors()) for blk in d.blocks) != tau.space.dim:
+    if d.fixed_complement.dim + sum(blk.frame.nrows for blk in d.blocks) != tau.space.dim:
         raise InvariantViolation("decomposition vectors do not form a basis")
     _check_blocks(tau, d.blocks, d.fixed_complement)

@@ -23,8 +23,8 @@ from .errors import (
     PreconditionError,
 )
 from .fields import Field, FieldElement
-from .linalg import Matrix, Vector, _kernel, from_columns, mat_vec, vec_mat
-from .quadspace import QuadraticSpace, Subspace
+from .linalg import Matrix, Vector, _kernel, mat_vec, vec_mat
+from .quadspace import QuadraticSpace, Subspace, _same_space
 
 
 def _isometry_defect_witness(space: QuadraticSpace, mat: Matrix) -> Vector | None:
@@ -99,8 +99,7 @@ class Isometry:
     def __mul__(self, other: "Isometry") -> "Isometry":
         if not isinstance(other, Isometry):
             return NotImplemented
-        if other.space != self.space:
-            raise DimensionMismatch("isometries of different spaces")
+        _same_space(self.space, other.space, "isometries")
         return Isometry(self.space, self.mat * other.mat)
 
     def inverse(self) -> "Isometry":
@@ -157,21 +156,21 @@ class Isometry:
 
     def restrict(self, sub: Subspace) -> "Isometry":
         """Restriction to an invariant regular subspace, as an isometry of the
-        subspace with the form written in the coordinates of its RREF basis."""
-        if sub.space != self.space:
-            raise DimensionMismatch("subspace of a different space")
+        subspace with the form written in the coordinates of its RREF basis:
+        the images' entries at the pivots, if they give the images back."""
+        _same_space(self.space, sub.space, "an isometry and a subspace")
         if not sub.is_regular():
             raise NotRegular("restriction requires a regular subspace")
         basis = sub.basis
-        images = []
-        for v in basis.rows:
-            coords = sub.coordinates(self.apply(v))
-            if coords is None:
-                raise NotInvariant("subspace is not invariant under the isometry")
-            images.append(coords)
+        images = basis * self.mat.transpose()  # row i: the image of basis row i
+        pivots = basis.rref()[1]
+        coords = Matrix._trusted(self.space.field, tuple(
+            tuple(r[p] for p in pivots) for r in images.payload_rows), sub.dim)
+        if coords * basis != images:
+            raise NotInvariant("subspace is not invariant under the isometry")
         sub_q = basis * self.space.qmat * basis.transpose()
         sub_space = QuadraticSpace.from_q_upper(self.space.field, sub_q)
-        return Isometry(sub_space, from_columns(self.space.field, images))
+        return Isometry(sub_space, coords.transpose())
 
     def __repr__(self):
         return f"Isometry({self.mat!r})"
@@ -198,7 +197,7 @@ def reflection(space: QuadraticSpace, u: Vector) -> Isometry:
         raise IsotropicVector("reflection requires q(u) != 0")
     field = space.field
     bu = Matrix(field, [vec_mat(u, space.gram)])
-    shear = from_columns(field, [u]) * bu.scale(-field.one / qu)
+    shear = Matrix(field, [u]).transpose() * bu.scale(-field.one / qu)
     return Isometry(space, Matrix.identity(field, space.dim) + shear)
 
 
@@ -211,9 +210,10 @@ def eichler(space: QuadraticSpace, x: Vector, w: Vector) -> Isometry:
     if space.eval_b(x, w):
         raise PreconditionError("Eichler transformation requires b(x, w) = 0")
     field = space.field
-    # (w, x) C has the columns w - q(w) x and -x
-    c = Matrix(field, [[field.one, field.zero], [-space.eval_q(w), -field.one]])
-    shear = from_columns(field, [w, x]) * c * (Matrix(field, [x, w]) * space.gram)
+    # (x, w) C has the columns w - q(w) x and -x
+    c = Matrix(field, [[-space.eval_q(w), -field.one], [field.one, field.zero]])
+    xw = Matrix(field, [x, w])
+    shear = xw.transpose() * c * (xw * space.gram)
     return Isometry(space, Matrix.identity(field, space.dim) + shear)
 
 

@@ -22,9 +22,10 @@ range-checked payload rows.  ``rows`` (boxed once, then cached),
 ``solve``, ``kernel_basis``, ``mat_vec`` and ``vec_mat`` are boxed on the
 way out (``solve`` and ``kernel_basis`` box what ``solve_many`` and
 ``kernel_rows`` return), and finite fields hand out interned elements, so
-boxing allocates nothing.  Vectors are plain tuples of field elements; the
-boundary functions that take them are ``mat_vec``, ``vec_mat`` and
-``bilinear``.  Inside the library vector arithmetic runs on payload rows.
+boxing allocates nothing.  Vectors are tuples of field elements, taken by
+``mat_vec``, ``vec_mat`` and ``bilinear``.  Inside the library a vector is a
+payload row and a basis a payload matrix, boxed only by a public accessor
+(``Matrix.rows``, ``WallForm.basis``, a block's vectors, and the like).
 """
 
 from __future__ import annotations
@@ -366,19 +367,16 @@ class Matrix:
             raise DimensionMismatch("matrices over different fields")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if len(self.payload_rows) != len(other.payload_rows) or self._ncols != other._ncols:
-            raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        add = _kernel(self.field).add_rows
-        return Matrix._trusted(self.field, tuple(map(add, self.payload_rows, other.payload_rows)),
-                               self._ncols)
+        return self._entrywise(other, "+", _kernel(self.field).add_rows)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, "-", _kernel(self.field).sub_rows)
+
+    def _entrywise(self, other: "Matrix", sign: str, op) -> "Matrix":
         self._check_same_field(other)
         if len(self.payload_rows) != len(other.payload_rows) or self._ncols != other._ncols:
-            raise DimensionMismatch(f"{self.shape} - {other.shape}")
-        sub = _kernel(self.field).sub_rows
-        return Matrix._trusted(self.field, tuple(map(sub, self.payload_rows, other.payload_rows)),
+            raise DimensionMismatch(f"{self.shape} {sign} {other.shape}")
+        return Matrix._trusted(self.field, tuple(map(op, self.payload_rows, other.payload_rows)),
                                self._ncols)
 
     def __neg__(self) -> "Matrix":
@@ -620,24 +618,11 @@ def bilinear(u: Vector, g: Matrix, v: Vector) -> FieldElement:
     return field.wrap(_kernel(field).dot(_vec_mat(field, _unbox(field, u), g), _unbox(field, v)))
 
 
-def stack_rows(field: Field, blocks) -> Matrix:
-    """Rows of the given matrices and vector lists, one under the other."""
-    rows = []
-    width = None
-    for b in blocks:
-        if isinstance(b, Matrix):
-            if b.field is not field and b.field != field:
-                raise DescriptorMismatch(f"a block over {b.field} stacked over {field}")
-            width = b.ncols if width is None else width
-            rows.extend(b.payload_rows)
-        else:
-            rows.extend(_unbox(field, v) for v in b)
-    rows = tuple(rows)
-    return Matrix._trusted(field, rows, _width(rows, width))
-
-
-def from_columns(field: Field, cols) -> Matrix:
-    return Matrix(field, cols).transpose()
+def stack_rows(*blocks: Matrix) -> Matrix:
+    """The rows of matrices of one field and width, one under the other;
+    the callers' operands belong to one space, whose guard checks that."""
+    rows = tuple(r for b in blocks for r in b.payload_rows)
+    return Matrix._trusted(blocks[0].field, rows, blocks[0].ncols)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

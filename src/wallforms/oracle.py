@@ -53,7 +53,7 @@ from .errors import (
 )
 from .fields import Galois2Field, PrimeField, _BatchArith, _batch_arith, _identity_last
 from .linalg import Matrix
-from .quadspace import QuadraticSpace, Subspace
+from .quadspace import QuadraticSpace, Subspace, _same_space
 from .isometry import Isometry
 from .wallform import wall_form
 from .decompose import complement_W, decompose, interchange_normal_basis
@@ -580,13 +580,13 @@ def _run_vprime(space, enum: GroupEnumeration) -> VerifyReport:
         r = iso.residual_space()
         wperp = w.orthogonal_complement()
         moves = iso.displacement().transpose()  # rows v -> (tau - 1) v
-        images = (wperp.basis * iso.mat.transpose()).rows
-        moved = (wperp.basis * moves).rows
+        images = (wperp.basis * iso.mat.transpose()).payload_rows
+        moved = (wperp.basis * moves).payload_rows
         return (wperp.dim == 2 * r.dim
                 and (w.basis * moves).is_zero()
                 and iso.fixed_space().intersection(wperp) == r
-                and Subspace.from_vectors(space, images) == wperp
-                and Subspace.from_vectors(space, moved) == r)
+                and Subspace.from_rows(space, images) == wperp
+                and Subspace.from_rows(space, moved) == r)
     return _check_each("v'", map(enum.isometry, enum.unipotent2_indices()), holds,
                        WallformsError)
 
@@ -632,10 +632,10 @@ def _run_clif(space, enum: GroupEnumeration) -> VerifyReport:
         elif not alternating_generators_check(iso, wf.orthogonal_basis()[0]).ok:
             return False
         model = explicit_matrix_iso(iso)
-        alg = model.algebra
+        alg, residual = model.algebra, iso.residual_space().basis
         # residual images are symmetric with square q(u) I, q(u) a square
-        return all(square_scalar_check(model.apply(alg.vector(u)), qu)
-                   for u, qu in zip(wf.basis, space.q_values(iso.residual_space().basis)))
+        return all(square_scalar_check(model.apply(alg._vector(u)), qu)
+                   for u, qu in zip(residual.payload_rows, space.q_values(residual)))
     isos = (iso for iso in map(enum.isometry, enum.involution_indices())
             if iso.residual_space() == iso.fixed_space())
     return _check_each("clif", isos, holds, WallformsError)
@@ -691,5 +691,6 @@ def exhaustive_verify(theorem: str, space: QuadraticSpace,
     runner, needs_group = entry
     if needs_group:
         enum = enum if enum is not None else enumerate_orthogonal_group(space)
+        _same_space(space, enum.space, "a space and an enumeration")
         return runner(space, enum)
     return runner(space)

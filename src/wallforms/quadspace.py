@@ -11,7 +11,8 @@ is the diagonal of R Q R^T for the rows of R.  ``eval_q`` and ``eval_b``
 take boxed vectors one at a time.
 
 Subspaces keep their bases in reduced row-echelon form so that equality
-is representational.
+is representational; ``from_rows`` builds them from payload rows.  Every
+call on two space-bound operands raises through one guard, ``_same_space``.
 
 A bilinear form enters as its Gram matrix G.  Its orthogonal and
 hyperbolic bases come back as coordinate rows P, built on payload rows by
@@ -61,15 +62,14 @@ from .linalg import (
 
 
 def _upper_triangularize(field: Field, qmat: Matrix) -> Matrix:
-    """Fold a square form matrix into the canonical upper-triangular shape."""
-    n = qmat.nrows
-    z = field.zero
-    rows = [[z] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = qmat[i, i]
-        for j in range(i + 1, n):
-            rows[i][j] = qmat[i, j] + qmat[j, i]
-    return Matrix(field, rows)
+    """Fold a square form matrix over `field` into the canonical
+    upper-triangular shape: Q_ii on the diagonal, Q_ij + Q_ji above it."""
+    if qmat.field != field:
+        raise DescriptorMismatch(f"a form over {qmat.field} for a space over {field}")
+    rows, n, zero = qmat.payload_rows, qmat.nrows, field.zero.payload
+    return Matrix._trusted(field, tuple(tuple(
+        zero if j < i else rows[i][i] if j == i else field.add(rows[i][j], rows[j][i])
+        for j in range(n)) for i in range(n)), n)
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,13 @@ class QuadraticSpace:
             raise DescriptorMismatch(f"rows over {rows.field} in a space over {self.field}")
         if rows.ncols != self.dim:
             raise DimensionMismatch(f"rows of length {rows.ncols} in dim {self.dim}")
-        kernel, prows = _kernel(self.field), rows.payload_rows
+        return self.field.wrap_all(self._q_payloads(rows.payload_rows))
+
+    def _q_payloads(self, prows) -> tuple:
+        """q of every payload row of length dim, as payloads."""
+        kernel = _kernel(self.field)
         rq = kernel.matmul(prows, self.qmat.payload_rows, self.dim)  # the rows of R Q
-        return self.field.wrap_all(map(kernel.dot, rq, prows))
+        return tuple(map(kernel.dot, rq, prows))
 
     def basis_vector(self, i: int) -> Vector:
         return Matrix.identity(self.field, self.dim).row(i)
@@ -166,7 +170,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, space: QuadraticSpace) -> "Subspace":
-        return cls(space, Matrix(space.field, [], ncols=space.dim))
+        return cls(space, Matrix._trusted(space.field, (), space.dim))
 
     @classmethod
     def full(cls, space: QuadraticSpace) -> "Subspace":
@@ -183,8 +187,8 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        _same_space(self, other)
-        return stack_rows(self.space.field, [self.basis, other.basis]).rank() == self.dim
+        _same_space(self.space, other.space, "subspaces")
+        return stack_rows(self.basis, other.basis).rank() == self.dim
 
     def coordinates(self, v: Vector) -> Vector | None:
         """Coefficients of v in this basis, or None if v is outside.
@@ -199,12 +203,12 @@ class Subspace:
         return coords
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        _same_space(self, other)
+        _same_space(self.space, other.space, "subspaces")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.space)
         # x = a . basis1 = b . basis2  <=>  (basis1^T | -basis2^T) (a; b) = 0
         field = self.space.field
-        joint = stack_rows(field, [self.basis, -other.basis]).transpose()
+        joint = stack_rows(self.basis, -other.basis).transpose()
         kernel = joint.kernel_rows()
         if not kernel:
             return Subspace.zero(self.space)
@@ -212,9 +216,8 @@ class Subspace:
         return Subspace(self.space, (coeffs * self.basis).row_space())
 
     def subspace_sum(self, other: "Subspace") -> "Subspace":
-        _same_space(self, other)
-        return Subspace(self.space, stack_rows(
-            self.space.field, [self.basis, other.basis]).row_space())
+        _same_space(self.space, other.space, "subspaces")
+        return Subspace(self.space, stack_rows(self.basis, other.basis).row_space())
 
     def orthogonal_complement(self) -> "Subspace":
         """{x : b(x, y) = 0 for all y in self} via a kernel computation."""
@@ -240,11 +243,12 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.space!r})"
 
 
-def _same_space(a: Subspace, b: Subspace):
-    """The one guard of the calls on two subspaces: DimensionMismatch unless
-    both live in one space (identity first, as most pairs share it)."""
-    if a.space is not b.space and a.space != b.space:
-        raise DimensionMismatch("subspaces of different spaces")
+def _same_space(a: QuadraticSpace, b: QuadraticSpace, operands: str):
+    """The one guard of every call on two space-bound operands:
+    DimensionMismatch, naming the `operands`, unless both belong to one
+    space (identity first, as most pairs share it)."""
+    if a is not b and a != b:
+        raise DimensionMismatch(f"{operands} of different spaces")
 
 
 def _orthogonal_to(space: QuadraticSpace, rows) -> Subspace:
@@ -261,8 +265,8 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     that the greedy choice keeps after those of `inner`, i.e. the pivot
     columns of (inner | outer) past inner's.  `inner` lies in `outer`
     exactly when that elimination has rank dim(outer)."""
-    _same_space(inner, outer)
-    joint = stack_rows(outer.space.field, [inner.basis, outer.basis]).transpose()
+    _same_space(inner.space, outer.space, "subspaces")
+    joint = stack_rows(inner.basis, outer.basis).transpose()
     pivots = joint.rref()[1]
     if len(pivots) != outer.dim:
         raise NotNested("inner subspace is not contained in outer")
@@ -381,7 +385,8 @@ def hyperbolic_basis_alternating(gram: Matrix) -> Matrix:
     field, n = gram.field, gram.nrows
     pairs = _symplectic_pairs(gram, Matrix.identity(field, n).payload_rows)
     p = Matrix.from_payloads(field, [r for pair in pairs for r in pair], n)
-    plane = Matrix.from_ints(field, [[0, 1], [-1, 0]])
+    zero, one = field.zero.payload, field.one.payload
+    plane = Matrix._trusted(field, ((zero, one), (_kernel(field).neg(one), zero)), 2)
     if p * gram * p.transpose() != block_diag(field, [plane] * (n // 2)):
         raise InvariantViolation("P G P^T is not the standard hyperbolic form")
     return p

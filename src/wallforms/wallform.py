@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotSymmetric
 from .fields import FieldElement
-from .linalg import Matrix, Vector, bilinear
+from .linalg import Matrix, Vector, _kernel, bilinear
 from .quadspace import Subspace, _upper_triangularize, orthogonal_basis
 from .isometry import Isometry
 
@@ -38,8 +38,14 @@ class WallForm:
 
     def orthogonal_basis(self) -> tuple[tuple[Vector, ...], tuple[FieldElement, ...]]:
         """An orthogonal basis of the residual form (nonalternating forms
-        only) and its diagonal w(u, u), computed once per isometry and
-        kept with its Wall form."""
+        only) and its diagonal w(u, u); :meth:`orthogonal_rows` boxed."""
+        rows, diagonal = self.orthogonal_rows()
+        return rows.rows, diagonal
+
+    def orthogonal_rows(self) -> tuple[Matrix, tuple[FieldElement, ...]]:
+        """The orthogonal basis as the rows of P R (P from
+        :func:`orthogonal_basis`, R the residual basis) and its diagonal,
+        kept with the isometry."""
         return self.tau.derived("orthogonal_basis", _orthogonal_residual_basis)
 
     def carrier(self) -> Subspace:
@@ -77,7 +83,7 @@ def wall_form(tau: Isometry) -> WallForm:
 def _orthogonal_residual_basis(tau: Isometry):
     # from the kept Gram matrix, not the WallForm, which refers back to tau
     p, diagonal = orthogonal_basis(tau.derived("wall_form", _wall_form_parts)[2])
-    return (p * tau.residual_space().basis).rows, diagonal
+    return p * tau.residual_space().basis, diagonal
 
 
 def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, ...], Matrix]:
@@ -92,7 +98,8 @@ def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, .
     # two theorems, checked eagerly: nondegeneracy and the diagonal law
     if residual.nrows and not gram.det():
         raise InvariantViolation("residual form is degenerate")
-    if any(gram[i, i] != -qu for i, qu in enumerate(space.q_values(residual))):
+    neg, grows = _kernel(space.field).neg, gram.payload_rows
+    if any(grows[i][i] != neg(q) for i, q in enumerate(space._q_payloads(residual.payload_rows))):
         raise InvariantViolation("diagonal law w(u, u) = -q(u) failed")
     return residual.rows, preimages.rows, gram
 

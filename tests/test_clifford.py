@@ -271,8 +271,8 @@ def test_pfister_r4t(tau_r4t, ft):
 
 def test_pfister_checks_the_kept_diagonal_against_q(r4t, tau_r4t, ft):
     tau = wf.Isometry(r4t, tau_r4t.mat)  # its own memo, apart from the fixture's
-    basis, diagonal = wf.wall_form(tau).orthogonal_basis()
-    tau._memo["orthogonal_basis"] = (basis, (diagonal[0] * ft.t,) + diagonal[1:])
+    rows, diagonal = wf.wall_form(tau).orthogonal_rows()
+    tau._memo["orthogonal_basis"] = (rows, (diagonal[0] * ft.t,) + diagonal[1:])
     with pytest.raises(InvariantViolation, match="residual diagonal does not match q"):
         wf.pfister_invariant(tau)
 
@@ -457,6 +457,27 @@ def test_goldman_gf4_conjugates(h4f4, f4):
 def test_goldman_rejects_non_interchange(h4f2):
     with pytest.raises(NotInterchange):
         wf.goldman_element(wf.identity_isometry(h4f2))
+
+
+def test_goldman_checks_its_conjugation(tau_int, monkeypatch):
+    """An inverse that is not g's (here always 1) fails the last check of
+    either construction: g e_i g^-1 = tau(e_i) on the basis vectors."""
+    monkeypatch.setattr(CliffordAlgebra, "inverse", lambda alg, a: alg.one())
+    for construction in ("frame", "swap-plane"):
+        with pytest.raises(InvariantViolation, match="conjugation does not reproduce"):
+            wf.goldman_element(tau_int, construction)
+
+
+def test_swap_plane_check_rejects_a_pairing_other_than_one(h4f4, f4):
+    """(y, w (x + z)) from the normal frame spans the swap plane, but
+    b(y, w (x + z)) = w b(y, x + z) = w: the basis is not unimodular."""
+    e = h4f4.basis_vector
+    tau = wf.eichler(h4f4, e(0), e(2))
+    x, y, _, z = wf.interchange_normal_basis(tau)
+    w = f4.parse("w")
+    pair = Matrix(f4, [y, tuple(w * (a + c) for a, c in zip(x, z))])
+    with pytest.raises(InvariantViolation, match="not unimodular"):
+        clifford._check_swap_plane(tau, pair)
 
 
 def test_swap_plane_check_rejects_a_plane_not_orthogonal_to_its_image(h4f4, f4):
@@ -831,6 +852,29 @@ def test_noncommuting_residual_generators_fail_phi_subalgebra(monkeypatch, h4f2,
     monkeypatch.setattr(clifford, "algebra_for_space", lambda space: alg)
     with pytest.raises(InvariantViolation):
         wf.phi_subalgebra(tau)
+
+
+def test_natural_involution_rejects_an_algebra_of_another_space(h4f2, h4f4, f2, tau_int):
+    """An algebra of another form on the same field and dimension, or of the
+    same form over another field, with or without its space: tau is not an
+    isometry of its space, so the call raises.  An algebra built without a
+    space is accepted when its q values and polar form are tau's."""
+    other_form = wf.QuadraticSpace.from_int_rows(
+        f2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    for space in (other_form, h4f4):
+        qvals = [space.qmat[i, i] for i in range(space.dim)]
+        for alg in (wf.algebra_for_space(space), CliffordAlgebra(space.field, qvals, space.gram)):
+            with pytest.raises(DimensionMismatch,
+                               match="an isometry and an algebra of different spaces"):
+                wf.natural_involution(tau_int, alg)
+    # tau's q values (all zero) with another polar form, q = x1 x3 + x2 x4
+    other_polar = wf.QuadraticSpace.from_int_rows(
+        f2, [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]).gram
+    with pytest.raises(DimensionMismatch, match="an isometry and an algebra of different spaces"):
+        wf.natural_involution(tau_int, CliffordAlgebra(f2, [f2.zero] * 4, other_polar))
+    tau = wf.Isometry(h4f2, tau_int.mat)  # nothing derived on another algebra
+    bare = CliffordAlgebra(f2, [f2.zero] * 4, h4f2.gram)
+    assert wf.natural_involution(tau, bare).matrix == wf.natural_involution(tau_int).matrix
 
 
 def test_natural_involution_is_kept_per_isometry_and_algebra(tau_int, h4f2, alg_h4f2):

@@ -192,7 +192,12 @@ def _ref_interchange(tau, x, w, within):
     z = vsub(z, vscale(space.eval_q(z), w))
     z = vsub(z, vscale(space.eval_b(y, z), x))
     frame = (x, y, w, z)
-    return InterchangeBlock(*frame, Subspace.from_vectors(space, frame))
+    return InterchangeBlock(wf.Matrix(space.field, frame), Subspace.from_vectors(space, frame))
+
+
+def _payloads(*vectors):
+    """The payload rows of boxed vectors, as the library's block builders take them."""
+    return tuple(tuple(c.payload for c in v) for v in vectors)
 
 
 @pytest.mark.parametrize("literal", ["gf(2)", "gf(3)"])
@@ -202,7 +207,7 @@ def test_interchange_frame_matches_reference_on_every_isotropic_pair(literal):
     space = wf.QuadraticSpace.hyperbolic(wf.parse_field(literal), 2)
     for x, w in isotropic_pairs(space):
         tau = wf.eichler(space, x, w)
-        assert _interchange(tau, x, w, None) == _ref_interchange(tau, x, w, None)
+        assert _interchange(tau, *_payloads(x, w), None) == _ref_interchange(tau, x, w, None)
 
 
 @given(data=st.data())
@@ -211,7 +216,7 @@ def test_interchange_frame_matches_reference_gf7(h4f7, data):
     x = data.draw(st.sampled_from(isotropic_vectors(h4f7)))
     w = data.draw(st.sampled_from(isotropic_partners(h4f7, x)))
     tau = wf.eichler(h4f7, x, w)
-    assert _interchange(tau, x, w, None) == _ref_interchange(tau, x, w, None)
+    assert _interchange(tau, *_payloads(x, w), None) == _ref_interchange(tau, x, w, None)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +270,18 @@ def test_decompose_mixed_identity_part(f2, h4f2, tau_int):
     assert reassemble(d) == tau.mat
 
 
+def test_decompose_with_an_identity_part_of_unequal_norms(f7):
+    """W = span(e4, e5) with Gram matrix diag(2, 6): the fixed summand's
+    columns of P follow the order of its Gram matrix."""
+    space = wf.QuadraticSpace.hyperbolic(f7, 2).orthogonal_sum(
+        wf.QuadraticSpace.from_int_rows(f7, [[1, 0], [0, 3]]))
+    e = space.basis_vector
+    tau = wf.eichler(space, e(0), e(2))
+    d = wf.decompose(tau)
+    assert d.fixed_complement == Subspace.from_vectors(space, [e(4), e(5)])
+    assert d.m == 1 and reassemble(d) == tau.mat
+
+
 def test_is_interchanging_kind(tau_int, tau_r2t, h4f2):
     assert wf.is_interchanging_kind(tau_int)
     assert not wf.is_interchanging_kind(tau_r2t)
@@ -308,7 +325,7 @@ def test_validate_rejects_a_block_action_that_does_not_reassemble(tau_r4t, ft):
     d = wf.decompose(tau_r4t)
     blk = d.blocks[0]
     # t * preimage spans the same plane, but tau does not act on it as the block claims
-    scaled = type(blk)(blk.u, tuple(ft.t * c for c in blk.preimage), blk.plane)
+    scaled = type(blk)(wf.Matrix(ft, [blk.u, tuple(ft.t * c for c in blk.preimage)]), blk.plane)
     bad = wf.Decomposition(tau_r4t, d.fixed_complement, (scaled,) + d.blocks[1:])
     assert reassemble(bad) != tau_r4t.mat
     with pytest.raises(wf.WallformsError, match="reassembled"):
@@ -345,7 +362,7 @@ def test_validate_rejects_a_frame_that_is_not_hyperbolic(h4f4, f4):
     frame = (e(0), vscale(w, e(1)), vscale(w, e(2)), e(3))
     # tau acts on the frame as an interchange block claims, and the frame
     # vectors are isotropic and span an orthogonal summand, but b(x, y) = w
-    blk = wf.InterchangeBlock(*frame, Subspace.from_vectors(h4f4, frame))
+    blk = wf.InterchangeBlock(wf.Matrix(f4, frame), Subspace.from_vectors(h4f4, frame))
     bad = wf.Decomposition(tau, Subspace.zero(h4f4), (blk,))
     assert reassemble(bad) == tau.mat
     assert h4f4.eval_b(blk.x, blk.y) == w
@@ -359,7 +376,7 @@ def test_validate_rejects_an_interchange_frame_that_is_not_isotropic(h4f2, tau_i
     # y = e1 + e0: tau(y) = y + w and every pairing of the frame is
     # hyperbolic, but q(y) = b(e0, e1) = 1
     frame = (e(0), vadd(e(1), e(0)), e(2), e(3))
-    blk = wf.InterchangeBlock(*frame, Subspace.full(h4f2))
+    blk = wf.InterchangeBlock(wf.Matrix(h4f2.field, frame), Subspace.full(h4f2))
     bad = wf.Decomposition(tau_int, Subspace.zero(h4f2), (blk,))
     assert reassemble(bad) == tau_int.mat
     with pytest.raises(wf.WallformsError, match="isotropic"):
@@ -398,7 +415,7 @@ def _ref_reflection(tau, u, within):
     v = _ref_solve_preimage(tau, u, within)
     if v is None:
         raise PreimageUnsolvable("no preimage for a residual vector")
-    return ReflectionBlock(u, v, Subspace.from_vectors(tau.space, [u, v]))
+    return ReflectionBlock(wf.Matrix(tau.space.field, [u, v]), Subspace.from_vectors(tau.space, [u, v]))
 
 
 def _ref_decompose(tau):
@@ -408,7 +425,9 @@ def _ref_decompose(tau):
     wall = wf.wall_form(tau)
     fixed = wf.complement_W(tau)
     if wall.is_alternating():
-        build, pieces = _ref_interchange, _hyperbolic_pairs(tau, wall)
+        field = tau.space.field
+        build, pieces = _ref_interchange, [tuple(map(field.wrap_all, pair))
+                                           for pair in _hyperbolic_pairs(tau, wall)]
     else:
         build, pieces = _ref_reflection, [(u,) for u in wall.orthogonal_basis()[0]]
     current = _ref_orthogonal_complement(fixed)
@@ -480,7 +499,8 @@ def test_validate_rejects_singular_planes_that_repeat(f2):
     honest = wf.reflection_block(tau, vadd(e(0), e(1)))
     # (e2, e5) has the claimed action and the claimed Gram matrix, which is
     # zero as q(e2) = 0; twice over, P^T B P is block diagonal but P is singular
-    singular = wf.ReflectionBlock(e(2), e(5), Subspace.from_vectors(h6f2, [e(2), e(5)]))
+    singular = wf.ReflectionBlock(wf.Matrix(f2, [e(2), e(5)]),
+                                  Subspace.from_vectors(h6f2, [e(2), e(5)]))
     bad = wf.Decomposition(tau, Subspace.zero(h6f2), (honest, singular, singular))
     with pytest.raises(wf.WallformsError, match="not regular"):
         validate_decomposition(bad)

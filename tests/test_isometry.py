@@ -5,14 +5,15 @@ import random
 import pytest
 
 import wallforms as wf
+from wallforms import oracle
 from wallforms.errors import (
+    DimensionMismatch,
     IsotropicVector,
     NotAnIsometry,
     NotInvariant,
     NotRegular,
     PreconditionError,
 )
-from wallforms.linalg import from_columns
 from wallforms.quadspace import Subspace
 
 from boxed_vectors import vadd, vscale, vsub
@@ -136,8 +137,8 @@ def _reflection_by_columns(space, u):
     """Column j: e_j - (b(u, e_j) / q(u)) u."""
     qu = space.eval_q(u)
     basis = [space.basis_vector(j) for j in range(space.dim)]
-    return from_columns(space.field, [vsub(e, vscale(space.eval_b(u, e) / qu, u))
-                                      for e in basis])
+    return wf.Matrix(space.field, [vsub(e, vscale(space.eval_b(u, e) / qu, u))
+                                   for e in basis]).transpose()
 
 
 def _eichler_by_columns(space, x, w):
@@ -148,7 +149,7 @@ def _eichler_by_columns(space, x, w):
         v = space.basis_vector(j)
         bvx, bvw = space.eval_b(v, x), space.eval_b(v, w)
         cols.append(vsub(vsub(vadd(v, vscale(bvx, w)), vscale(bvw, x)), vscale(qw * bvx, x)))
-    return from_columns(space.field, cols)
+    return wf.Matrix(space.field, cols).transpose()
 
 
 def test_reflection_and_eichler_match_their_columns_on_h4f4(h4f4):
@@ -263,6 +264,47 @@ def test_restrict_rejects_irregular(h4f2, tau_int):
     iso_plane = Subspace.from_vectors(h4f2, [h4f2.basis_vector(0), h4f2.basis_vector(2)])
     with pytest.raises(NotRegular):
         tau_int.restrict(iso_plane)
+
+
+def _ref_restrict(tau, sub):
+    """The restriction's matrix column by column, the coordinates of the
+    image of each basis vector, or None if `sub` is not invariant."""
+    cols = [sub.coordinates(tau.apply(v)) for v in sub.vectors()]
+    if None in cols:
+        return None
+    return wf.Matrix(tau.space.field, cols).transpose()
+
+
+def test_restrict_matches_reference_on_every_regular_subspace(h4f2):
+    subspaces = oracle._proper_regular_subspaces(h4f2)
+    invariant = 0
+    for tau in wf.enumerate_orthogonal_group(h4f2).isometries():
+        for sub in subspaces:
+            ref = _ref_restrict(tau, sub)
+            if ref is None:
+                with pytest.raises(NotInvariant):
+                    tau.restrict(sub)
+            else:
+                assert tau.restrict(sub).mat == ref
+                invariant += 1
+    assert 0 < invariant < 72 * len(subspaces)
+
+
+def test_isometry_pairs_of_different_spaces_are_rejected(h4f2, h4f4, f2, tau_int):
+    """Another form on the same field and dimension, or the same form over
+    another field: composing and restricting raise the one guard's error.
+    An equal space built again is the same space."""
+    other_form = wf.QuadraticSpace.from_int_rows(
+        f2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    for space in (other_form, h4f4):
+        with pytest.raises(DimensionMismatch, match="isometries of different spaces"):
+            tau_int * wf.identity_isometry(space)
+        with pytest.raises(DimensionMismatch,
+                           match="an isometry and a subspace of different spaces"):
+            tau_int.restrict(Subspace.full(space))
+    again = wf.QuadraticSpace.hyperbolic(f2, 2)
+    assert (tau_int * wf.identity_isometry(again)).mat == tau_int.mat
+    assert tau_int.restrict(Subspace.full(again)).mat == tau_int.mat
 
 
 # ---------------------------------------------------------------------------

@@ -1087,6 +1087,41 @@ def test_g_builds_one_normal_basis_per_element(h4f4, group_h4f4, monkeypatch):
     assert len(calls) == 30 and len({id(tau) for tau in calls}) == 30
 
 
+@pytest.mark.parametrize("theorem, name", [
+    ("char", "H6F2"), ("v'", "H6F2"), ("res", "H4F4"), ("g", "H4F4")])
+def test_runners_convert_no_boxed_vector(theorem, name, monkeypatch):
+    """Bases pass between the layers as payload matrices, so these runners
+    convert no field element back to its payload: a spy on ``_unbox``, in
+    every module that binds it, counts nothing past the algebra's set-up."""
+    group = _filter_group(name)
+    if group.space.field.characteristic() == 2:
+        wf.algebra_for_space(group.space)  # its constructor unboxes its q values
+    calls = []
+    for module in ("linalg", "quadspace", "decompose", "clifford"):
+        module = importlib.import_module(f"wallforms.{module}")
+        real = module._unbox
+        monkeypatch.setattr(module, "_unbox",
+                            lambda field, entries, real=real: calls.append(field) or real(field, entries))
+    report = wf.exhaustive_verify(theorem, group.space, group)
+    assert report.checked > 0 and report.failed == 0
+    assert calls == []
+    Subspace.from_vectors(group.space, [group.space.basis_vector(0)])  # a boundary call
+    assert len(calls) == 1
+
+
+def test_verify_rejects_an_enumeration_of_another_space(h4f2, group_h4f2, group_h4f4, f2):
+    """The same field and dimension with another form, or the same form
+    over another field: the enumeration's elements are not isometries of
+    the space named, so the call raises instead of reporting on them."""
+    other_form = wf.QuadraticSpace.from_int_rows(
+        f2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    for enum in (wf.enumerate_orthogonal_group(other_form), group_h4f4):
+        with pytest.raises(DimensionMismatch, match="a space and an enumeration of different spaces"):
+            wf.exhaustive_verify("char", h4f2, enum)
+    again = wf.QuadraticSpace.hyperbolic(f2, 2)
+    assert wf.exhaustive_verify("char", again, group_h4f2).checked == 22
+
+
 def test_clif_matches_reference_on_h4f4_with_one_inverse_per_element(h4f4, group_h4f4,
                                                                      monkeypatch):
     ref = _ref_run_clif(h4f4, group_h4f4)
@@ -1167,12 +1202,16 @@ def _alternating_check_fails(orig):
 
 
 def _spans_read_as_zero(dim):
-    """oracle.Subspace with every span of dimension `dim` read as zero."""
+    """oracle.Subspace with every span of dimension `dim` read as zero: the
+    runner's spans of payload rows and the reference's spans of vectors."""
     def fault(orig):
-        def from_vectors(space, vectors):
-            sub = orig.from_vectors(space, vectors)
-            return Subspace.zero(space) if sub.dim == dim else sub
-        return types.SimpleNamespace(from_vectors=from_vectors)
+        def reads_as_zero(span):
+            def faulty(space, rows):
+                sub = span(space, rows)
+                return Subspace.zero(space) if sub.dim == dim else sub
+            return faulty
+        return types.SimpleNamespace(from_rows=reads_as_zero(orig.from_rows),
+                                     from_vectors=reads_as_zero(orig.from_vectors))
     return fault
 
 

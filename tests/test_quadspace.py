@@ -93,6 +93,11 @@ def test_q_values_reject_rows_of_another_length_or_field(h4f2, h4f7, f7):
     assert h4f7.q_values(Matrix.zeros(f7, 0, 4)) == ()
 
 
+def test_a_form_matrix_over_another_field_is_rejected(f2, f7):
+    with pytest.raises(DescriptorMismatch):
+        wf.QuadraticSpace.from_q_upper(f2, Matrix.identity(f7, 2))
+
+
 def test_coordinates_reject_vectors_of_another_length(h4f2, tau_int, f2):
     one = f2.one
     for sub in (Subspace.full(h4f2), tau_int.residual_space(), Subspace.zero(h4f2)):
