@@ -35,7 +35,8 @@ from .errors import (
     ZeroDiagonal,
 )
 from .linalg import Matrix, Vector, _kernel, _unbox, _vec_mat, block_diag
-from .quadspace import Subspace, _orthogonal_to, complement_in, hyperbolic_basis_alternating
+from .quadspace import (Subspace, _orthogonal_to, _same_space, complement_in,
+                        hyperbolic_basis_alternating)
 from .isometry import Isometry
 from .wallform import WallForm, wall_form
 
@@ -113,6 +114,16 @@ def complement_W(tau: Isometry) -> Subspace:
     return w
 
 
+def _own_wall_form(tau: Isometry, wf: WallForm | None) -> WallForm:
+    """`wf`, computed if None; PreconditionError if it is the Wall form of
+    another isometry."""
+    if wf is None:
+        return wall_form(tau)
+    if wf.tau != tau:
+        raise PreconditionError("the Wall form belongs to another isometry")
+    return wf
+
+
 def _preimages(tau: Isometry, targets: Matrix, within: Subspace | None) -> Matrix:
     """Rows y_j with (tau - id) y_j = row j of `targets`, restricted to
     `within` if given, all from one elimination; PreimageUnsolvable if any
@@ -121,6 +132,7 @@ def _preimages(tau: Isometry, targets: Matrix, within: Subspace | None) -> Matri
     if within is None:
         found = n_mat.solve_many(targets)
     else:
+        _same_space(tau.space, within.space, "an isometry and a subspace")
         coeffs = (n_mat * within.basis.transpose()).solve_many(targets)
         found = None if coeffs is None else coeffs * within.basis
     if found is None:
@@ -164,7 +176,7 @@ def reflection_block(
     restricts the preimage to a subspace."""
     if tau.space.field.characteristic() != 2:
         raise CharacteristicNot2("reflection blocks exist in characteristic 2 only")
-    wf = wf if wf is not None else wall_form(tau)
+    wf = _own_wall_form(tau, wf)
     if not tau.residual_space().contains(u):
         raise NotInResidual("u is not in the residual space")
     if not wf.evaluate(u, u):
@@ -181,7 +193,7 @@ def interchange_block(
     """The regular 4-dimensional t-invariant subspace attached to a residual
     pair with w(x, x) = w(w, w) = 0 and w(x, w) = 1 = -w(w, x)."""
     _require_unipotent2(tau)
-    wf = wf if wf is not None else wall_form(tau)
+    wf = _own_wall_form(tau, wf)
     residual = tau.residual_space()
     if not (residual.contains(x) and residual.contains(w)):
         raise NotInResidual("pair does not lie in the residual space")
@@ -330,10 +342,7 @@ def validate_decomposition(d: Decomposition, wf: WallForm | None = None):
     det(P)^2 det(B) != 0 and P is a basis; tau fixes W pointwise; and
     every summand is regular and orthogonal to the others."""
     tau = d.tau
-    if wf is None:
-        wf = wall_form(tau)
-    elif wf.tau != tau:
-        raise PreconditionError("the Wall form belongs to another isometry")
+    wf = _own_wall_form(tau, wf)
     # the block kind/count law: s/2 interchange blocks or s reflection blocks
     kind, size = ("interchange", 2) if wf.is_alternating() else ("reflection", 1)
     if any(blk.kind != kind for blk in d.blocks) or size * d.m != wf.s:

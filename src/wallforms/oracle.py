@@ -17,13 +17,14 @@ against the isometry condition.  The closure keeps its elements as uint64
 keys (the n*n payloads as base-|F| digits, row by row), deduplicated by a
 sort and searchsorted, and multiplies them by generators on the keys
 alone; it therefore needs |F|^(n*n) <= 2^64.  Key order is payload order,
-row by row, the canonical order of an enumeration.  The unipotent,
-involution and identity filters run on one batch-last uint8 copy of the
-payloads, (n, n, N), made by the first filter and kept: each is one
-narrow product or comparison there, with no int64 temporary of the
-group's size.  Each element is proven an
-isometry once, where its enumeration is made: by the scan, the closure,
-or a batched check when a caller builds it (:class:`GroupEnumeration`).
+row by row, the canonical order of an enumeration.  An enumeration holds
+its group as one read-only uint8 array with the batch last, (n, n, N):
+the closure decodes its keys into that layout digit by digit, and the
+unipotent, involution and identity filters read it as it is, each one
+narrow product or comparison with no int64 temporary of the group's size.
+Each element is proven an isometry once, where its enumeration is made:
+by the scan, the closure, or a batched check when a caller builds it
+(:class:`GroupEnumeration`).
 
 Verification runners re-check the library's structural claims over every
 applicable element of an enumerated group and report counterexamples.
@@ -34,7 +35,6 @@ failures and builds the report.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -115,13 +115,6 @@ def _space_tables(space: QuadraticSpace) -> _SpaceTables:
 BATCH_ROWS = 1 << 16  # matrices per batched product; bounds the temporaries
 
 
-@functools.lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n, dtype=np.int64)  # the payload dtype of an enumeration
-    eye.flags.writeable = False
-    return eye
-
-
 def _payloads(mat: Matrix) -> np.ndarray:
     return np.array(mat.payload_rows, dtype=np.uint8).reshape(mat.shape)
 
@@ -136,14 +129,15 @@ def _keys(mats, size: int) -> np.ndarray:
 
 
 def _decode(keys, size: int, n: int) -> np.ndarray:
-    """The int64 (n, n) payload matrices behind `keys`, one digit at a time
-    (the temporaries stay one key array wide)."""
-    digits = np.empty((len(keys), n * n), dtype=np.uint8)
+    """The batch-last (n, n, N) uint8 payloads behind `keys`: digit k is row
+    k of an (n*n, N) array, made one digit at a time (the temporaries stay
+    one key array wide)."""
+    digits = np.empty((n * n, len(keys)), dtype=np.uint8)
     rest, base = keys.copy(), np.uint64(size)
     for k in range(n * n - 1, -1, -1):
-        digits[:, k] = rest % base
+        digits[k] = rest % base
         rest //= base
-    return digits.reshape(-1, n, n).astype(np.int64)
+    return digits.reshape(n, n, -1)
 
 
 def _unique_rows(mats) -> np.ndarray:
@@ -192,10 +186,12 @@ def _normalised_vectors(size: int, n: int):
 
 @dataclass(frozen=True)
 class GroupEnumeration:
-    """A read-only (N, n, n) int64 payload stack of isometries.  The scan
-    and the closure make theirs unchecked (:meth:`_trusted`), in canonical
-    order; one built by a caller is checked here, once, as one batch.  The
-    filters read a batch-last uint8 copy of the stack (:meth:`_batch_last`)."""
+    """Isometries of one space, stored as one read-only, C-contiguous uint8
+    array with the batch last, (n, n, N); `payloads` is its (N, n, n) view.
+    The scan and the closure make theirs unchecked (:meth:`_trusted`), in
+    canonical order.  One built by a caller is range-checked in its own
+    dtype, copied once into that layout and checked there as one batch.
+    The filters read the stored array itself."""
 
     space: QuadraticSpace
     method: str
@@ -209,18 +205,22 @@ class GroupEnumeration:
             stack = np.empty(0)
         if stack.shape[1:] != (n, n):
             raise DimensionMismatch(f"expected a stack of {n} x {n} payload matrices")
+        # before the narrowing to uint8, so that I + 256 is not taken for I
         if stack.dtype.kind not in "iu" or ((stack < 0) | (stack >= arith.order)).any():
             raise DescriptorMismatch(f"payloads must be integers 0 .. {arith.order - 1}")
-        self.__dict__.update(payloads=stack.astype(np.int64))
-        _check_isometries(arith, self.payloads, _payloads(self.space.qmat), NotAnIsometry)
-        self.payloads.flags.writeable = False
+        # always a copy: a batch-last-contiguous stack would be aliased by
+        # np.ascontiguousarray and stay writable through the caller's array
+        last = np.array(stack.transpose(1, 2, 0), dtype=np.uint8, order="C")
+        _check_isometries(arith, last.transpose(2, 0, 1), _payloads(self.space.qmat), NotAnIsometry)
+        self.__dict__.update(vars(self._trusted(self.space, self.method, last)))
 
     @classmethod
-    def _trusted(cls, space: QuadraticSpace, method: str, payloads: np.ndarray):
-        """The enumeration on a new int64 stack of isometries; no check."""
+    def _trusted(cls, space: QuadraticSpace, method: str, last: np.ndarray):
+        """The enumeration on a new batch-last uint8 array of isometries, kept
+        read-only with `payloads` its (N, n, n) view; no check."""
+        last.flags.writeable = False
         self = object.__new__(cls)
-        self.__dict__.update(space=space, method=method, payloads=payloads)
-        payloads.flags.writeable = False
+        self.__dict__.update(space=space, method=method, payloads=last.transpose(2, 0, 1))
         return self
 
     @property
@@ -240,8 +240,8 @@ class GroupEnumeration:
 
     def contains_payload(self, rows) -> bool:
         """Whether the n x n payload `rows` are an enumerated element,
-        compared entry by entry: nothing is reduced mod |F|, so an entry
-        outside 0 .. |F|-1 matches no element."""
+        compared entry by entry: nothing is reduced mod |F| or narrowed,
+        so an entry outside 0 .. |F|-1 matches no element."""
         n = self.space.dim
         try:
             rows = np.asarray(rows)
@@ -251,33 +251,21 @@ class GroupEnumeration:
             raise DimensionMismatch(f"expected {n} x {n} payload rows")
         return bool((self.payloads == rows).all(axis=(1, 2)).any())
 
-    def _batch_last(self) -> np.ndarray:
-        """The payloads as one read-only, contiguous (n, n, N) uint8 array,
-        the batch last, which the filters read; made by the first filter
-        and kept (the payloads are read-only too).  Cached by hand: a
-        cached_property costs a one-element enumeration as much as the copy."""
-        last = self.__dict__.get("_last")
-        if last is None:
-            last = np.ascontiguousarray(self.payloads.astype(np.uint8).transpose(1, 2, 0))
-            last.flags.writeable = False
-            self.__dict__["_last"] = last
-        return last
-
     def unipotent2_indices(self) -> list[int]:
         """The elements with (M - I)^2 = 0, from one batch-last product."""
         arith = _batch_arith(self.space.field)
-        delta = arith.minus_identity_last(self._batch_last())
+        delta = arith.minus_identity_last(self.payloads.transpose(1, 2, 0))
         return np.nonzero(~arith.matmul_last(delta, delta).any(axis=(0, 1)))[0].tolist()
 
     def involution_indices(self) -> list[int]:
         """The elements with M^2 = I, from one batch-last product."""
-        last = self._batch_last()
-        square = _batch_arith(self.space.field).matmul_last(last, last)
+        stored = self.payloads.transpose(1, 2, 0)
+        square = _batch_arith(self.space.field).matmul_last(stored, stored)
         return np.nonzero(_is_identity(square))[0].tolist()
 
     def identity_index(self) -> int:
         """The first element equal to I, by one comparison."""
-        hits = np.nonzero(_is_identity(self._batch_last()))[0]
+        hits = np.nonzero(_is_identity(self.payloads.transpose(1, 2, 0)))[0]
         if not len(hits):
             raise WallformsError("identity missing from enumeration")
         return int(hits[0])
@@ -290,8 +278,8 @@ def _is_identity(stack) -> np.ndarray:
 
 def _finish(space: QuadraticSpace, method: str, mats) -> GroupEnumeration:
     """Wrap enumerated matrices, sorted canonically (by payloads, row by row)."""
-    return GroupEnumeration._trusted(
-        space, method, _unique_rows(mats).reshape(-1, space.dim, space.dim).astype(np.int64))
+    rows = np.ascontiguousarray(_unique_rows(mats).T)  # (n*n, N), the batch last
+    return GroupEnumeration._trusted(space, method, rows.reshape(space.dim, space.dim, -1))
 
 
 def _scan(space: QuadraticSpace) -> GroupEnumeration:
@@ -306,7 +294,7 @@ def _scan(space: QuadraticSpace) -> GroupEnumeration:
 
     def extend(col: int):
         if col == n:
-            results.append(np.array([tables.vectors[c] for c in chosen], dtype=np.int64).T)
+            results.append(np.array([tables.vectors[c] for c in chosen], dtype=np.uint8).T)
             return
         for v in range(len(tables.vectors)):
             if tables.qvals[v] != target_q[col]:
@@ -332,7 +320,7 @@ def _check_isometries(arith: _BatchArith, mats, qmat, error):
 
 
 def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
-    """Deduplicated int64 matrices of all reflections and all Eichler
+    """Deduplicated uint8 payload matrices of all reflections and all Eichler
     transformations of the space, built as one payload batch from Q and
     B = Q + Q^T and checked once, as a batch, to preserve q.
 
@@ -346,7 +334,7 @@ def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
     if size ** n > GENERATOR_VECTOR_LIMIT:
         raise TooLarge("vector enumeration too large for generator construction")
     qmat, gram = _payloads(space.qmat), _payloads(space.gram)
-    eye = _identity(n)
+    eye = _identity_last(n)[:, :, 0]
     vecs, lead, normalised = _normalised_vectors(size, n)
     bvec = arith.matmul(vecs, gram)                          # rows (B v)^T
     qvec = arith.matmul(arith.matmul(vecs[:, None, :], qmat), vecs[:, :, None])[:, 0, 0]
@@ -374,7 +362,7 @@ def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
                 raise TooLarge("more generators than the closure element cap")
     gens = _unique_rows(np.concatenate(parts)).reshape(-1, n, n)
     _check_isometries(arith, gens, qmat, InvariantViolation)
-    return list(gens.astype(np.int64))
+    return list(gens)
 
 
 def _closure(space: QuadraticSpace) -> GroupEnumeration:
@@ -396,7 +384,7 @@ def _closure(space: QuadraticSpace) -> GroupEnumeration:
     size = arith.order
     if size ** (n * n) > 1 << 64:
         raise TooLarge(f"closure element keys need |F|^(n*n) <= 2^64, not {size}^{n * n}")
-    eye = _identity(n)
+    eye = _identity_last(n)[:, :, 0]
     gens = standard_generators(space) or [eye]
     gen_keys = _keys(gens, size)
     vecs = _all_vectors(size, n)
@@ -689,8 +677,8 @@ def exhaustive_verify(theorem: str, space: QuadraticSpace,
         raise UnknownTheorem(f"unknown theorem id {theorem!r}; "
                              f"known: {sorted(set(_RUNNERS) - {'vprime'})}")
     runner, needs_group = entry
-    if needs_group:
-        enum = enum if enum is not None else enumerate_orthogonal_group(space)
+    if enum is not None:
         _same_space(space, enum.space, "a space and an enumeration")
-        return runner(space, enum)
+    if needs_group:
+        return runner(space, enum if enum is not None else enumerate_orthogonal_group(space))
     return runner(space)

@@ -1,5 +1,6 @@
 """Block extraction and the full orthogonal decomposition."""
 
+import functools
 import importlib
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wallforms as wf
 from wallforms.errors import (
+    DimensionMismatch,
     NotHyperbolicPair,
     NotInterchange,
     NotUnipotent2,
@@ -308,6 +310,82 @@ def test_validate_rejects_a_wall_form_of_another_isometry(tau_int, h4f2):
     d = wf.decompose(tau_int)
     with pytest.raises(PreconditionError):
         validate_decomposition(d, wf.wall_form(wf.identity_isometry(h4f2)))
+
+
+@pytest.fixture(scope="module")
+def h4f2_unipotents(h4f2):
+    """The unipotents of H4F2 with s > 0: 15 of reflection kind (a
+    nonalternating residual form) and 6 of interchange kind."""
+    group = wf.enumerate_orthogonal_group(h4f2)
+    isos = [group.isometry(i) for i in group.unipotent2_indices()]
+    kinds = {kind: [t for t in isos if wf.wall_form(t).s
+                    and wf.wall_form(t).is_alternating() == (kind == "interchange")]
+             for kind in ("reflection", "interchange")}
+    assert {kind: len(isos) for kind, isos in kinds.items()} == {"reflection": 15, "interchange": 6}
+    return kinds
+
+
+def _nonzero_residual_vectors(tau):
+    residual = tau.residual_space()
+    return [v for v in tau.space.vectors() if any(v) and residual.contains(v)]
+
+
+def _frame_or_error(build, **kwargs):
+    """The frame of the block built, or the class of its typed refusal."""
+    try:
+        return build(**kwargs).frame
+    except (ZeroDiagonal, NotHyperbolicPair) as exc:
+        return type(exc)
+
+
+def test_reflection_block_takes_only_the_wall_form_of_its_isometry(h4f2_unipotents):
+    # tau's own form, also of an equal isometry built again, gives tau's
+    # block or refusal; the form of any other isometry is refused first
+    isos = h4f2_unipotents["reflection"]
+    for tau in isos:
+        own = wf.wall_form(wf.Isometry(tau.space, tau.mat))
+        for u in _nonzero_residual_vectors(tau):
+            build = functools.partial(wf.reflection_block, tau, u)
+            assert _frame_or_error(build, wf=own) == _frame_or_error(build)
+            for sigma in isos:
+                if sigma != tau:
+                    with pytest.raises(PreconditionError, match="another isometry"):
+                        wf.reflection_block(tau, u, wf=wf.wall_form(sigma))
+
+
+def test_interchange_block_takes_only_the_wall_form_of_its_isometry(h4f2_unipotents):
+    isos = h4f2_unipotents["interchange"]
+    for tau in isos:
+        own = wf.wall_form(wf.Isometry(tau.space, tau.mat))
+        vectors = _nonzero_residual_vectors(tau)
+        for x, w in ((x, w) for x in vectors for w in vectors if x != w):
+            build = functools.partial(wf.interchange_block, tau, x, w)
+            assert _frame_or_error(build, wf=own) == _frame_or_error(build)
+            for sigma in isos:
+                if sigma != tau:
+                    with pytest.raises(PreconditionError, match="another isometry"):
+                        wf.interchange_block(tau, x, w, wf=wf.wall_form(sigma))
+
+
+def test_block_constructors_take_only_a_subspace_of_their_space(h4f2_unipotents, tau_int,
+                                                               f2, f4):
+    """`within` of another form on the same field and dimension, or of the
+    same form over another field, raises the one space guard's error; of an
+    equal space built again, it gives the block."""
+    tau = h4f2_unipotents["reflection"][0]
+    u = tau.residual_space().vectors()[0]
+    blk = wf.decompose(tau_int).blocks[0]
+    calls = (lambda within: wf.reflection_block(tau, u, within=within),
+             lambda within: wf.interchange_block(tau_int, blk.x, blk.w, within=within))
+    other_form = wf.QuadraticSpace.from_int_rows(
+        f2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    for call in calls:
+        for space in (other_form, wf.QuadraticSpace.hyperbolic(f4, 2)):
+            with pytest.raises(DimensionMismatch,
+                               match="an isometry and a subspace of different spaces"):
+                call(Subspace.full(space))
+        again = Subspace.full(wf.QuadraticSpace.hyperbolic(f2, 2))
+        assert call(again).frame == call(None).frame
 
 
 def test_decompose_computes_the_wall_form_once(tau_int, tau_r4t, monkeypatch):

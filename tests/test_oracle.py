@@ -157,6 +157,8 @@ def test_contains_payload_is_false_outside_the_payloads(group_gf7_plane_split):
     for i in range(enum.order):
         assert enum.contains_payload(enum.payload_rows(i))
         assert enum.contains_payload(enum.payloads[i])
+        # nor narrowed: element + 256 is the element again as uint8
+        assert not enum.contains_payload(enum.payloads[i].astype(np.int64) + 256)
     assert not enum.contains_payload([[0, 0], [0, 0]])
     # no payload lies outside 0 .. 6, even where the entry reduces to one
     # of a member: -6 and 8 are 1 mod 7
@@ -418,7 +420,9 @@ def test_int_keys_sort_and_deduplicate_as_tobytes(size, n, data):
     assert (np.argsort(keys, kind="stable").tolist()
             == sorted(range(len(mats)), key=lambda i: mats[i].tobytes()))
     distinct = np.array([m for _, m in sorted({m.tobytes(): m for m in mats}.items())])
-    assert np.array_equal(_decode(_sorted_unique(keys), size, n), distinct)
+    decoded = _decode(_sorted_unique(keys), size, n)  # batch-last, (n, n, N)
+    assert decoded.dtype == np.uint8 and decoded.flags.c_contiguous
+    assert np.array_equal(decoded, distinct.transpose(1, 2, 0))
     # standard_generators' deduplication, which takes no keys
     assert np.array_equal(oracle._unique_rows(mats), distinct.reshape(len(distinct), -1))
 
@@ -502,7 +506,7 @@ def test_closure_takes_keys_of_all_64_bits(monkeypatch):
 def test_standard_generators_need_no_element_keys(h4f17):
     gens = standard_generators(h4f17)
     flat = np.array(gens).reshape(len(gens), -1)
-    assert len(gens) == 88_417 and flat.dtype == np.int64
+    assert len(gens) == 88_417 and flat.dtype == np.uint8
     step = np.diff(flat, axis=0)
     first = np.argmax(step != 0, axis=1)
     assert (step[np.arange(len(step)), first] > 0).all()  # strictly lexicographic
@@ -586,10 +590,12 @@ _EYE4 = np.eye(4, dtype=np.int64)
     ("h4f2", 2 * _EYE4[None], DescriptorMismatch),                 # |F|
     ("h4f4", 4 * _EYE4[None], DescriptorMismatch),
     ("h4f2", -_EYE4[None], DescriptorMismatch),
+    ("h4f2", _EYE4[None] + 256, DescriptorMismatch),               # I as uint8
+    ("h4f2", _EYE4[None] - 256, DescriptorMismatch),               # I as uint8 too
     ("h4f2", _EYE4[None].astype(float), DescriptorMismatch),
     ("h4f2", _EYE4[None].astype(bool), DescriptorMismatch),
 ], ids=["shape", "matrix", "ragged-stack", "ragged-rows", "entry-2", "entry-4",
-        "negative", "float", "bool"])
+        "negative", "wraps-up", "wraps-down", "float", "bool"])
 def test_caller_built_enumeration_rejects_malformed_payloads(space, payloads, error, request):
     with pytest.raises(error):
         oracle.GroupEnumeration(request.getfixturevalue(space), "caller", payloads)
@@ -604,8 +610,9 @@ def test_caller_built_enumeration_rejects_one_non_isometry(group, request):
     stack = np.concatenate([enum.payloads[:5], bad[None], enum.payloads[5:]])
     with pytest.raises(NotAnIsometry, match=f"^1 of {enum.order + 1} matrices"):
         oracle.GroupEnumeration(enum.space, "caller", stack)
-    again = oracle.GroupEnumeration(enum.space, "caller", enum.payloads.astype(np.uint8))
-    assert again.payloads.dtype == np.int64 and np.array_equal(again.payloads, enum.payloads)
+    # a caller's int64 stack is narrowed to the stored uint8 array
+    again = oracle.GroupEnumeration(enum.space, "caller", enum.payloads.astype(np.int64))
+    assert again.payloads.dtype == np.uint8 and np.array_equal(again.payloads, enum.payloads)
 
 
 def test_caller_built_enumeration_may_be_empty(h4f2):
@@ -614,10 +621,16 @@ def test_caller_built_enumeration_may_be_empty(h4f2):
 
 
 def test_enumeration_payloads_are_read_only(group_h4f2, group_h4f4, h4f2):
+    # np.array keeps the memory order of the stored array, so `source` is
+    # batch-last contiguous: its transpose could be taken as it is
     source = np.array(group_h4f2.payloads[3:5])
-    caller = oracle.GroupEnumeration(h4f2, "caller", source)
-    source[0, 0, 0] ^= 1  # the caller's array is not the checked one
-    assert np.array_equal(caller.payloads, group_h4f2.payloads[3:5])
+    assert source.transpose(1, 2, 0).flags.c_contiguous
+    for stack in (np.ascontiguousarray(source), source.astype(np.int64), source):
+        caller = oracle.GroupEnumeration(h4f2, "caller", stack)
+        assert not np.shares_memory(caller.payloads, stack)
+        stack[0, 0, 0] ^= 1  # the caller's array is not the checked one
+        assert np.array_equal(caller.payloads, group_h4f2.payloads[3:5])
+        stack[0, 0, 0] ^= 1
     for enum in (group_h4f2, group_h4f4, caller):  # scan, closure, caller
         assert not enum.payloads.flags.writeable
         with pytest.raises(ValueError):  # the same value: no harm if written
@@ -660,7 +673,7 @@ def _ref_closure(space):
     deduplicated with np.unique and searchsorted."""
     n = space.dim
     arith = _batch_arith(space.field)
-    eye = oracle._identity(n)
+    eye = np.eye(n, dtype=np.uint8)
     gens = np.array(standard_generators(space) or [eye], dtype=np.uint8)
     gen_keys = _ref_keys(gens)
     vecs = oracle._all_vectors(arith.order, n)
@@ -691,8 +704,7 @@ def _ref_closure(space):
         frontier = step(known, active[-1:])
         while len(frontier):
             frontier = step(frontier, active)
-    return oracle.GroupEnumeration(space, "generator-closure",
-                                   _ref_matrices(known, n).astype(np.int64))
+    return oracle.GroupEnumeration(space, "generator-closure", _ref_matrices(known, n))
 
 
 def _diagonal_space(literal, diagonal):
@@ -719,7 +731,7 @@ CLOSURE_SPACES = {
 def test_closure_matches_byte_key_reference(name):
     space = CLOSURE_SPACES[name]()
     new, ref = _closure(space), _ref_closure(space)
-    assert new.payloads.dtype == ref.payloads.dtype == np.int64
+    assert new.payloads.dtype == ref.payloads.dtype == np.uint8
     assert np.array_equal(new.payloads, ref.payloads)
 
 
@@ -819,26 +831,35 @@ def test_filters_make_no_int64_stack():
     # the filters' largest temporaries are uint8 (n, n, N) arrays: together
     # they stay below one int64 (N, n, n) stack (27.6 MiB on O(H4F7))
     group = _filter_group("H4F7")
+    int64_stack = group.payloads.size * np.dtype(np.int64).itemsize
     for name in ("unipotent2_indices", "involution_indices", "identity_index"):
-        fresh = oracle.GroupEnumeration._trusted(group.space, "copy", np.array(group.payloads))
+        stored = np.array(group.payloads.transpose(1, 2, 0))
+        fresh = oracle.GroupEnumeration._trusted(group.space, "copy", stored)
         tracemalloc.start()
         try:
             getattr(fresh, name)()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < group.payloads.nbytes, name
+        assert peak < int64_stack, name
 
 
-def test_batch_last_copy_is_made_once_and_read_only(h4f2, group_h4f2):
-    enum = oracle.GroupEnumeration(h4f2, "caller", np.array(group_h4f2.payloads))
-    assert "_last" not in enum.__dict__
-    enum.involution_indices()
-    last = enum.__dict__["_last"]
-    enum.unipotent2_indices(), enum.identity_index()
-    assert enum.__dict__["_last"] is last
-    assert last.dtype == np.uint8 and last.flags.c_contiguous and not last.flags.writeable
-    assert np.array_equal(last, group_h4f2.payloads.transpose(1, 2, 0))
+@pytest.mark.parametrize("group", ["group_h4f2", "group_h4f4", "H4F7", "caller"])
+def test_enumeration_stores_one_batch_last_array(group, request, h4f2, group_h4f2):
+    # scan (H4F2), closure (H4F4, H4F7) and a caller's stack: one read-only,
+    # C-contiguous uint8 (n, n, N) array, which the filters read as it is
+    if group == "caller":
+        enum = oracle.GroupEnumeration(h4f2, "caller", np.array(group_h4f2.payloads))
+    elif group == "H4F7":
+        enum = _filter_group(group)
+    else:
+        enum = request.getfixturevalue(group)
+    stored = enum.payloads.transpose(1, 2, 0)
+    assert stored.dtype == np.uint8 and stored.flags.c_contiguous and not stored.flags.writeable
+    before = dict(vars(enum))
+    assert [name for name, v in before.items() if isinstance(v, np.ndarray)] == ["payloads"]
+    enum.involution_indices(), enum.unipotent2_indices(), enum.identity_index()
+    assert vars(enum).keys() == before.keys() and enum.payloads is before["payloads"]
 
 
 # ---------------------------------------------------------------------------
@@ -1112,14 +1133,19 @@ def test_runners_convert_no_boxed_vector(theorem, name, monkeypatch):
 def test_verify_rejects_an_enumeration_of_another_space(h4f2, group_h4f2, group_h4f4, f2):
     """The same field and dimension with another form, or the same form
     over another field: the enumeration's elements are not isometries of
-    the space named, so the call raises instead of reporting on them."""
+    the space named, so the call raises instead of reporting on them.  So
+    does `totimes`, which takes no group."""
     other_form = wf.QuadraticSpace.from_int_rows(
         f2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     for enum in (wf.enumerate_orthogonal_group(other_form), group_h4f4):
-        with pytest.raises(DimensionMismatch, match="a space and an enumeration of different spaces"):
-            wf.exhaustive_verify("char", h4f2, enum)
+        for theorem in ("char", "totimes"):
+            with pytest.raises(DimensionMismatch,
+                               match="a space and an enumeration of different spaces"):
+                wf.exhaustive_verify(theorem, h4f2, enum)
     again = wf.QuadraticSpace.hyperbolic(f2, 2)
     assert wf.exhaustive_verify("char", again, group_h4f2).checked == 22
+    assert (wf.exhaustive_verify("totimes", again, group_h4f2).as_dict()
+            == wf.exhaustive_verify("totimes", h4f2).as_dict())
 
 
 def test_clif_matches_reference_on_h4f4_with_one_inverse_per_element(h4f4, group_h4f4,
