@@ -14,6 +14,11 @@ Elements are strings in the field's literal grammar (plain integers are
 also accepted; floats, booleans and nulls are parse errors).  Exit codes:
 0 success, 2 parse error, 3 precondition violation, 4 internal invariant
 failure.
+
+A request pays only for its own problem: ``parse_field`` hands out one
+interned field per field, whose kernel, tables and elements outlive the
+request, a canonical element literal is one table lookup, and matrices are
+built straight from the parsed payloads.
 """
 
 from __future__ import annotations
@@ -60,15 +65,18 @@ class ProblemFile:
 
 
 def _parse_matrix(field, rows, dim) -> Matrix:
+    """A dim x dim matrix straight on the payloads of the parsed entries,
+    each of which `field.parse` has made an element of `field`."""
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"matrix is not {dim}x{dim}")
-    return Matrix(field, [_parse_vector(field, row, dim) for row in rows])
+    return Matrix._trusted(field, tuple(
+        tuple([e.payload for e in _parse_vector(field, row, dim)]) for row in rows), dim)
 
 
 def _parse_vector(field, row, dim):
     if not isinstance(row, list) or len(row) != dim:
         raise ParseError(f"vector is not a list of length {dim}")
-    return tuple(field.parse(v) for v in row)
+    return tuple(map(field.parse, row))
 
 
 def load_problem(doc: dict) -> ProblemFile:

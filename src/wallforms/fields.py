@@ -21,7 +21,12 @@ The same tables drive the batched numpy arithmetic on payload arrays
 the Clifford-algebra checks share.
 
 Textual literals: fields ``"gf(7)"``, ``"gf(4;x^2+x+1)"``, ``"gf2(t)"``;
-elements ``"3"``, ``"w+1"``, ``"(t^2+1)/t"``.
+elements ``"3"``, ``"w+1"``, ``"(t^2+1)/t"``.  :func:`parse_field` returns
+one interned object per field, so a process builds each field's kernel,
+tables and elements once, however often and however spelled its literal
+is read.  A finite field formats a payload and parses its canonical
+literal by one lookup in tables of at most |F| entries; every other
+element literal goes through the one parser.
 """
 
 from __future__ import annotations
@@ -390,11 +395,37 @@ class Field:
 
 
 class _FiniteField(Field):
-    """Payloads are the ints 0 .. order-1; one interned element each."""
+    """Payloads are the ints 0 .. order-1; one interned element each.
+
+    Two literal tables of at most |F| entries each are built on first use
+    from the field's own formatter (``_format``): payload -> canonical
+    literal, which :meth:`format` and ``str(e)`` read, and canonical
+    literal -> element, which :meth:`parse` tries first.  Every other input
+    goes through the full parser (``_parse``), so the grammar is one."""
 
     def _intern(self, order: int):
         self._elements = tuple(FieldElement(self, p) for p in range(order))
         self._zero, self._one = self._elements[0], self._elements[1]
+
+    @functools.cached_property
+    def _literals(self) -> tuple[str, ...]:
+        return tuple(map(self._format, range(len(self._elements))))
+
+    @functools.cached_property
+    def _by_literal(self) -> dict[str, FieldElement]:
+        return dict(zip(self._literals, self._elements))
+
+    def format(self, payload) -> str:
+        return self._literals[payload]
+
+    def parse(self, s) -> FieldElement:
+        """The element `s` names: a canonical literal by one lookup, any
+        other input through the full parser, with its ParseErrors."""
+        if type(s) is str:
+            element = self._by_literal.get(s)
+            if element is not None:
+                return element
+        return self._parse(s)
 
     def is_payload(self, payload) -> bool:
         return type(payload) is int and 0 <= payload < len(self._elements)
@@ -588,14 +619,14 @@ class PrimeField(_FiniteField):
                 return self._elements[c]
         raise NotASquare(f"{a} is not a square in {self}")
 
-    def parse(self, s) -> FieldElement:
+    def _parse(self, s) -> FieldElement:
         _check_literal(s, self)
         try:
             return self.from_int(s if isinstance(s, int) else _ascii_int(s))
         except ValueError:
             raise ParseError(f"bad element literal {s!r} for {self}") from None
 
-    def format(self, payload) -> str:
+    def _format(self, payload) -> str:
         return str(payload)
 
     def literal(self) -> str:
@@ -685,7 +716,7 @@ class Galois2Field(_FiniteField):
     def sqrt(self, a: FieldElement) -> FieldElement:
         return self._elements[self._pow_raw(a.payload, 1 << (self.k - 1))]
 
-    def parse(self, s) -> FieldElement:
+    def _parse(self, s) -> FieldElement:
         _check_literal(s, self)
         if isinstance(s, int):
             return self.from_int(s)
@@ -694,7 +725,7 @@ class Galois2Field(_FiniteField):
             p = poly_mod(p, self.modulus)
         return self._elements[p]
 
-    def format(self, payload) -> str:
+    def _format(self, payload) -> str:
         return _poly_to_str(payload, self.var)
 
     def literal(self) -> str:
@@ -879,13 +910,31 @@ class RationalFunctionField(Field):
 # Field literals
 # ---------------------------------------------------------------------------
 
+_KINDS = {"prime": PrimeField, "galois2": Galois2Field, "ratfunc": RationalFunctionField}
+
+
+@functools.cache
+def _interned(kind: str, *params) -> Field:
+    """The one field of `kind` with these parameters, built on first use.
+    A construction that raises is not kept, so only valid parameters
+    become keys, and a bad literal raises on every call."""
+    return _KINDS[kind](*params)
+
+
 def parse_field(s: str) -> Field:
-    """Parse a field literal: ``gf(7)``, ``gf(4;x^2+x+1)``, ``gf2(t)``."""
+    """Parse a field literal: ``gf(7)``, ``gf(4;x^2+x+1)``, ``gf2(t)``.
+
+    Every literal of one field gives the same interned object, keyed by the
+    field's parameters: ``("prime", p)``, ``("galois2", k, modulus)`` with
+    the default modulus filled in, or GF(2)(t).  So ``gf(7)`` and
+    `` GF(7) ``, or ``gf(4)`` and ``gf(4;x^2+x+1)``, share one field with its
+    kernel, tables and elements.  The constructors (``PrimeField(7)``, ...)
+    still build a new, equal field."""
     if not isinstance(s, str):
         raise ParseError(f"field literal must be a string, got {s!r}")
     text = s.strip().lower().replace(" ", "")
     if text == "gf2(t)":
-        return RationalFunctionField()
+        return _interned("ratfunc")
     if not (text.startswith("gf(") and text.endswith(")")):
         raise ParseError(f"bad field literal {s!r}")
     body = text[3:-1]
@@ -899,7 +948,9 @@ def parse_field(s: str) -> Field:
     except ValueError:
         raise ParseError(f"bad field literal {s!r}") from None
     if size >= 2 and size & (size - 1) == 0:  # a power of two
-        return Galois2Field(size.bit_length() - 1, modulus)
+        k = size.bit_length() - 1
+        # a degree without a default modulus is refused by the constructor
+        return _interned("galois2", k, DEFAULT_MODULI.get(k) if modulus is None else modulus)
     if modulus is not None:
         raise ParseError(f"modulus given for non-2-power field in {s!r}")
-    return PrimeField(size)
+    return _interned("prime", size)

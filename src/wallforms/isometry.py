@@ -28,18 +28,21 @@ from .quadspace import QuadraticSpace, Subspace, _same_space
 
 
 def _isometry_defect_witness(space: QuadraticSpace, mat: Matrix) -> Vector | None:
-    """A vector x with q(Mx) != q(x), or None if M preserves q."""
-    n = space.dim
+    """A vector x with q(Mx) != q(x), or None if M preserves q.  The
+    diagonal of N and N + N^T are read on payload rows; only the witness
+    is boxed."""
+    n, kernel = space.dim, _kernel(space.field)
     defect = mat.transpose() * space.qmat * mat - space.qmat
+    rows, zero = defect.payload_rows, kernel.zero
     for i in range(n):
-        if defect[i, i]:
+        if rows[i][i] != zero:
             return space.basis_vector(i)
-    sym = defect + defect.transpose()
+    sym = (defect + defect.transpose()).payload_rows
     ident = Matrix.identity(space.field, n).payload_rows
     for i in range(n):
         for j in range(i + 1, n):
-            if sym[i, j]:
-                return space.field.wrap_all(_kernel(space.field).add_rows(ident[i], ident[j]))
+            if sym[i][j] != zero:
+                return space.field.wrap_all(kernel.add_rows(ident[i], ident[j]))
     return None
 
 

@@ -223,6 +223,16 @@ class GroupEnumeration:
         self.__dict__.update(space=space, method=method, payloads=last.transpose(2, 0, 1))
         return self
 
+    def __eq__(self, other):
+        """Same space, same method and the same elements in the same order."""
+        if not isinstance(other, GroupEnumeration):
+            return NotImplemented
+        return (self.space == other.space and self.method == other.method
+                and np.array_equal(self.payloads, other.payloads))
+
+    def __hash__(self):
+        return hash((self.space, self.method, self.order))
+
     @property
     def order(self) -> int:
         return self.payloads.shape[0]

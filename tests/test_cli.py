@@ -1,6 +1,7 @@
 """Command-line interface: JSON in, JSON out, exit codes, round-trips."""
 
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -231,6 +232,34 @@ def test_invariant_violation_exits_4_without_traceback(tmp_path, capsys, monkeyp
     assert json.loads(captured.out) == {"error": "invariant",
                                         "message": "injected: the blocks do not reassemble tau"}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("doc", [H4F2_DOC, R2T_DOC], ids=["gf(2)", "gf2(t)"])
+def test_warm_requests_leave_no_library_garbage(tmp_path, capsys, doc):
+    """Fields are interned, so a warm request leaves no reference cycle of
+    library objects for the cyclic collector; the encoder closures that
+    ``json.dumps(indent=2)`` leaves are not library objects."""
+    path = _write(tmp_path, doc)
+    commands = ("analyze", "decompose", "clifford")
+    for command in commands:
+        assert main([command, "--space", path]) == 0
+    enabled, debug, start = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for command in commands:
+            assert main([command, "--space", path]) == 0
+        gc.collect()
+        leaked = [type(o).__qualname__ for o in gc.garbage[start:]
+                  if type(o).__module__.startswith("wallforms")]
+    finally:
+        del gc.garbage[start:]
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert leaked == []
 
 
 def test_round_trip_emitted_space(tmp_path, capsys):

@@ -324,6 +324,71 @@ def test_exponents_up_to_the_bound_still_parse(f4, ft):
 
 
 # ---------------------------------------------------------------------------
+# interned fields and their literal tables
+# ---------------------------------------------------------------------------
+
+def test_parse_field_hands_out_one_object_per_field():
+    assert wf.parse_field("gf(7)") is wf.parse_field(" GF(7) ") is wf.parse_field("gf(07)")
+    assert wf.parse_field("gf(4)") is wf.parse_field("gf(4;x^2+x+1)")
+    assert wf.parse_field("gf(2)") is wf.parse_field("gf(2;x+1)")
+    assert wf.parse_field("gf2(t)") is wf.parse_field("GF2(T)")
+    # same order, other modulus: another field
+    assert wf.parse_field("gf(8)") is not wf.parse_field("gf(8;x^3+x^2+1)")
+    assert wf.parse_field("gf(8)") != wf.parse_field("gf(8;x^3+x^2+1)")
+    # the constructors still build new, equal fields
+    assert wf.PrimeField(7) is not wf.parse_field("gf(7)")
+    assert wf.PrimeField(7) == wf.parse_field("gf(7)")
+
+
+def test_bad_field_literals_raise_on_every_call():
+    before = wf.fields._interned.cache_info().currsize
+    for _ in range(2):
+        for lit in ["gf(9)", "gf(101)", "gf(512)", "gf(4;x^2+1)", "gf(8;x^2+x+1)"]:
+            with pytest.raises((ParseError, CapExceeded)):
+                wf.parse_field(lit)
+    assert wf.fields._interned.cache_info().currsize == before
+
+
+FINITE_LITERALS = ["gf(2)", "gf(4;x^2+x+1)", "gf(8)", "gf(16)", "gf(256)", "gf(7)", "gf(97)"]
+
+
+@pytest.mark.parametrize("literal", FINITE_LITERALS)
+def test_canonical_literals_name_the_interned_elements(literal):
+    field = wf.parse_field(literal)
+    for p in field.payloads():
+        text = field.format(p)
+        assert text == str(field.wrap(p)) == field._format(p)
+        assert field.parse(text) is field.wrap(p)
+
+
+def _literal_texts(field):
+    """Canonical literals, spellings of them the full parser also reads
+    (padding, leading zeros, reordered terms, signs) and arbitrary text."""
+    canonical = st.sampled_from(field._literals)
+    spelled = st.tuples(canonical, st.sampled_from(["", " ", "0", "+", "-"]),
+                        st.sampled_from(["", " ", "+0", "+1", "_0"])).map(
+        lambda t: t[1] + "+".join(reversed(t[0].split("+"))) + t[2])
+    return st.one_of(canonical, spelled, st.text(alphabet="0123456789wxt+-^ _()/", max_size=8),
+                     st.integers(-300, 300))
+
+
+@pytest.mark.parametrize("literal", FINITE_LITERALS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_literal_table_agrees_with_the_full_parser(literal, data):
+    field = wf.parse_field(literal)
+    text = data.draw(_literal_texts(field))
+
+    def outcome(parse):
+        try:
+            return parse(text)
+        except Exception as exc:  # the class is what must agree
+            return type(exc)
+
+    assert outcome(field.parse) is outcome(field._parse)
+
+
+# ---------------------------------------------------------------------------
 # GF(2)(t) payload ops against a reference that reduces every result
 # ---------------------------------------------------------------------------
 

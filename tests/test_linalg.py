@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wallforms as wf
 from wallforms.errors import DescriptorMismatch, DimensionMismatch, SingularMatrix
-from wallforms.fields import FieldElement, Galois2Field, field_tables
+from wallforms.fields import FieldElement, Galois2Field, PrimeField, field_tables
 from wallforms.linalg import Matrix, bilinear, kron, mat_vec
 
 
@@ -154,7 +154,7 @@ def test_plain_int_entry_raises(f7):
 
 
 def test_equal_fields_mix(f7):
-    again = wf.parse_field("gf(7)")
+    again = wf.PrimeField(7)  # equal, but not the interned field
     m = Matrix(f7, [[again.one, f7.zero]])
     assert m == Matrix(again, [[f7.one, again.zero]])
     assert hash(m) == hash(Matrix(again, [[f7.one, again.zero]]))
@@ -185,8 +185,10 @@ def test_from_payloads_roundtrip(f4, ft):
 def test_tables_are_shared_by_equal_fields(literal):
     from wallforms.oracle import _batch_arith
 
-    a, b = wf.parse_field(literal), wf.parse_field(literal)
-    assert a is not b
+    a = wf.parse_field(literal)
+    # the constructor builds an equal field that is not the interned one
+    b = Galois2Field(a.k, a.modulus) if isinstance(a, Galois2Field) else PrimeField(a.p)
+    assert a is not b and a == b
     assert field_tables(a) is field_tables(b)
     assert _batch_arith(a)._mul.tolist() == [list(r) for r in field_tables(b).mul]
     if isinstance(a, Galois2Field):

@@ -615,6 +615,21 @@ def test_caller_built_enumeration_rejects_one_non_isometry(group, request):
     assert again.payloads.dtype == np.uint8 and np.array_equal(again.payloads, enum.payloads)
 
 
+def test_enumerations_compare_by_space_method_and_elements(f2, f4):
+    plane2, plane4 = (wf.QuadraticSpace.hyperbolic(f, 1) for f in (f2, f4))
+    scan, closure = (wf.enumerate_orthogonal_group(plane2, m) for m in ("scan", "closure"))
+    for enum in (scan, closure):
+        again = wf.enumerate_orthogonal_group(plane2, "scan" if enum is scan else "closure")
+        assert enum == again and hash(enum) == hash(again)
+        assert {enum: "found"}[again] == "found"
+    assert scan != closure  # another method, though the same group
+    assert scan != wf.enumerate_orthogonal_group(plane4, "scan")  # another space
+    caller = oracle.GroupEnumeration(plane2, scan.method, scan.payloads)
+    assert caller == scan
+    assert oracle.GroupEnumeration(plane2, scan.method, scan.payloads[::-1]) != scan
+    assert scan != "scan" and scan != None  # noqa: E711
+
+
 def test_caller_built_enumeration_may_be_empty(h4f2):
     enum = oracle.GroupEnumeration(h4f2, "caller", np.zeros((0, 4, 4), dtype=np.int64))
     assert enum.order == 0 and list(enum.isometries()) == []
