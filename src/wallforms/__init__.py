@@ -5,6 +5,10 @@ lattice; isometries with their residual bilinear forms; decomposition of
 unipotent isometries of index two into interchange blocks and reflections;
 and, in characteristic two, Clifford algebras with the induced involution
 and its invariants, all backed by a brute-force enumeration oracle.
+
+Importing the package loads no numpy: only the oracle (enumeration and
+exhaustive verification) and the explicit matrix models of ``clifford``
+use it, and they load it when first used.
 """
 
 from .errors import WallformsError, PreconditionError, InvariantViolation
@@ -67,12 +71,32 @@ from .clifford import (
     tensor_decomposition_witness,
     transpose_iso_criterion,
 )
-from .oracle import (
-    GroupEnumeration,
-    VerifyReport,
-    enumerate_orthogonal_group,
-    enumerate_unipotent2,
-    exhaustive_verify,
-)
 
 __version__ = "0.1.0"
+
+# The oracle, and numpy with it, loads on first use: the first lookup of
+# the module or of one of its names binds all of them here, so every later
+# lookup is a plain module attribute.
+_ORACLE_NAMES = (
+    "GroupEnumeration",
+    "VerifyReport",
+    "enumerate_orthogonal_group",
+    "enumerate_unipotent2",
+    "exhaustive_verify",
+)
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | {"oracle", *_ORACLE_NAMES})
+
+
+def __getattr__(name):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    oracle = importlib.import_module(".oracle", __name__)  # binds "oracle" here
+    globals().update((n, getattr(oracle, n)) for n in _ORACLE_NAMES)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

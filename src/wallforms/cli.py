@@ -18,7 +18,9 @@ failure.
 A request pays only for its own problem: ``parse_field`` hands out one
 interned field per field, whose kernel, tables and elements outlive the
 request, a canonical element literal is one table lookup, and matrices are
-built straight from the parsed payloads.
+built straight from the parsed payloads.  Only ``verify`` and
+``enumerate`` import the oracle, and with it numpy; the other commands
+never load either.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .clifford import (
     phi_subalgebra,
     transpose_iso_criterion,
 )
-from .oracle import enumerate_orthogonal_group, exhaustive_verify
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -204,12 +205,16 @@ def cmd_clifford(problem: ProblemFile) -> dict:
 
 
 def cmd_verify(problem: ProblemFile, theorem: str) -> tuple[dict, int]:
+    from .oracle import exhaustive_verify
+
     report = exhaustive_verify(theorem, problem.space)
     code = EXIT_OK if report.failed == 0 else EXIT_INVARIANT
     return report.as_dict(), code
 
 
 def cmd_enumerate(problem: ProblemFile) -> dict:
+    from .oracle import enumerate_orthogonal_group
+
     enum = enumerate_orthogonal_group(problem.space)
     return {
         "order": enum.order,

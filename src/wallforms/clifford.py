@@ -35,7 +35,10 @@ orthogonal planes, each quaternion algebra split by a closed form, and
 Kronecker products.  Per involution only the transport form and the
 conjugation are computed.  The final checks over all blades and all 4^n
 blade pairs (batched products and gathers of payload arrays) are the
-model's only relation checks, and they run for every involution.
+model's only relation checks, and they run for every involution.  They are
+this module's only numpy work: :func:`explicit_matrix_iso` and its helpers
+import the batched arithmetic (``batched._batch_arith``), and with it
+numpy, when they run, so loading this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor as _xor
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     AlgebraMismatch,
@@ -67,7 +69,7 @@ from .errors import (
     UnsupportedField,
     ZeroSquare,
 )
-from .fields import Field, FieldElement, Galois2Field, _batch_arith, field_tables
+from .fields import Field, FieldElement, Galois2Field, field_tables
 from .linalg import (
     Matrix,
     Vector,
@@ -90,6 +92,9 @@ from .quadspace import (
 from .isometry import Isometry
 from .wallform import WallForm, wall_form
 from .decompose import Decomposition, decompose, normal_frame
+
+if TYPE_CHECKING:  # the explicit-model functions import numpy when they run
+    import numpy as np
 
 
 class CliffordAlgebra:
@@ -886,6 +891,8 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     all 4^n blade pairs, run on every call and are the only relation
     checks: the pair (e_i, e_i) gives f(e_i)^2 = q(e_i) I, and the pairs
     (e_i, e_j) and (e_j, e_i) give the polar relation."""
+    from .batched import _batch_arith
+
     space = tau.space
     field = space.field
     criterion = transpose_iso_criterion(tau)
@@ -929,6 +936,8 @@ PAIR_BATCH = 1 << 22  # payload bytes gathered per batch of the multiplicativity
 
 def _payload_array(*mats: Matrix) -> np.ndarray:
     """The payloads of square matrices over GF(2^k), stacked: (len, N, N)."""
+    import numpy as np
+
     return np.array([m.payload_rows for m in mats], dtype=np.uint8)
 
 
@@ -940,6 +949,10 @@ def _verify_matrix_iso(iso: MatrixIso, inv: AlgebraInvolution) -> None:
     gathers: J^T times the flattened images, and every pairwise product of
     images against the image of e_s e_t, summed from its sparse structure
     constants (:func:`_pair_images`)."""
+    import numpy as np
+
+    from .batched import _batch_arith
+
     alg, size = iso.algebra, iso.size
     field, dim = alg.field, alg.dim
     imgs = _payload_array(*iso.blade_images)
@@ -968,6 +981,10 @@ def _pair_images(alg: CliffordAlgebra, flat: np.ndarray, lo: int, hi: int) -> np
     images scaled by every field element (row c * 2^n + b is c f(e_b)),
     XOR-summed per pair.  The sum of payloads is their bytewise XOR, so
     the rows are summed as words of up to 8 payload bytes."""
+    import numpy as np
+
+    from .batched import _batch_arith
+
     codes, starts = _sparse_structure(alg)
     arith = _batch_arith(alg.field)
     dim, width = alg.dim, flat.shape[1]
@@ -986,6 +1003,8 @@ def _sparse_structure(alg: CliffordAlgebra) -> tuple[np.ndarray, np.ndarray]:
     product is 0 holds the one code 0 (coefficient 0), since ``reduceat``
     reads an empty segment as the entry after it."""
     if alg._sparse is None:
+        import numpy as np
+
         dim = alg.dim
         codes, starts = [], []
         for s in range(dim):

@@ -17,8 +17,9 @@ Finite fields intern their elements, one per payload, so wrapping a payload
 (:meth:`Field.wrap`) allocates nothing; their product and inverse tables
 (:func:`field_tables`) are built once and shared by every equal field.
 The same tables drive the batched numpy arithmetic on payload arrays
-(:func:`_batch_arith`, one per field) that the oracle's enumeration and
-the Clifford-algebra checks share.
+(``batched._batch_arith``, one per field) that the oracle's enumeration
+and the Clifford-algebra checks share.  It lives in its own module, so
+numpy is loaded only once the oracle or an explicit matrix model needs it.
 
 Textual literals: fields ``"gf(7)"``, ``"gf(4;x^2+x+1)"``, ``"gf2(t)"``;
 elements ``"3"``, ``"w+1"``, ``"(t^2+1)/t"``.  :func:`parse_field` returns
@@ -36,16 +37,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .errors import (
     CapExceeded,
     DescriptorMismatch,
     DivisionByZero,
     NotASquare,
     ParseError,
-    TooLarge,
-    UnsupportedField,
 )
 
 MAX_PRIME = 97
@@ -227,14 +224,34 @@ def _check_int(n, field) -> int:
     return n
 
 
+# The primes up to 41.  As Miller-Rabin bases they decide primality
+# exactly below 3 317 044 064 679 887 385 961 981 > 3.3 * 10^24
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_odd_prime(p: int) -> bool:
+    """Whether p is an odd prime, by Miller-Rabin with the bases 2 .. 41:
+    at most 13 modular powers, so a literal like ``gf(100000000000000003)``
+    is refused at once.  Exact below 3.3 * 10^24; above, a composite that
+    is a strong pseudoprime to all 13 bases would pass as a prime."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MILLER_RABIN_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -458,124 +475,6 @@ def field_tables(field: Field) -> FieldTables:
         tuple(tuple(field.mul(a, b) for b in codes) for a in codes),
         (0,) + tuple(field.div(1, a) for a in codes[1:]),
     )
-
-
-# cached: a one-element stack's product costs a few microseconds, and
-# min_scalar_type would add half a microsecond to each
-_narrowest_unsigned = functools.lru_cache(maxsize=None)(np.min_scalar_type)
-
-SMALL_PRODUCT = 1 << 12  # products below which one gather beats a loop over k
-LAST_CHUNK = 1 << 10  # matrices per lookup of matmul_last; bounds the intp codes
-
-
-class _BatchArith:
-    """Exact batched arithmetic on payload arrays over one finite field.
-
-    Products and inverses are read from :func:`field_tables`, the
-    field's own payload ``mul`` and ``div`` tabulated once over all payloads
-    0 .. |F|-1 and shared with the exact kernel of ``linalg``.  Where the
-    product table and the field's ``add`` are those of the integers mod |F|
-    (prime fields and GF(2), checked here), batched products use numpy's
-    integer matmul mod |F|; otherwise they are table lookups summed by XOR,
-    which ``add`` must then be.  Arguments and results are integer arrays of
-    payloads.  :meth:`matmul` takes the batch on the leading axes and
-    computes in intp; :meth:`matmul_last` and :meth:`minus_identity_last`
-    take uint8 stacks with the batch on the last axis, (n, n, N), and keep
-    their products as narrow as the values allow.  Build it through
-    :func:`_batch_arith`, which keeps one per field; the oracle and
-    ``clifford`` share it."""
-
-    def __init__(self, field):
-        if not isinstance(field, _FiniteField):
-            raise TooLarge(f"no batched arithmetic over the infinite field {field.literal()}")
-        codes = list(field.payloads())
-        self.order = q = len(codes)
-        tables = field_tables(field)
-        self._mul = np.array(tables.mul, dtype=np.uint8)
-        self.inv = np.array(tables.inv, dtype=np.uint8)
-        sums = np.array([[field.add(a, b) for b in codes] for a in codes])
-        pay = np.arange(q)
-        self.modular = (np.array_equal(self._mul, np.multiply.outer(pay, pay) % q)
-                        and np.array_equal(sums, np.add.outer(pay, pay) % q))
-        if not self.modular and not np.array_equal(sums, np.bitwise_xor.outer(pay, pay)):
-            raise UnsupportedField(f"no batched arithmetic for {field.literal()}")
-        self._mul.flags.writeable = self.inv.flags.writeable = False  # shared per field
-
-    def mul(self, a, b):
-        """Elementwise product (broadcast)."""
-        return self._mul[a, b]
-
-    def add(self, a, b):
-        if self.modular:
-            return np.add(a, b, dtype=np.intp) % self.order
-        return a ^ b
-
-    def sub(self, a, b):
-        if self.modular:
-            return np.subtract(a, b, dtype=np.intp) % self.order
-        return a ^ b
-
-    def matmul(self, a, b):
-        """Batched matrix product a @ b with numpy broadcasting over the
-        leading axes; a is (..., n, k) and b is (..., k, m).  Without
-        modular arithmetic, a few matrices take one lookup of all n*k*m
-        products, and larger batches go one k at a time, which keeps the
-        temporaries at n*m per matrix."""
-        if self.modular:
-            return np.matmul(a, b, dtype=np.intp) % self.order
-        if a.size * b.shape[-1] <= SMALL_PRODUCT:
-            return np.bitwise_xor.reduce(self._mul[a[..., :, :, None], b[..., None, :, :]], axis=-2)
-        acc = self._mul[a[..., :, 0, None], b[..., None, 0, :]]
-        for k in range(1, a.shape[-1]):
-            acc ^= self._mul[a[..., :, k, None], b[..., None, k, :]]
-        return acc
-
-    def minus_identity_last(self, a):
-        """M - I for every M of a batch-last (n, n, N) uint8 payload stack,
-        in uint8.  Over Z/|F| the uint8 subtraction wraps only 0 - 1, to
-        255, which min(., |F| - 1) takes to -1 = |F| - 1."""
-        eye = _identity_last(a.shape[0])
-        if not self.modular:
-            return a ^ eye
-        delta = a - eye
-        return np.minimum(delta, self.order - 1, out=delta)
-
-    def matmul_last(self, a, b):
-        """Batched matrix product with the batch on the last axis: a is
-        (n, k, N) and b is (k, m, N), the product (n, m, N).  Modular
-        products are one einsum in the narrowest unsigned dtype that holds
-        a sum of k products, k (|F|-1)^2, then mod |F| (einsum given the
-        dtype itself runs several times slower).  Otherwise every product
-        a_ik b_kj is one lookup in the flattened uint8 table, at the uint16
-        code |F| a_ik + b_kj, XOR-summed over k; the lookups go
-        LAST_CHUNK matrices at a time, since numpy copies their codes to
-        intp."""
-        k = a.shape[1]
-        if self.modular:
-            wide = _narrowest_unsigned(k * (self.order - 1) ** 2)
-            a, b = a.astype(wide, copy=False), b.astype(wide, copy=False)
-            prod = np.einsum("ikN,kjN->ijN", a, b)
-            return np.remainder(prod, self.order, out=prod)
-        rows = a.astype(np.uint16) * self.order  # where a_ik's row starts in the flat table
-        out = np.empty((a.shape[0], b.shape[1], a.shape[2]), dtype=np.uint8)
-        for start in range(0, a.shape[2], LAST_CHUNK):
-            part = slice(start, start + LAST_CHUNK)
-            codes = rows[:, :, None, part] + b[None, :, :, part]
-            np.bitwise_xor.reduce(self._mul.take(codes), axis=1, out=out[..., part])
-        return out
-
-
-@functools.lru_cache(maxsize=None)
-def _identity_last(n: int) -> np.ndarray:
-    """The n x n identity as a read-only batch-last (n, n, 1) uint8 stack."""
-    eye = np.eye(n, dtype=np.uint8)[:, :, None]
-    eye.flags.writeable = False
-    return eye
-
-
-@functools.lru_cache(maxsize=None)
-def _batch_arith(field) -> _BatchArith:
-    return _BatchArith(field)
 
 
 class PrimeField(_FiniteField):

@@ -10,7 +10,8 @@ Two enumeration methods:
   all reflections and all Eichler transformations.
 
 The closure path works on payload arrays end to end.  One batched
-arithmetic per field (:class:`fields._BatchArith`) is tabulated from the
+arithmetic per field (:class:`batched._BatchArith`, the library's numpy
+arithmetic, which this module loads at import) is tabulated from the
 field's own payload ``mul``/``div``; it builds every generator matrix as
 one batch from the payload matrices of Q and B, and checks that batch once
 against the isometry condition.  The closure keeps its elements as uint64
@@ -51,7 +52,8 @@ from .errors import (
     UnknownTheorem,
     WallformsError,
 )
-from .fields import Galois2Field, PrimeField, _BatchArith, _batch_arith, _identity_last
+from .batched import _BatchArith, _batch_arith, _identity_last
+from .fields import Galois2Field, PrimeField
 from .linalg import Matrix
 from .quadspace import QuadraticSpace, Subspace, _same_space
 from .isometry import Isometry

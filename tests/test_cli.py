@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,19 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.mark.parametrize("size, expected", [
+    ("100000000000000003", 3),  # a prime above the cap, decided in a few modular powers
+    ("1000000000039", 3),
+    ("100", 2),
+])
+def test_field_size_is_refused_at_once(tmp_path, capsys, size, expected):
+    path = _write(tmp_path, dict(H4F2_DOC, field=f"gf({size})"))
+    start = time.perf_counter()
+    code, out = _run(capsys, "analyze", "--space", path)
+    assert (code, "error" in out) == (expected, True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_analyze_h4f2(tmp_path, capsys):

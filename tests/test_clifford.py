@@ -37,7 +37,7 @@ from wallforms.errors import (
     UnsupportedField,
     ZeroSquare,
 )
-from wallforms.fields import _batch_arith
+from wallforms.batched import _batch_arith
 from wallforms.linalg import Matrix, block_diag
 from wallforms.quadspace import Subspace
 

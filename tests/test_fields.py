@@ -3,6 +3,7 @@ axiom property tests (exhaustive on GF(2)/GF(4), randomized elsewhere)."""
 
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +248,33 @@ def test_prime_field_caps():
         wf.PrimeField(101)
     with pytest.raises(ParseError):
         wf.PrimeField(9)
+
+
+def _refusal(n):
+    """The class PrimeField(n) raises, or None if it builds the field."""
+    try:
+        wf.PrimeField(n)
+    except (ParseError, CapExceeded) as exc:
+        return type(exc)
+    return None
+
+
+def _odd_prime_by_trial_division(n):
+    return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_prime_field_refusals_match_trial_division():
+    """Miller-Rabin decides what trial division did: composites, 0, 1,
+    negatives and evens are ParseErrors, primes above the cap CapExceeded."""
+    for n in range(-5, 10 ** 5 + 1):
+        expected = (ParseError if not _odd_prime_by_trial_division(n)
+                    else CapExceeded if n > 97 else None)
+        assert _refusal(n) is expected, n
+    # strong pseudoprimes to the first few bases; the last to every base up to 37
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert _refusal(n) is ParseError, n
+    for p in (10 ** 17 + 3, 1000000000039, 2 ** 61 - 1):
+        assert _refusal(p) is CapExceeded, p
 
 
 def test_ratfunc_degree_cap(ft):
