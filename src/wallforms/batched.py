@@ -7,11 +7,22 @@ enumeration and filters and the final checks of
 numpy at the top, and ``oracle`` imports this one; ``clifford`` reaches
 both only inside its explicit-model functions.  So ``import wallforms``
 and the ``analyze``, ``decompose`` and ``clifford`` commands load no numpy.
+
+Products over GF(2^k) for k in 2..4 are spread-bit integer products: a
+payload's bit i moves to bit 8i of a uint64, so one ``np.matmul`` of the
+spread operands counts, in byte d of each entry, the pairs of bits that
+meet at degree d, summed over the inner dimension.  No byte carries into
+the next while (inner dimension) * k <= 255, and the product has at most
+2k - 1 <= 7 bytes; the low bit of each byte is then the carry-less
+product's coefficient, and one table lookup reduces it modulo the field
+polynomial.  Wider inner dimensions, and GF(2^k) for k >= 5, sum table
+lookups by XOR.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -24,6 +35,14 @@ _narrowest_unsigned = functools.lru_cache(maxsize=None)(np.min_scalar_type)
 
 SMALL_PRODUCT = 1 << 12  # products below which one gather beats a loop over k
 LAST_CHUNK = 1 << 10  # matrices per lookup of matmul_last; bounds the intp codes
+SPREAD_DEGREE = 4  # GF(2^k) up to this k multiplies by spread bits: 2k - 1 bytes fit a uint64
+
+# the low bit of every byte, and the multiplier that gathers them into the
+# top byte: byte d's bit 8d lands on bit 56 + d, and every other partial
+# product on a distinct bit, so no sum carries
+_LOW_BITS = np.uint64(0x0101010101010101)
+_GATHER = np.uint64(0x0102040810204080)
+_TOP = np.uint64(56)
 
 
 class _BatchArith:
@@ -34,12 +53,14 @@ class _BatchArith:
     0 .. |F|-1 and shared with the exact kernel of ``linalg``.  Where the
     product table and the field's ``add`` are those of the integers mod |F|
     (prime fields and GF(2), checked here), batched products use numpy's
-    integer matmul mod |F|; otherwise they are table lookups summed by XOR,
-    which ``add`` must then be.  Arguments and results are integer arrays of
-    payloads.  :meth:`matmul` takes the batch on the leading axes and
-    computes in intp; :meth:`matmul_last` and :meth:`minus_identity_last`
-    take uint8 stacks with the batch on the last axis, (n, n, N), and keep
-    their products as narrow as the values allow.  Build it through
+    integer matmul mod |F|; otherwise ``add`` must be XOR, and products
+    are spread-bit integer products (GF(4) to GF(16), inside their bound)
+    or table lookups summed by XOR.  Arguments and results are integer
+    arrays of payloads.  :meth:`matmul` takes the batch on the leading axes
+    and computes in intp or uint64; :meth:`matmul_last` and
+    :meth:`minus_identity_last` take uint8 stacks with the batch on the
+    last axis, (n, n, N), and keep their products as narrow as the values
+    allow.  Build it through
     :func:`_batch_arith`, which keeps one per field; the oracle and
     ``clifford`` share it."""
 
@@ -58,6 +79,39 @@ class _BatchArith:
         if not self.modular and not np.array_equal(sums, np.bitwise_xor.outer(pay, pay)):
             raise UnsupportedField(f"no batched arithmetic for {field.literal()}")
         self._mul.flags.writeable = self.inv.flags.writeable = False  # shared per field
+        self._spread = self._reduce = None
+        self._spread_inner = -1  # the widest inner dimension of an exact spread product
+        if not self.modular and q <= 1 << SPREAD_DEGREE:
+            self._spread_tables(tables.mul)
+
+    def _spread_tables(self, mul):
+        """The tables of the spread-bit product over GF(2^k): payload bit i
+        at bit 8i (``_spread``), and the payload of every polynomial of
+        degree below 2k - 1 modulo the field polynomial (``_reduce``), the
+        sums of the powers of x (payload 2) read from the product table.
+        The reduced carry-less product of every pair of payloads must be
+        the product table's entry."""
+        k = self.order.bit_length() - 1
+        self._spread_inner = 255 // k
+        self._spread = np.array([sum((p >> i & 1) << 8 * i for i in range(k))
+                                 for p in range(self.order)], dtype=np.uint64)
+        powers = [1]
+        for _ in range(2 * k - 2):
+            powers.append(mul[powers[-1]][2])
+        self._reduce = np.array([
+            functools.reduce(operator.xor, (x for d, x in enumerate(powers) if r >> d & 1), 0)
+            for r in range(1 << (2 * k - 1))], dtype=np.uint8)
+        if not np.array_equal(self._reduced(np.multiply.outer(self._spread, self._spread)),
+                              self._mul):
+            raise UnsupportedField(f"payload bits of {self.order} elements are not polynomials")
+
+    def _reduced(self, prod):
+        """The payloads of a product of spread operands (overwritten): the
+        low bit of each byte, gathered into the top byte, and reduced."""
+        prod &= _LOW_BITS
+        prod *= _GATHER
+        prod >>= _TOP
+        return self._reduce[prod]
 
     def mul(self, a, b):
         """Elementwise product (broadcast)."""
@@ -75,12 +129,21 @@ class _BatchArith:
 
     def matmul(self, a, b):
         """Batched matrix product a @ b with numpy broadcasting over the
-        leading axes; a is (..., n, k) and b is (..., k, m).  Without
-        modular arithmetic, a few matrices take one lookup of all n*k*m
-        products, and larger batches go one k at a time, which keeps the
-        temporaries at n*m per matrix."""
+        leading axes; a is (..., n, k) and b is (..., k, m).  Modular
+        products are one integer matmul mod |F|, and so are spread-bit
+        products while k is inside their bound; the rest are lookups
+        (:meth:`_lookup_matmul`)."""
         if self.modular:
             return np.matmul(a, b, dtype=np.intp) % self.order
+        if a.shape[-1] <= self._spread_inner:
+            return self._reduced(np.matmul(self._spread[a], self._spread[b]))
+        return self._lookup_matmul(a, b)
+
+    def _lookup_matmul(self, a, b):
+        """a @ b over GF(2^k) by product-table lookups summed by XOR: a few
+        matrices take one lookup of all n*k*m products, and larger batches
+        go one k at a time, which keeps the temporaries at n*m per
+        matrix."""
         if a.size * b.shape[-1] <= SMALL_PRODUCT:
             return np.bitwise_xor.reduce(self._mul[a[..., :, :, None], b[..., None, :, :]], axis=-2)
         acc = self._mul[a[..., :, 0, None], b[..., None, 0, :]]

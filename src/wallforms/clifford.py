@@ -30,15 +30,25 @@ an explicit isomorphism to matrices with the transpose involution over
 finite fields, conjugating elements for interchange isometries, and a
 tensor-factorization witness.
 
-The matrix model of C(q) alone is built once per algebra and kept on it:
-orthogonal planes, each quaternion algebra split by a closed form, and
-Kronecker products.  Per involution only the transport form and the
-conjugation are computed.  The final checks over all blades and all 4^n
+The matrix model of C(q) alone is built once per algebra and kept on it,
+as one uint8 array of blade images: orthogonal planes,
+each quaternion algebra split by a closed form, and Kronecker products.
+Per involution only the transport form and the conjugation are computed,
+on payload arrays: the transport system is built from the model's array,
+and the conjugated images reach the final checks as the array the batched
+products made (over GF(4) to GF(16) those products are spread-bit integer
+products, see ``batched``).  The final checks over all blades and all 4^n
 blade pairs (batched products and gathers of payload arrays) are the
 model's only relation checks, and they run for every involution.  They are
 this module's only numpy work: :func:`explicit_matrix_iso` and its helpers
 import the batched arithmetic (``batched._batch_arith``), and with it
-numpy, when they run, so loading this module loads no numpy.
+numpy, when they run, so loading this module loads no numpy.  The
+eliminations and products of this module's matrices over GF(2^k) run on
+``linalg``'s packed rows.
+
+An algebra has at most MAX_GENERATORS generators: its structure table
+holds 4^n entries, so a larger space raises CapExceeded before any table
+is allocated.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     AlgebraMismatch,
     AlternatingForm,
+    CapExceeded,
     CharacteristicNot2,
     CriterionFails,
     DescriptorMismatch,
@@ -96,6 +107,10 @@ from .decompose import Decomposition, decompose, normal_frame
 if TYPE_CHECKING:  # the explicit-model functions import numpy when they run
     import numpy as np
 
+# the structure table holds 4^n entries: on a 2-vCPU Xeon, n = 12 answers a
+# `clifford` request in about 15 s, and n = 14 ran out of memory after 26 s
+MAX_GENERATORS = 13
+
 
 class CliffordAlgebra:
     """Structure data and multiplication of C(q) in characteristic 2.
@@ -119,6 +134,8 @@ class CliffordAlgebra:
         self.field = field
         self.qvals = tuple(qvals)
         self.n = len(self.qvals)
+        if self.n > MAX_GENERATORS:
+            raise CapExceeded(f"{self.n} generators exceed cap {MAX_GENERATORS}")
         if bmat.field != field:
             raise DescriptorMismatch(f"polar form over {bmat.field} for an algebra over {field}")
         if bmat.shape != (self.n, self.n):
@@ -136,7 +153,7 @@ class CliffordAlgebra:
         self._table: list[tuple | None] = [None] * (self.dim * self.dim)
         self._commutators: list[tuple | None] = [None] * self.n  # see _commutator_row
         self._sparse: tuple[np.ndarray, np.ndarray] | None = None  # see _sparse_structure
-        self._model: tuple[Matrix, ...] | None = None  # see _base_model
+        self._model: np.ndarray | None = None  # see _base_model
 
     @classmethod
     def from_space(cls, space: QuadraticSpace) -> "CliffordAlgebra":
@@ -565,7 +582,7 @@ def _alt_witnesses(inv: AlgebraInvolution, elements) -> list[CliffordElement | N
     operator = Matrix.identity(alg.field, dim) + inv.matrix
     columns = alg._payload_matrix(elements, by_columns=True).payload_rows
     red, pivots = _gauss_jordan(_kernel(alg.field),
-                                map(tuple.__add__, operator.payload_rows, columns), dim)
+                                tuple(map(tuple.__add__, operator.payload_rows, columns)), dim)
     witnesses = []
     for col in range(dim, dim + len(elements)):
         if any(row[col] != zero for row in red[len(pivots):]):
@@ -745,8 +762,11 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
 @dataclass(frozen=True)
 class PfisterDescriptor:
     """Generators a_1..a_s of the bilinear form <<a_1, ..., a_s>>, stored
-    with their square-class flags.  Equality is multiset equality of square
-    classes (structural equality)."""
+    with their square-class flags.  Equality compares the multisets of the
+    generators' square classes (structural equality).  It is not a
+    conjugation invariant: over GF(2)(t), <<1, t>> and <<1+t, t(1+t)>> are
+    isometric forms with unequal descriptors, so tau and a conjugate
+    g tau g^-1 can give unequal descriptors."""
 
     field: Field
     generators: tuple[FieldElement, ...]
@@ -846,11 +866,12 @@ def _quaternion_matrices(field: Field, qa: FieldElement, qb: FieldElement) -> tu
     return Matrix(field, [[z, qa], [o, z]]), Matrix(field, [[s, o], [z, s]])
 
 
-def _base_model(alg: CliffordAlgebra) -> tuple[Matrix, ...]:
+def _base_model(alg: CliffordAlgebra) -> np.ndarray:
     """The image of every blade under an isomorphism f of C(q) with the
     matrix algebra M_N(F), N = 2^(n/2), over a finite field of
-    characteristic 2.  It does not depend on an involution, so it is built
-    on first use and kept on the algebra.
+    characteristic 2, as one (2^n, N, N) uint8 payload array.  It does not
+    depend on an involution, so it is built on first use and kept on the
+    algebra.
 
     V splits into orthogonal planes (a_k, b_k) with b(a_k, b_k) = 1, so
     C(q) is the tensor product of the quaternion algebras they generate:
@@ -876,7 +897,7 @@ def _base_model(alg: CliffordAlgebra) -> tuple[Matrix, ...]:
     for blade in range(1, alg.dim):
         top = blade.bit_length() - 1
         blade_images.append(blade_images[blade ^ (1 << top)] * f_gen[top])
-    alg._model = tuple(blade_images)
+    alg._model = _payload_array(*blade_images)
     return alg._model
 
 
@@ -891,6 +912,8 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     all 4^n blade pairs, run on every call and are the only relation
     checks: the pair (e_i, e_i) gives f(e_i)^2 = q(e_i) I, and the pairs
     (e_i, e_j) and (e_j, e_i) give the polar relation."""
+    import numpy as np
+
     from .batched import _batch_arith
 
     space = tau.space
@@ -903,14 +926,16 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
 
     alg = algebra_for_space(space)
     inv = natural_involution(tau, alg)
-    blade_images = _base_model(alg)
-    size = blade_images[0].nrows
-    f_gen = [blade_images[1 << i] for i in range(alg.n)]
+    model = _base_model(alg)
+    size = model.shape[1]
+    arith = _batch_arith(field)
 
-    # involution transport: G f(J(e_i)) = f(e_i)^T G, then G = H^T H
-    g_mat = _solve_involution_gram(field, size, f_gen, [
-        _apply_images(blade_images, alg, inv.images[1 << i]) for i in range(alg.n)
-    ])
+    # involution transport: G f(J(e_i)) = f(e_i)^T G, then G = H^T H; column
+    # 2^i of the involution's matrix holds the coefficients of J(e_i)
+    generators = [1 << i for i in range(alg.n)]
+    j_gen = np.array(inv.matrix.payload_rows, dtype=np.uint8)[:, generators].T
+    g_mat = _solve_involution_gram(field, model[generators], arith.matmul(
+        j_gen, model.reshape(alg.dim, size * size)).reshape(alg.n, size, size))
     try:
         p_mat, diag = orthogonal_basis(g_mat)  # P G P^T = diag(d)
     except AlternatingForm:
@@ -922,13 +947,10 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     h_mat = _diagonal(field, roots) * p_t.inverse()
     h_inv = p_t * _diagonal(field, tuple(map(_kernel(field).inv, roots)))
     # conjugate every blade image by H, as two batched products
-    arith = _batch_arith(field)
-    conj = arith.matmul(arith.matmul(_payload_array(h_mat), _payload_array(*blade_images)),
-                        _payload_array(h_inv))
-    iso = MatrixIso(alg, size, tuple(
+    conj = arith.matmul(arith.matmul(_payload_array(h_mat), model), _payload_array(h_inv))
+    _verify_matrix_iso(inv, conj)
+    return MatrixIso(alg, size, tuple(
         Matrix._trusted(field, tuple(map(tuple, img)), size) for img in conj.tolist()))
-    _verify_matrix_iso(iso, inv)
-    return iso
 
 
 PAIR_BATCH = 1 << 22  # payload bytes gathered per batch of the multiplicativity check
@@ -941,21 +963,21 @@ def _payload_array(*mats: Matrix) -> np.ndarray:
     return np.array([m.payload_rows for m in mats], dtype=np.uint8)
 
 
-def _verify_matrix_iso(iso: MatrixIso, inv: AlgebraInvolution) -> None:
-    """The final checks of an explicit model f of (C(q), J), each over
-    every blade: the blade images are linearly independent, f(J(e_b)) is
-    f(e_b)^T for every blade b, and f(e_s e_t) = f(e_s) f(e_t) for all
-    4^n pairs (s, t).  The last two are batched exact products and
-    gathers: J^T times the flattened images, and every pairwise product of
-    images against the image of e_s e_t, summed from its sparse structure
+def _verify_matrix_iso(inv: AlgebraInvolution, imgs: np.ndarray) -> None:
+    """The final checks of an explicit model f of (C(q), J), given as the
+    (2^n, N, N) uint8 array of its blade images, each over every blade:
+    the blade images are linearly independent, f(J(e_b)) is f(e_b)^T for
+    every blade b, and f(e_s e_t) = f(e_s) f(e_t) for all 4^n pairs
+    (s, t).  The last two are batched exact products and gathers: J^T
+    times the flattened images, and every pairwise product of images
+    against the image of e_s e_t, summed from its sparse structure
     constants (:func:`_pair_images`)."""
     import numpy as np
 
     from .batched import _batch_arith
 
-    alg, size = iso.algebra, iso.size
+    alg, size = inv.algebra, imgs.shape[1]
     field, dim = alg.field, alg.dim
-    imgs = _payload_array(*iso.blade_images)
     flat = imgs.reshape(dim, size * size)
     if Matrix._trusted(field, tuple(map(tuple, flat.tolist())), size * size).rank() != dim:
         raise InvariantViolation("blade images are not linearly independent")
@@ -1034,22 +1056,24 @@ def _image_sum(field: Field, images, terms) -> Matrix:
     return Matrix._trusted(field, tuple(flat[i * size:(i + 1) * size] for i in range(size)), size)
 
 
-def _solve_involution_gram(field, size, f_gen, f_j_gen) -> Matrix:
+def _solve_involution_gram(field, f_gen: np.ndarray, f_j_gen: np.ndarray) -> Matrix:
     """Solve G f(J(e_i)) = f(e_i)^T G for an invertible G (unique up to
-    scalars); unknowns are the entries of G in row-major order.  The
-    field is GF(2^k), so the system's payload rows are summed by XOR."""
-    n_unknowns = size * size
-    rows = []
-    for a_mat, g_mat in zip(f_j_gen, f_gen):
-        a, g = a_mat.payload_rows, g_mat.payload_rows
-        for r in range(size):
-            for s in range(size):
-                row = [0] * n_unknowns
-                for t in range(size):
-                    row[r * size + t] ^= a[t][s]
-                    row[t * size + s] ^= g[t][r]  # (f(e_i)^T)[r][t]
-                rows.append(tuple(row))
-    system = Matrix._trusted(field, tuple(rows), n_unknowns)
+    scalars), given the (n, N, N) payload arrays of the f(e_i) and the
+    f(J(e_i)); unknowns are the entries of G in row-major order.  For A =
+    f(J(e_i)) and B = f(e_i), equation (r, s) reads sum_t A[t, s] G[r, t]
+    + B[t, r] G[t, s] = 0: row (r, s) of the system holds A[t, s] at
+    unknown (r, t) and B[t, r] at unknown (t, s).  The field is GF(2^k),
+    so the two terms add by XOR, and a 0/1 factor selects payloads as an
+    integer product does."""
+    import numpy as np
+
+    n, size = f_gen.shape[:2]
+    eye = np.eye(size, dtype=np.uint8)
+    # axes (i, r, s, unknown row, unknown column)
+    system = (eye[None, :, None, :, None] * f_j_gen.transpose(0, 2, 1)[:, None, :, None, :]
+              ^ f_gen.transpose(0, 2, 1)[:, :, None, :, None] * eye[None, None, :, None, :])
+    system = system.reshape(n * size * size, size * size)
+    system = Matrix._trusted(field, tuple(map(tuple, system.tolist())), size * size)
     for k in system.kernel_rows():
         g = Matrix._trusted(field, tuple(k[i * size:(i + 1) * size] for i in range(size)), size)
         if g.rank() == size:

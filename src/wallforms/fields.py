@@ -228,13 +228,15 @@ def _check_int(n, field) -> int:
 # exactly below 3 317 044 064 679 887 385 961 981 > 3.3 * 10^24
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_odd_prime(p: int) -> bool:
     """Whether p is an odd prime, by Miller-Rabin with the bases 2 .. 41:
     at most 13 modular powers, so a literal like ``gf(100000000000000003)``
     is refused at once.  Exact below 3.3 * 10^24; above, a composite that
-    is a strong pseudoprime to all 13 bases would pass as a prime."""
+    is a strong pseudoprime to all 13 bases would pass as a prime, so
+    :class:`PrimeField` refuses those sizes before it asks."""
     if p < 3 or p % 2 == 0:
         return False
     if p in _MILLER_RABIN_BASES:
@@ -483,6 +485,10 @@ class PrimeField(_FiniteField):
     kind = "prime"
 
     def __init__(self, p: int):
+        # past the exact range every size is refused, prime or not, before
+        # a modular power of its length: a 3 376-digit prime took 45 s
+        if p >= _MILLER_RABIN_EXACT:
+            raise CapExceeded(f"field size of {p.bit_length()} bits exceeds cap {MAX_PRIME}")
         if not _is_odd_prime(p):
             raise ParseError(f"{p} is not an odd prime")
         if p > MAX_PRIME:

@@ -85,6 +85,39 @@ def test_field_size_is_refused_at_once(tmp_path, capsys, size, expected):
     assert time.perf_counter() - start < 1.0
 
 
+def test_huge_field_size_is_refused_before_any_primality_test(tmp_path, capsys):
+    """2^11213 - 1 written out, a prime of 3 376 digits, took 45 s in the
+    primality test; every size past the exact Miller-Rabin range is
+    refused with exit 3 before it."""
+    size = str(2 ** 11213 - 1)
+    assert len(size) == 3376
+    path = _write(tmp_path, dict(H4F2_DOC, field=f"gf({size})"))
+    start = time.perf_counter()
+    code, out = _run(capsys, "analyze", "--space", path)
+    assert (code, "error" in out) == (3, True)
+    assert time.perf_counter() - start < 1.0
+
+
+def _hyperbolic_gf2_doc(dim):
+    """The hyperbolic space of dimension `dim` over gf(2), with tau the
+    swap of e_1 and f_1."""
+    q_upper = [["1" if j == i + 1 and i % 2 == 0 else "0" for j in range(dim)]
+               for i in range(dim)]
+    swap = {0: 1, 1: 0}
+    tau = [["1" if j == swap.get(i, i) else "0" for j in range(dim)] for i in range(dim)]
+    return {"field": "gf(2)", "dim": dim, "q_upper": q_upper, "tau": tau}
+
+
+def test_clifford_beyond_the_generator_cap_is_refused_at_once(tmp_path, capsys):
+    """A 2^14-dimensional algebra's 4^14-entry structure table ran out of
+    memory after 26 s (exit 1); the algebra refuses 14 generators first."""
+    path = _write(tmp_path, _hyperbolic_gf2_doc(14))
+    start = time.perf_counter()
+    code, out = _run(capsys, "clifford", "--space", path)
+    assert (code, "error" in out) == (3, True)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_analyze_h4f2(tmp_path, capsys):
     path = _write(tmp_path, H4F2_DOC)
     code, out = _run(capsys, "analyze", "--space", path)

@@ -14,7 +14,6 @@ from wallforms import clifford
 from wallforms.clifford import (
     AlgebraInvolution,
     CliffordAlgebra,
-    MatrixIso,
     _verify_matrix_iso,
     alt_membership,
     sym_alt_dimensions,
@@ -371,7 +370,7 @@ def test_explicit_iso_gf8(f8):
                       (wf.eichler(h4f8, h4f8.basis_vector(0), h4f8.basis_vector(2)), 4)):
         iso = wf.explicit_matrix_iso(tau)
         assert iso.size == size
-        _verify_matrix_iso(iso, wf.natural_involution(tau, iso.algebra))
+        _verify_matrix_iso(wf.natural_involution(tau, iso.algebra), _images(iso))
 
 
 def _count_calls(monkeypatch, modules, name):
@@ -782,14 +781,20 @@ def test_natural_involution_matches_definition(literal, data):
 
 @pytest.fixture(scope="module")
 def model_h4f2(tau_int, alg_h4f2):
-    return wf.explicit_matrix_iso(tau_int), wf.natural_involution(tau_int, alg_h4f2)
+    return wf.natural_involution(tau_int, alg_h4f2), _images(wf.explicit_matrix_iso(tau_int))
 
 
-def _plus_one(m, r, c):
-    """m with one added to entry (r, c)."""
-    rows = [list(row) for row in m.rows]
-    rows[r][c] = rows[r][c] + m.field.one
-    return Matrix(m.field, rows)
+def _images(iso):
+    """The blade images of a model as the (2^n, N, N) array that
+    `_verify_matrix_iso` checks."""
+    return np.array([m.payload_rows for m in iso.blade_images], dtype=np.uint8)
+
+
+def _plus_one(imgs, blade, r, c):
+    """imgs with one added to entry (r, c) of one blade image."""
+    imgs = imgs.copy()
+    imgs[blade, r, c] ^= 1
+    return imgs
 
 
 def test_matrix_iso_checks_pass(model_h4f2):
@@ -797,28 +802,98 @@ def test_matrix_iso_checks_pass(model_h4f2):
 
 
 def test_matrix_iso_dependent_images_fail_rank(model_h4f2):
-    iso, inv = model_h4f2
-    images = list(iso.blade_images)
-    images[5] = images[6]
+    inv, imgs = model_h4f2
+    imgs = imgs.copy()
+    imgs[5] = imgs[6]
     with pytest.raises(InvariantViolation, match="not linearly independent"):
-        _verify_matrix_iso(MatrixIso(iso.algebra, iso.size, tuple(images)), inv)
+        _verify_matrix_iso(inv, imgs)
 
 
 def test_matrix_iso_every_corrupted_image_entry_fails(model_h4f2):
-    iso, inv = model_h4f2
-    for blade, r, c in itertools.product(range(iso.algebra.dim), range(iso.size), range(iso.size)):
-        images = list(iso.blade_images)
-        images[blade] = _plus_one(images[blade], r, c)
+    inv, imgs = model_h4f2
+    for blade, r, c in itertools.product(*map(range, imgs.shape)):
         with pytest.raises(InvariantViolation, match="transpose|multiplicative|independent"):
-            _verify_matrix_iso(MatrixIso(iso.algebra, iso.size, tuple(images)), inv)
+            _verify_matrix_iso(inv, _plus_one(imgs, blade, r, c))
 
 
 def test_matrix_iso_every_corrupted_involution_entry_fails(model_h4f2):
-    iso, inv = model_h4f2
+    inv, imgs = model_h4f2
     for r, c in itertools.product(range(inv.matrix.nrows), repeat=2):
-        bad = AlgebraInvolution(inv.algebra, inv.tau, inv.images, _plus_one(inv.matrix, r, c))
+        rows = [list(row) for row in inv.matrix.payload_rows]
+        rows[r][c] ^= 1
+        bad = AlgebraInvolution(inv.algebra, inv.tau, inv.images,
+                                Matrix.from_payloads(inv.matrix.field, rows))
         with pytest.raises(InvariantViolation, match="does not carry J to transpose"):
-            _verify_matrix_iso(iso, bad)
+            _verify_matrix_iso(bad, imgs)
+
+
+# injected faults on the path explicit_matrix_iso takes: the conjugated
+# images reach the final checks as one array, and the transport form comes
+# from the payload arrays of the model
+
+
+@pytest.fixture(scope="module", params=["gf(2)", "gf(4;x^2+x+1)"])
+def interchange(request):
+    """An involution with r = k on H4 over GF(2) or GF(4), whose transpose
+    criterion holds: the Eichler transformation E(e_1, e_3)."""
+    space = wf.QuadraticSpace.hyperbolic(wf.parse_field(request.param), 2)
+    return wf.eichler(space, space.basis_vector(0), space.basis_vector(2))
+
+
+def _model_with(monkeypatch, tau, fault):
+    """explicit_matrix_iso(tau) with `fault` applied to a copy of the
+    conjugated images before they are checked."""
+    real = clifford._verify_matrix_iso
+    monkeypatch.setattr(clifford, "_verify_matrix_iso",
+                        lambda inv, imgs: real(inv, fault(imgs.copy())))
+    return wf.explicit_matrix_iso(tau)
+
+
+def _corrupt_one_entry(imgs):
+    # a diagonal entry of f(e_1 e_2 e_4): the images stay independent and
+    # still carry J to transpose, so only the products see the change
+    imgs[0b1011, 1, 1] ^= 1
+    return imgs
+
+
+def _transpose_one(imgs):
+    imgs[3] = imgs[3].T.copy()  # f(e_1 e_2) is not symmetric
+    return imgs
+
+
+def _duplicate(imgs):
+    imgs[5] = imgs[6]
+    return imgs
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_corrupt_one_entry, "isomorphism is not multiplicative"),
+    (_transpose_one, "isomorphism does not carry J to transpose"),
+    (_duplicate, "blade images are not linearly independent"),
+])
+def test_explicit_iso_fault_raises_its_own_check(monkeypatch, interchange, fault, message):
+    wf.explicit_matrix_iso(interchange)  # the model itself passes
+    with pytest.raises(InvariantViolation, match=message):
+        _model_with(monkeypatch, interchange, fault)
+
+
+def test_transport_system_without_invertible_solution_raises(monkeypatch, interchange):
+    """Keep only the first generator and give it J-image 0: the system
+    f(e_1)^T G = 0 has the nonzero solutions G whose columns lie in the
+    kernel of the nilpotent f(e_1)^T (q(e_1) = 0), and none is invertible."""
+    real = clifford._solve_involution_gram
+    calls = []
+
+    def one_nilpotent_generator(field, f_gen, f_j_gen):
+        calls.append(f_gen[0])
+        return real(field, f_gen[:1], np.zeros_like(f_j_gen[:1]))
+
+    monkeypatch.setattr(clifford, "_solve_involution_gram", one_nilpotent_generator)
+    with pytest.raises(InvariantViolation, match="no invertible transport form found"):
+        wf.explicit_matrix_iso(interchange)
+    field, f_0 = interchange.space.field, calls[0]
+    size = f_0.shape[0]
+    assert f_0.any() and Matrix.from_payloads(field, f_0.tolist()).rank() < size
 
 
 @pytest.mark.parametrize("pair", [(0, 5), (3, 5), (6, 9), (15, 15), (0b1010, 0b0001)])

@@ -259,6 +259,15 @@ def _refusal(n):
     return None
 
 
+def test_sizes_past_the_exact_primality_range_are_capped():
+    """From 3 317 044 064 679 887 385 961 981 up, where the bases 2 .. 41
+    stop deciding primality, every size is CapExceeded, composites too."""
+    bound = 3_317_044_064_679_887_385_961_981
+    assert _refusal(bound - 1) is ParseError  # even
+    for n in (bound, bound + 2, 10 ** 30, 3 ** 200, 2 ** 11213 - 1):
+        assert _refusal(n) is CapExceeded, n
+
+
 def _odd_prime_by_trial_division(n):
     return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 

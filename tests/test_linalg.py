@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import wallforms as wf
 from wallforms.errors import DescriptorMismatch, DimensionMismatch, SingularMatrix
 from wallforms.fields import FieldElement, Galois2Field, PrimeField, field_tables
-from wallforms.linalg import Matrix, bilinear, kron, mat_vec
+from wallforms.linalg import Matrix, _Kernel, _kernel, bilinear, kron, mat_vec
 
 
 def _random_matrix(field, n, rng):
@@ -417,3 +417,59 @@ def test_solve_many_checks_its_operands(f7, f4):
     with pytest.raises(DimensionMismatch):
         a.solve_many(Matrix.identity(f4, 2))
     assert a.solve_many(Matrix.zeros(f7, 0, 2)) == Matrix.zeros(f7, 0, 2)
+
+
+# packed rows against the tuple loops over GF(2^k): the same pivots, swaps
+# and row operations, so equal results, at every width on either side of
+# PACKED_WIDTH
+# ---------------------------------------------------------------------------
+
+PACKED_FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(8)", "gf(16)", "gf(256)"]
+
+
+@st.composite
+def _payload_rows(draw, order, m, width):
+    """m payload rows of one width: zeros often, and some rows all zero."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(1, order - 1))
+    row = st.one_of(st.just((0,) * width), st.tuples(*[entry] * width))
+    return tuple(draw(row) for _ in range(m))
+
+
+@pytest.mark.parametrize("literal", PACKED_FIELDS)
+@given(data=st.data())
+@_settings()
+def test_packed_elimination_matches_the_tuple_loop(literal, data):
+    field = wf.parse_field(literal)
+    kernel = _kernel(field)
+    m, width = data.draw(st.integers(0, 20)), data.draw(st.integers(0, 20))
+    ncols = data.draw(st.integers(0, width))  # rows wider than the pivot columns too
+    rows = data.draw(_payload_rows(field.order(), m, width))
+    expected = _Kernel.gauss_jordan(kernel, rows, ncols)
+    assert kernel._packed_gauss_jordan(rows, ncols) == expected
+    assert kernel.gauss_jordan(rows, ncols) == expected
+
+
+@pytest.mark.parametrize("literal", PACKED_FIELDS)
+@given(data=st.data())
+@_settings()
+def test_packed_product_matches_the_tuple_loops(literal, data):
+    field = wf.parse_field(literal)
+    kernel = _kernel(field)
+    m, k, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 20)), data.draw(st.integers(0, 20))
+    a = data.draw(_payload_rows(field.order(), m, k))
+    b = data.draw(_payload_rows(field.order(), k, n))
+    expected = _Kernel.matmul(kernel, a, b, n)  # one lookup dot product per entry
+    assert kernel._packed_matmul(a, b, n) == expected
+    assert kernel.matmul(a, b, n) == expected
+
+
+def test_packed_elimination_is_what_matrices_use(f4):
+    """A 64 x 16 system over GF(4) (the size of a transport system on H4):
+    the public rref, the packed loop and the boxed reference agree."""
+    rng = random.Random(5)
+    a = Matrix.from_payloads(f4, [[rng.choice((0, 0, 1, 2, 3)) for _ in range(16)]
+                                  for _ in range(64)])
+    red, pivots = a.rref()
+    assert (red.payload_rows, pivots) == _kernel(f4)._packed_gauss_jordan(a.payload_rows, 16)
+    ref_red, ref_pivots = _ref_rref(f4, _boxed(a))
+    assert pivots == ref_pivots and _boxed(red) == ref_red
