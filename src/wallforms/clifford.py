@@ -33,11 +33,13 @@ tensor-factorization witness.
 The matrix model of C(q) alone is built once per algebra and kept on it,
 as one uint8 array of blade images: orthogonal planes,
 each quaternion algebra split by a closed form, and Kronecker products.
-Per involution only the transport form and the conjugation are computed,
-on payload arrays: the transport system is built from the model's array,
-and the conjugated images reach the final checks as the array the batched
-products made (over GF(4) to GF(16) those products are spread-bit integer
-products, see ``batched``).  The final checks over all blades and all 4^n
+So are the preimages of the matrix units E_{a,0} under the model.  Per
+involution only the transport form and the conjugation are computed, on
+payload arrays: the transport form in closed form, from one product of
+those preimages with the involution and the model, and the conjugated
+images reach the final checks as the array the batched products made
+(over GF(4) to GF(16) those products are spread-bit integer products, see
+``batched``).  The final checks over all blades and all 4^n
 blade pairs (batched products and gathers of payload arrays) are the
 model's only relation checks, and they run for every involution.  They are
 this module's only numpy work: :func:`explicit_matrix_iso` and its helpers
@@ -154,6 +156,7 @@ class CliffordAlgebra:
         self._commutators: list[tuple | None] = [None] * self.n  # see _commutator_row
         self._sparse: tuple[np.ndarray, np.ndarray] | None = None  # see _sparse_structure
         self._model: np.ndarray | None = None  # see _base_model
+        self._preimages: np.ndarray | None = None  # see _unit_preimages
 
     @classmethod
     def from_space(cls, space: QuadraticSpace) -> "CliffordAlgebra":
@@ -901,17 +904,53 @@ def _base_model(alg: CliffordAlgebra) -> np.ndarray:
     return alg._model
 
 
+def _unit_preimages(alg: CliffordAlgebra) -> np.ndarray:
+    """U, the (N, 2^n) uint8 array whose row a holds the coefficients of
+    f^-1(E_{a,0}) for the base model f (:func:`_base_model`), a = 0..N-1.
+    With F the flattened model (row b is f(e_b), read row by row), f^-1
+    of a flattened matrix X is X F^-1, and E_{a,0} is the unit vector
+    a N, so U is the rows a N of F^-1: the solutions x of x F = E_{a,0},
+    one elimination of [F^T | E].  Like the model it does not depend on
+    an involution, so it is built on first use and kept on the algebra."""
+    if alg._preimages is None:
+        import numpy as np
+
+        model = _base_model(alg)
+        field, dim, size = alg.field, alg.dim, model.shape[1]
+        flat_t = model.reshape(dim, size * size).T
+        f_t = Matrix._trusted(field, tuple(map(tuple, flat_t.tolist())), dim)
+        units = Matrix._trusted(field, Matrix.identity(field, dim).payload_rows[::size], dim)
+        rows = f_t.solve_many(units)
+        if rows is None:
+            raise InvariantViolation("blade images are not linearly independent")
+        alg._preimages = np.array(rows.payload_rows, dtype=np.uint8)
+    return alg._preimages
+
+
 def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     """Build and verify an isomorphism of (C(q), J) with the full matrix
     algebra carrying the transpose involution.  Finite fields only.
 
     The model f of C(q) does not depend on tau and is built once per
-    algebra (:func:`_base_model`).  Per tau, G = H^T H solves
-    G f(J(e_i)) = f(e_i)^T G, and every blade image is conjugated by H.
+    algebra (:func:`_base_model`).  Per tau, the transport form G, with
+    G f(J(e_i)) = f(e_i)^T G for every generator, is read off in closed
+    form (Skolem-Noether): X -> f(J(f^-1(X)))^T is an automorphism of
+    M_N(F), hence X -> W X W^-1 for an invertible W, and the matrices
+    X_a = f(J(f^-1(E_{a,0}))) = W^-T E_{0,a} W^T, one product of the
+    kept preimages U (:func:`_unit_preimages`) with J and the model, have
+    row b equal to (W^-1)_{0,b} times row a of W^T.  So the matrix whose
+    row a is row b of X_a is a multiple of W^T, the solution of the
+    transport equations, for the first b that makes it nonzero.  Those
+    solutions form a line, the kernel of the linear system the equations
+    make in the entries of G (read row by row).  Its canonical kernel
+    vector has 1 at the system's one free column and 0 after it, so it is
+    the multiple whose last nonzero entry is 1, and G is scaled to that.
+    G must be invertible, satisfy the equations and be symmetric; then
+    G = H^T H, and every blade image is conjugated by H.
     The final checks of :func:`_verify_matrix_iso`, over all blades and
     all 4^n blade pairs, run on every call and are the only relation
-    checks: the pair (e_i, e_i) gives f(e_i)^2 = q(e_i) I, and the pairs
-    (e_i, e_j) and (e_j, e_i) give the polar relation."""
+    checks of the model: the pair (e_i, e_i) gives f(e_i)^2 = q(e_i) I,
+    and the pairs (e_i, e_j) and (e_j, e_i) give the polar relation."""
     import numpy as np
 
     from .batched import _batch_arith
@@ -928,14 +967,25 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     inv = natural_involution(tau, alg)
     model = _base_model(alg)
     size = model.shape[1]
+    flat = model.reshape(alg.dim, size * size)
     arith = _batch_arith(field)
 
-    # involution transport: G f(J(e_i)) = f(e_i)^T G, then G = H^T H; column
-    # 2^i of the involution's matrix holds the coefficients of J(e_i)
+    # row b of J^T holds the coefficients of J(e_b); xs[a] is X_a
+    j_rows = np.array(inv.matrix.payload_rows, dtype=np.uint8).T
+    xs = arith.matmul(arith.matmul(_unit_preimages(alg), j_rows), flat).reshape(size, size, size)
+    gram = xs[:, int(xs.any(axis=(0, 2)).argmax()), :]
+    if Matrix._trusted(field, tuple(map(tuple, gram.tolist())), size).rank() != size:
+        raise InvariantViolation("no invertible transport form found")
+    # scaled so that its last nonzero entry, read row by row, is 1
+    gram = arith.mul(arith.inv[gram.reshape(-1)[np.flatnonzero(gram)[-1]]], gram)
+    g_mat = Matrix._trusted(field, tuple(map(tuple, gram.tolist())), size)
     generators = [1 << i for i in range(alg.n)]
-    j_gen = np.array(inv.matrix.payload_rows, dtype=np.uint8)[:, generators].T
-    g_mat = _solve_involution_gram(field, model[generators], arith.matmul(
-        j_gen, model.reshape(alg.dim, size * size)).reshape(alg.n, size, size))
+    f_j_gen = arith.matmul(j_rows[generators], flat).reshape(alg.n, size, size)
+    if not np.array_equal(arith.matmul(gram, f_j_gen),
+                          arith.matmul(model[generators].transpose(0, 2, 1), gram)):
+        raise InvariantViolation("transport form does not carry J to transpose on the generators")
+    if not g_mat.is_symmetric():
+        raise InvariantViolation("transport form is not symmetric")
     try:
         p_mat, diag = orthogonal_basis(g_mat)  # P G P^T = diag(d)
     except AlternatingForm:
@@ -1056,33 +1106,6 @@ def _image_sum(field: Field, images, terms) -> Matrix:
     return Matrix._trusted(field, tuple(flat[i * size:(i + 1) * size] for i in range(size)), size)
 
 
-def _solve_involution_gram(field, f_gen: np.ndarray, f_j_gen: np.ndarray) -> Matrix:
-    """Solve G f(J(e_i)) = f(e_i)^T G for an invertible G (unique up to
-    scalars), given the (n, N, N) payload arrays of the f(e_i) and the
-    f(J(e_i)); unknowns are the entries of G in row-major order.  For A =
-    f(J(e_i)) and B = f(e_i), equation (r, s) reads sum_t A[t, s] G[r, t]
-    + B[t, r] G[t, s] = 0: row (r, s) of the system holds A[t, s] at
-    unknown (r, t) and B[t, r] at unknown (t, s).  The field is GF(2^k),
-    so the two terms add by XOR, and a 0/1 factor selects payloads as an
-    integer product does."""
-    import numpy as np
-
-    n, size = f_gen.shape[:2]
-    eye = np.eye(size, dtype=np.uint8)
-    # axes (i, r, s, unknown row, unknown column)
-    system = (eye[None, :, None, :, None] * f_j_gen.transpose(0, 2, 1)[:, None, :, None, :]
-              ^ f_gen.transpose(0, 2, 1)[:, :, None, :, None] * eye[None, None, :, None, :])
-    system = system.reshape(n * size * size, size * size)
-    system = Matrix._trusted(field, tuple(map(tuple, system.tolist())), size * size)
-    for k in system.kernel_rows():
-        g = Matrix._trusted(field, tuple(k[i * size:(i + 1) * size] for i in range(size)), size)
-        if g.rank() == size:
-            if not g.is_symmetric():
-                raise InvariantViolation("transport form is not symmetric")
-            return g
-    raise InvariantViolation("no invertible transport form found")
-
-
 # ---------------------------------------------------------------------------
 # conjugating elements of interchange isometries
 # ---------------------------------------------------------------------------
@@ -1096,6 +1119,13 @@ def goldman_element(tau: Isometry, construction: str = "frame") -> CliffordEleme
     plane that tau swaps with its orthogonal complement, as
     g = 1 + (u1 + tau(u1)) (v1 + tau(v1)).  Both are verified to conjugate
     correctly before being returned.
+
+    Either way g = 1 + ab with a and b in the residual space of tau.  For
+    an interchange isometry that is the fixed space, on which q and b
+    vanish: b(a, b) = 0 gives ba = ab, so (ab)^2 = a^2 b^2 = q(a) q(b) = 0
+    and g^2 = 1 + 2ab = 1 in characteristic 2.  So g is its own inverse:
+    g^2 = 1 is checked, and g e_i g = tau(e_i) then verifies the
+    conjugation.
     """
     if construction not in ("frame", "swap-plane"):
         raise UnknownConstruction(
@@ -1115,10 +1145,11 @@ def goldman_element(tau: Isometry, construction: str = "frame") -> CliffordEleme
         _check_swap_plane(tau, pair)
         du, dv = map(alg._vector, (pair * tau.displacement().transpose()).payload_rows)
         g = alg.one() + du * dv
-    g_inv = alg.inverse(g)
-    # g e_i g^-1 = tau(e_i), column i of M, for every basis vector e_i
+    if g * g != alg.one():
+        raise InvariantViolation("conjugating element does not square to 1")
+    # g e_i g^-1 = g e_i g = tau(e_i), column i of M, for every basis vector e_i
     for i, image in enumerate(tau.mat.transpose().payload_rows):
-        if g * alg.basis_blade(1 << i) * g_inv != alg._vector(image):
+        if g * alg.basis_blade(1 << i) * g != alg._vector(image):
             raise InvariantViolation("conjugation does not reproduce the isometry")
     return g
 

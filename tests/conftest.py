@@ -6,6 +6,10 @@ R2T     -- GF(2)(t), dim 2, q(u) = t, q(v) = 0, b(u, v) = 1; tau is the
            reflection along u.
 R4T     -- R2T perp R2T with tau the product of the two plane reflections.
 H4F7    -- GF(7), dim 4, hyperbolic.
+H6F2    -- GF(2), dim 6, hyperbolic.
+O-(4,2), O-(4,4) -- the non-split 4-dimensional spaces over GF(2) and GF(4),
+           q = x0 x1 + x2^2 + x2 x3 + a x3^2 with a = 1 and a = w: a
+           hyperbolic plane and an anisotropic one, so Witt index 1.
 """
 
 import pytest
@@ -44,6 +48,11 @@ def h4f2(f2):
 
 
 @pytest.fixture(scope="session")
+def h6f2(f2):
+    return wf.QuadraticSpace.hyperbolic(f2, 3)
+
+
+@pytest.fixture(scope="session")
 def tau_int(h4f2):
     return wf.make_isometry(h4f2, [
         [1, 0, 0, 1],
@@ -56,6 +65,22 @@ def tau_int(h4f2):
 @pytest.fixture(scope="session")
 def h4f4(f4):
     return wf.QuadraticSpace.hyperbolic(f4, 2)
+
+
+def _nonsplit4(field, a):
+    """q = x0 x1 + x2^2 + x2 x3 + a x3^2, with a the payload of the last term."""
+    return wf.QuadraticSpace.from_q_upper(field, wf.Matrix.from_payloads(
+        field, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, a]]))
+
+
+@pytest.fixture(scope="session")
+def om42(f2):
+    return _nonsplit4(f2, 1)
+
+
+@pytest.fixture(scope="session")
+def om44(f4):
+    return _nonsplit4(f4, f4.parse("w").payload)
 
 
 @pytest.fixture(scope="session")

@@ -448,6 +448,7 @@ def test_goldman_gf4_conjugates(h4f4, f4):
         g = wf.goldman_element(tau, construction)
         alg = wf.algebra_for_space(h4f4)
         g_inv = alg.inverse(g)
+        assert g_inv == g and g * g == alg.one()
         for i in range(4):
             v = alg.vector(e(i))
             assert g * v * g_inv == alg.vector(tau.apply(e(i)))
@@ -458,13 +459,36 @@ def test_goldman_rejects_non_interchange(h4f2):
         wf.goldman_element(wf.identity_isometry(h4f2))
 
 
+def _frame_with(monkeypatch, rows):
+    """normal_frame, as goldman_element reads it, with its rows (x, y, w, z)
+    replaced by `rows(x, y, w, z)`."""
+    real = clifford.normal_frame
+    monkeypatch.setattr(clifford, "normal_frame", lambda tau: Matrix.from_payloads(
+        tau.space.field, rows(*real(tau).payload_rows)))
+
+
 def test_goldman_checks_its_conjugation(tau_int, monkeypatch):
-    """An inverse that is not g's (here always 1) fails the last check of
-    either construction: g e_i g^-1 = tau(e_i) on the basis vectors."""
-    monkeypatch.setattr(CliffordAlgebra, "inverse", lambda alg, a: alg.one())
+    """g = 1 squares to 1 but conjugates every e_i to itself.  A frame with
+    y = w = 0 gives it in either construction: g = 1 + w x, and, with the
+    swap plane's own check bypassed, g = 1 + (y + tau(y)) (v + tau(v)).
+    The last check, g e_i g = tau(e_i), fails."""
+    zero = (0,) * 4
+    _frame_with(monkeypatch, lambda x, y, w, z: (x, zero, zero, z))
+    monkeypatch.setattr(clifford, "_check_swap_plane", lambda tau, pair: None)
     for construction in ("frame", "swap-plane"):
         with pytest.raises(InvariantViolation, match="conjugation does not reproduce"):
             wf.goldman_element(tau_int, construction)
+
+
+def test_goldman_checks_that_g_squares_to_one(tau_int, monkeypatch):
+    """With w = y the frame construction gives g = 1 + y x.  The frame of
+    tau_int is (e_1, e_2, e_3, e_4), and q(e_1) = q(e_2) = 0 with
+    b(e_1, e_2) = 1 makes (y x)^2 = y x, so g^2 = 1 + y x.  (The
+    swap-plane construction multiplies two vectors of the image of
+    tau - 1, the residual space, so its g^2 = 1 holds for any plane.)"""
+    _frame_with(monkeypatch, lambda x, y, w, z: (x, y, y, z))
+    with pytest.raises(InvariantViolation, match="does not square to 1"):
+        wf.goldman_element(tau_int, "frame")
 
 
 def test_swap_plane_check_rejects_a_pairing_other_than_one(h4f4, f4):
@@ -877,23 +901,131 @@ def test_explicit_iso_fault_raises_its_own_check(monkeypatch, interchange, fault
         _model_with(monkeypatch, interchange, fault)
 
 
-def test_transport_system_without_invertible_solution_raises(monkeypatch, interchange):
-    """Keep only the first generator and give it J-image 0: the system
-    f(e_1)^T G = 0 has the nonzero solutions G whose columns lie in the
-    kernel of the nilpotent f(e_1)^T (q(e_1) = 0), and none is invertible."""
-    real = clifford._solve_involution_gram
-    calls = []
+def _explicit_with_j(monkeypatch, tau, factor):
+    """explicit_matrix_iso(tau) with J's matrix multiplied on the right by
+    `factor(alg)`: J(e_b) becomes J(P(e_b)) for the linear map P whose
+    matrix (columns the images of the blades) that is."""
+    real = clifford.natural_involution
 
-    def one_nilpotent_generator(field, f_gen, f_j_gen):
-        calls.append(f_gen[0])
-        return real(field, f_gen[:1], np.zeros_like(f_j_gen[:1]))
+    def corrupted(tau, alg):
+        inv = real(tau, alg)
+        return AlgebraInvolution(alg, tau, inv.images, inv.matrix * factor(alg))
+    monkeypatch.setattr(clifford, "natural_involution", corrupted)
+    return wf.explicit_matrix_iso(tau)
 
-    monkeypatch.setattr(clifford, "_solve_involution_gram", one_nilpotent_generator)
+
+def _unit_vector(alg):
+    """e_1 + e_2, with square q(e_1 + e_2) = b(e_1, e_2) = 1 on H4."""
+    return alg.basis_blade(0b01) + alg.basis_blade(0b10)
+
+
+def test_transport_form_of_a_singular_j_raises(monkeypatch, interchange):
+    """J(p x) for the idempotent p = f^-1(E_{0,0}), the first kept
+    preimage: X_a = f(J(f^-1(E_{0,0} E_{a,0}))) vanishes for a > 0, so the
+    transport form read off the X_a has one nonzero row and rank 1."""
+    ranks = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: ranks.append(rank(m)) or ranks[-1])
+
+    def left_by_idempotent(alg):
+        row = clifford._unit_preimages(alg)[0].tolist()
+        return alg.lmul_matrix(alg.from_coeff_vector(alg.field.wrap_all(row)))
     with pytest.raises(InvariantViolation, match="no invertible transport form found"):
-        wf.explicit_matrix_iso(interchange)
-    field, f_0 = interchange.space.field, calls[0]
-    size = f_0.shape[0]
-    assert f_0.any() and Matrix.from_payloads(field, f_0.tolist()).rank() < size
+        _explicit_with_j(monkeypatch, interchange, left_by_idempotent)
+    assert ranks[-1] == 1
+
+
+def test_transport_form_off_the_generator_equations_raises(monkeypatch, interchange):
+    """J(x v) for the unit v = e_1 + e_2: X_a becomes f(J(v)) X_a, whose
+    rows are combinations of the old ones, so the transport form read off
+    is still the invertible W^T.  It no longer carries this map to the
+    transpose: G f(J(e_i v)) = G f(J(v)) G^-1 f(e_i)^T G differs from
+    f(e_i)^T G unless f(J(v)) is a scalar."""
+    with pytest.raises(InvariantViolation, match="does not carry J to transpose on the generators"):
+        _explicit_with_j(monkeypatch, interchange, lambda alg: alg.rmul_matrix(_unit_vector(alg)))
+
+
+def test_asymmetric_transport_form_raises(monkeypatch, interchange):
+    """J(v x v^-1) for the unit v = e_1 + e_2 = v^-1 is an anti-automorphism
+    too, and its transport form G f(J(v)) satisfies its generator
+    equations, but it is symmetric only if J(v) = v, and tau moves v."""
+    alg = wf.algebra_for_space(interchange.space)
+    v = _unit_vector(alg)
+    assert wf.natural_involution(interchange, alg).apply(v) != v
+    with pytest.raises(InvariantViolation, match="transport form is not symmetric"):
+        _explicit_with_j(monkeypatch, interchange,
+                         lambda alg: alg.lmul_matrix(v) * alg.rmul_matrix(v))
+
+
+def _reference_transport_form(field, f_gen, f_j_gen):
+    """The transport form as a linear solve: the canonical kernel vector of
+    the n N^2 x N^2 system G f(J(e_i)) = f(e_i)^T G, given the (n, N, N)
+    payload arrays of the f(e_i) and the f(J(e_i)), whose unknowns are the
+    entries of G read row by row.  For A = f(J(e_i)) and B = f(e_i),
+    equation (r, s) reads sum_t A[t, s] G[r, t] + B[t, r] G[t, s] = 0:
+    row (r, s) of the system holds A[t, s] at unknown (r, t) and B[t, r]
+    at unknown (t, s).  Over GF(2^k) the two terms add by XOR, and a 0/1
+    factor selects payloads as an integer product does.  By Skolem-Noether
+    the kernel is a line."""
+    n, size = f_gen.shape[:2]
+    eye = np.eye(size, dtype=np.uint8)
+    # axes (i, r, s, unknown row, unknown column)
+    system = (eye[None, :, None, :, None] * f_j_gen.transpose(0, 2, 1)[:, None, :, None, :]
+              ^ f_gen.transpose(0, 2, 1)[:, :, None, :, None] * eye[None, None, :, None, :])
+    system = Matrix.from_payloads(field, system.reshape(n * size * size, size * size).tolist())
+    (kernel,) = system.kernel_rows()
+    return Matrix.from_payloads(field, [kernel[i * size:(i + 1) * size] for i in range(size)])
+
+
+@pytest.mark.parametrize("space, count, limit", [
+    ("h4f2", 15, None), ("h4f4", 255, None), ("om42", 15, None), ("om44", 255, None),
+    ("h6f2", 420, 20)])
+def test_transport_form_is_the_canonical_kernel_vector(request, monkeypatch, space, count, limit):
+    """On every r = k involution of each space (the first 20 on H6F2), the
+    closed-form transport form is the canonical kernel vector of the
+    linear system it solves, and the model built from that vector has the
+    same blade images."""
+    space = request.getfixturevalue(space)
+    enum = wf.enumerate_orthogonal_group(space)
+    isos = [iso for iso in map(enum.isometry, enum.involution_indices())
+            if iso.residual_space() == iso.fixed_space()]
+    assert len(isos) == count
+    alg = wf.algebra_for_space(space)
+    model = clifford._base_model(alg)
+    generators = [1 << i for i in range(alg.n)]
+    flat = model.reshape(alg.dim, alg.dim)
+    arith = _batch_arith(space.field)
+    forms = _count_calls(monkeypatch, (clifford,), "orthogonal_basis")
+    orthogonal_basis = clifford.orthogonal_basis
+    for iso in isos[:limit]:
+        j_rows = np.array(wf.natural_involution(iso, alg).matrix.payload_rows, dtype=np.uint8).T
+        f_j_gen = arith.matmul(j_rows[generators], flat).reshape(model[generators].shape)
+        reference = _reference_transport_form(space.field, model[generators], f_j_gen)
+        closed = wf.explicit_matrix_iso(iso)
+        assert forms[-1] == (reference,)
+        # the rest of the construction, from the reference form
+        monkeypatch.setattr(clifford, "orthogonal_basis", lambda g: orthogonal_basis(reference))
+        assert wf.explicit_matrix_iso(iso).blade_images == closed.blade_images
+        monkeypatch.setattr(clifford, "orthogonal_basis", orthogonal_basis)
+
+
+def test_unit_preimages_are_built_once_per_algebra(f8, monkeypatch):
+    """U, the preimages of the matrix units E_{a,0}, is one elimination per
+    algebra, kept beside the model and shared by every involution."""
+    h4f8 = wf.QuadraticSpace.hyperbolic(f8, 2)
+    fresh = functools.lru_cache(maxsize=None)(CliffordAlgebra.from_space)
+    monkeypatch.setattr(clifford, "algebra_for_space", fresh)
+    calls = _count_calls(monkeypatch, (clifford,), "_unit_preimages")
+    builds = []
+    solve_many = Matrix.solve_many
+    monkeypatch.setattr(Matrix, "solve_many",
+                        lambda m, rhs: builds.append(m.shape) or solve_many(m, rhs))
+    e = h4f8.basis_vector
+    for pair in ((0, 2), (1, 3), (0, 3)):
+        wf.explicit_matrix_iso(wf.eichler(h4f8, e(pair[0]), e(pair[1])))
+    alg = fresh(h4f8)
+    assert len(calls) == 3 and builds.count((alg.dim, alg.dim)) == 1
+    assert alg._preimages.shape == (4, alg.dim)
 
 
 @pytest.mark.parametrize("pair", [(0, 5), (3, 5), (6, 9), (15, 15), (0b1010, 0b0001)])

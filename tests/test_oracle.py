@@ -213,6 +213,38 @@ def test_verify_smoke(h4f2, group_h4f2):
         assert (rep.theorem, rep.checked, rep.failed, rep.examples) == (theorem, count, 0, [])
 
 
+# the non-split 4-dimensional spaces (Witt index 1) of the conftest
+NONSPLIT_COUNTS = {"om42": {"res": 26, "g": 0, "clif": 15},
+                   "om44": {"res": 324, "g": 0, "clif": 255}}
+
+
+@pytest.mark.parametrize("name", sorted(NONSPLIT_COUNTS))
+def test_involution_runners_on_nonsplit_spaces(request, name):
+    space = request.getfixturevalue(name)
+    enum = wf.enumerate_orthogonal_group(space)
+    for theorem, count in NONSPLIT_COUNTS[name].items():
+        rep = wf.exhaustive_verify(theorem, space, enum)
+        assert (rep.theorem, rep.checked, rep.failed, rep.examples) == (theorem, count, 0, [])
+
+
+@pytest.mark.parametrize("name", sorted(NONSPLIT_COUNTS))
+def test_g_checks_nothing_on_nonsplit_spaces(request, name):
+    """Witt index 1: two singular vectors are orthogonal only on a common
+    line, so no plane is totally isotropic, and no involution has the
+    2-dimensional totally isotropic fixed space of an interchange.  `g`,
+    which runs on the interchanges, checks 0 elements."""
+    space = request.getfixturevalue(name)
+    singular = [v for v in space.vectors() if any(v) and not space.eval_q(v)]
+    assert singular  # Witt index at least 1
+    for u, v in itertools.combinations(singular, 2):
+        if not space.eval_b(u, v):
+            assert Subspace.from_vectors(space, [u, v]).dim == 1
+    enum = wf.enumerate_orthogonal_group(space)
+    involutions = list(map(enum.isometry, enum.involution_indices()))
+    assert not any(iso.is_interchange() for iso in involutions)
+    assert wf.exhaustive_verify("g", space, enum).checked == 0
+
+
 def test_verify_vprime_alias(h4f2, group_h4f2):
     rep = wf.exhaustive_verify("vprime", h4f2, group_h4f2)
     assert rep.theorem == "v'"
