@@ -17,6 +17,10 @@ the next while (inner dimension) * k <= 255, and the product has at most
 product's coefficient, and one table lookup reduces it modulo the field
 polynomial.  Wider inner dimensions, and GF(2^k) for k >= 5, sum table
 lookups by XOR.
+
+Payload arrays meet ``Matrix`` at one bridge: :func:`_payload_stack` and
+:func:`_array_matrix`.  A payload fits in a byte, since p <= 97
+(``fields.MAX_PRIME``) and 2^k <= 256 (``fields.MAX_EXTENSION_DEGREE``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 
 from .errors import TooLarge, UnsupportedField
 from .fields import _FiniteField, field_tables
+from .linalg import Matrix
 
 # cached: a one-element stack's product costs a few microseconds, and
 # min_scalar_type would add half a microsecond to each
@@ -184,6 +189,16 @@ class _BatchArith:
             codes = rows[:, :, None, part] + b[None, :, :, part]
             np.bitwise_xor.reduce(self._mul.take(codes), axis=1, out=out[..., part])
         return out
+
+
+def _payload_stack(*mats: Matrix) -> np.ndarray:
+    """The payloads of matrices of one shape as one (len, rows, cols) uint8 array."""
+    return np.array([m.payload_rows for m in mats], np.uint8).reshape(len(mats), *mats[0].shape)
+
+
+def _array_matrix(field, array) -> Matrix:
+    """The unchecked Matrix on the rows of a 2-D array of canonical payloads."""
+    return Matrix._trusted(field, tuple(map(tuple, array.tolist())), array.shape[1])
 
 
 @functools.lru_cache(maxsize=None)

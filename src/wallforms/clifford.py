@@ -882,6 +882,8 @@ def _base_model(alg: CliffordAlgebra) -> np.ndarray:
     in factor k with identities in the others."""
     if alg._model is not None:
         return alg._model
+    from .batched import _payload_stack
+
     space, field, n = alg.space, alg.field, alg.n
     planes = hyperbolic_basis_alternating(space.gram)  # rows a_1, b_1, a_2, ...
     qvals = space.q_values(planes)  # q(a_1), q(b_1), q(a_2), ...
@@ -900,7 +902,7 @@ def _base_model(alg: CliffordAlgebra) -> np.ndarray:
     for blade in range(1, alg.dim):
         top = blade.bit_length() - 1
         blade_images.append(blade_images[blade ^ (1 << top)] * f_gen[top])
-    alg._model = _payload_array(*blade_images)
+    alg._model = _payload_stack(*blade_images)
     return alg._model
 
 
@@ -913,17 +915,16 @@ def _unit_preimages(alg: CliffordAlgebra) -> np.ndarray:
     one elimination of [F^T | E].  Like the model it does not depend on
     an involution, so it is built on first use and kept on the algebra."""
     if alg._preimages is None:
-        import numpy as np
+        from .batched import _array_matrix, _payload_stack
 
         model = _base_model(alg)
         field, dim, size = alg.field, alg.dim, model.shape[1]
-        flat_t = model.reshape(dim, size * size).T
-        f_t = Matrix._trusted(field, tuple(map(tuple, flat_t.tolist())), dim)
+        f_t = _array_matrix(field, model.reshape(dim, size * size).T)
         units = Matrix._trusted(field, Matrix.identity(field, dim).payload_rows[::size], dim)
         rows = f_t.solve_many(units)
         if rows is None:
             raise InvariantViolation("blade images are not linearly independent")
-        alg._preimages = np.array(rows.payload_rows, dtype=np.uint8)
+        alg._preimages = _payload_stack(rows)[0]
     return alg._preimages
 
 
@@ -953,7 +954,7 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     and the pairs (e_i, e_j) and (e_j, e_i) give the polar relation."""
     import numpy as np
 
-    from .batched import _batch_arith
+    from .batched import _array_matrix, _batch_arith, _payload_stack
 
     space = tau.space
     field = space.field
@@ -971,14 +972,15 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     arith = _batch_arith(field)
 
     # row b of J^T holds the coefficients of J(e_b); xs[a] is X_a
-    j_rows = np.array(inv.matrix.payload_rows, dtype=np.uint8).T
+    j_rows = _payload_stack(inv.matrix)[0].T
     xs = arith.matmul(arith.matmul(_unit_preimages(alg), j_rows), flat).reshape(size, size, size)
     gram = xs[:, int(xs.any(axis=(0, 2)).argmax()), :]
-    if Matrix._trusted(field, tuple(map(tuple, gram.tolist())), size).rank() != size:
+    g_mat = _array_matrix(field, gram)
+    if g_mat.rank() != size:
         raise InvariantViolation("no invertible transport form found")
     # scaled so that its last nonzero entry, read row by row, is 1
-    gram = arith.mul(arith.inv[gram.reshape(-1)[np.flatnonzero(gram)[-1]]], gram)
-    g_mat = Matrix._trusted(field, tuple(map(tuple, gram.tolist())), size)
+    scale = arith.inv[gram.reshape(-1)[np.flatnonzero(gram)[-1]]]
+    gram, g_mat = arith.mul(scale, gram), g_mat.scale(field.wrap(int(scale)))
     generators = [1 << i for i in range(alg.n)]
     f_j_gen = arith.matmul(j_rows[generators], flat).reshape(alg.n, size, size)
     if not np.array_equal(arith.matmul(gram, f_j_gen),
@@ -997,43 +999,34 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     h_mat = _diagonal(field, roots) * p_t.inverse()
     h_inv = p_t * _diagonal(field, tuple(map(_kernel(field).inv, roots)))
     # conjugate every blade image by H, as two batched products
-    conj = arith.matmul(arith.matmul(_payload_array(h_mat), model), _payload_array(h_inv))
-    _verify_matrix_iso(inv, conj)
-    return MatrixIso(alg, size, tuple(
-        Matrix._trusted(field, tuple(map(tuple, img)), size) for img in conj.tolist()))
+    h_arr, h_inv_arr = _payload_stack(h_mat, h_inv)
+    conj = arith.matmul(arith.matmul(h_arr, model), h_inv_arr)
+    _verify_matrix_iso(alg, j_rows, conj)
+    return MatrixIso(alg, size, tuple(_array_matrix(field, img) for img in conj))
 
 
 PAIR_BATCH = 1 << 22  # payload bytes gathered per batch of the multiplicativity check
 
 
-def _payload_array(*mats: Matrix) -> np.ndarray:
-    """The payloads of square matrices over GF(2^k), stacked: (len, N, N)."""
-    import numpy as np
-
-    return np.array([m.payload_rows for m in mats], dtype=np.uint8)
-
-
-def _verify_matrix_iso(inv: AlgebraInvolution, imgs: np.ndarray) -> None:
-    """The final checks of an explicit model f of (C(q), J), given as the
-    (2^n, N, N) uint8 array of its blade images, each over every blade:
-    the blade images are linearly independent, f(J(e_b)) is f(e_b)^T for
-    every blade b, and f(e_s e_t) = f(e_s) f(e_t) for all 4^n pairs
-    (s, t).  The last two are batched exact products and gathers: J^T
+def _verify_matrix_iso(alg: CliffordAlgebra, j_rows: np.ndarray, imgs: np.ndarray) -> None:
+    """The final checks of an explicit model f of (C(q), J), given J^T as
+    the (2^n, 2^n) uint8 array `j_rows` (row b the coefficients of J(e_b))
+    and f as the (2^n, N, N) uint8 array of its blade images, each over
+    every blade: the blade images are linearly independent, f(J(e_b)) is
+    f(e_b)^T for every blade b, and f(e_s e_t) = f(e_s) f(e_t) for all 4^n
+    pairs (s, t).  The last two are batched exact products and gathers: J^T
     times the flattened images, and every pairwise product of images
     against the image of e_s e_t, summed from its sparse structure
     constants (:func:`_pair_images`)."""
     import numpy as np
 
-    from .batched import _batch_arith
+    from .batched import _array_matrix, _batch_arith
 
-    alg, size = inv.algebra, imgs.shape[1]
-    field, dim = alg.field, alg.dim
+    size, field, dim = imgs.shape[1], alg.field, alg.dim
     flat = imgs.reshape(dim, size * size)
-    if Matrix._trusted(field, tuple(map(tuple, flat.tolist())), size * size).rank() != dim:
+    if _array_matrix(field, flat).rank() != dim:
         raise InvariantViolation("blade images are not linearly independent")
     arith = _batch_arith(field)
-    # row b of J^T holds the coefficients of J(e_b)
-    j_rows = np.array(inv.matrix.payload_rows, dtype=np.uint8).T
     if not np.array_equal(arith.matmul(j_rows, flat),
                           imgs.transpose(0, 2, 1).reshape(dim, size * size)):
         raise InvariantViolation("isomorphism does not carry J to transpose")

@@ -172,3 +172,7 @@ class TooLarge(PreconditionError):
 
 class UnknownTheorem(PreconditionError):
     pass
+
+
+class UnknownMethod(PreconditionError, ValueError):
+    """An enumeration method that ``enumerate_orthogonal_group`` does not know."""

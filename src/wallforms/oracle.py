@@ -2,14 +2,16 @@
 
 Two enumeration methods:
 
-* exhaustive matrix scan -- a backtracking walk over column images that
-  prunes exactly on the isometry conditions (q preserved on each column,
-  pairings preserved between columns), so the result set equals the set of
-  all matrices passing validation;
+* exhaustive matrix scan -- the matrices built column by column, each
+  column one boolean mask over q(v) and the pairings b(col_i, v) of every
+  vector v (q preserved on each column, pairings preserved between
+  columns), so the result set equals the set of all matrices passing
+  validation;
 * generator closure -- breadth-first closure of the subgroup generated by
   all reflections and all Eichler transformations.
 
-The closure path works on payload arrays end to end.  One batched
+Both methods work on payload arrays end to end, and meet ``Matrix`` only
+through the bridge of :mod:`batched`.  One batched
 arithmetic per field (:class:`batched._BatchArith`, the library's numpy
 arithmetic, which this module loads at import) is tabulated from the
 field's own payload ``mul``/``div``; it builds every generator matrix as
@@ -49,10 +51,11 @@ from .errors import (
     NotAnIsometry,
     PreconditionError,
     TooLarge,
+    UnknownMethod,
     UnknownTheorem,
     WallformsError,
 )
-from .batched import _BatchArith, _batch_arith, _identity_last
+from .batched import _BatchArith, _array_matrix, _batch_arith, _identity_last, _payload_stack
 from .fields import Galois2Field, PrimeField
 from .linalg import Matrix
 from .quadspace import QuadraticSpace, Subspace, _same_space
@@ -88,37 +91,11 @@ def _field_codes(field):
     raise TooLarge(f"cannot enumerate over {field.literal()}")
 
 
-@dataclass
-class _SpaceTables:
-    vectors: list[tuple]           # payload tuples
-    index: dict[tuple, int]
-    qvals: list                    # payload of q(v) per vector
-    bvals: list[list]              # payload of b(u, v) per vector pair
-
-
-def _space_tables(space: QuadraticSpace) -> _SpaceTables:
-    """q and b over every vector (base-|F| code order), each one batched
-    product from the payload matrices of Q and B."""
-    arith = _batch_arith(space.field)
-    n = space.dim
-    vecs = _all_vectors(arith.order, n)
-    qvals = arith.matmul(arith.matmul(vecs[:, None, :], _payloads(space.qmat)),
-                         vecs[:, :, None])[:, 0, 0]
-    bvals = arith.matmul(arith.matmul(vecs, _payloads(space.gram)), vecs.T)
-    vectors = list(map(tuple, vecs.tolist()))
-    return _SpaceTables(vectors, {v: i for i, v in enumerate(vectors)},
-                        qvals.tolist(), bvals.tolist())
-
-
 # ---------------------------------------------------------------------------
 # element keys
 # ---------------------------------------------------------------------------
 
 BATCH_ROWS = 1 << 16  # matrices per batched product; bounds the temporaries
-
-
-def _payloads(mat: Matrix) -> np.ndarray:
-    return np.array(mat.payload_rows, dtype=np.uint8).reshape(mat.shape)
 
 
 def _keys(mats, size: int) -> np.ndarray:
@@ -139,7 +116,7 @@ def _decode(keys, size: int, n: int) -> np.ndarray:
     for k in range(n * n - 1, -1, -1):
         digits[k] = rest % base
         rest //= base
-    return digits.reshape(n, n, -1)
+    return digits.reshape(n, n, len(keys))
 
 
 def _unique_rows(mats) -> np.ndarray:
@@ -147,7 +124,8 @@ def _unique_rows(mats) -> np.ndarray:
     order; any payload count per matrix, so no key width to respect.  A
     lexsort takes a tenth of the time of np.unique(axis=0) here."""
     flat = np.asarray(mats, dtype=np.uint8).reshape(len(mats), -1)
-    flat = flat[np.lexsort(flat.T[::-1])]
+    if flat.shape[1]:  # lexsort needs a key; matrices of no entries are all equal
+        flat = flat[np.lexsort(flat.T[::-1])]
     fresh = np.ones(len(flat), dtype=bool)
     fresh[1:] = (flat[1:] != flat[:-1]).any(axis=1)
     return flat[fresh]
@@ -172,6 +150,13 @@ def _all_vectors(size: int, n: int) -> np.ndarray:
     """Every payload vector, in base-|F| code order (first coordinate slowest)."""
     codes = np.arange(size ** n)[:, None]
     return (codes // size ** np.arange(n - 1, -1, -1) % size).astype(np.uint8)
+
+
+def _vector_forms(arith: _BatchArith, qmat, gram, vecs) -> tuple[np.ndarray, np.ndarray]:
+    """q(v) and the row (B v)^T of each payload vector v, a row of `vecs`,
+    as batched products from the payload arrays of Q and B = Q + Q^T."""
+    qvec = arith.matmul(arith.matmul(vecs[:, None, :], qmat), vecs[:, :, None])[:, 0, 0]
+    return qvec, arith.matmul(vecs, gram)
 
 
 def _normalised_vectors(size: int, n: int):
@@ -213,7 +198,8 @@ class GroupEnumeration:
         # always a copy: a batch-last-contiguous stack would be aliased by
         # np.ascontiguousarray and stay writable through the caller's array
         last = np.array(stack.transpose(1, 2, 0), dtype=np.uint8, order="C")
-        _check_isometries(arith, last.transpose(2, 0, 1), _payloads(self.space.qmat), NotAnIsometry)
+        _check_isometries(arith, last.transpose(2, 0, 1), _payload_stack(self.space.qmat)[0],
+                          NotAnIsometry)
         self.__dict__.update(vars(self._trusted(self.space, self.method, last)))
 
     @classmethod
@@ -244,8 +230,7 @@ class GroupEnumeration:
 
     def isometry(self, i: int) -> Isometry:
         """Element i, proven an isometry when the enumeration was made."""
-        return Isometry._trusted(self.space, Matrix._trusted(
-            self.space.field, self.payload_rows(i), self.space.dim))
+        return Isometry._trusted(self.space, _array_matrix(self.space.field, self.payloads[i]))
 
     def isometries(self):
         return map(self.isometry, range(self.order))
@@ -291,34 +276,26 @@ def _is_identity(stack) -> np.ndarray:
 def _finish(space: QuadraticSpace, method: str, mats) -> GroupEnumeration:
     """Wrap enumerated matrices, sorted canonically (by payloads, row by row)."""
     rows = np.ascontiguousarray(_unique_rows(mats).T)  # (n*n, N), the batch last
-    return GroupEnumeration._trusted(space, method, rows.reshape(space.dim, space.dim, -1))
+    n, count = space.dim, rows.shape[1]
+    return GroupEnumeration._trusted(space, method, rows.reshape(n, n, count))
 
 
 def _scan(space: QuadraticSpace) -> GroupEnumeration:
-    """Backtracking column scan; equivalent to filtering every matrix."""
-    tables = _space_tables(space)
+    """Column by column, every partial matrix extended by every vector v with
+    q(v) = Q_cc and b(col_i, v) = B_ic for each earlier column i, one mask
+    per column: the matrices left are exactly those that pass validation."""
+    arith = _batch_arith(space.field)
     n = space.dim
-    target_q = np.diagonal(_payloads(space.qmat)).tolist()  # q(e_i) = Q_ii
-    target_b = _payloads(space.gram).tolist()               # b(e_i, e_j) = B_ij
-
-    results = []
-    chosen: list[int] = []
-
-    def extend(col: int):
-        if col == n:
-            results.append(np.array([tables.vectors[c] for c in chosen], dtype=np.uint8).T)
-            return
-        for v in range(len(tables.vectors)):
-            if tables.qvals[v] != target_q[col]:
-                continue
-            if any(tables.bvals[chosen[i]][v] != target_b[i][col] for i in range(col)):
-                continue
-            chosen.append(v)
-            extend(col + 1)
-            chosen.pop()
-
-    extend(0)
-    return _finish(space, "exhaustive-matrix-scan", results)
+    vecs = _all_vectors(arith.order, n)
+    qmat, gram = _payload_stack(space.qmat, space.gram)
+    qvec, bvec = _vector_forms(arith, qmat, gram, vecs)
+    chosen = np.zeros((1, 0), dtype=np.intp)  # vector indices of the columns so far
+    for c in range(n):
+        pairings = arith.matmul(bvec[chosen], vecs.T)  # b(col_i, v), (K, c, |F|^n)
+        keep = (qvec == qmat[c, c]) & (pairings == gram[:c, c, None]).all(axis=1)
+        partial, fresh = np.nonzero(keep)
+        chosen = np.column_stack([chosen[partial], fresh])
+    return _finish(space, "exhaustive-matrix-scan", vecs[chosen].transpose(0, 2, 1))
 
 
 def _check_isometries(arith: _BatchArith, mats, qmat, error):
@@ -345,11 +322,12 @@ def standard_generators(space: QuadraticSpace) -> list[np.ndarray]:
     n, size = space.dim, arith.order
     if size ** n > GENERATOR_VECTOR_LIMIT:
         raise TooLarge("vector enumeration too large for generator construction")
-    qmat, gram = _payloads(space.qmat), _payloads(space.gram)
+    if not n:
+        return []  # the zero space has no nonzero vector
     eye = _identity_last(n)[:, :, 0]
     vecs, lead, normalised = _normalised_vectors(size, n)
-    bvec = arith.matmul(vecs, gram)                          # rows (B v)^T
-    qvec = arith.matmul(arith.matmul(vecs[:, None, :], qmat), vecs[:, :, None])[:, 0, 0]
+    qmat, gram = _payload_stack(space.qmat, space.gram)
+    qvec, bvec = _vector_forms(arith, qmat, gram, vecs)      # bvec rows (B v)^T
 
     aniso = normalised & (qvec != 0)
     u = vecs[aniso]
@@ -401,7 +379,7 @@ def _closure(space: QuadraticSpace) -> GroupEnumeration:
     gen_keys = _keys(gens, size)
     vecs = _all_vectors(size, n)
     # the weight of row i in a key, as a column: |F|^(n(n-1-i))
-    row_weights = np.uint64(size) ** np.arange(n * (n - 1), -1, -n, dtype=np.uint64)[:, None]
+    row_weights = np.uint64(size) ** (n * np.arange(n - 1, -1, -1, dtype=np.uint64))[:, None]
     row_count = np.uint64(size ** n)
     known = _keys([eye], size)
     active = []                                # code tables (|F|^n,) of v -> v g
@@ -449,7 +427,7 @@ def enumerate_orthogonal_group(space: QuadraticSpace, method: str = "auto") -> G
         return _scan(space)
     if method == "closure":
         return _closure(space)
-    raise ValueError(f"unknown enumeration method {method!r}")
+    raise UnknownMethod(f"unknown enumeration method {method!r}; known: auto, scan, closure")
 
 
 def enumerate_unipotent2(space: QuadraticSpace, enum: GroupEnumeration | None = None) -> list[Isometry]:
@@ -657,6 +635,8 @@ def _run_totimes(space, enum=None) -> VerifyReport:
     if field.characteristic() != 2:
         raise CharacteristicNot2("the symmetric-square law is a characteristic-2 statement")
     size = field.order()
+    if size is None:
+        raise TooLarge("the coefficient field is infinite")
 
     def holds(x):
         sq = x * x

@@ -26,6 +26,7 @@ from wallforms.errors import (
     InvariantViolation,
     IsotropicVector,
     NotInterchange,
+    NotInvolution,
     NotOrthogonalBasis,
     NotRegular,
     NotScalarSquare,
@@ -370,7 +371,7 @@ def test_explicit_iso_gf8(f8):
                       (wf.eichler(h4f8, h4f8.basis_vector(0), h4f8.basis_vector(2)), 4)):
         iso = wf.explicit_matrix_iso(tau)
         assert iso.size == size
-        _verify_matrix_iso(wf.natural_involution(tau, iso.algebra), _images(iso))
+        _verify(wf.natural_involution(tau, iso.algebra), _images(iso))
 
 
 def _count_calls(monkeypatch, modules, name):
@@ -653,6 +654,8 @@ def test_constructors_reject_element_of_another_field(h4f4, f7):
 def test_vector_rejects_wrong_length(alg_h4f2, f2, length):
     with pytest.raises(DimensionMismatch):
         alg_h4f2.vector((f2.one,) * length)
+    with pytest.raises(DimensionMismatch, match=f"^{length} coefficients in dimension 16$"):
+        alg_h4f2.from_coeff_vector((f2.one,) * length)
 
 
 @pytest.mark.parametrize("blade", [99, 16, -1])
@@ -661,6 +664,34 @@ def test_blades_outside_the_algebra_are_rejected(alg_h4f2, f2, blade):
         alg_h4f2.basis_blade(blade)
     with pytest.raises(DimensionMismatch):
         alg_h4f2.element({blade: f2.one})
+    for pair in ((blade, 0), (0, blade)):
+        with pytest.raises(DimensionMismatch,
+                           match=f"^blades {pair[0]}, {pair[1]} outside an algebra of dimension 16$"):
+            alg_h4f2.blade_mul(*pair)
+
+
+def test_algebra_refuses_a_polar_form_of_another_field_or_shape(f2, f4, h4f2):
+    with pytest.raises(DescriptorMismatch, match="^polar form over .* for an algebra over "):
+        CliffordAlgebra(f2, [f2.zero] * 2, Matrix.identity(f4, 2))
+    with pytest.raises(DimensionMismatch, match=r"^polar form of shape \(4, 4\) for 2 generators$"):
+        CliffordAlgebra(f2, [f2.zero] * 2, h4f2.gram)
+
+
+@pytest.fixture(scope="module")
+def order_three(h4f2, f2):
+    """The product of the reflections along u = (1, 1, 0, 0) and
+    v = (0, 1, 1, 1) of H4F2: q(u) = q(v) = b(u, v) = 1, so it has order 3."""
+    o, z = f2.one, f2.zero
+    return wf.reflection(h4f2, (o, o, z, z)) * wf.reflection(h4f2, (z, o, o, o))
+
+
+@pytest.mark.parametrize("build", ["natural_involution", "phi_subalgebra", "pfister_invariant",
+                                   "tensor_decomposition_witness"])
+def test_constructions_refuse_a_non_involution(order_three, build):
+    assert not order_three.is_involution()
+    assert (order_three * order_three * order_three).mat == Matrix.identity(order_three.space.field, 4)
+    with pytest.raises(NotInvolution, match=r"^tau\^2 != id$"):
+        getattr(wf, build)(order_three)
 
 
 def test_goldman_rejects_unknown_construction(tau_int):
@@ -814,6 +845,12 @@ def _images(iso):
     return np.array([m.payload_rows for m in iso.blade_images], dtype=np.uint8)
 
 
+def _verify(inv, imgs):
+    """`_verify_matrix_iso` on the blade images `imgs` of a model of
+    (C(q), J), with J read from the involution `inv`."""
+    _verify_matrix_iso(inv.algebra, np.array(inv.matrix.payload_rows, dtype=np.uint8).T, imgs)
+
+
 def _plus_one(imgs, blade, r, c):
     """imgs with one added to entry (r, c) of one blade image."""
     imgs = imgs.copy()
@@ -822,7 +859,7 @@ def _plus_one(imgs, blade, r, c):
 
 
 def test_matrix_iso_checks_pass(model_h4f2):
-    _verify_matrix_iso(*model_h4f2)
+    _verify(*model_h4f2)
 
 
 def test_matrix_iso_dependent_images_fail_rank(model_h4f2):
@@ -830,14 +867,14 @@ def test_matrix_iso_dependent_images_fail_rank(model_h4f2):
     imgs = imgs.copy()
     imgs[5] = imgs[6]
     with pytest.raises(InvariantViolation, match="not linearly independent"):
-        _verify_matrix_iso(inv, imgs)
+        _verify(inv, imgs)
 
 
 def test_matrix_iso_every_corrupted_image_entry_fails(model_h4f2):
     inv, imgs = model_h4f2
     for blade, r, c in itertools.product(*map(range, imgs.shape)):
         with pytest.raises(InvariantViolation, match="transpose|multiplicative|independent"):
-            _verify_matrix_iso(inv, _plus_one(imgs, blade, r, c))
+            _verify(inv, _plus_one(imgs, blade, r, c))
 
 
 def test_matrix_iso_every_corrupted_involution_entry_fails(model_h4f2):
@@ -848,7 +885,7 @@ def test_matrix_iso_every_corrupted_involution_entry_fails(model_h4f2):
         bad = AlgebraInvolution(inv.algebra, inv.tau, inv.images,
                                 Matrix.from_payloads(inv.matrix.field, rows))
         with pytest.raises(InvariantViolation, match="does not carry J to transpose"):
-            _verify_matrix_iso(bad, imgs)
+            _verify(bad, imgs)
 
 
 # injected faults on the path explicit_matrix_iso takes: the conjugated
@@ -869,7 +906,7 @@ def _model_with(monkeypatch, tau, fault):
     conjugated images before they are checked."""
     real = clifford._verify_matrix_iso
     monkeypatch.setattr(clifford, "_verify_matrix_iso",
-                        lambda inv, imgs: real(inv, fault(imgs.copy())))
+                        lambda alg, j_rows, imgs: real(alg, j_rows, fault(imgs.copy())))
     return wf.explicit_matrix_iso(tau)
 
 

@@ -11,6 +11,7 @@ import wallforms as wf
 from wallforms.errors import (
     DimensionMismatch,
     NotHyperbolicPair,
+    NotInResidual,
     NotInterchange,
     NotUnipotent2,
     PreconditionError,
@@ -91,6 +92,17 @@ def test_reflection_block_r4t(r4t, tau_r4t):
 def test_reflection_block_zero_diagonal(tau_int, h4f2):
     with pytest.raises(ZeroDiagonal):
         wf.reflection_block(tau_int, h4f2.basis_vector(0))
+
+
+# the residual space of tau_int is span(e_0, e_2)
+@pytest.mark.parametrize("block, vectors, message", [
+    ("reflection_block", (1,), "^u is not in the residual space$"),
+    ("interchange_block", (1, 3), "^pair does not lie in the residual space$"),
+    ("interchange_block", (0, 3), "^pair does not lie in the residual space$"),
+], ids=["reflection", "interchange-both-outside", "interchange-one-outside"])
+def test_blocks_refuse_vectors_outside_the_residual_space(tau_int, h4f2, block, vectors, message):
+    with pytest.raises(NotInResidual, match=message):
+        getattr(wf, block)(tau_int, *map(h4f2.basis_vector, vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from wallforms.errors import (
     NotInterchange,
     PreconditionError,
     TooLarge,
+    UnknownMethod,
     UnknownTheorem,
     WallformsError,
 )
@@ -55,30 +56,43 @@ def test_scan_is_idempotent(h4f2, group_h4f2):
 
 
 def scan_flat(space):
-    """Plain scan over every matrix: the reference for the backtracking
-    scan (tiny spaces only)."""
-    tables = oracle._space_tables(space)
+    """Every matrix whose columns v_j have q(v_j) = q(e_j) and
+    b(v_i, v_j) = b(e_i, e_j), as flat payload rows in canonical order:
+    the reference for the scan, from the boxed eval_q and eval_b over
+    every vector (tiny spaces only)."""
+    vectors = list(space.vectors())
     n = space.dim
-    if len(tables.vectors) ** n > oracle.AUTO_SCAN_LIMIT:
+    if len(vectors) ** n > oracle.AUTO_SCAN_LIMIT:
         raise TooLarge("flat scan is for tiny spaces")
-    unit = lambda i: tables.index[tuple(1 if j == i else 0 for j in range(n))]  # noqa: E731
+    qvals = [space.eval_q(v) for v in vectors]
+    bvals = [[space.eval_b(u, v) for v in vectors] for u in vectors]
+    unit = [vectors.index(space.basis_vector(j)) for j in range(n)]
     results = []
-    for cols in itertools.product(range(len(tables.vectors)), repeat=n):
-        ok = all(tables.qvals[c] == tables.qvals[unit(j)] for j, c in enumerate(cols))
-        if ok:
-            ok = all(
-                tables.bvals[cols[i]][cols[j]] == tables.bvals[unit(i)][unit(j)]
-                for i in range(n) for j in range(i + 1, n)
-            )
-        if ok:
-            results.append(np.array([tables.vectors[c] for c in cols], dtype=np.int64).T)
-    return oracle._finish(space, "exhaustive-matrix-scan", results)
+    for cols in itertools.product(range(len(vectors)), repeat=n):
+        if all(qvals[c] == qvals[unit[j]] for j, c in enumerate(cols)) and all(
+                bvals[cols[i]][cols[j]] == bvals[unit[i]][unit[j]]
+                for i in range(n) for j in range(i + 1, n)):
+            results.append([vectors[cols[j]][i].payload for i in range(n) for j in range(n)])
+    return sorted(results)
 
 
-def test_backtracking_scan_equals_flat_scan(h4f2, group_h4f2):
-    flat = scan_flat(h4f2)
-    assert flat.order == group_h4f2.order
-    assert (flat.payloads == group_h4f2.payloads).all()
+def test_backtracking_scan_equals_flat_scan(group_h4f2, h4f2):
+    # the default enumeration of H4F2 is the scan; its elements, in order
+    assert group_h4f2.method == "exhaustive-matrix-scan"
+    assert group_h4f2.payloads.reshape(group_h4f2.order, -1).tolist() == scan_flat(h4f2)
+
+
+# x^2 + 2 y^2 over gf(5): 2^2 != 1, so its group is not closed under transposes
+@pytest.mark.parametrize("name", ["gf8_plane", "gf7_plane_sum", "gf7_plane_split",
+                                  "om42", "gf3_ternary", "gf5_plane"])
+def test_scan_equals_flat_scan(name, request, f8):
+    space = {"gf8_plane": lambda: wf.QuadraticSpace.hyperbolic(f8, 1),
+             "gf3_ternary": lambda: _diagonal_space("gf(3)", [1, 1, 1]),
+             "gf5_plane": lambda: _diagonal_space("gf(5)", [1, 2])}.get(
+        name, lambda: request.getfixturevalue(name))()
+    enum = wf.enumerate_orthogonal_group(space, "scan")
+    assert enum.method == "exhaustive-matrix-scan"
+    assert enum.payloads.reshape(enum.order, -1).tolist() == scan_flat(space)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +211,32 @@ def test_unipotent2_gf7_split_plane(gf7_plane_split):
 def test_infinite_field_rejected(r2t):
     with pytest.raises(TooLarge):
         wf.enumerate_orthogonal_group(r2t)
+
+
+def test_totimes_refuses_an_infinite_field(r2t):
+    with pytest.raises(TooLarge, match="^the coefficient field is infinite$"):
+        wf.exhaustive_verify("totimes", r2t)
+
+
+def test_unknown_enumeration_method_is_typed(h4f2):
+    with pytest.raises(UnknownMethod, match="unknown enumeration method 'bogus'") as info:
+        wf.enumerate_orthogonal_group(h4f2, "bogus")
+    assert isinstance(info.value, PreconditionError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("method", ["scan", "closure"])
+@pytest.mark.parametrize("literal", ["gf(2)", "gf(7)", "gf(4;x^2+x+1)"])
+def test_zero_space_group_is_the_identity(literal, method):
+    """O(0) = {I_0}: each method finds the one element, so the two agree;
+    the filters and a runner read the one-element group."""
+    zero = wf.QuadraticSpace.from_int_rows(wf.parse_field(literal), [])
+    enum = wf.enumerate_orthogonal_group(zero, method)
+    assert enum == oracle.GroupEnumeration(zero, enum.method, np.zeros((1, 0, 0), dtype=np.uint8))
+    assert enum.unipotent2_indices() == enum.involution_indices() == [0]
+    assert enum.identity_index() == 0
+    assert wf.exhaustive_verify("tauid", zero, enum).as_dict() == {
+        "theorem": "tauid", "checked": 1, "failed": 0, "examples": []}
+    assert standard_generators(zero) == []
 
 
 def test_unknown_theorem(h4f2):
@@ -577,8 +617,8 @@ def test_key_width_loses_no_space_the_closure_finishes():
 
 
 def test_scan_cap_bounds_the_vector_table():
-    # the scan needs |F|^(n*n) <= SCAN_LIMIT = 2^24, so its q and b tables
-    # over the |F|^n vectors stay at most 4096 vectors wide
+    # the scan needs |F|^(n*n) <= SCAN_LIMIT = 2^24, so its q values and
+    # B v rows over the |F|^n vectors stay at most 4096 vectors wide
     primes = [p for p in range(3, MAX_PRIME + 1) if all(p % d for d in range(2, p))]
     sizes = primes + [2 ** k for k in range(1, MAX_EXTENSION_DEGREE + 1)]
     scanned = [(q, n) for q in sizes for n in range(1, 25) if q ** (n * n) <= oracle.SCAN_LIMIT]
@@ -587,17 +627,22 @@ def test_scan_cap_bounds_the_vector_table():
 
 @pytest.mark.parametrize("name", ["h4f2", "gf8_plane", "gf7_plane_sum", "gf7_plane_split"])
 def test_space_tables_match_boxed_forms(name, request, f8):
+    """The scan's vector table, q values and pairings (B u)^T v agree with
+    the boxed vectors, eval_q and eval_b."""
     space = (wf.QuadraticSpace.hyperbolic(f8, 1) if name == "gf8_plane"
              else request.getfixturevalue(name))
-    tables = oracle._space_tables(space)
+    arith = _batch_arith(space.field)
+    vecs = oracle._all_vectors(arith.order, space.dim)
+    qmat, gram = oracle._payload_stack(space.qmat, space.gram)
+    qvec, bvec = oracle._vector_forms(arith, qmat, gram, vecs)
+    pairings = arith.matmul(bvec, vecs.T)
     vectors = list(space.vectors())
-    assert len(tables.vectors) == len(vectors) == space.field.order() ** space.dim
+    assert len(vecs) == len(vectors) == space.field.order() ** space.dim
     boxed = {tuple(c.payload for c in v): v for v in vectors}
-    for i, u in enumerate(tables.vectors):
-        assert tables.index[u] == i
-        assert tables.qvals[i] == space.eval_q(boxed[u]).payload
-        assert tables.bvals[i] == [space.eval_b(boxed[u], boxed[v]).payload
-                                   for v in tables.vectors]
+    for i, u in enumerate(vecs.tolist()):
+        assert int(qvec[i]) == space.eval_q(boxed[tuple(u)]).payload
+        assert pairings[i].tolist() == [space.eval_b(boxed[tuple(u)], boxed[tuple(v)]).payload
+                                        for v in vecs.tolist()]
 
 
 def test_enumeration_isometry_is_validated_payload_matrix(group_h4f2, h4f2):

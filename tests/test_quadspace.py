@@ -641,6 +641,42 @@ def test_extend_pair_rejects_anisotropic(h4f2, f2):
         extend_to_hyperbolic_basis(h4f2, u, h4f2.basis_vector(2))
 
 
+def _solve_fails_on_call(monkeypatch, k):
+    """Matrix.solve finds no solution on its k-th call (1-based)."""
+    real, calls = Matrix.solve, []
+
+    def solve(self, rhs):
+        calls.append(rhs)
+        return None if len(calls) == k else real(self, rhs)
+    monkeypatch.setattr(Matrix, "solve", solve)
+
+
+def _corrections_skipped(monkeypatch):
+    """eval_q reads 0, so the partners y and z keep q(y) and q(z)."""
+    monkeypatch.setattr(wf.QuadraticSpace, "eval_q", lambda self, v: self.field.zero)
+
+
+# the last three refusals cannot occur on a regular space: the pairings
+# with x and w are solvable and the corrected partners are isotropic, so
+# each is reached by breaking the step that guarantees it
+@pytest.mark.parametrize("fault, message", [
+    (None, "^space must be 4-dimensional$"),
+    (lambda mp: _solve_fails_on_call(mp, 1), "^cannot solve for the first partner vector$"),
+    (lambda mp: _solve_fails_on_call(mp, 2), "^cannot solve for the second partner vector$"),
+    (_corrections_skipped, "^space is not hyperbolic on the constructed basis$"),
+], ids=["dim", "first-partner", "second-partner", "not-hyperbolic"])
+def test_extend_pair_refusals(monkeypatch, f2, h6f2, fault, message):
+    # q = x0 x1 + x1^2 + x2 x3: the first partner of e_0 is e_1 with q(e_1) = 1
+    space = wf.QuadraticSpace.from_int_rows(f2, [[0, 1, 0, 0], [0, 1, 0, 0],
+                                                 [0, 0, 0, 1], [0, 0, 0, 0]])
+    if fault is None:
+        space = h6f2
+    else:
+        fault(monkeypatch)
+    with pytest.raises(NotExtendable, match=message):
+        extend_to_hyperbolic_basis(space, space.basis_vector(0), space.basis_vector(2))
+
+
 def _ref_extend_to_hyperbolic_basis(space, x, w):
     """The extension as it was on boxed vectors, one eval_q per vector."""
     if space.dim != 4:
