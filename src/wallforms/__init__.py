@@ -89,11 +89,20 @@ __all__ = sorted({name for name in globals() if not name.startswith("_")}
 
 
 def __getattr__(name):
+    """The oracle's names, imported on first use; MissingDependency (a
+    PreconditionError) if numpy is not installed."""
     if name != "oracle" and name not in _ORACLE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
 
-    oracle = importlib.import_module(".oracle", __name__)  # binds "oracle" here
+    from .errors import MissingDependency
+
+    try:
+        oracle = importlib.import_module(".oracle", __name__)  # binds "oracle" here
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise MissingDependency(f"{name} needs numpy, which is not installed") from exc
     globals().update((n, getattr(oracle, n)) for n in _ORACLE_NAMES)
     return globals()[name]
 

@@ -170,8 +170,10 @@ class _BatchArith:
         """Batched matrix product with the batch on the last axis: a is
         (n, k, N) and b is (k, m, N), the product (n, m, N).  Modular
         products are one einsum in the narrowest unsigned dtype that holds
-        a sum of k products, k (|F|-1)^2, then mod |F| (einsum given the
-        dtype itself runs several times slower).  Otherwise every product
+        a sum of k products, k (|F|-1)^2 (einsum given the dtype itself
+        runs several times slower), reduced mod |F| in place as
+        x - (x // |F|) |F|, which numpy runs several times faster than
+        ``np.remainder`` on uint8 and uint16.  Otherwise every product
         a_ik b_kj is one lookup in the flattened uint8 table, at the uint16
         code |F| a_ik + b_kj, XOR-summed over k; the lookups go
         LAST_CHUNK matrices at a time, since numpy copies their codes to
@@ -181,7 +183,8 @@ class _BatchArith:
             wide = _narrowest_unsigned(k * (self.order - 1) ** 2)
             a, b = a.astype(wide, copy=False), b.astype(wide, copy=False)
             prod = np.einsum("ikN,kjN->ijN", a, b)
-            return np.remainder(prod, self.order, out=prod)
+            prod -= prod // self.order * self.order
+            return prod
         rows = a.astype(np.uint16) * self.order  # where a_ik's row starts in the flat table
         out = np.empty((a.shape[0], b.shape[1], a.shape[2]), dtype=np.uint8)
         for start in range(0, a.shape[2], LAST_CHUNK):

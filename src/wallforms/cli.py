@@ -20,7 +20,7 @@ interned field per field, whose kernel, tables and elements outlive the
 request, a canonical element literal is one table lookup, and matrices are
 built straight from the parsed payloads.  Only ``verify`` and
 ``enumerate`` import the oracle, and with it numpy; the other commands
-never load either.
+never load either.  Without numpy those two exit 3 (a precondition).
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def cmd_clifford(problem: ProblemFile) -> dict:
 
 
 def cmd_verify(problem: ProblemFile, theorem: str) -> tuple[dict, int]:
-    from .oracle import exhaustive_verify
+    from . import exhaustive_verify  # the oracle, on first use (MissingDependency without numpy)
 
     report = exhaustive_verify(theorem, problem.space)
     code = EXIT_OK if report.failed == 0 else EXIT_INVARIANT
@@ -213,7 +213,7 @@ def cmd_verify(problem: ProblemFile, theorem: str) -> tuple[dict, int]:
 
 
 def cmd_enumerate(problem: ProblemFile) -> dict:
-    from .oracle import enumerate_orthogonal_group
+    from . import enumerate_orthogonal_group
 
     enum = enumerate_orthogonal_group(problem.space)
     return {

@@ -86,6 +86,8 @@ from .fields import Field, FieldElement, Galois2Field, field_tables
 from .linalg import (
     Matrix,
     Vector,
+    _augmented,
+    _combination,
     _diagonal,
     _gauss_jordan,
     _kernel,
@@ -583,9 +585,10 @@ def _alt_witnesses(inv: AlgebraInvolution, elements) -> list[CliffordElement | N
     alg = inv.algebra
     dim, zero = alg.dim, alg._zero
     operator = Matrix.identity(alg.field, dim) + inv.matrix
-    columns = alg._payload_matrix(elements, by_columns=True).payload_rows
-    red, pivots = _gauss_jordan(_kernel(alg.field),
-                                tuple(map(tuple.__add__, operator.payload_rows, columns)), dim)
+    aug = _augmented(operator, alg._payload_matrix(elements, by_columns=True))
+    kernel, width = _kernel(alg.field), aug.ncols
+    red, pivots = _gauss_jordan(kernel, aug._krows, dim, width)
+    red = kernel.unpack(red, width)
     witnesses = []
     for col in range(dim, dim + len(elements)):
         if any(row[col] != zero for row in red[len(pivots):]):
@@ -652,7 +655,7 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
     gens = list(map(alg._vector, residual.payload_rows))
     s = len(gens)
     monomials = _monomials(alg, gens)
-    squares = tau.space._q_payloads(residual.payload_rows)
+    squares = tau.space._q_payloads(residual)
 
     # linear independence: dimension 2^s
     coeff_rows = alg._payload_matrix(monomials)
@@ -668,10 +671,10 @@ def phi_subalgebra(tau: Isometry) -> PhiAlgebra:
     # self-centralizing: the centralizer of the generators has dimension 2^s
     # and lies in the span of the monomials
     if s:
-        kernel = alg._centralizer_matrix(residual.payload_rows).kernel_rows()
-        if len(kernel) != 1 << s:
+        centralizer = alg._centralizer_matrix(residual.payload_rows).null_space()
+        if centralizer.nrows != 1 << s:
             raise InvariantViolation("subalgebra is not self-centralizing")
-        if Matrix._trusted(alg.field, coeff_rows.payload_rows + kernel, alg.dim).rank() != 1 << s:
+        if stack_rows(coeff_rows, centralizer).rank() != 1 << s:
             raise InvariantViolation("centralizer is larger than the subalgebra")
 
     # multiplication law of C(q|r); it holds only with commuting generators and scalar squares
@@ -708,7 +711,7 @@ def alternating_generators_check(tau: Isometry, basis) -> AltGeneratorsReport:
     space = tau.space
     rows = Matrix(space.field, tuple(basis), ncols=space.dim)  # the argument, unboxed once
     s, carrier = rows.nrows, wf.carrier()
-    if Subspace.from_rows(space, rows.payload_rows).basis != carrier.basis or s != wf.s:
+    if Subspace.span(space, rows).basis != carrier.basis or s != wf.s:
         raise NotOrthogonalBasis("vectors do not form a basis of the residual space")
     # the residual form on the basis: C G C^T, C the coordinates (entries at the pivots)
     pivots = carrier.basis.rref()[1]
@@ -1089,14 +1092,12 @@ def _apply_images(blade_images, alg: CliffordAlgebra, elt: CliffordElement) -> M
 
 
 def _image_sum(field: Field, images, terms) -> Matrix:
-    """The sum of c images[b] over the pairs (b, payload c) of `terms`: one
-    payload product over the flattened images."""
+    """The sum of c images[b] over the pairs (b, payload c) of `terms`, in
+    one call of the kernel (:func:`linalg._combination`)."""
     size, terms = images[0].nrows, tuple(terms)
     if not terms:
         return Matrix.zeros(field, size, size)
-    coeffs, flats = zip(*((c, sum(images[b].payload_rows, ())) for b, c in terms))
-    flat = _kernel(field).matmul((coeffs,), flats, size * size)[0]
-    return Matrix._trusted(field, tuple(flat[i * size:(i + 1) * size] for i in range(size)), size)
+    return _combination(field, *zip(*((c, images[b]) for b, c in terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -1154,8 +1155,8 @@ def _check_swap_plane(tau: Isometry, pair: Matrix):
     u1, v1 = pair.payload_rows
     if kernel.dot(_vec_mat(space.field, u1, space.gram), v1) != kernel.one:
         raise InvariantViolation("swap plane basis is not unimodular")
-    plane = Subspace.from_rows(space, pair.payload_rows)
-    image = Subspace.from_rows(space, (pair * tau.mat.transpose()).payload_rows)
+    plane = Subspace.span(space, pair)
+    image = Subspace.span(space, pair * tau.mat.transpose())
     if plane.dim != 2 or not plane.is_regular():
         raise InvariantViolation("swap plane is not a regular plane")
     if plane.intersection(image).dim != 0:

@@ -34,7 +34,7 @@ from .errors import (
     PreimageUnsolvable,
     ZeroDiagonal,
 )
-from .linalg import Matrix, Vector, _kernel, _unbox, _vec_mat, block_diag
+from .linalg import Matrix, Vector, _kernel, _rows_at, _unbox, _vec_mat, block_diag, stack_rows
 from .quadspace import (Subspace, _orthogonal_to, _same_space, complement_in,
                         hyperbolic_basis_alternating)
 from .isometry import Isometry
@@ -140,13 +140,11 @@ def _preimages(tau: Isometry, targets: Matrix, within: Subspace | None) -> Matri
     return found
 
 
-def _reflection(tau: Isometry, u, within: Subspace | None) -> ReflectionBlock:
-    """The reflection block of the payload row u, unchecked; `within`
+def _reflection(tau: Isometry, u: Matrix, within: Subspace | None) -> ReflectionBlock:
+    """The reflection block of the one row of `u`, unchecked; `within`
     restricts the preimage v of u to a subspace."""
-    field, n = tau.space.field, tau.space.dim
-    v, = _preimages(tau, Matrix._trusted(field, (u,), n), within).payload_rows
-    frame = Matrix._trusted(field, (u, v), n)
-    return ReflectionBlock(frame, Subspace.from_rows(tau.space, frame.payload_rows))
+    frame = stack_rows(u, _preimages(tau, u, within))
+    return ReflectionBlock(frame, Subspace.span(tau.space, frame))
 
 
 def _interchange(tau: Isometry, x, w, within: Subspace | None) -> InterchangeBlock:
@@ -157,13 +155,14 @@ def _interchange(tau: Isometry, x, w, within: Subspace | None) -> InterchangeBlo
     space, field = tau.space, tau.space.field
     kernel = _kernel(field)
     targets = Matrix._trusted(field, (w, kernel.neg_row(x)), space.dim)
-    y, z = _preimages(tau, targets, within).payload_rows
-    qy, qz = space._q_payloads((y, z))
+    found = _preimages(tau, targets, within)
+    y, z = found.payload_rows
+    qy, qz = space._q_payloads(found)
     y = tuple(kernel.eliminate(y, qy, x))
     z = kernel.eliminate(z, qz, w)
     z = tuple(kernel.eliminate(z, kernel.dot(_vec_mat(field, y, space.gram), z), x))
     frame = Matrix._trusted(field, (x, y, w, z), space.dim)
-    return InterchangeBlock(frame, Subspace.from_rows(space, frame.payload_rows))
+    return InterchangeBlock(frame, Subspace.span(space, frame))
 
 
 def reflection_block(
@@ -181,7 +180,8 @@ def reflection_block(
         raise NotInResidual("u is not in the residual space")
     if not wf.evaluate(u, u):
         raise ZeroDiagonal("residual form vanishes at u")
-    blk = _reflection(tau, _unbox(tau.space.field, u), within)
+    field = tau.space.field
+    blk = _reflection(tau, Matrix._trusted(field, (_unbox(field, u),), tau.space.dim), within)
     _check_blocks(tau, [blk], Subspace.zero(tau.space))
     return blk
 
@@ -252,12 +252,13 @@ def decompose(tau: Isometry) -> Decomposition:
         build, pieces = _interchange, _hyperbolic_pairs(tau, wf)
     else:
         # antisymmetric yet nonalternating residual forms exist only in char 2
-        build, pieces = _reflection, [(u,) for u in wf.orthogonal_rows()[0].payload_rows]
-    taken = list(fixed_complement.basis.payload_rows)
+        rows = wf.orthogonal_rows()[0]
+        build, pieces = _reflection, [(_rows_at(rows, (i,)),) for i in range(rows.nrows)]
+    taken = [fixed_complement.basis]
     blocks: list[Block] = []
     for piece in pieces:
-        blocks.append(build(tau, *piece, within=_orthogonal_to(tau.space, taken)))
-        taken.extend(blocks[-1].subspace().basis.payload_rows)
+        blocks.append(build(tau, *piece, within=_orthogonal_to(tau.space, stack_rows(*taken))))
+        taken.append(blocks[-1].subspace().basis)
     decomposition = Decomposition(tau, fixed_complement, tuple(blocks))
     validate_decomposition(decomposition, wf)
     return decomposition
@@ -290,11 +291,11 @@ def _block_basis(field, fixed: Subspace, blocks) -> tuple[Matrix, Matrix]:
     """P, whose columns are the vectors of the summands (the basis of
     `fixed` first, then each block's frame), and D, the block-diagonal
     matrix of the claimed actions on them (the identity on `fixed`)."""
-    rows, actions = fixed.basis.payload_rows, [Matrix.identity(field, fixed.dim)]
+    actions = [Matrix.identity(field, fixed.dim)]
     for blk in blocks:
-        rows += blk.frame.payload_rows
         actions.append(_claimed(field, _CLAIMS[blk.kind][0], field.one.payload))
-    return Matrix._trusted(field, rows, fixed.space.dim).transpose(), block_diag(field, actions)
+    p = stack_rows(fixed.basis, *(blk.frame for blk in blocks)).transpose()
+    return p, block_diag(field, actions)
 
 
 def _check_blocks(tau: Isometry, blocks, fixed: Subspace):
@@ -312,7 +313,7 @@ def _check_blocks(tau: Isometry, blocks, fixed: Subspace):
     zero, one = field.zero.payload, field.one.payload
     grams, isotropic = [fixed.gram_matrix()], True
     for blk in blocks:
-        q = space._q_payloads(blk.frame.payload_rows)
+        q = space._q_payloads(blk.frame)
         reflection = blk.kind == "reflection"
         grams.append(_claimed(field, _CLAIMS[blk.kind][1], q[0] if reflection else one))
         isotropic = isotropic and (reflection or all(c == zero for c in q))

@@ -176,3 +176,7 @@ class UnknownTheorem(PreconditionError):
 
 class UnknownMethod(PreconditionError, ValueError):
     """An enumeration method that ``enumerate_orthogonal_group`` does not know."""
+
+
+class MissingDependency(PreconditionError, ImportError):
+    """numpy, which the oracle needs, is not installed."""

@@ -122,11 +122,11 @@ class Isometry:
 
     @_once
     def fixed_space(self) -> Subspace:
-        return Subspace.from_rows(self.space, self.displacement().kernel_rows())
+        return Subspace.span(self.space, self.displacement().null_space())
 
     @_once
     def residual_space(self) -> Subspace:
-        return Subspace.from_rows(self.space, self.displacement().transpose().payload_rows)
+        return Subspace.span(self.space, self.displacement().transpose())
 
     @_once
     def unipotency_index(self) -> int | None:

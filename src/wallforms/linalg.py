@@ -1,19 +1,30 @@
 """Exact dense linear algebra over the library's fields.
 
-A :class:`Matrix` stores its entries as payload rows: tuples of the
-field's payloads, ints for GF(p) and GF(2^k) and ``(num, den)`` pairs for
-GF(2)(t).  Products, sums, Gauss-Jordan elimination with field division
-(``rref``), ``solve_many``, ``kernel_rows``, ``inverse`` and ``det`` all run
-on those payloads through one kernel per field (:func:`_kernel`):
+A :class:`Matrix` stores its entries in the row format of its field's
+kernel (:func:`_kernel`), one kernel per field:
 
-* GF(p): integer products and sums reduced mod p, inverses from a table;
-* GF(2^k): sums are XOR, products are lookups in the product table, and
-  rows at least PACKED_WIDTH wide are eliminated and multiplied packed: a
-  row is one int with one byte per payload, packed to the row's own width,
-  so adding rows is one int XOR and scaling one by c is one
-  ``bytes.translate`` with c's row of the product table (one path for
-  GF(2) through GF(256));
-* GF(2)(t): the field's own payload ``add``/``mul``/``div``.
+* GF(2): a row is one int, bit (ncols - 1 - j) holding column j, so int
+  order is row order, adding rows is one XOR and the next pivot column is
+  the one ``bit_length`` points to; a product XORs the rows of b picked
+  out by the bits of each row of a (M4RI's representation: Albrecht,
+  Bard and Hart, ACM TOMS 37(1), 2010);
+* GF(p): tuples of payloads, integer products and sums reduced mod p,
+  inverses from a table;
+* GF(2^k), k >= 2: tuples of payloads; sums are XOR, products are
+  lookups in the product table, and rows at least PACKED_WIDTH wide are
+  eliminated and multiplied packed, one byte per payload, for the length
+  of one call;
+* GF(2)(t): tuples of payloads, through the field's own payload
+  ``add``/``mul``/``div``.
+
+Products, sums, Gauss-Jordan elimination with field division (``rref``),
+``solve_many``, ``kernel_rows``, ``inverse``, ``det``, ``transpose``,
+equality and hashing all run on the kernel's rows.  ``payload_rows``, the
+rows as tuples of payloads (ints for GF(p) and GF(2^k), ``(num, den)``
+pairs for GF(2)(t)), is the one view every reader outside this module
+uses: a GF(2) matrix made by the kernel builds it on first read and keeps
+it, and one made from payload rows packs its bit rows on its first kernel
+operation.  Every other field's kernel rows are the payload rows.
 
 The product and inverse tables are :func:`fields.field_tables`, built once
 per field and shared by every equal field and by the oracle's batched
@@ -35,6 +46,7 @@ payload row and a basis a payload matrix, boxed only by a public accessor
 
 from __future__ import annotations
 
+from itertools import product
 from operator import mul as _imul, xor as _xor
 
 from .errors import DescriptorMismatch, DimensionMismatch, SingularMatrix
@@ -49,13 +61,28 @@ Vector = tuple[FieldElement, ...]
 # GF(2^k) rows at least this wide are eliminated and multiplied packed.  On
 # a 2-vCPU Xeon, packing every row made the unipotent sweeps of O(H6F2) and
 # O(H4F4), whose rows are at most 9 wide, 13% slower, and packing won from
-# 16 wide (Clifford algebras of dimension 16 and up).
+# 16 wide (Clifford algebras of dimension 16 and up).  GF(2) rows at most
+# this wide convert to and from bit rows through tables of every row.
 PACKED_WIDTH = 12
+
+# GF(2) rows wider than PACKED_WIDTH convert through binary digits
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class _Kernel:
     """Payload arithmetic a row at a time, through the field's own payload
-    operations (the kernel of GF(2)(t)).  Row operations take tuples or
-    lists of payloads and return new ones."""
+    operations (the kernel of GF(2)(t)).
+
+    Scalar and single-row operations (``mul``, ``inv``, ``dot``,
+    ``add_rows``, ``scale_row``, ``eliminate``, ...) take payloads and rows
+    of payloads, tuples or lists, and return new ones.  Matrix operations
+    (``matmul``, ``gauss_jordan``, ``det``, ``transpose``, ``mat_add``, ...)
+    take and return the kernel's rows: tuples of payloads here and in
+    every kernel but GF(2)'s (:class:`_BitKernel`), so ``pack`` and
+    ``unpack`` return their argument."""
+
+    tuple_rows = True  # the kernel's rows are the payload rows
 
     def __init__(self, field: Field):
         self.field = field
@@ -104,11 +131,51 @@ class _Kernel:
                 acc = add(acc, mul(a, b))
         return acc
 
-    def gauss_jordan(self, prows, ncols: int):
-        """Reduced row-echelon payload rows (as tuples) and pivot columns
-        of a sequence of equal-length rows, with pivots sought in the first
-        `ncols` columns, a row of payloads at a time."""
-        rows = list(prows)
+    # -- matrices, on the kernel's rows
+    def pack(self, prows, width: int):
+        """The kernel's rows of payload rows `width` long."""
+        return prows
+
+    def unpack(self, rows, width: int):
+        """The payload rows of the kernel's rows `width` long."""
+        return rows
+
+    def is_zero(self, rows) -> bool:
+        return all(map(self.row_is_zero, rows))
+
+    def mat_add(self, a, b):
+        return tuple(map(self.add_rows, a, b))
+
+    def mat_sub(self, a, b):
+        return tuple(map(self.sub_rows, a, b))
+
+    def mat_neg(self, a):
+        return tuple(map(self.neg_row, a))
+
+    def mat_scale(self, c, a):
+        scale = self.scale_row
+        return tuple([tuple(scale(c, r)) for r in a])
+
+    def transpose(self, rows, ncols: int):
+        return tuple(zip(*rows)) if rows else ((),) * ncols
+
+    def hconcat(self, a, b, bwidth: int):
+        """The rows of [a | b]; the rows of b are `bwidth` long."""
+        return tuple(map(tuple.__add__, a, b))
+
+    def columns(self, rows, start: int, stop: int, width: int):
+        """Columns start .. stop - 1 of rows `width` long."""
+        return tuple([r[start:stop] for r in rows])
+
+    def row_dots(self, a, b) -> tuple:
+        """The payload dot product of each row of a with the same row of b."""
+        return tuple(map(self.dot, a, b))
+
+    def gauss_jordan(self, rows, ncols: int, width: int):
+        """Reduced row-echelon rows and pivot columns of a sequence of rows
+        `width` long, with pivots sought in the first `ncols` columns, a
+        row of payloads at a time."""
+        rows = list(rows)
         m = len(rows)
         zero, one = self.zero, self.one
         pivots = []
@@ -136,9 +203,72 @@ class _Kernel:
         return tuple(map(tuple, rows)), tuple(pivots)
 
     def matmul(self, a, b, ncols: int):
-        """Payload rows of a * b; b has `ncols` columns and at least one row."""
+        """The rows of a * b; b has `ncols` columns and at least one row."""
         cols, dot = tuple(zip(*b)), self.dot
         return tuple(tuple(dot(r, c) for c in cols) for r in a)
+
+    def det(self, rows):
+        """The determinant payload of a square matrix, by forward
+        elimination with the sign of each row swap."""
+        zero = self.zero
+        rows = list(rows)
+        n = len(rows)
+        det = self.one
+        for col in range(n):
+            for r in range(col, n):
+                if rows[r][col] != zero:
+                    break
+            else:
+                return zero
+            if r != col:
+                rows[col], rows[r] = rows[r], rows[col]
+                det = self.neg(det)
+            det = self.mul(det, rows[col][col])
+            inv = self.inv(rows[col][col])
+            for r in range(col + 1, n):
+                if rows[r][col] != zero:
+                    rows[r] = self.eliminate(rows[r], self.mul(inv, rows[r][col]), rows[col])
+        return det
+
+    def null_rows(self, red, pivots, n: int):
+        """The canonical basis of the right null space of the reduced rows
+        `red` (n columns) with their pivots: one row per free column f,
+        with 1 at f, minus the pivot rows' entries of column f at the
+        pivots and zero elsewhere."""
+        neg, zero, one = self.neg, self.zero, self.one
+        pivot_set = set(pivots)
+        basis = []
+        for f in range(n):
+            if f in pivot_set:
+                continue
+            v = [zero] * n
+            v[f] = one
+            for r, pc in enumerate(pivots):
+                v[pc] = neg(red[r][f])
+            basis.append(tuple(v))
+        return tuple(basis)
+
+    def solutions(self, red, pivots, n: int, k: int):
+        """The particular solutions (free variables zero) read from the
+        reduced rows of [A | b_1 ... b_k], A with n columns and every
+        pivot among them: row j holds, at each pivot column, the pivot
+        row's entry of b_j."""
+        zero = self.zero
+        solutions = []
+        for j in range(n, n + k):
+            x = [zero] * n
+            for r, pc in enumerate(pivots):
+                x[pc] = red[r][j]
+            solutions.append(tuple(x))
+        return tuple(solutions)
+
+    def combination(self, coeffs, matrices, nrows: int, ncols: int):
+        """The rows of the sum of c * m over the payloads c of `coeffs` and
+        the kernel's rows m of `matrices`: one product over the matrices
+        flattened."""
+        flats = [sum(m, ()) for m in matrices]
+        flat, = self.matmul((tuple(coeffs),), flats, nrows * ncols)
+        return tuple([flat[i * ncols:(i + 1) * ncols] for i in range(nrows)])
 
 
 class _PrimeKernel(_Kernel):
@@ -190,7 +320,8 @@ class _PrimeKernel(_Kernel):
 
 
 class _Char2Kernel(_Kernel):
-    """GF(2^k), k <= 8: XOR for sums, product-table lookups for products.
+    """GF(2^k), 2 <= k <= 8: XOR for sums, product-table lookups for
+    products.
 
     Elimination of rows at least PACKED_WIDTH wide, and products with at
     least that many columns, run on packed rows: a row of payloads is one
@@ -200,7 +331,8 @@ class _Char2Kernel(_Kernel):
     ``bytes.translate`` with c's row of the product table.  Rows are
     unpacked with ``tuple(x.to_bytes(width, "big"))``.  Packing and
     unpacking cost more than they save on narrower rows, which take the
-    tuple loops."""
+    tuple loops.  The scalar and single-row operations serve GF(2) too
+    (:class:`_BitKernel`)."""
 
     def __init__(self, field: Field):
         super().__init__(field)
@@ -244,12 +376,12 @@ class _Char2Kernel(_Kernel):
             acc ^= mul[a][b]
         return acc
 
-    def gauss_jordan(self, prows, ncols: int):
+    def gauss_jordan(self, rows, ncols: int, width: int):
         """Rows at least PACKED_WIDTH wide are eliminated packed
         (:meth:`_packed_gauss_jordan`), narrower ones a tuple at a time."""
-        if prows and len(prows[0]) >= PACKED_WIDTH:
-            return self._packed_gauss_jordan(prows, ncols)
-        return super().gauss_jordan(prows, ncols)
+        if rows and width >= PACKED_WIDTH:
+            return self._packed_gauss_jordan(rows, ncols)
+        return super().gauss_jordan(rows, ncols, width)
 
     def matmul(self, a, b, ncols: int):
         """Products with at least PACKED_WIDTH columns run on packed rows
@@ -270,7 +402,6 @@ class _Char2Kernel(_Kernel):
                     acc = tuple([x ^ mc[y] for x, y in zip(acc, brow)])
             out.append(acc)
         return tuple(out)
-
     def _packed_gauss_jordan(self, prows, ncols: int):
         """:meth:`_Kernel.gauss_jordan` on packed rows, with the same
         pivots, swaps and row operations.  Below the pivot row every row
@@ -347,20 +478,182 @@ class _Char2Kernel(_Kernel):
         return tuple(out)
 
 
+
+class _BitKernel(_Char2Kernel):
+    """GF(2) on bit rows: a row is one int, bit (width - 1 - j) holding
+    column j.  Every matrix operation runs on the ints; the scalar and
+    single-row operations on payload rows are :class:`_Char2Kernel`'s.
+
+    Rows at most PACKED_WIDTH wide convert to and from payload rows through
+    tables per width, built on first use: every payload row of that width
+    by its int, and every row's int by the row.  Wider rows convert
+    through their binary digits."""
+
+    tuple_rows = False
+
+    def __init__(self, field: Field):
+        super().__init__(field)
+        self._by_width: list[tuple | None] = [None] * (PACKED_WIDTH + 1)
+
+    def _tables(self, width: int) -> tuple:
+        """The payload rows `width` long in the order of their ints, their
+        ints by row, and their spread ints: the row's entries as bytes."""
+        tables = self._by_width[width]
+        if tables is None:
+            rows = tuple(product((0, 1), repeat=width))
+            spread = tuple([int.from_bytes(bytes(r), "big") for r in rows])
+            tables = self._by_width[width] = (rows, dict(zip(rows, range(len(rows)))), spread)
+        return tables
+
+    def pack(self, prows, width: int):
+        if width <= PACKED_WIDTH:
+            return tuple(map(self._tables(width)[1].__getitem__, prows))
+        return tuple([int(bytes(r).translate(_TO_DIGITS), 2) for r in prows])
+
+    def unpack(self, rows, width: int):
+        if width <= PACKED_WIDTH:
+            return tuple(map(self._tables(width)[0].__getitem__, rows))
+        digits = f"0{width}b"
+        return tuple([tuple(format(x, digits).encode().translate(_FROM_DIGITS)) for x in rows])
+
+    def is_zero(self, rows) -> bool:
+        return not any(rows)
+
+    def mat_add(self, a, b):
+        return tuple(map(_xor, a, b))
+
+    mat_sub = mat_add
+
+    def mat_neg(self, a):
+        return a
+
+    def mat_scale(self, c, a):
+        return a if c else (0,) * len(a)
+
+    def transpose(self, rows, ncols: int):
+        """At most 8 rows at most PACKED_WIDTH wide: each row spread to one
+        byte per entry, shifted in one bit at a time, so that byte j
+        collects column j, the first row in its highest bit.  Otherwise
+        through the payload rows."""
+        if len(rows) <= 8 and ncols <= PACKED_WIDTH:
+            spread, acc = self._tables(ncols)[2], 0
+            for x in rows:
+                acc = acc << 1 | spread[x]
+            return tuple(acc.to_bytes(ncols, "big"))
+        return self.pack(tuple(zip(*self.unpack(rows, ncols))) or ((),) * ncols, len(rows))
+
+    def hconcat(self, a, b, bwidth: int):
+        return tuple([x << bwidth | y for x, y in zip(a, b)])
+
+    def columns(self, rows, start: int, stop: int, width: int):
+        shift, mask = width - stop, (1 << (stop - start)) - 1
+        return tuple([x >> shift & mask for x in rows])
+
+    def row_dots(self, a, b) -> tuple:
+        return tuple([(x & y).bit_count() & 1 for x, y in zip(a, b)])
+
+    def gauss_jordan(self, rows, ncols: int, width: int):
+        """:meth:`_Kernel.gauss_jordan` on bit rows, with the same pivots,
+        swaps and row operations.  Below the pivot rows every row vanishes
+        left of the next pivot column, so that column is the leading bit
+        of the largest such row, and the first row at least that bit is
+        the pivot row.  Every other row with the bit set is cleared by one
+        XOR."""
+        rows = list(rows)
+        m, pivots, lead = len(rows), [], 0
+        stop = 1 << (width - ncols)  # a row below it has no entry in the first ncols columns
+        while lead < m:
+            top = max(rows[lead:])
+            if top < stop:
+                break
+            bit = 1 << (top.bit_length() - 1)
+            r = lead
+            while rows[r] < bit:
+                r += 1
+            prow = rows[r]
+            rows[r] = rows[lead]
+            rows = [x ^ prow if x & bit else x for x in rows]
+            rows[lead] = prow
+            pivots.append(width - top.bit_length())
+            lead += 1
+        return tuple(rows), tuple(pivots)
+
+    def matmul(self, a, b, ncols: int):
+        """Each row of a * b is the XOR of the rows of b that the bits of
+        the row of a pick out."""
+        picked = b[::-1]  # by bit i, from the lowest
+        out = []
+        for x in a:
+            acc = 0
+            while x:
+                low = x & -x
+                acc ^= picked[low.bit_length() - 1]
+                x ^= low
+            out.append(acc)
+        return tuple(out)
+
+    def det(self, rows):
+        """1 iff the rows are independent: each row, reduced by the rows
+        kept before it, keeps a leading bit no kept row has."""
+        kept = {}  # leading bit -> row
+        for x in rows:
+            while x:
+                y = kept.get(x.bit_length())
+                if y is None:
+                    kept[x.bit_length()] = x
+                    break
+                x ^= y
+            else:
+                return 0
+        return 1
+
+    def null_rows(self, red, pivots, n: int):
+        pivot_set = set(pivots)
+        basis = []
+        for f in range(n):
+            if f in pivot_set:
+                continue
+            bit = 1 << (n - 1 - f)
+            v = bit
+            for x, pc in zip(red, pivots):
+                if x & bit:
+                    v |= 1 << (n - 1 - pc)
+            basis.append(v)
+        return tuple(basis)
+
+    def solutions(self, red, pivots, n: int, k: int):
+        """The transpose of the n x k matrix whose row at each pivot column
+        is the right part of that column's pivot row, zero elsewhere."""
+        right, mask = [0] * n, (1 << k) - 1
+        for x, pc in zip(red, pivots):
+            right[pc] = x & mask
+        return self.transpose(tuple(right), k)
+
+    def combination(self, coeffs, matrices, nrows: int, ncols: int):
+        acc = (0,) * nrows
+        for c, m in zip(coeffs, matrices):
+            if c:
+                acc = tuple(map(_xor, acc, m))
+        return acc
+
+
 def _kernel(field: Field) -> _Kernel:
     """The payload kernel of `field`, built on first use and kept on the
     field object (its tables are shared by every equal field)."""
     kernel = field._kernel
     if kernel is None:
-        kind = {"prime": _PrimeKernel, "galois2": _Char2Kernel}.get(field.kind, _Kernel)
+        if field.kind == "galois2":
+            kind = _BitKernel if field.k == 1 else _Char2Kernel
+        else:
+            kind = _PrimeKernel if field.kind == "prime" else _Kernel
         kernel = field._kernel = kind(field)
     return kernel
 
 
-def _gauss_jordan(kernel: _Kernel, prows, ncols: int):
-    """:meth:`_Kernel.gauss_jordan` of the field's kernel: every elimination
-    of the library goes through here."""
-    return kernel.gauss_jordan(prows, ncols)
+def _gauss_jordan(kernel: _Kernel, rows, ncols: int, width: int):
+    """:meth:`_Kernel.gauss_jordan` of the field's kernel, on its rows:
+    every elimination of the library goes through here."""
+    return kernel.gauss_jordan(rows, ncols, width)
 
 
 def _unbox(field: Field, entries) -> tuple:
@@ -381,8 +674,11 @@ def _unbox_one(field: Field, e) -> object:
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    # _rref and _rows are caches, unset until first use
-    __slots__ = ("field", "payload_rows", "_ncols", "_rref", "_rows")
+    # payload_rows and _krows are the rows in the two formats (the module
+    # docstring); rows, the entries as field elements, is boxed on first
+    # read; _rref caches the elimination, None until first use (an unset
+    # slot costs an AttributeError and a __getattr__ call to read)
+    __slots__ = ("field", "payload_rows", "_krows", "_ncols", "_rref", "rows")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         """Rows of elements of `field`; any other entry raises
@@ -393,13 +689,32 @@ class Matrix:
     @classmethod
     def _trusted(cls, field: Field, prows, ncols: int) -> "Matrix":
         """A matrix on payload rows that are already tuples of canonical
-        payloads of `field`, each `ncols` long (results of the kernel)."""
+        payloads of `field`, each `ncols` long."""
         self = _new(cls)
         _init(self, field, prows, ncols)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __getattr__(self, name):
+        """The rows not made yet, made on first read and kept: `rows`
+        boxed, and the row format a GF(2) matrix does not hold yet, the
+        payload rows of one the kernel made and the bit rows of one made
+        from payload rows.  Every other name unset is a miss."""
+        if name == "rows":
+            value = tuple(map(self.field.wrap_all, self.payload_rows))
+            _set_rows(self, value)
+            return value
+        if name == "payload_rows":
+            value = _kernel(self.field).unpack(self._krows, self._ncols)
+            _set_prows(self, value)
+            return value
+        if name == "_krows":
+            value = _kernel(self.field).pack(self.payload_rows, self._ncols)
+            _set_krows(self, value)
+            return value
+        raise AttributeError(name)
 
     # -- construction -------------------------------------------------------
 
@@ -439,18 +754,8 @@ class Matrix:
     # -- shape / access -----------------------------------------------------
 
     @property
-    def rows(self) -> tuple[Vector, ...]:
-        """The entries as field elements, boxed on first use."""
-        try:
-            return self._rows
-        except AttributeError:
-            rows = tuple(map(self.field.wrap_all, self.payload_rows))
-            _set_rows(self, rows)
-            return rows
-
-    @property
     def nrows(self) -> int:
-        return len(self.payload_rows)
+        return len(self._krows)
 
     @property
     def ncols(self) -> int:
@@ -458,7 +763,7 @@ class Matrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.payload_rows), self._ncols)
+        return (len(self._krows), self._ncols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -471,10 +776,10 @@ class Matrix:
         return self.field.wrap_all([r[j] for r in self.payload_rows])
 
     def is_square(self) -> bool:
-        return self.nrows == self.ncols
+        return len(self._krows) == self._ncols
 
     def is_zero(self) -> bool:
-        return all(map(_kernel(self.field).row_is_zero, self.payload_rows))
+        return _kernel(self.field).is_zero(self._krows)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -483,43 +788,41 @@ class Matrix:
             raise DimensionMismatch("matrices over different fields")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, "+", _kernel(self.field).add_rows)
+        return self._entrywise(other, "+", "mat_add")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, "-", _kernel(self.field).sub_rows)
+        return self._entrywise(other, "-", "mat_sub")
 
-    def _entrywise(self, other: "Matrix", sign: str, op) -> "Matrix":
+    def _entrywise(self, other: "Matrix", sign: str, op: str) -> "Matrix":
         self._check_same_field(other)
-        if len(self.payload_rows) != len(other.payload_rows) or self._ncols != other._ncols:
+        if len(self._krows) != len(other._krows) or self._ncols != other._ncols:
             raise DimensionMismatch(f"{self.shape} {sign} {other.shape}")
-        return Matrix._trusted(self.field, tuple(map(op, self.payload_rows, other.payload_rows)),
-                               self._ncols)
+        kernel = _kernel(self.field)
+        return _made(kernel, getattr(kernel, op)(self._krows, other._krows), self._ncols)
 
     def __neg__(self) -> "Matrix":
-        neg = _kernel(self.field).neg_row
-        return Matrix._trusted(self.field, tuple(map(neg, self.payload_rows)), self._ncols)
+        kernel = _kernel(self.field)
+        return _made(kernel, kernel.mat_neg(self._krows), self._ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_field(other)
-        if self.ncols != other.nrows:
+        if self._ncols != len(other._krows):
             raise DimensionMismatch(f"{self.shape} * {other.shape}")
-        if not other.payload_rows:
-            return Matrix.zeros(self.field, self.nrows, other.ncols)
-        prows = _kernel(self.field).matmul(self.payload_rows, other.payload_rows, other.ncols)
-        return Matrix._trusted(self.field, prows, other.ncols)
+        if not other._krows:
+            return Matrix.zeros(self.field, len(self._krows), other._ncols)
+        kernel = _kernel(self.field)
+        return _made(kernel, kernel.matmul(self._krows, other._krows, other._ncols), other._ncols)
 
     def scale(self, c: FieldElement) -> "Matrix":
         c = _unbox_one(self.field, c)
-        scale = _kernel(self.field).scale_row
-        return Matrix._trusted(self.field, tuple(tuple(scale(c, r)) for r in self.payload_rows),
-                               self._ncols)
+        kernel = _kernel(self.field)
+        return _made(kernel, kernel.mat_scale(c, self._krows), self._ncols)
 
     def transpose(self) -> "Matrix":
-        if not self.payload_rows:
-            return Matrix._trusted(self.field, ((),) * self._ncols, 0)
-        return Matrix._trusted(self.field, tuple(zip(*self.payload_rows)), self.nrows)
+        kernel = _kernel(self.field)
+        return _made(kernel, kernel.transpose(self._krows, self._ncols), len(self._krows))
 
     def power(self, k: int) -> "Matrix":
         out = Matrix.identity(self.field, self.nrows)
@@ -534,11 +837,11 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.payload_rows == other.payload_rows and self._ncols == other._ncols
+        return (self._krows == other._krows and self._ncols == other._ncols
                 and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field, self.payload_rows, self._ncols))
+        return hash((self.field, self._krows, self._ncols))
 
     def __repr__(self):
         fmt = self.field.format
@@ -549,12 +852,11 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and its pivot columns (cached)."""
-        try:
+        if self._rref is not None:
             return self._rref
-        except AttributeError:
-            pass
-        red, pivots = _gauss_jordan(_kernel(self.field), self.payload_rows, self._ncols)
-        result = (Matrix._trusted(self.field, red, self._ncols), pivots)
+        kernel = _kernel(self.field)
+        red, pivots = _gauss_jordan(kernel, self._krows, self._ncols, self._ncols)
+        result = (_made(kernel, red, self._ncols), pivots)
         _set_rref(self, result)
         return result
 
@@ -564,31 +866,23 @@ class Matrix:
     def row_space(self) -> "Matrix":
         """RREF basis of the row space, zero rows dropped."""
         red, pivots = self.rref()
-        return Matrix._trusted(self.field, red.payload_rows[: len(pivots)], self._ncols)
+        return _made(_kernel(self.field), red._krows[: len(pivots)], self._ncols)
+
+    def null_space(self) -> "Matrix":
+        """The rows of :meth:`kernel_rows` as a matrix."""
+        red, pivots = self.rref()
+        kernel = _kernel(self.field)
+        return _made(kernel, kernel.null_rows(red._krows, pivots, self._ncols), self._ncols)
 
     def kernel_rows(self) -> tuple[tuple, ...]:
         """Canonical basis of the right null space {x : Ax = 0}, as payload
         rows: one row per free column f, with 1 at f, minus the pivot rows'
         entries of column f at the pivots and zero elsewhere."""
-        red, pivots = self.rref()
-        n = self.ncols
-        kernel = _kernel(self.field)
-        neg, zero, one = kernel.neg, kernel.zero, kernel.one
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(n):
-            if f in pivot_set:
-                continue
-            v = [zero] * n
-            v[f] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = neg(red.payload_rows[r][f])
-            basis.append(tuple(v))
-        return tuple(basis)
+        return self.null_space().payload_rows
 
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the right null space {x : Ax = 0}."""
-        return tuple(map(self.field.wrap_all, self.kernel_rows()))
+        return self.null_space().rows
 
     def solve_many(self, rhs: "Matrix") -> "Matrix | None":
         """The particular solutions (free variables zero) of A x = b for
@@ -602,19 +896,11 @@ class Matrix:
         n, k = self._ncols, rhs.nrows
         if not k:
             return Matrix.zeros(self.field, 0, n)
-        aug = Matrix._trusted(self.field, tuple(
-            map(tuple.__add__, self.payload_rows, zip(*rhs.payload_rows))), n + k)
-        red, pivots = aug.rref()
+        red, pivots = _augmented(self, rhs.transpose()).rref()
         if pivots and pivots[-1] >= n:
             return None
-        zero, red_rows = _kernel(self.field).zero, red.payload_rows
-        solutions = []
-        for j in range(n, n + k):
-            x = [zero] * n
-            for r, pc in enumerate(pivots):
-                x[pc] = red_rows[r][j]
-            solutions.append(tuple(x))
-        return Matrix._trusted(self.field, tuple(solutions), n)
+        kernel = _kernel(self.field)
+        return _made(kernel, kernel.solutions(red._krows, pivots, n, k), n)
 
     def solve(self, b: Vector) -> Vector | None:
         """A particular solution of Ax = b (free variables zero), or None."""
@@ -626,38 +912,16 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        ident = Matrix.identity(self.field, n)
-        aug = Matrix._trusted(self.field, tuple(
-            r + i for r, i in zip(self.payload_rows, ident.payload_rows)), 2 * n)
-        red, pivots = aug.rref()
+        n = self._ncols
+        red, pivots = _augmented(self, Matrix.identity(self.field, n)).rref()
         if pivots != tuple(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix._trusted(self.field, tuple(r[n:] for r in red.payload_rows), n)
+        return _columns(red, n, 2 * n)
 
     def det(self) -> FieldElement:
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        kernel = _kernel(self.field)
-        zero = kernel.zero
-        rows = list(self.payload_rows)
-        n = self.nrows
-        det = kernel.one
-        for col in range(n):
-            for r in range(col, n):
-                if rows[r][col] != zero:
-                    break
-            else:
-                return self.field.zero
-            if r != col:
-                rows[col], rows[r] = rows[r], rows[col]
-                det = kernel.neg(det)
-            det = kernel.mul(det, rows[col][col])
-            inv = kernel.inv(rows[col][col])
-            for r in range(col + 1, n):
-                if rows[r][col] != zero:
-                    rows[r] = kernel.eliminate(rows[r], kernel.mul(inv, rows[r][col]), rows[col])
-        return self.field.wrap(det)
+        return self.field.wrap(_kernel(self.field).det(self._krows))
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -680,14 +944,57 @@ def _width(prows, ncols) -> int:
     return width
 
 
-# Matrix.__setattr__ refuses every write; construction and the two caches
-# write the slots through their descriptors.
+# Matrix.__setattr__ refuses every write; construction and the caches write
+# the slots through their descriptors.
 _new = object.__new__
 _set_field = Matrix.field.__set__
 _set_prows = Matrix.payload_rows.__set__
+_set_krows = Matrix._krows.__set__
 _set_ncols = Matrix._ncols.__set__
 _set_rref = Matrix._rref.__set__
-_set_rows = Matrix._rows.__set__
+_set_rows = Matrix.rows.__set__
+
+
+def _init(self: Matrix, field: Field, prows, ncols: int):
+    """A matrix on payload rows; its kernel rows are the same rows but for
+    GF(2), whose bit rows are packed on first use."""
+    _set_field(self, field)
+    _set_prows(self, prows)
+    _set_ncols(self, ncols)
+    _set_rref(self, None)
+    if (field._kernel or _kernel(field)).tuple_rows:
+        _set_krows(self, prows)
+
+
+def _made(kernel: _Kernel, rows, ncols: int) -> Matrix:
+    """A matrix on rows in the kernel's format, as the kernel makes them;
+    a GF(2) matrix's payload rows are unpacked on first read."""
+    self = _new(Matrix)
+    _set_field(self, kernel.field)
+    _set_krows(self, rows)
+    _set_ncols(self, ncols)
+    _set_rref(self, None)
+    if kernel.tuple_rows:
+        _set_prows(self, rows)
+    return self
+
+
+def _augmented(a: Matrix, b: Matrix) -> Matrix:
+    """[a | b] for matrices of one field with as many rows."""
+    kernel = _kernel(a.field)
+    return _made(kernel, kernel.hconcat(a._krows, b._krows, b._ncols), a._ncols + b._ncols)
+
+
+def _columns(m: Matrix, start: int, stop: int) -> Matrix:
+    """Columns start .. stop - 1 of m."""
+    kernel = _kernel(m.field)
+    return _made(kernel, kernel.columns(m._krows, start, stop, m._ncols), stop - start)
+
+
+def _rows_at(m: Matrix, indices) -> Matrix:
+    """The rows of m at `indices`, in their order."""
+    rows = m._krows
+    return _made(_kernel(m.field), tuple([rows[i] for i in indices]), m._ncols)
 
 
 def _diagonal(field: Field, entries: tuple) -> Matrix:
@@ -696,10 +1003,13 @@ def _diagonal(field: Field, entries: tuple) -> Matrix:
         tuple(entries[i] if i == j else z for j in range(n)) for i in range(n)), n)
 
 
-def _init(self: Matrix, field: Field, prows, ncols: int):
-    _set_field(self, field)
-    _set_prows(self, prows)
-    _set_ncols(self, ncols)
+def _combination(field: Field, coeffs, matrices) -> Matrix:
+    """The sum of c * m over the payloads c of `coeffs` and the matrices m,
+    all of one shape (at least one matrix)."""
+    nrows, ncols = matrices[0].shape
+    kernel = _kernel(field)
+    rows = kernel.combination(coeffs, [m._krows for m in matrices], nrows, ncols)
+    return _made(kernel, rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +1018,11 @@ def _init(self: Matrix, field: Field, prows, ncols: int):
 
 def _vec_mat(field: Field, v, m: Matrix) -> tuple:
     """Payloads of v^T m for a payload vector v."""
-    if not m.payload_rows:
+    if not m._krows:
         return (field.zero.payload,) * m.ncols
-    return _kernel(field).matmul((v,), m.payload_rows, m.ncols)[0]
+    kernel = _kernel(field)
+    row = kernel.matmul(kernel.pack((tuple(v),), len(v)), m._krows, m._ncols)
+    return kernel.unpack(row, m._ncols)[0]
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -734,11 +1046,18 @@ def bilinear(u: Vector, g: Matrix, v: Vector) -> FieldElement:
     return field.wrap(_kernel(field).dot(_vec_mat(field, _unbox(field, u), g), _unbox(field, v)))
 
 
+def _row_forms(rows: Matrix, form: Matrix) -> tuple:
+    """Payloads of r^T F r for every row r of `rows`: the diagonal of
+    R F R^T, from one product."""
+    kernel = _kernel(rows.field)
+    return kernel.row_dots(kernel.matmul(rows._krows, form._krows, form._ncols), rows._krows)
+
+
 def stack_rows(*blocks: Matrix) -> Matrix:
     """The rows of matrices of one field and width, one under the other;
     the callers' operands belong to one space, whose guard checks that."""
-    rows = tuple(r for b in blocks for r in b.payload_rows)
-    return Matrix._trusted(blocks[0].field, rows, blocks[0].ncols)
+    rows = tuple(r for b in blocks for r in b._krows)
+    return _made(_kernel(blocks[0].field), rows, blocks[0].ncols)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -558,13 +558,13 @@ def _run_vprime(space, enum: GroupEnumeration) -> VerifyReport:
         r = iso.residual_space()
         wperp = w.orthogonal_complement()
         moves = iso.displacement().transpose()  # rows v -> (tau - 1) v
-        images = (wperp.basis * iso.mat.transpose()).payload_rows
-        moved = (wperp.basis * moves).payload_rows
+        images = wperp.basis * iso.mat.transpose()
+        moved = wperp.basis * moves
         return (wperp.dim == 2 * r.dim
                 and (w.basis * moves).is_zero()
                 and iso.fixed_space().intersection(wperp) == r
-                and Subspace.from_rows(space, images) == wperp
-                and Subspace.from_rows(space, moved) == r)
+                and Subspace.span(space, images) == wperp
+                and Subspace.span(space, moved) == r)
     return _check_each("v'", map(enum.isometry, enum.unipotent2_indices()), holds,
                        WallformsError)
 

@@ -11,7 +11,8 @@ is the diagonal of R Q R^T for the rows of R.  ``eval_q`` and ``eval_b``
 take boxed vectors one at a time.
 
 Subspaces keep their bases in reduced row-echelon form so that equality
-is representational; ``from_rows`` builds them from payload rows.  Every
+is representational; ``from_rows`` builds them from payload rows and
+``span`` from the rows of a matrix.  Every
 call on two space-bound operands raises through one guard, ``_same_space``.
 
 A bilinear form enters as its Gram matrix G.  Its orthogonal and
@@ -50,8 +51,11 @@ from .fields import Field, FieldElement
 from .linalg import (
     Matrix,
     Vector,
+    _columns,
     _diagonal,
     _kernel,
+    _row_forms,
+    _rows_at,
     _unbox,
     _vec_mat,
     bilinear,
@@ -116,13 +120,11 @@ class QuadraticSpace:
             raise DescriptorMismatch(f"rows over {rows.field} in a space over {self.field}")
         if rows.ncols != self.dim:
             raise DimensionMismatch(f"rows of length {rows.ncols} in dim {self.dim}")
-        return self.field.wrap_all(self._q_payloads(rows.payload_rows))
+        return self.field.wrap_all(self._q_payloads(rows))
 
-    def _q_payloads(self, prows) -> tuple:
-        """q of every payload row of length dim, as payloads."""
-        kernel = _kernel(self.field)
-        rq = kernel.matmul(prows, self.qmat.payload_rows, self.dim)  # the rows of R Q
-        return tuple(map(kernel.dot, rq, prows))
+    def _q_payloads(self, rows: Matrix) -> tuple:
+        """q of every row of `rows` (of length dim), as payloads."""
+        return _row_forms(rows, self.qmat)
 
     def basis_vector(self, i: int) -> Vector:
         return Matrix.identity(self.field, self.dim).row(i)
@@ -166,7 +168,17 @@ class Subspace:
             return cls.zero(space)
         if any(len(r) != space.dim for r in rows):
             raise DimensionMismatch("vector length mismatch")
-        return cls(space, Matrix._trusted(space.field, rows, space.dim).row_space())
+        return cls.span(space, Matrix._trusted(space.field, rows, space.dim))
+
+    @classmethod
+    def span(cls, space: QuadraticSpace, rows: Matrix) -> "Subspace":
+        """The span of the rows of a matrix over the space's field, each
+        dim long: one elimination."""
+        if rows.ncols != space.dim:
+            raise DimensionMismatch("vector length mismatch")
+        if not rows.nrows:
+            return cls.zero(space)
+        return cls(space, rows.row_space())
 
     @classmethod
     def zero(cls, space: QuadraticSpace) -> "Subspace":
@@ -207,13 +219,11 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.space)
         # x = a . basis1 = b . basis2  <=>  (basis1^T | -basis2^T) (a; b) = 0
-        field = self.space.field
         joint = stack_rows(self.basis, -other.basis).transpose()
-        kernel = joint.kernel_rows()
-        if not kernel:
+        kernel = joint.null_space()
+        if not kernel.nrows:
             return Subspace.zero(self.space)
-        coeffs = Matrix._trusted(field, tuple(k[: self.dim] for k in kernel), self.dim)
-        return Subspace(self.space, (coeffs * self.basis).row_space())
+        return Subspace(self.space, (_columns(kernel, 0, self.dim) * self.basis).row_space())
 
     def subspace_sum(self, other: "Subspace") -> "Subspace":
         _same_space(self.space, other.space, "subspaces")
@@ -221,7 +231,7 @@ class Subspace:
 
     def orthogonal_complement(self) -> "Subspace":
         """{x : b(x, y) = 0 for all y in self} via a kernel computation."""
-        return _orthogonal_to(self.space, self.basis.payload_rows)
+        return _orthogonal_to(self.space, self.basis)
 
     def is_regular(self) -> bool:
         """W meets its orthogonal complement in 0: the polar form has no
@@ -251,13 +261,12 @@ def _same_space(a: QuadraticSpace, b: QuadraticSpace, operands: str):
         raise DimensionMismatch(f"{operands} of different spaces")
 
 
-def _orthogonal_to(space: QuadraticSpace, rows) -> Subspace:
-    """{x : b(r, x) = 0 for every payload row r}: the kernel of R B (one
+def _orthogonal_to(space: QuadraticSpace, rows: Matrix) -> Subspace:
+    """{x : b(r, x) = 0 for every row r of `rows`}: the kernel of R B (one
     product, one elimination), put in RREF (one more)."""
-    if not rows:
+    if not rows.nrows:
         return Subspace.full(space)
-    constraint = Matrix._trusted(space.field, tuple(rows), space.dim) * space.gram
-    return Subspace.from_rows(space, constraint.kernel_rows())
+    return Subspace.span(space, (rows * space.gram).null_space())
 
 
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
@@ -270,9 +279,8 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     pivots = joint.rref()[1]
     if len(pivots) != outer.dim:
         raise NotNested("inner subspace is not contained in outer")
-    outer_rows = outer.basis.payload_rows
-    chosen = [outer_rows[j - inner.dim] for j in pivots if j >= inner.dim]
-    return Subspace.from_rows(outer.space, chosen)
+    chosen = _rows_at(outer.basis, [j - inner.dim for j in pivots if j >= inner.dim])
+    return Subspace.span(outer.space, chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,25 @@ from .isometry import Isometry
 
 @dataclass(frozen=True)
 class WallForm:
+    """The Wall form of `tau`, on payload matrices: `basis` and `preimages`
+    box their rows on first access."""
+
     tau: Isometry
-    basis: tuple[Vector, ...]      # canonical basis of r(tau)
-    preimages: tuple[Vector, ...]  # y_j with tau(y_j) - y_j = basis[j]
-    gram: Matrix                   # gram[i][j] = b(basis[i], preimages[j])
+    basis_rows: Matrix     # canonical basis of r(tau)
+    preimage_rows: Matrix  # row j: y_j with tau(y_j) - y_j = basis[j]
+    gram: Matrix           # gram[i][j] = b(basis[i], preimages[j])
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return self.basis_rows.rows
+
+    @property
+    def preimages(self) -> tuple[Vector, ...]:
+        return self.preimage_rows.rows
 
     @property
     def s(self) -> int:
-        return len(self.basis)
+        return self.basis_rows.nrows
 
     def orthogonal_basis(self) -> tuple[tuple[Vector, ...], tuple[FieldElement, ...]]:
         """An orthogonal basis of the residual form (nonalternating forms
@@ -86,7 +97,7 @@ def _orthogonal_residual_basis(tau: Isometry):
     return p * tau.residual_space().basis, diagonal
 
 
-def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, ...], Matrix]:
+def _wall_form_parts(tau: Isometry) -> tuple[Matrix, Matrix, Matrix]:
     space = tau.space
     residual = tau.residual_space().basis  # the RREF of the columns of M - I
     # every preimage from one elimination of [M - I | R^T]
@@ -99,9 +110,9 @@ def _wall_form_parts(tau: Isometry) -> tuple[tuple[Vector, ...], tuple[Vector, .
     if residual.nrows and not gram.det():
         raise InvariantViolation("residual form is degenerate")
     neg, grows = _kernel(space.field).neg, gram.payload_rows
-    if any(grows[i][i] != neg(q) for i, q in enumerate(space._q_payloads(residual.payload_rows))):
+    if any(grows[i][i] != neg(q) for i, q in enumerate(space._q_payloads(residual))):
         raise InvariantViolation("diagonal law w(u, u) = -q(u) failed")
-    return residual.rows, preimages.rows, gram
+    return residual, preimages, gram
 
 
 @dataclass(frozen=True)

@@ -70,3 +70,29 @@ def test_spread_tables_only_for_gf4_to_gf16():
                             ("gf(16)", True), ("gf(32)", False), ("gf(256)", False),
                             ("gf(7)", False)):
         assert (_batch_arith(wf.parse_field(literal))._spread is not None) is spread, literal
+
+
+MODULAR_FIELDS = ["gf(2)"] + [f"gf({p})" for p in range(3, 98, 2)
+                              if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))]
+
+
+@pytest.mark.parametrize("literal", MODULAR_FIELDS)
+def test_batch_last_products_reduce_like_remainder(literal):
+    """matmul_last over a field whose arithmetic is that of the integers
+    mod |F|: at the widest inner dimension whose sums fit uint8 and uint16,
+    and one past each (the next dtype), with every entry |F| - 1 (the
+    largest sums) and at random, the product reduced in place equals
+    np.remainder of the exact integer product."""
+    arith = _batch_arith(wf.parse_field(literal))
+    assert arith.modular
+    q = arith.order
+    rng = np.random.default_rng(q)
+    for bound in (0xFF, 0xFFFF):
+        for k in (bound // (q - 1) ** 2, bound // (q - 1) ** 2 + 1):
+            full = np.full((2, k, 3), q - 1, dtype=np.uint8)
+            for a, b in ((full, full.transpose(1, 0, 2).copy()),
+                         (rng.integers(0, q, (3, k, 5), dtype=np.uint8),
+                          rng.integers(0, q, (k, 2, 5), dtype=np.uint8))):
+                exact = np.einsum("ikN,kjN->ijN", a.astype(np.int64), b.astype(np.int64))
+                got = arith.matmul_last(a, b)
+                assert np.array_equal(got, np.remainder(exact, q)), (literal, k)

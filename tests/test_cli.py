@@ -455,6 +455,22 @@ def _run_in_subprocess(*argv):
     return proc.returncode, proc.stdout
 
 
+@pytest.mark.parametrize("argv", [["enumerate"], ["verify", "--theorem", "char"]])
+def test_oracle_commands_without_numpy_exit_3(tmp_path, argv):
+    """numpy blocked before the package is imported: the oracle's import
+    fails, which the command reports as a precondition error, exit 3, with
+    no traceback."""
+    src = os.path.dirname(os.path.dirname(wallforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; sys.modules['numpy'] = None; from wallforms import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--space", _write(tmp_path, H4F2_DOC)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    out = json.loads(proc.stdout)
+    assert out["error"] == "precondition" and "numpy" in out["message"]
+
+
 def test_calls_in_one_process_print_what_separate_processes_print(tmp_path, capsys):
     h4 = _write(tmp_path, H4F2_DOC, "h4.json")
     r2 = _write(tmp_path, R2T_DOC, "r2.json")

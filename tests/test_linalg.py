@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import wallforms as wf
 from wallforms.errors import DescriptorMismatch, DimensionMismatch, SingularMatrix
 from wallforms.fields import FieldElement, Galois2Field, PrimeField, field_tables
-from wallforms.linalg import Matrix, _Kernel, _kernel, bilinear, kron, mat_vec
+from wallforms.linalg import (PACKED_WIDTH, Matrix, _BitKernel, _Char2Kernel, _combination, _Kernel,
+                             _kernel, _row_forms, bilinear, kron, mat_vec, stack_rows)
 
 
 def _random_matrix(field, n, rng):
@@ -421,7 +422,9 @@ def test_solve_many_checks_its_operands(f7, f4):
 
 # packed rows against the tuple loops over GF(2^k): the same pivots, swaps
 # and row operations, so equal results, at every width on either side of
-# PACKED_WIDTH
+# PACKED_WIDTH.  GF(2)'s kernel runs on bit rows at every width (converted
+# through tables up to PACKED_WIDTH, through binary digits past it), and the
+# byte-packed loops serve GF(4) and up.
 # ---------------------------------------------------------------------------
 
 PACKED_FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(8)", "gf(16)", "gf(256)"]
@@ -429,10 +432,22 @@ PACKED_FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(8)", "gf(16)", "gf(256)"]
 
 @st.composite
 def _payload_rows(draw, order, m, width):
-    """m payload rows of one width: zeros often, and some rows all zero."""
-    entry = st.one_of(st.just(0), st.just(0), st.integers(1, order - 1))
-    row = st.one_of(st.just((0,) * width), st.tuples(*[entry] * width))
-    return tuple(draw(row) for _ in range(m))
+    """m payload rows of one width: zeros often, and some rows all zero.
+    A GF(2) row is the AND of two ints drawn at once (a quarter of its
+    entries 1), which keeps rows 70 wide cheap to draw."""
+    if order == 2:
+        ints = st.tuples(*[st.integers(0, (1 << width) - 1)] * 2).map(lambda xy: xy[0] & xy[1])
+        row = ints.map(lambda x: tuple(x >> (width - 1 - j) & 1 for j in range(width)))
+    else:
+        entry = st.one_of(st.just(0), st.just(0), st.integers(1, order - 1))
+        row = st.tuples(*[entry] * width)
+    return tuple(draw(st.one_of(st.just((0,) * width), row)) for _ in range(m))
+
+
+def _widest(field):
+    """GF(2) rows convert through binary digits past PACKED_WIDTH: draw
+    them up to 70 wide; the byte-packed loops switch at PACKED_WIDTH."""
+    return 70 if field.order() == 2 else 20
 
 
 @pytest.mark.parametrize("literal", PACKED_FIELDS)
@@ -441,12 +456,14 @@ def _payload_rows(draw, order, m, width):
 def test_packed_elimination_matches_the_tuple_loop(literal, data):
     field = wf.parse_field(literal)
     kernel = _kernel(field)
-    m, width = data.draw(st.integers(0, 20)), data.draw(st.integers(0, 20))
+    m, width = data.draw(st.integers(0, 20)), data.draw(st.integers(0, _widest(field)))
     ncols = data.draw(st.integers(0, width))  # rows wider than the pivot columns too
     rows = data.draw(_payload_rows(field.order(), m, width))
-    expected = _Kernel.gauss_jordan(kernel, rows, ncols)
-    assert kernel._packed_gauss_jordan(rows, ncols) == expected
-    assert kernel.gauss_jordan(rows, ncols) == expected
+    expected = _Kernel.gauss_jordan(kernel, rows, ncols, width)
+    red, pivots = kernel.gauss_jordan(kernel.pack(rows, width), ncols, width)
+    assert (kernel.unpack(red, width), pivots) == expected
+    if field.order() > 2:
+        assert kernel._packed_gauss_jordan(rows, ncols) == expected
 
 
 @pytest.mark.parametrize("literal", PACKED_FIELDS)
@@ -455,12 +472,15 @@ def test_packed_elimination_matches_the_tuple_loop(literal, data):
 def test_packed_product_matches_the_tuple_loops(literal, data):
     field = wf.parse_field(literal)
     kernel = _kernel(field)
-    m, k, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 20)), data.draw(st.integers(0, 20))
+    widest = _widest(field)
+    m, k, n = (data.draw(st.integers(0, 6)), data.draw(st.integers(1, widest)),
+               data.draw(st.integers(0, widest)))
     a = data.draw(_payload_rows(field.order(), m, k))
     b = data.draw(_payload_rows(field.order(), k, n))
     expected = _Kernel.matmul(kernel, a, b, n)  # one lookup dot product per entry
-    assert kernel._packed_matmul(a, b, n) == expected
-    assert kernel.matmul(a, b, n) == expected
+    assert kernel.unpack(kernel.matmul(kernel.pack(a, k), kernel.pack(b, n), n), n) == expected
+    if field.order() > 2:
+        assert kernel._packed_matmul(a, b, n) == expected
 
 
 def test_packed_elimination_is_what_matrices_use(f4):
@@ -473,3 +493,124 @@ def test_packed_elimination_is_what_matrices_use(f4):
     assert (red.payload_rows, pivots) == _kernel(f4)._packed_gauss_jordan(a.payload_rows, 16)
     ref_red, ref_pivots = _ref_rref(f4, _boxed(a))
     assert pivots == ref_pivots and _boxed(red) == ref_red
+
+
+# ---------------------------------------------------------------------------
+# GF(2) matrices on bit rows against the boxed reference, conversions both
+# ways on both sides of PACKED_WIDTH, and the one path every operation takes
+# (the bit kernel against the tuple loops is in the packed tests above)
+# ---------------------------------------------------------------------------
+
+def _bit_rows(draw, m, width):
+    return draw(_payload_rows(2, m, width))
+
+
+@given(data=st.data())
+@_settings()
+def test_bit_rows_convert_both_ways(f2, data):
+    width = data.draw(st.integers(0, 70))
+    rows = _bit_rows(data.draw, data.draw(st.integers(0, 5)), width)
+    kernel = _kernel(f2)
+    packed = kernel.pack(rows, width)
+    assert packed == tuple(int("".join(map(str, r)) or "0", 2) for r in rows)
+    assert kernel.unpack(packed, width) == rows
+
+
+@given(data=st.data())
+@_settings()
+def test_bit_matrices_match_the_boxed_reference(f2, data):
+    """det, inverse, rank, kernel_rows, solve_many and transpose of GF(2)
+    matrices against the boxed reference elimination."""
+    m, n = data.draw(st.integers(1, 20)), data.draw(st.integers(0, 20))
+    if data.draw(st.booleans()):
+        n = m  # square: det and inverse
+    a = Matrix.from_payloads(f2, _bit_rows(data.draw, m, n), n)
+    rows = _boxed(a)
+    ref_red, ref_pivots = _ref_rref(f2, rows)
+    red, pivots = a.rref()
+    assert pivots == ref_pivots and _boxed(red) == ref_red
+    assert a.rank() == len(ref_pivots)
+    assert _boxed(a.transpose()) == [list(c) for c in zip(*rows)] and a.transpose().shape == (n, m)
+
+    # the kernel basis: one row per free column, 1 there, the pivot rows' entries at the pivots
+    expected = []
+    for f in (c for c in range(n) if c not in ref_pivots):
+        v = [f2.zero] * n
+        v[f] = f2.one
+        for r, pc in enumerate(ref_pivots):
+            v[pc] = -ref_red[r][f]
+        expected.append(tuple(x.payload for x in v))
+    assert a.kernel_rows() == tuple(expected)
+
+    k = data.draw(st.integers(0, 4))
+    rhs = [tuple(data.draw(_element(f2)) for _ in range(m)) for _ in range(k)]
+    singles = [_ref_solve(f2, rows, list(b)) for b in rhs]
+    found = a.solve_many(Matrix(f2, rhs, ncols=m))
+    if None in singles:
+        assert found is None
+    else:
+        assert found.rows == tuple(singles) and found.shape == (k, n)
+
+    if m == n:
+        assert a.det() == (f2.one if len(ref_pivots) == n else f2.zero)
+        if len(ref_pivots) == n:
+            ident = [[f2.one if i == j else f2.zero for j in range(n)] for i in range(n)]
+            assert _ref_product(f2, rows, _boxed(a.inverse())) == ident
+        else:
+            with pytest.raises(SingularMatrix):
+                a.inverse()
+
+
+@given(data=st.data())
+@_settings()
+def test_bit_matrices_equal_their_payload_twins(f2, data):
+    """A GF(2) matrix the kernel made (bit rows, payload rows unpacked on
+    first read) and the same matrix built from payload rows (bit rows
+    packed on first use) compare and hash equal, whichever is read first."""
+    m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 70))
+    rows = _bit_rows(data.draw, m, n)
+    made = Matrix.from_payloads(f2, rows, n).transpose().transpose()  # kernel-made
+    twin = Matrix.from_payloads(f2, rows, n)
+    assert made == twin and hash(made) == hash(twin)
+    assert made.payload_rows == rows and made.shape == twin.shape == (m, n)
+    assert (made + twin).is_zero() and (made - twin) == Matrix.zeros(f2, m, n)
+    assert getattr(made, "_rref", None) is None
+    made.rref()
+    assert getattr(made, "_rref", None) is not None
+
+
+@pytest.mark.parametrize("width", [6, PACKED_WIDTH + 8])
+def test_bit_matrices_reach_no_other_loop(f2, width, monkeypatch):
+    """Every GF(2) matrix operation runs on bit rows: neither the byte-packed
+    loops nor the tuple loops that the bit kernel overrides are reached, at
+    widths below and above PACKED_WIDTH."""
+    overridden = [name for name in vars(_BitKernel) if name in vars(_Kernel)]
+    assert {"gauss_jordan", "matmul", "det", "transpose", "null_rows"} <= set(overridden)
+    for owner in (_Kernel, _Char2Kernel):
+        for name in overridden + ["_packed_gauss_jordan", "_packed_matmul"]:
+            if name in vars(owner):
+                monkeypatch.setattr(owner, name, _refuse)
+    rng = random.Random(width)
+
+    def draw():
+        return Matrix.from_payloads(f2, [[rng.randrange(2) for _ in range(width)]
+                                         for _ in range(width)])
+    a = draw()
+    while not a.det():
+        a = draw()
+    ident = Matrix.identity(f2, width)
+    inv = a.inverse()
+    assert a * inv == ident and inv * a == ident and hash(a * inv) == hash(ident)
+    assert a.rank() == width and a.transpose().transpose() == a
+    twice = stack_rows(a, a)
+    assert twice.rank() == width and len(twice.transpose().kernel_rows()) == width
+    b = tuple(f2.one if i % 3 else f2.zero for i in range(width))
+    assert mat_vec(a, a.solve(b)) == b
+    assert a.solve_many(ident) == inv.transpose()
+    assert (a - a).is_zero() and -a == a and a.scale(f2.one) == a and a.scale(f2.zero).is_zero()
+    assert _combination(f2, (1, 1), (a, inv)) == a + inv
+    assert _row_forms(ident, a) == tuple(row[i] for i, row in enumerate(a.payload_rows))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a GF(2) matrix reached another kernel's loop")

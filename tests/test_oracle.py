@@ -1321,14 +1321,15 @@ def _alternating_check_fails(orig):
 
 def _spans_read_as_zero(dim):
     """oracle.Subspace with every span of dimension `dim` read as zero: the
-    runner's spans of payload rows and the reference's spans of vectors."""
+    runner's spans of matrix rows and the reference's spans of vectors."""
     def fault(orig):
         def reads_as_zero(span):
             def faulty(space, rows):
                 sub = span(space, rows)
                 return Subspace.zero(space) if sub.dim == dim else sub
             return faulty
-        return types.SimpleNamespace(from_rows=reads_as_zero(orig.from_rows),
+        return types.SimpleNamespace(span=reads_as_zero(orig.span),
+                                     from_rows=reads_as_zero(orig.from_rows),
                                      from_vectors=reads_as_zero(orig.from_vectors))
     return fault
 
