@@ -38,7 +38,6 @@ from .linalg import Matrix
 # min_scalar_type would add half a microsecond to each
 _narrowest_unsigned = functools.lru_cache(maxsize=None)(np.min_scalar_type)
 
-SMALL_PRODUCT = 1 << 12  # products below which one gather beats a loop over k
 LAST_CHUNK = 1 << 10  # matrices per lookup of matmul_last; bounds the intp codes
 SPREAD_DEGREE = 4  # GF(2^k) up to this k multiplies by spread bits: 2k - 1 bytes fit a uint64
 
@@ -145,14 +144,12 @@ class _BatchArith:
         return self._lookup_matmul(a, b)
 
     def _lookup_matmul(self, a, b):
-        """a @ b over GF(2^k) by product-table lookups summed by XOR: a few
-        matrices take one lookup of all n*k*m products, and larger batches
-        go one k at a time, which keeps the temporaries at n*m per
-        matrix."""
-        if a.size * b.shape[-1] <= SMALL_PRODUCT:
-            return np.bitwise_xor.reduce(self._mul[a[..., :, :, None], b[..., None, :, :]], axis=-2)
-        acc = self._mul[a[..., :, 0, None], b[..., None, 0, :]]
-        for k in range(1, a.shape[-1]):
+        """a @ b over GF(2^k) by product-table lookups summed by XOR, one k
+        at a time from zeros, which keeps the temporaries at n*m per matrix
+        and gives the zero product for an inner dimension of 0."""
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        acc = np.zeros(shape, dtype=np.uint8)
+        for k in range(a.shape[-1]):
             acc ^= self._mul[a[..., :, k, None], b[..., None, k, :]]
         return acc
 

@@ -45,8 +45,9 @@ model's only relation checks, and they run for every involution.  They are
 this module's only numpy work: :func:`explicit_matrix_iso` and its helpers
 import the batched arithmetic (``batched._batch_arith``), and with it
 numpy, when they run, so loading this module loads no numpy.  The
-eliminations and products of this module's matrices over GF(2^k) run on
-``linalg``'s packed rows.
+eliminations and products of this module's matrices run on ``linalg``'s
+packed rows: bit rows over GF(2), and over GF(2^k), k >= 2, one byte per
+payload in rows at least ``linalg.PACKED_WIDTH`` wide.
 
 An algebra has at most MAX_GENERATORS generators: its structure table
 holds 4^n entries, so a larger space raises CapExceeded before any table
@@ -89,7 +90,6 @@ from .linalg import (
     _augmented,
     _combination,
     _diagonal,
-    _gauss_jordan,
     _kernel,
     _unbox,
     _unbox_one,
@@ -575,27 +575,29 @@ def alt_membership(inv: AlgebraInvolution, a: CliffordElement) -> CliffordElemen
 
 
 def _alt_witnesses(inv: AlgebraInvolution, elements) -> list[CliffordElement | None]:
-    """:func:`alt_membership` of each of `elements`, from one elimination
-    of [I + J | the elements as columns].  Pivots are sought among the
-    operator's columns only, so the row operations are those of I + J
-    alone and no element's column clears another's: an element is in Alt
-    iff its column vanishes below the pivot rows, and its witness is read
-    from the pivot rows with the free variables zero (the particular
-    solution ``Matrix.solve`` gives)."""
+    """:func:`alt_membership` of each of `elements`, from one reduced
+    row-echelon form of [I + J | the elements as columns].  Its columns
+    are reduced left to right, so its first `rank` rows (the pivots in the
+    operator's columns) are those of I + J's own elimination, extended by
+    the elements' columns.  An element is in Alt iff its column vanishes
+    below those rows, and its witness is read from them with the free
+    variables zero (the particular solution ``Matrix.solve`` gives).  A
+    later pivot lies in the column of an element outside Alt, and its row
+    is zero in every member's column, so the reduction past the operator's
+    columns moves neither answer."""
     alg = inv.algebra
     dim, zero = alg.dim, alg._zero
     operator = Matrix.identity(alg.field, dim) + inv.matrix
-    aug = _augmented(operator, alg._payload_matrix(elements, by_columns=True))
-    kernel, width = _kernel(alg.field), aug.ncols
-    red, pivots = _gauss_jordan(kernel, aug._krows, dim, width)
-    red = kernel.unpack(red, width)
+    red, pivots = _augmented(operator, alg._payload_matrix(elements, by_columns=True)).rref()
+    rank = sum(pc < dim for pc in pivots)
+    rows = red.payload_rows
     witnesses = []
     for col in range(dim, dim + len(elements)):
-        if any(row[col] != zero for row in red[len(pivots):]):
+        if any(row[col] != zero for row in rows[rank:]):
             witnesses.append(None)
         else:
             witnesses.append(_element(alg, {
-                pc: red[r][col] for r, pc in enumerate(pivots) if red[r][col] != zero}))
+                pc: rows[r][col] for r, pc in enumerate(pivots[:rank]) if rows[r][col] != zero}))
     return witnesses
 
 

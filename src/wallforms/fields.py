@@ -336,20 +336,16 @@ class FieldElement:
 
 
 class Field:
-    """Common interface of the three supported fields."""
+    """Common interface of the three supported fields.
+
+    Each concrete field defines the payload interface: payload arithmetic
+    ``add``, ``sub``, ``mul``, ``div`` and ``neg``; ``characteristic()``;
+    ``is_payload``, ``payloads()`` and ``from_int``; ``is_square`` and
+    ``sqrt`` of elements; ``parse`` of a literal, ``format`` of a payload
+    and ``literal()`` of the field itself."""
 
     kind: str
     _kernel = None  # the payload kernel of ``linalg``, built on first use
-
-    # payload-level arithmetic, implemented by subclasses
-    def add(self, a, b): raise NotImplementedError
-    def sub(self, a, b): raise NotImplementedError
-    def mul(self, a, b): raise NotImplementedError
-    def div(self, a, b): raise NotImplementedError
-    def neg(self, a): raise NotImplementedError
-
-    def characteristic(self) -> int:
-        raise NotImplementedError
 
     def order(self) -> int | None:
         """Number of elements, or None for an infinite field."""
@@ -362,10 +358,6 @@ class Field:
             raise DescriptorMismatch(f"{payload!r} is not a payload of {self}")
         return self.wrap(payload)
 
-    def is_payload(self, payload) -> bool:
-        """Whether `payload` is a canonical payload of this field."""
-        raise NotImplementedError
-
     def wrap(self, payload) -> FieldElement:
         """The element with a payload already known to be canonical (no
         check); finite fields return their interned element."""
@@ -375,31 +367,9 @@ class Field:
         """:meth:`wrap` over an iterable of canonical payloads."""
         return tuple(map(self.wrap, payloads))
 
-    def from_int(self, n: int) -> FieldElement:
-        """The image of the integer n under the canonical ring map Z -> F."""
-        raise NotImplementedError
-
-    def payloads(self) -> Iterator:
-        raise NotImplementedError
-
     def elements(self) -> Iterator[FieldElement]:
         for p in self.payloads():
             yield self.wrap(p)
-
-    def is_square(self, a: FieldElement) -> bool:
-        raise NotImplementedError
-
-    def sqrt(self, a: FieldElement) -> FieldElement:
-        raise NotImplementedError
-
-    def parse(self, s) -> FieldElement:
-        raise NotImplementedError
-
-    def format(self, payload) -> str:
-        raise NotImplementedError
-
-    def literal(self) -> str:
-        raise NotImplementedError
 
     @property
     def zero(self) -> FieldElement:

@@ -4,10 +4,11 @@ A :class:`Matrix` stores its entries in the row format of its field's
 kernel (:func:`_kernel`), one kernel per field:
 
 * GF(2): a row is one int, bit (ncols - 1 - j) holding column j, so int
-  order is row order, adding rows is one XOR and the next pivot column is
-  the one ``bit_length`` points to; a product XORs the rows of b picked
-  out by the bits of each row of a (M4RI's representation: Albrecht,
-  Bard and Hart, ACM TOMS 37(1), 2010);
+  order is row order, adding rows is one XOR and a row's pivot column is
+  the one ``bit_length`` points to; elimination reduces each row by the
+  leading bits of the rows kept so far, and a product XORs the rows of b
+  picked out by the bits of each row of a (M4RI's representation and
+  reduction: Albrecht, Bard and Hart, ACM TOMS 37(1), 2010);
 * GF(p): tuples of payloads, integer products and sums reduced mod p,
   inverses from a table;
 * GF(2^k), k >= 2: tuples of payloads; sums are XOR, products are
@@ -19,12 +20,14 @@ kernel (:func:`_kernel`), one kernel per field:
 
 Products, sums, Gauss-Jordan elimination with field division (``rref``),
 ``solve_many``, ``kernel_rows``, ``inverse``, ``det``, ``transpose``,
-equality and hashing all run on the kernel's rows.  ``payload_rows``, the
-rows as tuples of payloads (ints for GF(p) and GF(2^k), ``(num, den)``
-pairs for GF(2)(t)), is the one view every reader outside this module
-uses: a GF(2) matrix made by the kernel builds it on first read and keeps
-it, and one made from payload rows packs its bit rows on its first kernel
-operation.  Every other field's kernel rows are the payload rows.
+equality and hashing all run on the kernel's rows.  Every elimination is
+one full reduced row-echelon form, with pivots sought in every column.
+``payload_rows``, the rows as tuples of payloads (ints for GF(p) and
+GF(2^k), ``(num, den)`` pairs for GF(2)(t)), is the one view every reader
+outside this module uses, and no other module sees the kernel's rows: a
+GF(2) matrix made from payload rows packs its bit rows when it is built,
+and one made by the kernel builds its payload rows on first read and
+keeps them.  Every other field's kernel rows are the payload rows.
 
 The product and inverse tables are :func:`fields.field_tables`, built once
 per field and shared by every equal field and by the oracle's batched
@@ -171,16 +174,16 @@ class _Kernel:
         """The payload dot product of each row of a with the same row of b."""
         return tuple(map(self.dot, a, b))
 
-    def gauss_jordan(self, rows, ncols: int, width: int):
-        """Reduced row-echelon rows and pivot columns of a sequence of rows
-        `width` long, with pivots sought in the first `ncols` columns, a
+    def gauss_jordan(self, rows, width: int):
+        """The reduced row-echelon form of a sequence of rows `width` long
+        (zero rows last, as many rows as given) and its pivot columns, a
         row of payloads at a time."""
         rows = list(rows)
         m = len(rows)
         zero, one = self.zero, self.one
         pivots = []
         lead = 0
-        for col in range(ncols):
+        for col in range(width):
             for r in range(lead, m):
                 if rows[r][col] != zero:
                     break
@@ -376,12 +379,12 @@ class _Char2Kernel(_Kernel):
             acc ^= mul[a][b]
         return acc
 
-    def gauss_jordan(self, rows, ncols: int, width: int):
+    def gauss_jordan(self, rows, width: int):
         """Rows at least PACKED_WIDTH wide are eliminated packed
         (:meth:`_packed_gauss_jordan`), narrower ones a tuple at a time."""
         if rows and width >= PACKED_WIDTH:
-            return self._packed_gauss_jordan(rows, ncols)
-        return super().gauss_jordan(rows, ncols, width)
+            return self._packed_gauss_jordan(rows)
+        return super().gauss_jordan(rows, width)
 
     def matmul(self, a, b, ncols: int):
         """Products with at least PACKED_WIDTH columns run on packed rows
@@ -402,7 +405,8 @@ class _Char2Kernel(_Kernel):
                     acc = tuple([x ^ mc[y] for x, y in zip(acc, brow)])
             out.append(acc)
         return tuple(out)
-    def _packed_gauss_jordan(self, prows, ncols: int):
+
+    def _packed_gauss_jordan(self, prows):
         """:meth:`_Kernel.gauss_jordan` on packed rows, with the same
         pivots, swaps and row operations.  Below the pivot row every row
         vanishes left of the current column, so the next pivot column is the
@@ -418,10 +422,9 @@ class _Char2Kernel(_Kernel):
         m = len(rows)
         pivots = []
         lead = 0
-        last = width - ncols  # bytes right of the pivot columns
         while lead < m:
             below = (max(rows[lead:]).bit_length() - 1) >> 3  # bytes right of its lead
-            if below < last:  # also when every row left is zero
+            if below < 0:  # every row left is zero
                 break
             shift = 8 * below
             low = 1 << shift
@@ -476,7 +479,6 @@ class _Char2Kernel(_Kernel):
                     acc ^= y
             out.append(tuple(acc.to_bytes(ncols, "big")))
         return tuple(out)
-
 
 
 class _BitKernel(_Char2Kernel):
@@ -552,31 +554,28 @@ class _BitKernel(_Char2Kernel):
     def row_dots(self, a, b) -> tuple:
         return tuple([(x & y).bit_count() & 1 for x, y in zip(a, b)])
 
-    def gauss_jordan(self, rows, ncols: int, width: int):
-        """:meth:`_Kernel.gauss_jordan` on bit rows, with the same pivots,
-        swaps and row operations.  Below the pivot rows every row vanishes
-        left of the next pivot column, so that column is the leading bit
-        of the largest such row, and the first row at least that bit is
-        the pivot row.  Every other row with the bit set is cleared by one
-        XOR."""
-        rows = list(rows)
-        m, pivots, lead = len(rows), [], 0
-        stop = 1 << (width - ncols)  # a row below it has no entry in the first ncols columns
-        while lead < m:
-            top = max(rows[lead:])
-            if top < stop:
-                break
-            bit = 1 << (top.bit_length() - 1)
-            r = lead
-            while rows[r] < bit:
-                r += 1
-            prow = rows[r]
-            rows[r] = rows[lead]
-            rows = [x ^ prow if x & bit else x for x in rows]
-            rows[lead] = prow
-            pivots.append(width - top.bit_length())
-            lead += 1
-        return tuple(rows), tuple(pivots)
+    def gauss_jordan(self, rows, width: int):
+        """The reduced row-echelon form by leading bits (M4RI): each row
+        XORs away every kept row whose leading bit it has (x ^ y < x), and
+        a nonzero remainder clears its own leading bit from the kept rows
+        and is kept; `width` kept rows span every row left.  No kept row
+        has another's leading bit, so sorted in descending order they are
+        the reduced form, which is unique."""
+        kept = []
+        for x in rows:
+            for y in kept:
+                if x ^ y < x:
+                    x ^= y
+            if x:
+                for i, y in enumerate(kept):
+                    if y ^ x < y:
+                        kept[i] = y ^ x
+                kept.append(x)
+                if len(kept) == width:
+                    break
+        kept.sort(reverse=True)
+        pivots = tuple([width - x.bit_length() for x in kept])
+        return tuple(kept) + (0,) * (len(rows) - len(kept)), pivots
 
     def matmul(self, a, b, ncols: int):
         """Each row of a * b is the XOR of the rows of b that the bits of
@@ -650,10 +649,10 @@ def _kernel(field: Field) -> _Kernel:
     return kernel
 
 
-def _gauss_jordan(kernel: _Kernel, rows, ncols: int, width: int):
+def _gauss_jordan(kernel: _Kernel, rows, width: int):
     """:meth:`_Kernel.gauss_jordan` of the field's kernel, on its rows:
     every elimination of the library goes through here."""
-    return kernel.gauss_jordan(rows, ncols, width)
+    return kernel.gauss_jordan(rows, width)
 
 
 def _unbox(field: Field, entries) -> tuple:
@@ -699,9 +698,8 @@ class Matrix:
 
     def __getattr__(self, name):
         """The rows not made yet, made on first read and kept: `rows`
-        boxed, and the row format a GF(2) matrix does not hold yet, the
-        payload rows of one the kernel made and the bit rows of one made
-        from payload rows.  Every other name unset is a miss."""
+        boxed, and the payload rows of a GF(2) matrix the kernel made.
+        Every other name unset is a miss."""
         if name == "rows":
             value = tuple(map(self.field.wrap_all, self.payload_rows))
             _set_rows(self, value)
@@ -709,10 +707,6 @@ class Matrix:
         if name == "payload_rows":
             value = _kernel(self.field).unpack(self._krows, self._ncols)
             _set_prows(self, value)
-            return value
-        if name == "_krows":
-            value = _kernel(self.field).pack(self.payload_rows, self._ncols)
-            _set_krows(self, value)
             return value
         raise AttributeError(name)
 
@@ -855,7 +849,7 @@ class Matrix:
         if self._rref is not None:
             return self._rref
         kernel = _kernel(self.field)
-        red, pivots = _gauss_jordan(kernel, self._krows, self._ncols, self._ncols)
+        red, pivots = _gauss_jordan(kernel, self._krows, self._ncols)
         result = (_made(kernel, red, self._ncols), pivots)
         _set_rref(self, result)
         return result
@@ -957,13 +951,13 @@ _set_rows = Matrix.rows.__set__
 
 def _init(self: Matrix, field: Field, prows, ncols: int):
     """A matrix on payload rows; its kernel rows are the same rows but for
-    GF(2), whose bit rows are packed on first use."""
+    GF(2), whose bit rows are packed here."""
     _set_field(self, field)
     _set_prows(self, prows)
     _set_ncols(self, ncols)
     _set_rref(self, None)
-    if (field._kernel or _kernel(field)).tuple_rows:
-        _set_krows(self, prows)
+    kernel = field._kernel or _kernel(field)
+    _set_krows(self, prows if kernel.tuple_rows else kernel.pack(prows, ncols))
 
 
 def _made(kernel: _Kernel, rows, ncols: int) -> Matrix:

@@ -1,5 +1,6 @@
-"""A dead-code guard: every top-level function and class of the library
-has a user, so a deletion leaves nothing behind."""
+"""Two guards on the library's source: every top-level function and class
+has a user, so a deletion leaves nothing behind, and the kernel's row
+format stays inside ``linalg``."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,15 @@ def test_every_top_level_definition_is_referenced():
               for path in LIBRARY for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced]
     assert unused == []
+
+
+# the kernel's rows and the calls that convert or eliminate them
+KERNEL_NAMES = {"_krows", "pack", "unpack", "tuple_rows", "_gauss_jordan"}
+
+
+def test_only_linalg_reads_the_kernel_row_format():
+    """Every other module reads matrices as ``payload_rows``: none reads
+    the kernel's rows, converts to or from them, or eliminates on them."""
+    readers = {path.name: sorted(_references(path) & KERNEL_NAMES)
+               for path in LIBRARY if path.name != "linalg.py"}
+    assert {name: refs for name, refs in readers.items() if refs} == {}

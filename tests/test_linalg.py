@@ -457,13 +457,12 @@ def test_packed_elimination_matches_the_tuple_loop(literal, data):
     field = wf.parse_field(literal)
     kernel = _kernel(field)
     m, width = data.draw(st.integers(0, 20)), data.draw(st.integers(0, _widest(field)))
-    ncols = data.draw(st.integers(0, width))  # rows wider than the pivot columns too
     rows = data.draw(_payload_rows(field.order(), m, width))
-    expected = _Kernel.gauss_jordan(kernel, rows, ncols, width)
-    red, pivots = kernel.gauss_jordan(kernel.pack(rows, width), ncols, width)
+    expected = _Kernel.gauss_jordan(kernel, rows, width)
+    red, pivots = kernel.gauss_jordan(kernel.pack(rows, width), width)
     assert (kernel.unpack(red, width), pivots) == expected
     if field.order() > 2:
-        assert kernel._packed_gauss_jordan(rows, ncols) == expected
+        assert kernel._packed_gauss_jordan(rows) == expected
 
 
 @pytest.mark.parametrize("literal", PACKED_FIELDS)
@@ -490,7 +489,7 @@ def test_packed_elimination_is_what_matrices_use(f4):
     a = Matrix.from_payloads(f4, [[rng.choice((0, 0, 1, 2, 3)) for _ in range(16)]
                                   for _ in range(64)])
     red, pivots = a.rref()
-    assert (red.payload_rows, pivots) == _kernel(f4)._packed_gauss_jordan(a.payload_rows, 16)
+    assert (red.payload_rows, pivots) == _kernel(f4)._packed_gauss_jordan(a.payload_rows)
     ref_red, ref_pivots = _ref_rref(f4, _boxed(a))
     assert pivots == ref_pivots and _boxed(red) == ref_red
 
@@ -566,7 +565,8 @@ def test_bit_matrices_match_the_boxed_reference(f2, data):
 def test_bit_matrices_equal_their_payload_twins(f2, data):
     """A GF(2) matrix the kernel made (bit rows, payload rows unpacked on
     first read) and the same matrix built from payload rows (bit rows
-    packed on first use) compare and hash equal, whichever is read first."""
+    packed at construction) compare and hash equal, whichever is read
+    first."""
     m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 70))
     rows = _bit_rows(data.draw, m, n)
     made = Matrix.from_payloads(f2, rows, n).transpose().transpose()  # kernel-made

@@ -508,7 +508,7 @@ def test_batched_matmul_matches_boxed_product(literal):
     def boxed(m):
         return wf.Matrix(field, [[wf.FieldElement(field, int(x)) for x in row] for row in m])
 
-    for count in (3, 500):  # a few matrices, and a batch past SMALL_PRODUCT
+    for count in (3, 500):  # a few matrices, and a large batch
         a, b = (rng.integers(0, field.order(), size=(count, 3, 3)) for _ in range(2))
         prods = arith.matmul(a, b)
         for i in range(0, count, 50):
