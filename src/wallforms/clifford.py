@@ -31,18 +31,19 @@ finite fields, conjugating elements for interchange isometries, and a
 tensor-factorization witness.
 
 The matrix model of C(q) alone is built once per algebra and kept on it,
-as one uint8 array of blade images: orthogonal planes,
-each quaternion algebra split by a closed form, and Kronecker products.
-So are the preimages of the matrix units E_{a,0} under the model.  Per
-involution only the transport form and the conjugation are computed, on
-payload arrays: the transport form in closed form, from one product of
-those preimages with the involution and the model, and the conjugated
-images reach the final checks as the array the batched products made
-(over GF(4) to GF(16) those products are spread-bit integer products, see
-``batched``).  The final checks over all blades and all 4^n
-blade pairs (batched products and gathers of payload arrays) are the
-model's only relation checks, and they run for every involution.  They are
-this module's only numpy work: :func:`explicit_matrix_iso` and its helpers
+as one uint8 array of blade images: orthogonal planes, each quaternion
+algebra split by a closed form, Kronecker products, then n + 1 batched
+products.  So are the preimages of the matrix units E_{a,0} under the
+model.  Per involution only the transport form and the conjugation are
+computed, on payload arrays: the transport form in closed form, from one
+product of those preimages with the involution and the model, and the
+conjugated images stay the array the batched products made, through the
+final checks and in :class:`MatrixIso` (over GF(4) to GF(16) those
+products are spread-bit integer products, see ``batched``).  The final
+checks over all blades and all 4^n blade pairs (batched products and
+gathers of payload arrays) are the model's only relation checks, and they
+run for every involution.  The explicit model is this module's only numpy
+work: :func:`explicit_matrix_iso`, its helpers and :class:`MatrixIso`
 import the batched arithmetic (``batched._batch_arith``), and with it
 numpy, when they run, so loading this module loads no numpy.  The
 eliminations and products of this module's matrices run on ``linalg``'s
@@ -88,7 +89,6 @@ from .linalg import (
     Matrix,
     Vector,
     _augmented,
-    _combination,
     _diagonal,
     _kernel,
     _unbox,
@@ -852,17 +852,47 @@ def transpose_iso_criterion(tau: Isometry) -> TransposeCriterion:
 # explicit matrix isomorphism
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixIso:
     """A verified isomorphism (C(q), J) -> (M_N(F), transpose), stored as the
-    matrix image of every basis blade."""
+    matrix image of every basis blade: ``images``, one read-only
+    (2^n, N, N) uint8 payload array, boxed by ``blade_images``."""
 
     algebra: CliffordAlgebra
     size: int
-    blade_images: tuple[Matrix, ...]
+    images: np.ndarray
+
+    def __post_init__(self):
+        self.images.flags.writeable = False
+
+    @property
+    def blade_images(self) -> tuple[Matrix, ...]:
+        from .batched import _array_matrix
+
+        return tuple(_array_matrix(self.algebra.field, img) for img in self.images)
 
     def apply(self, a: CliffordElement) -> Matrix:
-        return _apply_images(self.blade_images, self.algebra, a)
+        """The sum of c f(e_b) over the terms c e_b of `a`: one batched
+        product of its coefficient row with the flattened images."""
+        import numpy as np
+
+        from .batched import _array_matrix, _batch_arith
+
+        alg = self.algebra
+        if a.algebra is not alg:
+            raise AlgebraMismatch("element of another algebra")
+        row = np.array([alg._payload_vector(a)], dtype=np.uint8)
+        image = _batch_arith(alg.field).matmul(row, self.images.reshape(alg.dim, -1))
+        return _array_matrix(alg.field, image.reshape(self.size, self.size))
+
+    def _key(self):
+        return id(self.algebra), self.size, self.images.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, MatrixIso) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _quaternion_matrices(field: Field, qa: FieldElement, qb: FieldElement) -> tuple[Matrix, Matrix]:
@@ -884,15 +914,20 @@ def _base_model(alg: CliffordAlgebra) -> np.ndarray:
     V splits into orthogonal planes (a_k, b_k) with b(a_k, b_k) = 1, so
     C(q) is the tensor product of the quaternion algebras they generate:
     plane k maps to the Kronecker product of :func:`_quaternion_matrices`
-    in factor k with identities in the others."""
+    in factor k with identities in the others.  Then f(e_i) for every i is
+    one product with the inverse change of basis, and each blade with top
+    generator t is a blade below 2^t times f(e_t), one product per t."""
     if alg._model is not None:
         return alg._model
-    from .batched import _payload_stack
+    import numpy as np
+
+    from .batched import _batch_arith, _payload_stack
 
     space, field, n = alg.space, alg.field, alg.n
     planes = hyperbolic_basis_alternating(space.gram)  # rows a_1, b_1, a_2, ...
     qvals = space.q_values(planes)  # q(a_1), q(b_1), q(a_2), ...
     ident2 = Matrix.identity(field, 2)
+    size = 1 << (n // 2)
     plane_images = []  # f(a_1), f(b_1), f(a_2), ...
     for k in range(n // 2):
         for mat2 in _quaternion_matrices(field, qvals[2 * k], qvals[2 * k + 1]):
@@ -900,15 +935,16 @@ def _base_model(alg: CliffordAlgebra) -> np.ndarray:
             for i in range(n // 2):
                 img = kron(img, mat2 if i == k else ident2)
             plane_images.append(img)
-    # row i of the inverse change of basis holds e_i in plane coordinates
-    f_gen = [_image_sum(field, plane_images, enumerate(row))
-             for row in planes.inverse().payload_rows]
-    blade_images = [Matrix.identity(field, 1 << (n // 2))]
-    for blade in range(1, alg.dim):
-        top = blade.bit_length() - 1
-        blade_images.append(blade_images[blade ^ (1 << top)] * f_gen[top])
-    alg._model = _payload_stack(*blade_images)
-    return alg._model
+    model = np.empty((alg.dim, size, size), dtype=np.uint8)
+    model[0] = np.eye(size, dtype=np.uint8)
+    if n:
+        arith = _batch_arith(field)
+        f_gen = arith.matmul(_payload_stack(planes.inverse())[0],
+                             _payload_stack(*plane_images).reshape(n, size * size))
+        for t, image in enumerate(f_gen.reshape(n, size, size)):
+            model[1 << t:2 << t] = arith.matmul(model[:1 << t], image)
+    alg._model = model
+    return model
 
 
 def _unit_preimages(alg: CliffordAlgebra) -> np.ndarray:
@@ -1005,9 +1041,9 @@ def explicit_matrix_iso(tau: Isometry) -> MatrixIso:
     h_inv = p_t * _diagonal(field, tuple(map(_kernel(field).inv, roots)))
     # conjugate every blade image by H, as two batched products
     h_arr, h_inv_arr = _payload_stack(h_mat, h_inv)
-    conj = arith.matmul(arith.matmul(h_arr, model), h_inv_arr)
+    conj = arith.matmul(arith.matmul(h_arr, model), h_inv_arr).astype(np.uint8, copy=False)
     _verify_matrix_iso(alg, j_rows, conj)
-    return MatrixIso(alg, size, tuple(_array_matrix(field, img) for img in conj))
+    return MatrixIso(alg, size, conj)
 
 
 PAIR_BATCH = 1 << 22  # payload bytes gathered per batch of the multiplicativity check
@@ -1084,22 +1120,6 @@ def _sparse_structure(alg: CliffordAlgebra) -> tuple[np.ndarray, np.ndarray]:
         starts.append(len(codes))
         alg._sparse = (np.array(codes, dtype=np.intp), np.array(starts, dtype=np.intp))
     return alg._sparse
-
-
-def _apply_images(blade_images, alg: CliffordAlgebra, elt: CliffordElement) -> Matrix:
-    """The sum of c f(e_b) over the terms c e_b of `elt`."""
-    if elt.algebra is not alg:
-        raise AlgebraMismatch("element of another algebra")
-    return _image_sum(alg.field, blade_images, elt.payloads.items())
-
-
-def _image_sum(field: Field, images, terms) -> Matrix:
-    """The sum of c images[b] over the pairs (b, payload c) of `terms`, in
-    one call of the kernel (:func:`linalg._combination`)."""
-    size, terms = images[0].nrows, tuple(terms)
-    if not terms:
-        return Matrix.zeros(field, size, size)
-    return _combination(field, *zip(*((c, images[b]) for b, c in terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ Products, sums, Gauss-Jordan elimination with field division (``rref``),
 ``solve_many``, ``kernel_rows``, ``inverse``, ``det``, ``transpose``,
 equality and hashing all run on the kernel's rows.  Every elimination is
 one full reduced row-echelon form, with pivots sought in every column.
+Sums of many scaled matrices are no kernel operation: the explicit
+Clifford model sums its payload array by a batched product.
 ``payload_rows``, the rows as tuples of payloads (ints for GF(p) and
 GF(2^k), ``(num, den)`` pairs for GF(2)(t)), is the one view every reader
 outside this module uses, and no other module sees the kernel's rows: a
@@ -264,14 +266,6 @@ class _Kernel:
                 x[pc] = red[r][j]
             solutions.append(tuple(x))
         return tuple(solutions)
-
-    def combination(self, coeffs, matrices, nrows: int, ncols: int):
-        """The rows of the sum of c * m over the payloads c of `coeffs` and
-        the kernel's rows m of `matrices`: one product over the matrices
-        flattened."""
-        flats = [sum(m, ()) for m in matrices]
-        flat, = self.matmul((tuple(coeffs),), flats, nrows * ncols)
-        return tuple([flat[i * ncols:(i + 1) * ncols] for i in range(nrows)])
 
 
 class _PrimeKernel(_Kernel):
@@ -627,13 +621,6 @@ class _BitKernel(_Char2Kernel):
         for x, pc in zip(red, pivots):
             right[pc] = x & mask
         return self.transpose(tuple(right), k)
-
-    def combination(self, coeffs, matrices, nrows: int, ncols: int):
-        acc = (0,) * nrows
-        for c, m in zip(coeffs, matrices):
-            if c:
-                acc = tuple(map(_xor, acc, m))
-        return acc
 
 
 def _kernel(field: Field) -> _Kernel:
@@ -995,15 +982,6 @@ def _diagonal(field: Field, entries: tuple) -> Matrix:
     z, n = field.zero.payload, len(entries)
     return Matrix._trusted(field, tuple(
         tuple(entries[i] if i == j else z for j in range(n)) for i in range(n)), n)
-
-
-def _combination(field: Field, coeffs, matrices) -> Matrix:
-    """The sum of c * m over the payloads c of `coeffs` and the matrices m,
-    all of one shape (at least one matrix)."""
-    nrows, ncols = matrices[0].shape
-    kernel = _kernel(field)
-    rows = kernel.combination(coeffs, [m._krows for m in matrices], nrows, ncols)
-    return _made(kernel, rows, ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ R2T     -- GF(2)(t), dim 2, q(u) = t, q(v) = 0, b(u, v) = 1; tau is the
 R4T     -- R2T perp R2T with tau the product of the two plane reflections.
 H4F7    -- GF(7), dim 4, hyperbolic.
 H6F2    -- GF(2), dim 6, hyperbolic.
-O-(4,2), O-(4,4) -- the non-split 4-dimensional spaces over GF(2) and GF(4),
-           q = x0 x1 + x2^2 + x2 x3 + a x3^2 with a = 1 and a = w: a
-           hyperbolic plane and an anisotropic one, so Witt index 1.
+O-(4,2), O-(4,4), O-(4,3) -- the non-split 4-dimensional spaces over GF(2),
+           GF(4) and GF(3), q = x0 x1 + x2^2 + x2 x3 + a x3^2 with a = 1,
+           a = w and a = 2: a hyperbolic plane and an anisotropic one, so
+           Witt index 1.
 """
 
 import pytest
@@ -81,6 +82,11 @@ def om42(f2):
 @pytest.fixture(scope="session")
 def om44(f4):
     return _nonsplit4(f4, f4.parse("w").payload)
+
+
+@pytest.fixture(scope="session")
+def om43():
+    return _nonsplit4(wf.parse_field("gf(3)"), 2)
 
 
 @pytest.fixture(scope="session")

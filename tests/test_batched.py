@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wallforms as wf
 from wallforms.batched import _batch_arith
+from wallforms.errors import TooLarge
 
 FIELDS = ["gf(2)", "gf(4;x^2+x+1)", "gf(8)", "gf(16)", "gf(256)"]
 
@@ -96,3 +97,8 @@ def test_batch_last_products_reduce_like_remainder(literal):
                 exact = np.einsum("ikN,kjN->ijN", a.astype(np.int64), b.astype(np.int64))
                 got = arith.matmul_last(a, b)
                 assert np.array_equal(got, np.remainder(exact, q)), (literal, k)
+
+
+def test_no_batched_arithmetic_over_an_infinite_field():
+    with pytest.raises(TooLarge, match="infinite"):
+        _batch_arith(wf.parse_field("gf2(t)"))

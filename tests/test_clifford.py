@@ -113,6 +113,23 @@ def test_inverse(alg_h4f2):
     assert inv * g == alg_h4f2.one()
 
 
+def test_element_repr(alg_h4f2, f4, r2t, ft):
+    assert (repr(alg_h4f2.zero()), repr(alg_h4f2.one()), repr(alg_h4f2.basis_blade(0b0101))) == (
+        "0", "1", "e1e3")
+    w = f4.parse("w")
+    alg4 = wf.algebra_for_space(wf.QuadraticSpace.hyperbolic(f4, 2))
+    assert repr(alg4.element({0: w, 0b0011: w + f4.one, 0b1000: f4.one})) == "w+(w+1)e1e2+e4"
+    t = ft.t
+    elt = wf.algebra_for_space(r2t).element({0: t, 0b01: t + ft.one, 0b11: ft.one / t})
+    assert repr(elt) == "t+(t+1)e1+(1/t)e1e2"
+
+
+def test_element_equality_with_a_non_element(alg_h4f2):
+    one = alg_h4f2.one()
+    assert one.__eq__(1) is NotImplemented
+    assert one != 1 and one != "1"
+
+
 def test_characteristic_two_required(gf7_plane_sum):
     with pytest.raises(CharacteristicNot2):
         wf.CliffordAlgebra.from_space(gf7_plane_sum)
@@ -417,6 +434,44 @@ def test_matrix_model_is_built_once_per_algebra(f8, monkeypatch):
             wf.explicit_matrix_iso(wf.eichler(h4f8, e(1), e(3)))]
     assert len(calls) == 1
     assert isos[0].algebra is isos[1].algebra is fresh(h4f8)
+
+
+@pytest.mark.parametrize("literal, planes", [
+    ("gf(2)", 2), ("gf(4;x^2+x+1)", 2), ("gf(8)", 2), ("gf(2)", 3), ("gf(2)", 0)])
+def test_base_model_blades_are_ordered_generator_products(literal, planes):
+    """Each blade image of the model is the boxed product of its
+    generators' images in increasing order (the identity for blade 0)."""
+    field = wf.parse_field(literal)
+    alg = wf.algebra_for_space(wf.QuadraticSpace.hyperbolic(field, planes))
+    model = clifford._base_model(alg)
+    size = 1 << planes
+    assert model.dtype == np.uint8 and model.shape == (alg.dim, size, size)
+    gens = [Matrix.from_payloads(field, model[1 << i].tolist()) for i in range(alg.n)]
+    for blade in range(alg.dim):
+        expected = Matrix.identity(field, size)
+        for i in range(alg.n):
+            if blade >> i & 1:
+                expected = expected * gens[i]
+        assert Matrix.from_payloads(field, model[blade].tolist()) == expected
+
+
+def test_matrix_iso_images_are_the_read_only_payloads_of_the_blade_images(h4f2, tau_int):
+    iso = wf.explicit_matrix_iso(tau_int)
+    images = iso.images
+    assert images.dtype == np.uint8 and images.shape == (16, 4, 4)
+    assert not images.flags.writeable
+    with pytest.raises(ValueError):
+        images[0, 0, 0] = 1
+    assert np.array_equal(images, [m.payload_rows for m in iso.blade_images])
+    again = wf.explicit_matrix_iso(tau_int)
+    assert again == iso and hash(again) == hash(iso)
+
+
+def test_matrix_iso_of_zero_is_the_zero_matrix(f8):
+    h4f8 = wf.QuadraticSpace.hyperbolic(f8, 2)
+    iso = wf.explicit_matrix_iso(wf.eichler(h4f8, h4f8.basis_vector(0), h4f8.basis_vector(2)))
+    assert iso.apply(iso.algebra.zero()) == Matrix.zeros(f8, 4, 4)
+    assert iso.apply(iso.algebra.one()) == Matrix.identity(f8, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +897,7 @@ def model_h4f2(tau_int, alg_h4f2):
 def _images(iso):
     """The blade images of a model as the (2^n, N, N) array that
     `_verify_matrix_iso` checks."""
-    return np.array([m.payload_rows for m in iso.blade_images], dtype=np.uint8)
+    return iso.images
 
 
 def _verify(inv, imgs):

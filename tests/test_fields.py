@@ -16,6 +16,7 @@ from wallforms.errors import (
     NotASquare,
     ParseError,
 )
+from wallforms.fields import Galois2Field
 
 
 # ---------------------------------------------------------------------------
@@ -573,3 +574,11 @@ def test_poly_division_and_gcd_match_reference_loops(a, b):
         assert wf.fields.poly_mod(a, b) == r
     assert wf.fields.poly_gcd(a, b) == _poly_gcd_oracle(a, b)
     assert wf.fields.poly_mul(a, b) == _clmul_ref(a, b) == wf.fields.poly_mul(b, a)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_galois2_field_default_modulus_is_parse_fields(k):
+    """Without a modulus, GF(2^k) takes the one `parse_field` fills in."""
+    field = Galois2Field(k)
+    assert field == wf.parse_field(f"gf({1 << k})") and hash(field) == hash(wf.parse_field(f"gf({1 << k})"))
+    assert field.literal() == wf.parse_field(f"gf({1 << k})").literal()

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import wallforms as wf
 from wallforms.errors import DescriptorMismatch, DimensionMismatch, SingularMatrix
 from wallforms.fields import FieldElement, Galois2Field, PrimeField, field_tables
-from wallforms.linalg import (PACKED_WIDTH, Matrix, _BitKernel, _Char2Kernel, _combination, _Kernel,
+from wallforms.linalg import (PACKED_WIDTH, Matrix, _BitKernel, _Char2Kernel, _Kernel,
                              _kernel, _row_forms, bilinear, kron, mat_vec, stack_rows)
 
 
@@ -608,7 +608,6 @@ def test_bit_matrices_reach_no_other_loop(f2, width, monkeypatch):
     assert mat_vec(a, a.solve(b)) == b
     assert a.solve_many(ident) == inv.transpose()
     assert (a - a).is_zero() and -a == a and a.scale(f2.one) == a and a.scale(f2.zero).is_zero()
-    assert _combination(f2, (1, 1), (a, inv)) == a + inv
     assert _row_forms(ident, a) == tuple(row[i] for i, row in enumerate(a.payload_rows))
 
 

@@ -8,6 +8,12 @@ eliminations cross linalg's switches: GF(2) rows wider than
 PACKED_WIDTH, which convert to bit rows through binary digits rather than
 tables, and GF(4) rows at least PACKED_WIDTH wide, which are eliminated
 byte-packed.
+
+Change of basis: for an invertible P, tau' = P^-1 tau P is an isometry of
+q'(x) = q(Px), whose upper form matrix is P^T Q P folded.  P^-1 maps the
+residual space of tau onto that of tau' and carries its Wall form along,
+so every invariant is equal and the Wall forms are congruent through the
+change of residual basis.
 """
 
 import importlib
@@ -99,3 +105,53 @@ def test_stabilisation_keeps_the_wall_form_and_the_decomposition(name, monkeypat
         assert max(widths) > PACKED_WIDTH
     elif field.order() == 4:
         assert min(widths) < PACKED_WIDTH <= max(widths)
+
+
+def _invertible(field, n, rng):
+    """A random invertible n x n matrix over `field`."""
+    payloads = [e.payload for e in field.elements()]
+    while True:
+        p = wf.Matrix.from_payloads(field, [[rng.choice(payloads) for _ in range(n)]
+                                            for _ in range(n)])
+        if p.det():
+            return p
+
+
+def _invariants(tau):
+    """The facts of `analyze`, `decompose` and (in characteristic 2)
+    `clifford` that do not depend on the basis."""
+    wall, parts = wf.wall_form(tau), wf.decompose(tau)
+    flags = wf.classify(wall)
+    facts = {
+        "r_dim": tau.residual_space().dim, "k_dim": tau.fixed_space().dim,
+        "index": tau.unipotency_index(),
+        "flags": (flags.symmetric, flags.antisymmetric, flags.alternating),
+        "m": parts.m, "s": parts.s, "kinds": [b.kind for b in parts.blocks],
+    }
+    if tau.space.field.characteristic() == 2:
+        fixed = tau.residual_space() == tau.fixed_space()
+        facts["involution_type"] = wf.involution_type(wf.natural_involution(tau))
+        facts["residual_fixed"] = fixed
+        facts["transpose_iso"] = wf.transpose_iso_criterion(tau).holds if fixed else None
+    return facts
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_change_of_basis_keeps_the_invariants_and_the_wall_form_class(name):
+    literal, planes, _ = CASES[name]
+    field = wf.parse_field(literal)
+    space = wf.QuadraticSpace.hyperbolic(field, planes)
+    seed = sum(map(ord, name)) + 1
+    rng = random.Random(seed)
+    for tau in _unipotents(space, DRAWS, seed):
+        p = _invertible(field, space.dim, rng)
+        p_inv = p.inverse()
+        moved_space = wf.QuadraticSpace.from_q_upper(field, p.transpose() * space.qmat * p)
+        moved = wf.Isometry(moved_space, p_inv * tau.mat * p)
+        assert _invariants(moved) == _invariants(tau)
+        # rows of P^-1 r_k span the new residual space; C solves r'_j = sum_k C_jk P^-1 r_k
+        wall, moved_wall = wf.wall_form(tau), wf.wall_form(moved)
+        carried = wall.basis_rows * p_inv.transpose()
+        change = carried.transpose().solve_many(moved_wall.basis_rows)
+        assert change is not None and change.det()
+        assert moved_wall.gram == change * wall.gram * change.transpose()

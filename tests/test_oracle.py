@@ -285,6 +285,37 @@ def test_g_checks_nothing_on_nonsplit_spaces(request, name):
     assert wf.exhaustive_verify("g", space, enum).checked == 0
 
 
+# every other runner that applies off the split spaces, each with failed 0;
+# `defint` characterises interchanges of 4-dimensional spaces only
+RUNNER_COUNTS = {
+    "om42": {"tauid": 120, "defint": 120, "char": 26, "v'": 26},
+    "om44": {"tauid": 5112, "defint": 8160, "char": 324, "v'": 324},
+    "om43": {"tauid": 1440, "defint": 1440, "char": 1, "v'": 1},
+    "O(3,3)": {"tauid": 48, "char": 1, "v'": 1},
+    "O(3,7)": {"tauid": 672, "char": 1, "v'": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNER_COUNTS))
+def test_remaining_runners_beyond_split_spaces(request, name):
+    space = {"O(3,3)": lambda: _diagonal_space("gf(3)", [1, 1, 1]),
+             "O(3,7)": lambda: _diagonal_space("gf(7)", [1, 1, 1])}.get(
+        name, lambda: request.getfixturevalue(name))()
+    enum = wf.enumerate_orthogonal_group(space)
+    counts = RUNNER_COUNTS[name]
+    for theorem, count in counts.items():
+        rep = wf.exhaustive_verify(theorem, space, enum)
+        assert (rep.theorem, rep.checked, rep.failed, rep.examples) == (theorem, count, 0, [])
+    if "defint" not in counts:
+        with pytest.raises(PreconditionError):
+            wf.exhaustive_verify("defint", space, enum)
+    if enum.order > 5000:
+        # on a group past 5000 elements `tauid` checks the first 5000 and
+        # every unipotent after them, not the whole group
+        covered = set(range(5000)) | set(enum.unipotent2_indices())
+        assert counts["tauid"] == len(covered) < enum.order
+
+
 def test_verify_vprime_alias(h4f2, group_h4f2):
     rep = wf.exhaustive_verify("vprime", h4f2, group_h4f2)
     assert rep.theorem == "v'"
